@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <exception>
 #include <numeric>
 #include <span>
 #include <thread>
@@ -73,6 +74,9 @@ TrainResult RunHierarchicalRna(const TrainerConfig& config,
   const bool lockstep = config.lockstep;
 
   // ---- calibration + grouping (ζ > v rule) ------------------------------
+  const obs::TrackHandle main_track = obs::RegisterTrack("main");
+  obs::ScopedTimer calibration_span(main_track, obs::Category::kOther,
+                                    "calibration");
   std::vector<double> iter_times(world);
   const std::size_t calib = std::max<std::size_t>(1, config.calibration_iters);
   if (lockstep) {
@@ -90,8 +94,28 @@ TrainResult RunHierarchicalRna(const TrainerConfig& config,
       iter_times[w] = sum / static_cast<double>(calib);
     }
   } else {
+    // Every rank measures itself at once, as on the paper's cluster: the
+    // phase costs calib × the slowest rank instead of calib × Σ ranks, and
+    // it sees the CPU contention concurrent training will. Each thread
+    // touches only its own context and slots; the joins hand the contexts
+    // (delay rng, pinned arena, started prefetch producer) back before the
+    // compute threads take them over. A rank's failure (a throwing model
+    // or check) reaches the caller as it would from a serial loop.
+    std::vector<std::exception_ptr> failures(world);
+    std::vector<std::thread> calibrators;
+    calibrators.reserve(world);
     for (std::size_t w = 0; w < world; ++w) {
-      iter_times[w] = workers[w]->MeasureIterationTime(init, calib);
+      calibrators.emplace_back([&, w] {
+        try {
+          iter_times[w] = workers[w]->MeasureIterationTime(init, calib);
+        } catch (...) {
+          failures[w] = std::current_exception();
+        }
+      });
+    }
+    for (auto& t : calibrators) t.join();
+    for (const std::exception_ptr& failure : failures) {
+      if (failure) std::rethrow_exception(failure);
     }
   }
   const std::vector<std::size_t> group_of =
@@ -99,6 +123,9 @@ TrainResult RunHierarchicalRna(const TrainerConfig& config,
   std::size_t num_groups = 0;
   for (std::size_t g : group_of) num_groups = std::max(num_groups, g + 1);
   obs::SetGauge("hier.groups", static_cast<double>(num_groups));
+  calibration_span.SetArg("groups", static_cast<double>(num_groups));
+  calibration_span.SetArg("iters", static_cast<double>(calib));
+  calibration_span.Stop();
 
   std::vector<collectives::Group> groups(num_groups);
   for (std::size_t w = 0; w < world; ++w) {
@@ -199,8 +226,8 @@ TrainResult RunHierarchicalRna(const TrainerConfig& config,
 
   std::vector<WorkerTimeBreakdown> comm_times(world);
   std::vector<std::vector<float>> final_params(world);
-  obs::ScopedTimer wall_timer(obs::RegisterTrack("main"),
-                              obs::Category::kOther, "train_total");
+  obs::ScopedTimer wall_timer(main_track, obs::Category::kOther,
+                              "train_total");
 
   // ---- communication threads (one per worker) ----------------------------
   std::vector<std::thread> comm_threads;

@@ -53,7 +53,7 @@ class WorkerContext {
 
   /// Measures the mean iteration time over `iters` batches without
   /// touching persistent state beyond the rng (used by the hierarchical
-  /// grouping calibration, §4).
+  /// grouping calibration, §4). The arena pin runs before the timed window.
   common::Seconds MeasureIterationTime(std::span<const float> params,
                                        std::size_t iters);
 
@@ -62,8 +62,9 @@ class WorkerContext {
 
   /// Runs one worst-case batch through the replica and pins the compute
   /// arena's short region at the observed high-water (Arena::ReserveExact).
-  /// Called once, lazily, before the first real batch; no-op when the
-  /// model does not use an arena.
+  /// Runs once, lazily, before the first real or calibration batch; later
+  /// calls, and every call when the model does not use an arena, are
+  /// no-ops.
   void PinArenaCapacity(std::span<const float> params);
 
   std::size_t rank_;

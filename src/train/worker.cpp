@@ -34,6 +34,8 @@ common::Seconds WorkerContext::SampleDelay() {
 }
 
 void WorkerContext::PinArenaCapacity(std::span<const float> params) {
+  if (arena_pinned_) return;
+  arena_pinned_ = true;
   if (!net_->ArenaEnabled()) return;
   // Worst-case warm-up batch: batch_size copies of the shard's longest
   // sequence (the largest batch length-bucketed or uniform sampling can
@@ -61,12 +63,9 @@ void WorkerContext::PinArenaCapacity(std::span<const float> params) {
 nn::BatchResult WorkerContext::ComputeGradient(std::span<const float> params,
                                                std::span<float> grad_out) {
   RNA_CHECK(params.size() == dim_ && grad_out.size() == dim_);
-  if (!arena_pinned_) {
-    // Calibration/warm-up happens on the first batch of whichever protocol
-    // runs; the pin must not count toward compute stats or the trace.
-    PinArenaCapacity(params);
-    arena_pinned_ = true;
-  }
+  // The warm-up happens before the first batch of whichever protocol runs;
+  // the pin must not count toward compute stats or the trace.
+  PinArenaCapacity(params);
   if (record_spans_ && !track_registered_ && obs::ActiveTrace() != nullptr) {
     track_ = obs::RegisterTrack(obs::WorkerTrack(rank_, "compute"));
     track_registered_ = true;
@@ -99,6 +98,10 @@ common::Seconds WorkerContext::MeasureIterationTime(
     std::span<const float> params, std::size_t iters) {
   RNA_CHECK(iters > 0);
   std::vector<float> scratch(dim_);
+  // Pin outside the timed window: the warm-up batch is each rank's own
+  // worst case (batch_size copies of its longest sequence), so timing it
+  // would bias ranks unequally and could move the ζ>v grouping.
+  PinArenaCapacity(params);
   obs::ScopedTimer watch({}, obs::Category::kOther, "calibration");
   const std::size_t before = times_.iterations;
   common::Seconds compute_before = times_.compute;

@@ -5,11 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
 
 #include "rna/baselines/baselines.hpp"
+#include "rna/common/clock.hpp"
 #include "rna/core/rna.hpp"
 #include "rna/data/generators.hpp"
+#include "rna/obs/export.hpp"
+#include "rna/obs/session.hpp"
 #include "rna/train/monitor.hpp"
 #include "rna/train/partial_engine.hpp"
 
@@ -113,6 +120,91 @@ TEST(Integration, HierarchicalRnaLearns) {
   c.calibration_iters = 4;
   const TrainResult r = RunTraining(c, s.factory, s.train, s.val);
   ExpectLearned(r, 0.75);
+}
+
+#ifdef __SANITIZE_THREAD__  // -fsanitize=thread (the tsan preset)
+constexpr bool kUnderTsan = true;
+#else
+constexpr bool kUnderTsan = false;
+#endif
+
+TEST(Integration, HierarchicalRnaCalibratesRanksConcurrently) {
+  // Three 1 ms ranks and three 10 ms ranks, four calibration batches each.
+  // Calibrated one rank after another, the injected sleeps alone would keep
+  // RunTraining busy outside its training clock for Σ_w 4 × delay_w =
+  // 132 ms; calibrated concurrently, the slowest rank's 4 × 10 ms.
+  constexpr double kSerialSleepFloor = 4 * (3 * 0.001 + 3 * 0.010);
+  Scenario s = MakeMlpScenario();
+  TrainerConfig c = BaseConfig(Protocol::kRnaHierarchical, 30);
+  c.world = 6;
+  c.delay_model = std::make_shared<sim::DeterministicSkewModel>(
+      0.001, std::vector<double>{0.0, 0.0, 0.0, 0.009, 0.009, 0.009});
+  c.calibration_iters = 4;
+
+  obs::Session session;
+  const common::Stopwatch watch;
+  const TrainResult r = RunTraining(c, s.factory, s.train, s.val);
+  const double outside_training_clock = watch.Elapsed() - r.wall_seconds;
+
+  EXPECT_EQ(session.Metrics().GaugeValue("hier.groups"), 2.0);
+  // ThreadSanitizer slows the CPU-bound work around the phase (building
+  // the workers, the final evaluations) about tenfold, so under it only
+  // the phase's own span below is held to the floor.
+  if (!kUnderTsan) {
+    EXPECT_LT(outside_training_clock, kSerialSleepFloor);
+  }
+
+  // The phase is one `calibration` span on the main track, ahead of the
+  // training clock, carrying the group count and the batches per rank.
+  const auto tracks = session.Trace().Snapshot();
+  const auto main_track =
+      std::find_if(tracks.begin(), tracks.end(),
+                   [](const auto& track) { return track.name == "main"; });
+  ASSERT_NE(main_track, tracks.end());
+  const obs::Span* calibration = nullptr;
+  const obs::Span* train_total = nullptr;
+  for (const obs::Span& span : main_track->spans) {
+    if (std::strcmp(span.name, "calibration") == 0) calibration = &span;
+    if (std::strcmp(span.name, "train_total") == 0) train_total = &span;
+  }
+  ASSERT_NE(calibration, nullptr);
+  ASSERT_NE(train_total, nullptr);
+  EXPECT_STREQ(calibration->arg_keys[0], "groups");
+  EXPECT_EQ(calibration->arg_vals[0], 2.0);
+  EXPECT_STREQ(calibration->arg_keys[1], "iters");
+  EXPECT_EQ(calibration->arg_vals[1], 4.0);
+  EXPECT_LT(calibration->duration, kSerialSleepFloor);
+  EXPECT_LE(calibration->start + calibration->duration, train_total->start);
+
+  // It survives the Chrome export and the strict parser.
+  std::stringstream io;
+  obs::ExportChromeTrace(session.Trace(), io);
+  const obs::ParsedTrace parsed = obs::ParseChromeTrace(io);
+  const auto exported = std::find_if(
+      parsed.events.begin(), parsed.events.end(),
+      [](const obs::TraceEvent& ev) { return ev.name == "calibration"; });
+  ASSERT_NE(exported, parsed.events.end());
+  EXPECT_EQ(exported->args.at("groups"), 2.0);
+  EXPECT_EQ(exported->args.at("iters"), 4.0);
+}
+
+TEST(Integration, HierarchicalRnaCalibrationFailureReachesTheCaller) {
+  // A rank that throws while it calibrates on its own thread must surface
+  // as an exception from RunTraining, not end the process.
+  class FailingMlp final : public nn::MlpClassifier {
+   public:
+    explicit FailingMlp(std::uint64_t seed)
+        : nn::MlpClassifier(std::vector<std::size_t>{8, 24, 4}, seed) {}
+    nn::BatchResult ForwardBackward(const nn::Batch&) override {
+      throw std::runtime_error("model failed");
+    }
+  };
+  Scenario s = MakeMlpScenario();
+  s.factory = [](std::uint64_t seed) {
+    return std::make_unique<FailingMlp>(seed);
+  };
+  TrainerConfig c = BaseConfig(Protocol::kRnaHierarchical, 10);
+  EXPECT_THROW(RunTraining(c, s.factory, s.train, s.val), std::runtime_error);
 }
 
 TEST(Integration, RnaStopsAtTargetLoss) {

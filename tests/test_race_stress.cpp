@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -407,6 +408,51 @@ TEST(RaceStress, PartialEngineMaxInterleaving) {
     EXPECT_LE(contributors, config.world);
   }
   EXPECT_FALSE(result.final_params.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Free-running hierarchical RNA calibrates every rank on its own thread, then
+// hands each WorkerContext to that rank's compute thread. Length-bucketed
+// sequence shards with prefetch on make the hand-off carry the most state:
+// the prefetch producer started during calibration, the arena pinned to the
+// rank's own longest sequence, and the delay rng. TSan checks that the
+// calibration joins order all of it before training touches it.
+
+TEST(RaceStress, HierarchicalCalibrationHandsOffWorkers) {
+  data::LengthModel lengths{.mean = 10, .stddev = 5, .min_len = 2,
+                            .max_len = 24};
+  data::Dataset all = data::MakeSequenceDataset(160, 4, 3, lengths, 0.1, 41);
+  auto [train_data, val_data] = all.SplitHoldout(0.25);
+  train::ModelFactory factory = [](std::uint64_t seed) {
+    return std::make_unique<nn::LstmClassifier>(4, 8, 3, seed, 0.0);
+  };
+
+  train::TrainerConfig config;
+  config.protocol = train::Protocol::kRnaHierarchical;
+  config.world = 4;
+  config.batch_size = 4;
+  config.sampling = data::SamplingMode::kLengthBucketed;
+  config.prefetch_batches = 2;
+  config.calibration_iters = 3;
+  config.delay_model = std::make_shared<sim::DeterministicSkewModel>(
+      0.0005, std::vector<double>{0.0, 0.0, 0.004, 0.004});
+  config.max_rounds = 30;
+  config.patience = 0;
+  config.eval_period_s = 0.002;
+  config.seed = 43;
+
+  const train::TrainResult result =
+      core::RunTraining(config, factory, train_data, val_data);
+
+  EXPECT_GT(result.rounds, 0u);
+  EXPECT_GT(result.gradients_applied, 0u);
+  EXPECT_EQ(result.live_workers, config.world);
+  ASSERT_EQ(result.breakdown.size(), config.world);
+  for (const train::WorkerTimeBreakdown& b : result.breakdown) {
+    EXPECT_GT(b.iterations, 0u);
+  }
+  ASSERT_FALSE(result.final_params.empty());
+  for (float p : result.final_params) ASSERT_TRUE(std::isfinite(p));
 }
 
 // ---------------------------------------------------------------------------

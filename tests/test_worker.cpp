@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "rna/data/generators.hpp"
 #include "rna/train/monitor.hpp"
@@ -111,6 +113,38 @@ TEST(WorkerContext, CalibrationDoesNotPolluteCounters) {
   EXPECT_GT(t, 0.0);
   EXPECT_EQ(worker.Iterations(), 0u);
   EXPECT_EQ(worker.Times().compute, 0.0);
+}
+
+// MLP whose first ForwardBackward (the arena-pinning warm-up) is slow.
+class SlowWarmupMlp final : public nn::MlpClassifier {
+ public:
+  explicit SlowWarmupMlp(std::uint64_t seed)
+      : nn::MlpClassifier(std::vector<std::size_t>{4, 8, 2}, seed) {}
+
+  nn::BatchResult ForwardBackward(const nn::Batch& batch) override {
+    if (calls_++ == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return nn::MlpClassifier::ForwardBackward(batch);
+  }
+
+ private:
+  int calls_ = 0;
+};
+
+TEST(WorkerContext, CalibrationExcludesArenaPinWarmup) {
+  // The pin runs before the timed window: with it inside, two calibration
+  // batches would average in the 50 ms warm-up (≥ 25 ms per batch).
+  data::Dataset ds = data::MakeGaussianClusters(64, 4, 2, 0.4, 15);
+  const TrainerConfig config = SmallConfig(1);
+  ModelFactory slow = [](std::uint64_t seed) {
+    return std::make_unique<SlowWarmupMlp>(seed);
+  };
+  WorkerContext worker(0, config, slow, ds);
+  ASSERT_TRUE(worker.Net().ArenaEnabled());
+  std::vector<float> params = InitialParams(config, MlpFactory());
+  EXPECT_LT(worker.MeasureIterationTime(params, 2), 0.010);
+  EXPECT_TRUE(worker.Net().ComputeArena().ExactMode());
 }
 
 TEST(InitialParams, MatchesFactorySeed) {
