@@ -19,13 +19,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "rna/core/rna.hpp"
 #include "rna/data/generators.hpp"
 #include "rna/nn/network.hpp"
+#include "rna/sim/workload.hpp"
 #include "rna/train/config.hpp"
 #include "rna/train/metrics.hpp"
 
@@ -237,6 +241,173 @@ TEST(LockstepDeterminism, DifferentSeedsActuallyDiverge) {
     any_diff |= a.final_params[i] != b.final_params[i];
   }
   EXPECT_TRUE(any_diff);
+}
+
+
+// ---- golden pins -----------------------------------------------------------
+// The identity tests above compare two runs of the *same* build. These pins
+// compare against values recorded once, so a refactor of an engine cannot
+// change what it computes without failing here. Recorded with GCC 12.2 /
+// glibc 2.36 (x86-64, RelWithDebInfo); the params hash covers the bytes of
+// final_params. A different toolchain may round differently: on a mismatch
+// the test prints every observed value as a ready-to-paste pin.
+struct Pin {
+  std::uint64_t params_hash;
+  std::size_t rounds;
+  std::size_t gradients_applied;
+  std::vector<std::size_t> round_contributors;
+  std::size_t live_workers;
+  std::size_t workers_joined;
+  std::size_t workers_left;
+};
+
+// FNV-1a 64 over raw bytes, as perfbench hashes final parameters.
+std::uint64_t HashBytes(const void* data, std::size_t n) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  return h;
+}
+
+Pin Observe(const TrainResult& r) {
+  return {HashBytes(r.final_params.data(),
+                    r.final_params.size() * sizeof(float)),
+          r.rounds,
+          r.gradients_applied,
+          r.round_contributors,
+          r.live_workers,
+          r.workers_joined,
+          r.workers_left};
+}
+
+std::string Describe(const Pin& p) {
+  char head[128];
+  std::snprintf(head, sizeof(head), "{0x%016llxull, %zu, %zu, {",
+                static_cast<unsigned long long>(p.params_hash), p.rounds,
+                p.gradients_applied);
+  std::string out = head;
+  for (std::size_t i = 0; i < p.round_contributors.size(); ++i) {
+    out += (i ? ", " : "") + std::to_string(p.round_contributors[i]);
+  }
+  char rest[96];
+  std::snprintf(rest, sizeof(rest), "}, %zu, %zu, %zu}", p.live_workers,
+                p.workers_joined, p.workers_left);
+  return out + rest;
+}
+
+void ExpectPinned(const TrainerConfig& config, std::uint64_t scenario_seed,
+                  const Pin& expected) {
+  Scenario s = SmallScenario(scenario_seed);
+  const Pin got =
+      Observe(core::RunTraining(config, s.factory, s.train, s.val));
+  const bool same = got.params_hash == expected.params_hash &&
+                    got.rounds == expected.rounds &&
+                    got.gradients_applied == expected.gradients_applied &&
+                    got.round_contributors == expected.round_contributors &&
+                    got.live_workers == expected.live_workers &&
+                    got.workers_joined == expected.workers_joined &&
+                    got.workers_left == expected.workers_left;
+  EXPECT_TRUE(same) << "pinned:   " << Describe(expected)
+                    << "\nobserved: " << Describe(got);
+}
+
+TrainerConfig CrashReplayConfig() {
+  // Chaos.DeterministicReplayOfACrashRun at RNA_CHAOS_SEED=0: lockstep rna,
+  // rank 3 fail-stops on its round-2 Go and the survivors time out.
+  TrainerConfig c;
+  c.protocol = Protocol::kRna;
+  c.world = 4;
+  c.max_rounds = 8;
+  c.batch_size = 8;
+  c.lockstep = true;
+  c.target_loss = -1.0;
+  c.patience = 1000000;
+  c.fault.retry_budget = 5;
+  c.fault.retry_timeout_s = 0.02;
+  c.fault.collective_timeout_s = 0.25;
+  c.fault.probe_timeout_s = 0.1;
+  c.fault.dead_after_misses = 2;
+  c.seed = 42;
+  c.model_seed = 7;
+  train::WorkerFaultSchedule crash;
+  crash.rank = 3;
+  crash.crash_in_round = 2;
+  c.fault.workers.push_back(crash);
+  return c;
+}
+
+TEST(GoldenPins, LockstepRna) {
+  ExpectPinned(LockstepConfig(Protocol::kRna), 11,
+               {0xb92691e8fbd7e7fdull, 6, 18, {3, 3, 3, 3, 3, 3}, 3, 0, 0});
+}
+
+// Identical to flat RNA's pin: in lockstep every worker contributes every
+// round, so stale reuse never fires and both re-weightings are 1.
+TEST(GoldenPins, LockstepEagerSgd) {
+  ExpectPinned(LockstepConfig(Protocol::kEagerSgd), 11,
+               {0xb92691e8fbd7e7fdull, 6, 18, {3, 3, 3, 3, 3, 3}, 3, 0, 0});
+}
+
+TEST(GoldenPins, LockstepRnaHierarchical) {
+  ExpectPinned(LockstepConfig(Protocol::kRnaHierarchical), 11,
+               {0x226d0c818d2c113eull, 6, 18, {3, 3, 3, 3, 3, 3}, 3, 0, 0});
+}
+
+TEST(GoldenPins, ElasticRna) {
+  ExpectPinned(
+      ElasticConfig(Protocol::kRna), 11,
+      {0xb60dd2775b525406ull, 8, 26, {3, 3, 3, 4, 4, 3, 3, 3}, 4, 1, 1});
+}
+
+TEST(GoldenPins, ElasticEagerSgd) {
+  ExpectPinned(
+      ElasticConfig(Protocol::kEagerSgd), 11,
+      {0xb60dd2775b525406ull, 8, 26, {3, 3, 3, 4, 4, 3, 3, 3}, 4, 1, 1});
+}
+
+TEST(GoldenPins, ElasticRnaHierarchicalWithShardedPsTree) {
+  TrainerConfig c = ElasticConfig(Protocol::kRnaHierarchical);
+  c.ps_shards = 3;
+  c.ps_fan_in = 2;
+  c.max_group_size = 2;
+  ExpectPinned(
+      c, 11,
+      {0xe4e63dec64d6b242ull, 8, 26, {2, 2, 2, 2, 2, 1, 1, 1}, 4, 1, 1});
+}
+
+TEST(GoldenPins, RnaStragglarInt8) {
+  TrainerConfig c = LockstepConfig(Protocol::kRna);
+  c.schedule = collectives::Schedule::kStragglar;
+  c.compression = collectives::Compression::kInt8;
+  ExpectPinned(c, 11,
+               {0x47d62e546a8cc21full, 6, 18, {3, 3, 3, 3, 3, 3}, 3, 0, 0});
+}
+
+TEST(GoldenPins, RnaCrashReplay) {
+  ExpectPinned(
+      CrashReplayConfig(), 16,
+      {0xa4d7252e197d4770ull, 8, 23, {4, 4, 0, 3, 3, 3, 3, 3}, 3, 0, 0});
+}
+
+// Chaos.KillWholeHierarchicalGroup at RNA_CHAOS_SEED=0: two speed groups,
+// and the slow one ({2, 3}) fail-stops on its round-3 Go.
+TEST(GoldenPins, RnaHierarchicalWholeGroupCrash) {
+  TrainerConfig c = CrashReplayConfig();
+  c.protocol = Protocol::kRnaHierarchical;
+  c.calibration_iters = 2;
+  c.ps_sync_every = 2;
+  c.delay_model = std::make_shared<sim::DeterministicSkewModel>(
+      0.0005, std::vector<common::Seconds>{0.0, 0.0, 0.02, 0.02});
+  c.fault.workers.clear();
+  for (const std::size_t rank : {std::size_t{2}, std::size_t{3}}) {
+    train::WorkerFaultSchedule crash;
+    crash.rank = rank;
+    crash.crash_in_round = 3;
+    c.fault.workers.push_back(crash);
+  }
+  ExpectPinned(
+      c, 15,
+      {0xcbd7edc2c8b7e244ull, 8, 22, {2, 2, 2, 2, 2, 2, 2, 2}, 2, 0, 0});
 }
 
 }  // namespace
