@@ -39,9 +39,10 @@ double ArgOr(const obs::Span& span, const char* key, double fallback) {
   return fallback;
 }
 
-/// Pulls the per-round events out of a trace snapshot. RNA publishes them on
-/// the controller track; the BSP baseline has no controller, so rank 0's
-/// allreduce spans stand in (contributors == world, by definition of BSP).
+/// Pulls the per-round events out of a trace snapshot. Flat RNA publishes
+/// them on its one group's controller track; the BSP baseline has no
+/// controller, so rank 0's allreduce spans stand in (contributors == world,
+/// by definition of BSP).
 std::vector<RoundEvent> RoundsFromTrace(
     const std::vector<obs::TraceRecorder::TrackView>& tracks,
     std::size_t world) {
@@ -58,7 +59,7 @@ std::vector<RoundEvent> RoundsFromTrace(
     }
   };
   for (const auto& track : tracks) {
-    if (track.name == "controller") {
+    if (track.name == "group0/controller") {
       collect(track, "round", 0.0);
       return rounds;
     }

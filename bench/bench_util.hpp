@@ -26,7 +26,7 @@
 #include "rna/data/generators.hpp"
 #include "rna/obs/export.hpp"
 #include "rna/obs/session.hpp"
-#include "rna/train/partial_engine.hpp"
+#include "rna/train/group_engine.hpp"
 
 namespace rna::benchutil {
 

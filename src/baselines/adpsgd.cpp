@@ -238,25 +238,11 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
   }
 
   TrainResult result;
-  result.wall_seconds = wall_s;
   result.rounds = rounds_done.load();
   result.gradients_applied = gradients.load();
   result.live_workers = faults.LiveCount();
-  result.reached_target = monitor.ReachedTarget();
-  result.early_stopped = monitor.EarlyStopped();
-  result.curve = monitor.Curve();
-  result.breakdown.resize(world);
-  for (std::size_t w = 0; w < world; ++w) {
-    result.breakdown[w] = workers[w]->Times();
-    result.breakdown[w].wait = wait_comm[w].wait;
-    result.breakdown[w].comm = wait_comm[w].comm;
-  }
-  result.final_params = consensus;
-  const nn::BatchResult final_eval = monitor.FullEval(consensus);
-  result.final_loss = final_eval.loss;
-  result.final_accuracy = final_eval.Accuracy();
-  result.final_train_loss =
-      EvaluateDataset(workers[0]->Net(), consensus, train_data, 2048).loss;
+  FinishRun(result, wall_s, monitor, workers, wait_comm, std::move(consensus),
+            train_data);
   return result;
 }
 

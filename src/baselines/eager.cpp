@@ -1,5 +1,5 @@
 #include "rna/baselines/baselines.hpp"
-#include "rna/train/partial_engine.hpp"
+#include "rna/train/group_engine.hpp"
 
 namespace rna::baselines {
 

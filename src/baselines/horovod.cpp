@@ -150,27 +150,12 @@ TrainResult RunHorovod(const TrainerConfig& config, const ModelFactory& factory,
   monitor.Finish();
 
   TrainResult result;
-  result.wall_seconds = wall_s;
   result.rounds = rounds_done.load();
   result.gradients_applied = gradients.load();
-  result.reached_target = monitor.ReachedTarget();
-  result.early_stopped = monitor.EarlyStopped();
-  result.curve = monitor.Curve();
   result.round_contributors.assign(result.rounds, world);  // BSP: everyone
   result.live_workers = faults.LiveCount();
-  result.breakdown.resize(world);
-  for (std::size_t w = 0; w < world; ++w) {
-    result.breakdown[w] = workers[w]->Times();
-    result.breakdown[w].wait = wait_comm[w].wait;
-    result.breakdown[w].comm = wait_comm[w].comm;
-  }
-  result.final_params = final_params[0];
-  const nn::BatchResult final_eval = monitor.FullEval(final_params[0]);
-  result.final_loss = final_eval.loss;
-  result.final_accuracy = final_eval.Accuracy();
-  result.final_train_loss =
-      EvaluateDataset(workers[0]->Net(), final_params[0], train_data, 2048)
-          .loss;
+  FinishRun(result, wall_s, monitor, workers, wait_comm,
+            std::move(final_params[0]), train_data);
   return result;
 }
 

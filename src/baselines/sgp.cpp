@@ -170,25 +170,11 @@ TrainResult RunSgp(const TrainerConfig& config, const ModelFactory& factory,
   monitor.Finish();
 
   TrainResult result;
-  result.wall_seconds = wall_s;
   result.rounds = rounds_done.load();
   result.gradients_applied = gradients.load();
   result.live_workers = faults.LiveCount();
-  result.reached_target = monitor.ReachedTarget();
-  result.early_stopped = monitor.EarlyStopped();
-  result.curve = monitor.Curve();
-  result.breakdown.resize(world);
-  for (std::size_t w = 0; w < world; ++w) {
-    result.breakdown[w] = workers[w]->Times();
-    result.breakdown[w].comm = wait_comm[w].comm;
-  }
-  result.final_params = final_debiased[0];
-  const nn::BatchResult final_eval = monitor.FullEval(final_debiased[0]);
-  result.final_loss = final_eval.loss;
-  result.final_accuracy = final_eval.Accuracy();
-  result.final_train_loss =
-      EvaluateDataset(workers[0]->Net(), final_debiased[0], train_data, 2048)
-          .loss;
+  FinishRun(result, wall_s, monitor, workers, wait_comm,
+            std::move(final_debiased[0]), train_data);
   return result;
 }
 

@@ -1,85 +1,27 @@
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <exception>
-#include <numeric>
-#include <span>
 #include <thread>
 
 #include "protocol_impls.hpp"
-#include "rna/collectives/allreduce.hpp"
-#include "rna/collectives/ring.hpp"
-#include "rna/common/check.hpp"
-#include "rna/net/fabric.hpp"
-#include "rna/net/fault.hpp"
 #include "rna/obs/metrics.hpp"
 #include "rna/obs/trace.hpp"
-#include "rna/ps/server.hpp"
-#include "rna/ps/sharded.hpp"
 #include "rna/sim/workload.hpp"
-#include "rna/train/fault.hpp"
-#include "rna/train/membership.hpp"
-#include "rna/train/monitor.hpp"
-#include "rna/train/sharding.hpp"
-#include "rna/train/stage.hpp"
-#include "rna/train/tags.hpp"
 #include "rna/train/worker.hpp"
 
 namespace rna::core::detail {
 
 using namespace rna::train;
 
-// Hierarchical synchronization (§4): workers are partitioned into
-// speed-homogeneous groups by the recursive ζ>v rule over calibrated
-// iteration times (optionally size-capped for large worlds). Each group
-// runs RNA internally with its own controller; each PS-sync round the
-// group leader PushPulls the group model through the parameter-server
-// layer (model averaging) and broadcasts the result inside the group.
-// Groups never barrier against each other — the PS serves them
-// asynchronously in arrival order, which is what defuses the deterministic
-// slowdown that defeats purely probabilistic approaches.
-//
-// Scale-out structure (this file's additions over the flat engine):
-//   * the PS layer is a recursive tree of nodes with bounded fan-in
-//     (BuildPsTree): leaders talk to their leaf node, and every non-root
-//     node periodically folds its state into its parent, so no endpoint
-//     serves more than ps_fan_in direct children;
-//   * each node is range-sharded into ps_shards independent servers;
-//     leaders stripe push/pulls across the shards (ShardedPsClient);
-//   * every group controller keeps a sharded ReadinessBoard and a
-//     MembershipDirectory, so per-round controller work is O(group), with
-//     O(1) trigger decisions, and membership is elastic (scheduled joins
-//     and leaves re-form the group ring without a restart).
-//
-// Fault model (see DESIGN.md): membership travels in every Go message, the
-// round's lowest-ranked survivor acts as group leader (PS sync + broadcast
-// root + board publisher), mid-ring crashes abort the round via hop
-// timeouts, and the PS sync degrades to skip-and-continue when the retry
-// budget is exhausted. Under TrainerConfig::lockstep the grouping is
-// computed from the *nominal* delay model (no wall-clock race) and PS syncs
-// are serialized into (sync round, group id) order by a RoundRobinGate, so
-// the whole run replays bit-identically.
-TrainResult RunHierarchicalRna(const TrainerConfig& config,
-                               const ModelFactory& factory,
-                               const data::Dataset& train_data,
-                               const data::Dataset& val_data) {
-  const std::size_t world = config.world;
-  RNA_CHECK_MSG(world >= 1, "need at least one worker");
+namespace {
 
-  auto workers = MakeWorkers(config, factory, train_data);
-  const std::size_t dim = workers[0]->Dim();
-  const std::vector<float> init = InitialParams(config, factory);
-
-  const bool faulty = config.fault.Enabled();
-  const bool lockstep = config.lockstep;
-
-  // ---- calibration + grouping (ζ > v rule) ------------------------------
-  const obs::TrackHandle main_track = obs::RegisterTrack("main");
-  obs::ScopedTimer calibration_span(main_track, obs::Category::kOther,
-                                    "calibration");
+// Calibrated mean iteration time of every rank, the input of the ζ>v rule.
+std::vector<double> CalibrateIterationTimes(
+    const TrainerConfig& config,
+    std::span<const std::unique_ptr<WorkerContext>> workers,
+    std::span<const float> init, std::size_t calib) {
+  const std::size_t world = workers.size();
   std::vector<double> iter_times(world);
-  const std::size_t calib = std::max<std::size_t>(1, config.calibration_iters);
-  if (lockstep) {
+  if (config.lockstep) {
     // Deterministic calibration: average the injected-delay model's nominal
     // samples (same seed stream the workers will use) instead of racing
     // wall clocks, so the grouping replays bit-identically.
@@ -93,885 +35,70 @@ TrainResult RunHierarchicalRna(const TrainerConfig& config,
       }
       iter_times[w] = sum / static_cast<double>(calib);
     }
-  } else {
-    // Every rank measures itself at once, as on the paper's cluster: the
-    // phase costs calib × the slowest rank instead of calib × Σ ranks, and
-    // it sees the CPU contention concurrent training will. Each thread
-    // touches only its own context and slots; the joins hand the contexts
-    // (delay rng, pinned arena, started prefetch producer) back before the
-    // compute threads take them over. A rank's failure (a throwing model
-    // or check) reaches the caller as it would from a serial loop.
-    std::vector<std::exception_ptr> failures(world);
-    std::vector<std::thread> calibrators;
-    calibrators.reserve(world);
-    for (std::size_t w = 0; w < world; ++w) {
-      calibrators.emplace_back([&, w] {
-        try {
-          iter_times[w] = workers[w]->MeasureIterationTime(init, calib);
-        } catch (...) {
-          failures[w] = std::current_exception();
-        }
-      });
-    }
-    for (auto& t : calibrators) t.join();
-    for (const std::exception_ptr& failure : failures) {
-      if (failure) std::rethrow_exception(failure);
-    }
+    return iter_times;
   }
-  const std::vector<std::size_t> group_of =
-      ComputeSpeedGroupsCapped(iter_times, config.max_group_size);
-  std::size_t num_groups = 0;
-  for (std::size_t g : group_of) num_groups = std::max(num_groups, g + 1);
-  obs::SetGauge("hier.groups", static_cast<double>(num_groups));
-  calibration_span.SetArg("groups", static_cast<double>(num_groups));
-  calibration_span.SetArg("iters", static_cast<double>(calib));
-  calibration_span.Stop();
-
-  std::vector<collectives::Group> groups(num_groups);
+  // Every rank measures itself at once, as on the paper's cluster: the
+  // phase costs calib × the slowest rank instead of calib × Σ ranks, and it
+  // sees the CPU contention concurrent training will. Each thread touches
+  // only its own context and slots; the joins hand the contexts (delay rng,
+  // pinned arena, started prefetch producer) back before the compute
+  // threads take them over. A rank's failure (a throwing model or check)
+  // reaches the caller as it would from a serial loop.
+  std::vector<std::exception_ptr> failures(world);
+  std::vector<std::thread> calibrators;
+  calibrators.reserve(world);
   for (std::size_t w = 0; w < world; ++w) {
-    groups[group_of[w]].members.push_back(w);
+    calibrators.emplace_back([&, w] {
+      try {
+        iter_times[w] = workers[w]->MeasureIterationTime(init, calib);
+      } catch (...) {
+        failures[w] = std::current_exception();
+      }
+    });
   }
+  for (auto& t : calibrators) t.join();
+  for (const std::exception_ptr& failure : failures) {
+    if (failure) std::rethrow_exception(failure);
+  }
+  return iter_times;
+}
 
-  // ---- parameter-server layer: tree of range-sharded nodes ---------------
-  const std::size_t shards =
-      std::min(std::max<std::size_t>(1, config.ps_shards), dim);
-  const PsTree tree = BuildPsTree(num_groups, config.ps_fan_in);
-  const std::size_t num_nodes = tree.nodes.size();
-  obs::SetGauge("hier.ps_nodes", static_cast<double>(num_nodes));
-  obs::SetGauge("hier.ps_shards", static_cast<double>(shards));
+}  // namespace
 
-  // Endpoint layout: [workers | group controllers | node-major PS shards].
-  const net::Rank first_controller = world;
-  const net::Rank first_ps = world + num_groups;
-  auto ps_rank_of = [&](std::size_t node, std::size_t s) {
-    return first_ps + node * shards + s;
+// Hierarchical synchronization (§4): workers are partitioned into
+// speed-homogeneous groups by the recursive ζ>v rule over calibrated
+// iteration times (optionally size-capped for large worlds), and each group
+// runs RNA internally: the engine gives every group its own controller, and
+// each PS-sync round the group's leader averages the group model through
+// the parameter-server tree and broadcasts the result inside the group
+// (see rna/train/group_engine.hpp). Under TrainerConfig::lockstep the
+// grouping comes from the *nominal* delay model (no wall-clock race), so
+// the whole run replays bit-identically.
+TrainResult RunHierarchicalRna(const TrainerConfig& config,
+                               const ModelFactory& factory,
+                               const data::Dataset& train_data,
+                               const data::Dataset& val_data) {
+  auto grouping = [&config](
+                      std::span<const std::unique_ptr<WorkerContext>> workers,
+                      std::span<const float> init) {
+    obs::ScopedTimer calibration_span(obs::RegisterTrack("main"),
+                                      obs::Category::kOther, "calibration");
+    const std::size_t calib =
+        std::max<std::size_t>(1, config.calibration_iters);
+    const std::vector<std::size_t> group_of = ComputeSpeedGroupsCapped(
+        CalibrateIterationTimes(config, workers, init, calib),
+        config.max_group_size);
+    const std::size_t num_groups =
+        1 + *std::max_element(group_of.begin(), group_of.end());
+    obs::SetGauge("hier.groups", static_cast<double>(num_groups));
+    calibration_span.SetArg("groups", static_cast<double>(num_groups));
+    calibration_span.SetArg("iters", static_cast<double>(calib));
+    return group_of;
   };
-  net::Fabric fabric(world + num_groups + num_nodes * shards);
-
-  FaultRuntime faults(config);
-  if (auto plan = BuildFaultPlan(config)) {
-    fabric.InstallFaultPlan(std::move(plan));
-  }
-  const common::Seconds ring_timeout =
-      faulty ? config.fault.collective_timeout_s : 0.0;
-  const common::Seconds report_budget =
-      config.fault.collective_timeout_s + config.fault.probe_timeout_s;
-  // Serializes the group leaders' PS syncs into (sync round, group id)
-  // order under lockstep; unused otherwise (the async free-for-all *is* the
-  // paper's design).
-  RoundRobinGate ps_gate(num_groups);
-
-  // Parents precede children in BuildPsTree's id order, so starting in id
-  // order (and stopping in reverse) means a child's parent sync always
-  // finds its parent serving.
-  std::vector<std::unique_ptr<ps::ParameterServer>> servers;
-  servers.reserve(num_nodes * shards);
-  for (std::size_t node = 0; node < num_nodes; ++node) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      const auto begin =
-          static_cast<std::ptrdiff_t>(ShardBegin(dim, shards, s));
-      const auto end = static_cast<std::ptrdiff_t>(ShardEnd(dim, shards, s));
-      std::vector<float> slice(init.begin() + begin, init.begin() + end);
-      auto server = std::make_unique<ps::ParameterServer>(
-          fabric, ps_rank_of(node, s), std::move(slice));
-      if (tree.nodes[node].parent != node) {
-        server->ConfigureParent(
-            ps_rank_of(tree.nodes[node].parent, s),
-            config.ps_parent_sync_every,
-            faulty ? config.fault.retry_budget : 1,
-            config.fault.retry_timeout_s);
-      }
-      server->Start();
-      servers.push_back(std::move(server));
-    }
-  }
-
-  std::vector<std::unique_ptr<GradientStage>> stages;
-  for (std::size_t w = 0; w < world; ++w) {
-    stages.push_back(std::make_unique<GradientStage>(
-        dim, config.staleness_bound, config.combine));
-  }
-  // The monitor's board (published by rank 0's group) plus one board per
-  // group for the compute threads: a group's gradients are computed against
-  // its *own* leader's model, never another group's — cross-group model
-  // flow goes through the PS layer only. Under lockstep that keeps every
-  // group's compute inputs on its own deterministic round boundary (a
-  // shared board would race on the publishing group's timing).
-  ParamBoard board(init);
-  std::vector<std::unique_ptr<ParamBoard>> group_boards;
-  group_boards.reserve(num_groups);
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    group_boards.push_back(std::make_unique<ParamBoard>(init));
-  }
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> global_stop{false};
-  std::atomic<std::size_t> rounds_done{0};
-  std::atomic<std::size_t> batches_applied{0};
-  // Written only by rank 0's group controller, read after joins.
-  std::vector<std::size_t> round_contributors;
-  // One membership directory and busy-time slot per group controller;
-  // each is single-writer (its controller thread), read after join().
-  std::vector<std::unique_ptr<MembershipDirectory>> directories;
-  directories.reserve(num_groups);
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    directories.push_back(std::make_unique<MembershipDirectory>(
-        groups[g].members, config.elastic));
-  }
-  std::vector<common::Seconds> ctrl_busy(num_groups, 0.0);
-  std::vector<std::size_t> ctrl_msgs(num_groups, 0);
-
-  EvalMonitor monitor(config, factory, val_data);
-  monitor.Start(board, stop, rounds_done);
-
-  std::vector<WorkerTimeBreakdown> comm_times(world);
-  std::vector<std::vector<float>> final_params(world);
-  obs::ScopedTimer wall_timer(main_track, obs::Category::kOther,
-                              "train_total");
-
-  // ---- communication threads (one per worker) ----------------------------
-  std::vector<std::thread> comm_threads;
-  comm_threads.reserve(world);
-  for (std::size_t w = 0; w < world; ++w) {
-    comm_threads.emplace_back([&, w] {
-      const obs::TrackHandle track =
-          obs::RegisterTrack(obs::WorkerTrack(w, "comm"));
-      const std::size_t g = group_of[w];
-      const collectives::Group& full_group = groups[g];
-      const net::Rank my_controller = first_controller + g;
-      const std::size_t group_size = full_group.Size();
-
-      std::vector<float> params = init;
-      std::vector<float> buffer(dim);
-      nn::SgdMomentum& optimizer = workers[w]->Optimizer();
-      // Per-worker error-feedback residual for lossy compression; +1 for
-      // the partial collective's contributor-flag tail.
-      collectives::ErrorFeedback feedback;
-      feedback.EnsureSize(dim + 1);
-      ps::ShardedPsClient ps_client(fabric, w, ps_rank_of(tree.leaf_of[g], 0),
-                                    shards, dim);
-      if (faulty) {
-        ps_client.ConfigureRetry(config.fault.retry_budget,
-                                 config.fault.retry_timeout_s);
-      }
-      bool died = false;  // fail-stop exit, distinct from session end
-      bool left = false;  // clean elastic departure, also not session end
-      for (;;) {
-        std::optional<net::Message> go;
-        {
-          obs::ScopedTimer wait_timer(track, obs::Category::kWait,
-                                      "wait_trigger", &comm_times[w].wait);
-          if (faulty) {
-            while (!(go = fabric.RecvFor(w, tags::kGo, 0.05)).has_value()) {
-              if (global_stop.load() || fabric.IsClosed(w) ||
-                  !faults.Alive(w)) {
-                break;
-              }
-            }
-          } else {
-            // Lossless fast path: without fault injection nothing can
-            // drop the Go, and Shutdown() wakes the wait.
-            go = fabric.Recv(w, tags::kGo);  // analyze:allow(timed-recv)
-          }
-        }
-        if (!go.has_value()) {
-          died = faulty && !faults.Alive(w);
-          break;
-        }
-        if (go->meta.empty() || go->meta[0] < 0) {
-          // Session over — or, with meta[1]==2, a personal exit for this
-          // rank's scheduled elastic leave (the rest of the group keeps
-          // training).
-          left = go->meta.size() > 1 && go->meta[1] == 2;
-          break;
-        }
-        const auto round = static_cast<std::size_t>(go->meta[0]);
-
-        if (faults.ShouldCrashInRound(w, round)) {
-          faults.Kill(w);
-          obs::ScopedTimer crash_span(track, obs::Category::kFault, "crash");
-          crash_span.SetArg("round", static_cast<double>(round));
-          net::Message bye;
-          bye.tag = tags::kGoodbye;
-          bye.meta = {go->meta[0]};
-          fabric.Send(w, my_controller, std::move(bye));
-          died = true;
-          break;
-        }
-        if (faulty && !faults.Alive(w)) {
-          died = true;
-          break;
-        }
-
-        // Round membership (survivors of this group) travels in the Go:
-        // [round, verdict, member count, members..., joiners...]; a legacy
-        // two-entry shape means the full group. A rank in the joiner tail
-        // is not yet a ring member — it receives the round leader's state
-        // transfer instead.
-        collectives::Group group;
-        std::vector<net::Rank> joiners;
-        if (go->meta.size() > 2) {
-          const auto member_count = static_cast<std::size_t>(go->meta[2]);
-          for (std::size_t i = 3; i < go->meta.size(); ++i) {
-            const auto r = static_cast<net::Rank>(go->meta[i]);
-            if (i - 3 < member_count) {
-              group.members.push_back(r);
-            } else {
-              joiners.push_back(r);
-            }
-          }
-        } else {
-          group = full_group;
-        }
-        if (std::find(joiners.begin(), joiners.end(), w) != joiners.end()) {
-          // Joining rank: install the leader's replica (params ‖ velocity,
-          // LR bit-cast into the meta) and acknowledge with a synced
-          // report, so the controller activates this rank next round with
-          // a state bitwise-identical to every group member's.
-          std::optional<net::Message> state;
-          if (faulty) {
-            state = fabric.RecvFor(w, tags::JoinStateTag(round),
-                                   config.fault.collective_timeout_s);
-          } else {
-            state = fabric.Recv(  // analyze:allow(timed-recv)
-                w, tags::JoinStateTag(round));
-          }
-          bool synced = false;
-          if (state.has_value() && state->data.size() == 2 * dim &&
-              state->meta.size() > 1) {
-            std::copy(state->data.begin(), state->data.begin() + dim,
-                      params.begin());
-            optimizer.SetVelocity(
-                std::span<const float>(state->data.data() + dim, dim));
-            optimizer.SetLearningRate(std::bit_cast<double>(state->meta[1]));
-            fabric.Pool().Recycle(std::move(state->data));
-            synced = true;
-            obs::CountMetric("elastic.join_syncs");
-          }
-          net::Message report;
-          report.tag = tags::kRoundEnd;
-          // meta: [round, consumed=0, aborted=0, synced flag]
-          report.meta = {go->meta[0], 0, 0, synced ? 1 : 0};
-          fabric.Send(w, my_controller, std::move(report));
-          continue;
-        }
-        const auto member_it =
-            std::find(group.members.begin(), group.members.end(), w);
-        if (member_it == group.members.end()) continue;
-        const std::size_t my_index =
-            static_cast<std::size_t>(member_it - group.members.begin());
-        const bool leader = my_index == 0;
-
-        // Step LR schedule: every worker decays at the same round.
-        for (std::size_t milestone : config.lr_decay_rounds) {
-          if (milestone == round) {
-            optimizer.DecayLearningRate(config.lr_decay_factor);
-          }
-        }
-
-        if (faulty && round > 0) {
-          fabric.Purge(w, tags::kRingBase, tags::RingTag(round) - 1);
-          fabric.Purge(w, tags::kGroupCastBase,
-                       tags::GroupCastTag(round) - 1);
-        }
-
-        auto drained = stages[w]->Drain();
-        const bool contributes = drained.has_value();
-        if (contributes) {
-          buffer = std::move(drained->grad);
-        } else {
-          std::fill(buffer.begin(), buffer.end(), 0.0f);
-        }
-
-        // The intra-group collective has no controller verdict feed, so
-        // kStragglar degrades to the plain ring here (straggler stays
-        // kNoStraggler); compression still applies.
-        collectives::CollectiveOptions opts;
-        opts.schedule = config.schedule;
-        opts.compression = config.compression;
-        opts.topk_fraction = config.topk_fraction;
-        opts.tag_base = tags::RingTag(round);
-        opts.hop_timeout = ring_timeout;
-        opts.feedback = &feedback;
-        collectives::PartialResult reduced;
-        {
-          obs::ScopedTimer comm_timer(track, obs::Category::kComm,
-                                      "partial_allreduce",
-                                      &comm_times[w].comm);
-          comm_timer.SetArg("round", static_cast<double>(round));
-          reduced = collectives::PartialAllreduceFor(
-              {fabric, group, my_index}, opts, buffer, contributes);
-          comm_timer.SetArg("contributors",
-                            static_cast<double>(reduced.contributors));
-        }
-        if (!reduced.ok) {
-          obs::ScopedTimer abort_span(track, obs::Category::kFault,
-                                      "collective_abort");
-          abort_span.SetArg("round", static_cast<double>(round));
-          obs::CountMetric("fault.collective_aborts");
-        }
-        if (reduced.ok && reduced.contributors > 0) {
-          const double scale =
-              config.lr_policy == LrScalePolicy::kLinear
-                  ? static_cast<double>(reduced.contributors) /
-                        static_cast<double>(group_size)
-                  : 1.0;
-          optimizer.Step(params, buffer, scale);
-        }
-
-        // Asynchronous cross-group averaging through the PS tree (§4
-        // phases 2–3): the round's leader stripes the group model across
-        // its leaf node's shards, pulls back the running average, and
-        // broadcasts it within the group. Skipped after an aborted
-        // collective (the group model is stale, not wrong — the next sync
-        // folds it in).
-        if (reduced.ok && config.ps_sync_every > 0 &&
-            round % config.ps_sync_every == 0) {
-          if (leader) {
-            obs::ScopedTimer ps_timer(track, obs::Category::kComm,
-                                      "ps_push_pull", &comm_times[w].comm);
-            ps_timer.SetArg("round", static_cast<double>(round));
-            bool turn = true;
-            if (lockstep) {
-              // Deterministic PS ordering; under faults the wait is
-              // bounded so a hung group ahead in the rotation cannot
-              // stall this one forever.
-              turn = faulty ? ps_gate.AcquireTurnFor(
-                                  g, config.fault.collective_timeout_s)
-                            : ps_gate.AcquireTurn(g);
-            }
-            if (turn) {
-              if (auto avg =
-                      ps_client.TryPushPull(params, ps::ApplyMode::kAverage)) {
-                params = std::move(*avg);
-              } else {
-                // Retry budget exhausted: keep the local group model and
-                // catch up at the next sync.
-                obs::CountMetric("fault.ps_sync_skipped");
-              }
-              if (lockstep) ps_gate.ReleaseTurn(g);
-            } else {
-              obs::CountMetric("fault.ps_turn_timeouts");
-            }
-          }
-          // The leader broadcasts whatever it ended up with (averaged or,
-          // after a skipped sync, local), so followers never block on a
-          // sync that didn't happen.
-          obs::ScopedTimer bcast_timer(track, obs::Category::kComm,
-                                       "group_broadcast",
-                                       &comm_times[w].comm);
-          bcast_timer.SetArg("round", static_cast<double>(round));
-          const bool cast_ok = collectives::BroadcastFor(
-              fabric, group, my_index, 0, params, tags::GroupCastTag(round),
-              ring_timeout);
-          if (!cast_ok) obs::CountMetric("fault.broadcast_timeouts");
-        }
-
-        // Every round's leader publishes the group model for its group's
-        // compute threads; the lowest-ranked survivor of rank 0's group
-        // also publishes for the monitor.
-        if (leader) {
-          group_boards[g]->Publish(params,
-                                   static_cast<std::int64_t>(round) + 1);
-          if (g == group_of[0]) {
-            board.Publish(params, static_cast<std::int64_t>(round) + 1);
-          }
-        }
-        if (leader && !joiners.empty()) {
-          // Group leader ships its post-sync replica to each joining rank
-          // (params ‖ velocity in the pooled payload, LR in the meta).
-          // Re-sent every round a joiner stays syncing, so a transfer
-          // lost to a fault is retried by the next leader.
-          const std::span<const float> velocity = optimizer.Velocity();
-          for (const net::Rank j : joiners) {
-            net::Message state;
-            state.tag = tags::JoinStateTag(round);
-            state.meta = {go->meta[0],
-                          std::bit_cast<std::int64_t>(
-                              optimizer.LearningRate())};
-            state.data = fabric.Pool().Acquire(2 * dim);
-            std::copy(params.begin(), params.end(), state.data.begin());
-            std::copy(velocity.begin(), velocity.end(),
-                      state.data.begin() + dim);
-            fabric.Send(w, j, std::move(state));
-          }
-        }
-
-        net::Message report;
-        report.tag = tags::kRoundEnd;
-        report.meta = {go->meta[0],
-                       contributes ? static_cast<std::int64_t>(drained->count)
-                                   : 0,
-                       reduced.ok ? 0 : 1};
-        fabric.Send(w, my_controller, std::move(report));
-      }
-      // A leaver or a crash must not end the session; only the shared exit
-      // Go (or a fabric shutdown) does.
-      if (!died && !left) global_stop.store(true);
-      final_params[w] = std::move(params);
-    });
-  }
-
-  // ---- compute threads ----------------------------------------------------
-  std::vector<std::thread> compute_threads;
-  compute_threads.reserve(world);
-  for (std::size_t w = 0; w < world; ++w) {
-    compute_threads.emplace_back([&, w] {
-      const net::Rank my_controller = first_controller + group_of[w];
-      std::vector<float> params = init;
-      std::vector<float> grad(dim);
-      std::int64_t seen = 0;
-      auto crash_now = [&](std::int64_t round_hint) {
-        faults.Kill(w);
-        obs::CountMetric("fault.worker.goodbyes");
-        net::Message bye;
-        bye.tag = tags::kGoodbye;
-        bye.meta = {round_hint};
-        fabric.Send(w, my_controller, std::move(bye));
-      };
-      if (lockstep) {
-        for (;;) {
-          std::optional<net::Message> token;
-          while (!(token = fabric.RecvFor(w, tags::kStep, 0.05))
-                      .has_value()) {
-            // Lossless lockstep: global_stop only means *some* group
-            // finished its rounds; this group's controller still owes an
-            // exit token, so keep waiting for it (abandoning here would
-            // leave the controller's step/ack handshake short and make
-            // the tail rounds of slower groups racy).
-            if (fabric.IsClosed(w) || (faulty && global_stop.load())) {
-              return;
-            }
-          }
-          if (token->meta.empty() || token->meta[0] < 0) return;
-          if (!faults.Alive(w)) return;
-          if (faulty && faults.BeforeIteration(w, workers[w]->Iterations()) ==
-                            IterationFate::kCrash) {
-            crash_now(token->meta[0]);
-            return;
-          }
-          seen = group_boards[group_of[w]]->ReadIfNewer(seen, &params);
-          workers[w]->ComputeGradient(params, grad);
-          stages[w]->Write(grad,
-                           static_cast<std::int64_t>(workers[w]->Iterations()));
-          net::Message ready;
-          ready.tag = tags::kReady;
-          fabric.Send(w, my_controller, std::move(ready));
-        }
-      }
-      while (!global_stop.load(std::memory_order_relaxed)) {
-        if (faulty) {
-          if (!faults.Alive(w)) return;
-          if (faults.BeforeIteration(w, workers[w]->Iterations()) ==
-              IterationFate::kCrash) {
-            crash_now(-1);
-            return;
-          }
-        }
-        seen = group_boards[group_of[w]]->ReadIfNewer(seen, &params);
-        workers[w]->ComputeGradient(params, grad);
-        const bool grew = stages[w]->Write(
-            grad, static_cast<std::int64_t>(workers[w]->Iterations()));
-        if (grew) {
-          net::Message ready;
-          ready.tag = tags::kReady;
-          fabric.Send(w, my_controller, std::move(ready));
-        }
-      }
-    });
-  }
-
-  // ---- per-group controllers ---------------------------------------------
-  std::vector<std::thread> controllers;
-  controllers.reserve(num_groups);
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    controllers.emplace_back([&, g] {
-      const obs::TrackHandle track = obs::RegisterTrack(
-          "group" + std::to_string(g) + "/controller");
-      const collectives::Group& group = groups[g];
-      const std::size_t group_size = group.Size();
-      MembershipDirectory& directory = *directories[g];
-      common::Rng rng(config.seed + 9101 + 7 * g);
-      auto policy = MakeProbePolicy(config.probe_choices);
-      // Group-local sharded readiness aggregate, indexed by group index.
-      ReadinessBoard readiness(group_size);
-      std::vector<std::size_t> miss_count(group_size, 0);
-      std::vector<bool> responded(group_size, false);
-
-      auto index_of = [&](net::Rank rank) { return group.IndexOf(rank); };
-      auto note_goodbye = [&](net::Rank src, std::size_t round) {
-        if (!directory.Manages(src)) return;
-        const MemberState was = directory.StateOf(src);
-        if (was == MemberState::kDead || was == MemberState::kLeft) return;
-        directory.OnDead(src);
-        faults.Kill(src);
-        readiness.Clear(index_of(src));
-        obs::CountMetric("fault.controller.deaths");
-        obs::ScopedTimer death_span(track, obs::Category::kFault,
-                                    "worker_death");
-        death_span.SetArg("rank", static_cast<double>(src));
-        death_span.SetArg("round", static_cast<double>(round));
-      };
-      const net::Rank self = first_controller + g;
-      auto broadcast_exit = [&] {
-        for (std::size_t i = 0; i < group_size; ++i) {
-          net::Message go;
-          go.tag = tags::kGo;
-          go.meta = {-1, 1};
-          fabric.Send(self, group.At(i), std::move(go));
-          net::Message step;
-          step.tag = tags::kStep;
-          step.meta = {-1};
-          fabric.Send(self, group.At(i), std::move(step));
-        }
-      };
-
-      // Under lossless lockstep every group's controller runs its full
-      // round schedule: global_stop only records that another group's
-      // session ended first, and honoring it here would make the number
-      // of rounds (and so the batch accounting) of the remaining groups
-      // depend on cross-group thread timing. The monitor's `stop` (early
-      // target) still ends the loop; faulty runs keep the abort path.
-      const bool lossless_lockstep = lockstep && !faulty;
-      auto session_over = [&] {
-        return stop.load() || (!lossless_lockstep && global_stop.load());
-      };
-      std::size_t round = 0;
-      for (; round < config.max_rounds && !session_over(); ++round) {
-        std::vector<net::Rank> members;
-        std::vector<net::Rank> joiners;
-        {
-          // Busy time is accounted in thread-CPU seconds, not wall time:
-          // with a thousand worker threads oversubscribing the cores, the
-          // wall clock inside these sections measures preemption, and the
-          // per-worker O(1) claim gated by bench_scale would drown in
-          // scheduler noise. The ScopedTimer still records the wall span
-          // for the trace.
-          common::ScopedCpuAccumulator dispatch_cpu(&ctrl_busy[g]);
-          obs::ScopedTimer dispatch_timer(track, obs::Category::kOther,
-                                          "ctrl_dispatch");
-          dispatch_timer.SetArg("round", static_cast<double>(round));
-          const auto delta = directory.BeginRound(round);
-          for (const net::Rank r : delta.leaving) {
-            // Clean elastic departure: a personal exit Go (meta[1]==2
-            // distinguishes it from session end) plus an exit step token.
-            readiness.Clear(index_of(r));
-            net::Message bye_go;
-            bye_go.tag = tags::kGo;
-            bye_go.meta = {-1, 2};
-            fabric.Send(self, r, std::move(bye_go));
-            net::Message bye_step;
-            bye_step.tag = tags::kStep;
-            bye_step.meta = {-1};
-            fabric.Send(self, r, std::move(bye_step));
-            ctrl_msgs[g] += 2;
-            obs::CountMetric("elastic.leaves");
-          }
-          members = directory.ActiveMembers();
-          joiners = directory.SyncingMembers();
-        }
-        if (members.empty()) break;
-        policy->BeginRound(group_size, rng);
-
-        if (lockstep) {
-          {
-            common::ScopedCpuAccumulator token_cpu(&ctrl_busy[g]);
-            obs::ScopedTimer token_timer(track, obs::Category::kOther,
-                                         "ctrl_tokens");
-            for (net::Rank m : members) {
-              net::Message step;
-              step.tag = tags::kStep;
-              step.meta = {static_cast<std::int64_t>(round)};
-              fabric.Send(self, m, std::move(step));
-            }
-            ctrl_msgs[g] += members.size();
-            std::fill(responded.begin(), responded.end(), false);
-          }
-          std::size_t got = 0;
-          const int ack_tags[] = {tags::kReady, tags::kGoodbye};
-          obs::ScopedTimer step_timer(track, obs::Category::kWait,
-                                      "step_wait");
-          step_timer.SetArg("round", static_cast<double>(round));
-          while (got < members.size() && !session_over()) {
-            std::optional<net::Message> msg;
-            if (faulty) {
-              const common::Seconds left =
-                  report_budget - step_timer.Elapsed();
-              if (left <= 0.0) break;
-              msg = fabric.RecvAnyFor(self, ack_tags, left);
-              if (!msg.has_value()) break;
-            } else {
-              // Lossless fast path: every live member acks its step
-              // token, and Shutdown() wakes the wait.
-              msg = fabric.RecvAny(  // analyze:allow(timed-recv)
-                  self, ack_tags);
-              if (!msg.has_value()) return;
-            }
-            common::ScopedCpuAccumulator handle_cpu(&ctrl_busy[g]);
-            obs::ScopedTimer handle_timer(track, obs::Category::kOther,
-                                          "ctrl_handle");
-            ++ctrl_msgs[g];
-            const std::size_t idx = index_of(msg->src);
-            if (msg->tag == tags::kGoodbye) {
-              note_goodbye(msg->src, round);
-              if (!responded[idx]) {
-                responded[idx] = true;
-                ++got;
-              }
-              continue;
-            }
-            if (directory.IsActive(msg->src)) readiness.Add(idx, 1);
-            if (!responded[idx]) {
-              responded[idx] = true;
-              ++got;
-            }
-          }
-          step_timer.Stop();
-          if (session_over()) break;
-          members = directory.ActiveMembers();  // goodbyes may shrink it
-          if (members.empty()) break;
-        } else {
-          obs::ScopedTimer probe_timer(track, obs::Category::kWait,
-                                       "probe_wait");
-          probe_timer.SetArg("round", static_cast<double>(round));
-          common::Seconds election_start = 0.0;
-          while (!stop.load() && !global_stop.load()) {
-            while (auto note = fabric.TryRecv(self, tags::kReady)) {
-              if (directory.IsActive(note->src)) {
-                readiness.Add(index_of(note->src), 1);
-              }
-            }
-            if (faulty) {
-              while (auto bye = fabric.TryRecv(self, tags::kGoodbye)) {
-                note_goodbye(bye->src, round);
-              }
-              while (auto late = fabric.TryRecv(self, tags::kRoundEnd)) {
-                const std::size_t idx = index_of(late->src);
-                readiness.Add(idx, -late->meta[1]);
-                miss_count[idx] = 0;
-                const bool was_aborted =
-                    late->meta.size() > 2 && late->meta[2] != 0;
-                if (!was_aborted) {
-                  batches_applied.fetch_add(
-                      static_cast<std::size_t>(late->meta[1]));
-                }
-              }
-              if (directory.ActiveCount() == 0) break;
-            }
-            if (policy->ShouldTrigger(readiness)) break;
-            if (faulty &&
-                probe_timer.Elapsed() - election_start >
-                    config.fault.probe_timeout_s) {
-              if (readiness.ReadyRanks() > 0) {
-                obs::CountMetric("fault.forced_triggers");
-                break;
-              }
-              policy->BeginRound(group_size, rng);
-              obs::CountMetric("fault.reelections");
-              election_start = probe_timer.Elapsed();
-            }
-            auto note = fabric.RecvFor(self, tags::kReady, 0.002);
-            if (note.has_value() && directory.IsActive(note->src)) {
-              readiness.Add(index_of(note->src), 1);
-            }
-          }
-          if (stop.load() || global_stop.load()) break;
-          members = directory.ActiveMembers();
-          if (members.empty()) break;
-        }
-
-        obs::ScopedTimer round_timer(track, obs::Category::kRound, "round");
-        round_timer.SetArg("round", static_cast<double>(round));
-        {
-          common::ScopedCpuAccumulator go_cpu(&ctrl_busy[g]);
-          obs::ScopedTimer go_timer(track, obs::Category::kOther, "ctrl_go");
-          // [round, verdict=0, member count, members..., joiners...] — the
-          // group collective has no straggler-verdict feed, so meta[1]
-          // stays 0 here; see the flat engine for the verdict path.
-          std::vector<std::int64_t> meta = {
-              static_cast<std::int64_t>(round), 0,
-              static_cast<std::int64_t>(members.size())};
-          for (net::Rank r : members) {
-            meta.push_back(static_cast<std::int64_t>(r));
-          }
-          for (net::Rank j : joiners) {
-            meta.push_back(static_cast<std::int64_t>(j));
-          }
-          for (net::Rank m : members) {
-            net::Message go;
-            go.tag = tags::kGo;
-            go.meta = meta;
-            fabric.Send(self, m, std::move(go));
-          }
-          for (net::Rank j : joiners) {
-            net::Message go;
-            go.tag = tags::kGo;
-            go.meta = meta;
-            fabric.Send(self, j, std::move(go));
-          }
-          ctrl_msgs[g] += members.size() + joiners.size();
-        }
-        const int want[] = {tags::kRoundEnd, tags::kReady, tags::kGoodbye};
-        std::size_t contributors = 0;
-        std::size_t reports = 0;
-        const std::size_t expected = members.size() + joiners.size();
-        std::fill(responded.begin(), responded.end(), false);
-        obs::ScopedTimer report_timer(track, obs::Category::kWait,
-                                      "report_wait");
-        while (reports < expected) {
-          std::optional<net::Message> msg;
-          if (faulty) {
-            const common::Seconds left =
-                report_budget - report_timer.Elapsed();
-            if (left <= 0.0) break;
-            msg = fabric.RecvAnyFor(self, want, left);
-            if (!msg.has_value()) break;
-          } else {
-            // Lossless fast path: every member reports its round end,
-            // and Shutdown() wakes the wait.
-            msg = fabric.RecvAny(self, want);  // analyze:allow(timed-recv)
-            if (!msg.has_value()) return;
-          }
-          common::ScopedCpuAccumulator handle_cpu(&ctrl_busy[g]);
-          obs::ScopedTimer handle_timer(track, obs::Category::kOther,
-                                        "ctrl_handle");
-          ++ctrl_msgs[g];
-          const std::size_t idx = index_of(msg->src);
-          if (msg->tag == tags::kReady) {
-            if (directory.IsActive(msg->src)) readiness.Add(idx, 1);
-            continue;
-          }
-          if (msg->tag == tags::kGoodbye) {
-            note_goodbye(msg->src, round);
-            const bool counted =
-                std::find(members.begin(), members.end(), msg->src) !=
-                    members.end() ||
-                std::find(joiners.begin(), joiners.end(), msg->src) !=
-                    joiners.end();
-            if (counted && !responded[idx]) {
-              responded[idx] = true;
-              ++reports;
-            }
-            continue;
-          }
-          readiness.Add(idx, -msg->meta[1]);
-          miss_count[idx] = 0;
-          const bool aborted = msg->meta.size() > 2 && msg->meta[2] != 0;
-          if (!aborted) {
-            batches_applied.fetch_add(static_cast<std::size_t>(msg->meta[1]));
-          }
-          if (static_cast<std::size_t>(msg->meta[0]) != round) continue;
-          if (!responded[idx]) {
-            responded[idx] = true;
-            ++reports;
-          }
-          if (directory.IsSyncing(msg->src)) {
-            // A joiner's sync ack: meta[3] == 1 means the state transfer
-            // landed and the rank becomes active next round; a zero flag
-            // keeps it syncing (the next Go re-lists it).
-            if (msg->meta.size() > 3 && msg->meta[3] != 0) {
-              directory.OnSynced(msg->src);
-              obs::CountMetric("elastic.joins");
-            }
-            continue;
-          }
-          if (!aborted && msg->meta[1] > 0) ++contributors;
-        }
-        report_timer.Stop();
-        if (reports < expected) {
-          auto strike = [&](net::Rank m) {
-            const MemberState s = directory.StateOf(m);
-            if (s == MemberState::kDead || s == MemberState::kLeft) return;
-            const std::size_t idx = index_of(m);
-            if (responded[idx]) return;
-            if (++miss_count[idx] >= config.fault.dead_after_misses) {
-              note_goodbye(m, round);
-              obs::CountMetric("fault.declared_dead");
-            }
-          };
-          for (net::Rank m : members) strike(m);
-          for (net::Rank j : joiners) strike(j);
-          obs::CountMetric("fault.report_deadline_misses");
-        }
-        round_timer.SetArg("contributors", static_cast<double>(contributors));
-        obs::ObserveMetric("round.contributors",
-                           static_cast<double>(contributors));
-        if (g == group_of[0]) {
-          obs::CountMetric("round.count");
-          round_contributors.push_back(contributors);
-          rounds_done.fetch_add(1);
-        }
-      }
-      broadcast_exit();
-      // Free any leader of another group still waiting for this group's
-      // PS-sync turn.
-      ps_gate.Retire(g);
-    });
-  }
-
-  for (auto& t : controllers) t.join();
-  for (auto& t : comm_threads) t.join();
-  for (auto& t : compute_threads) t.join();
-  const common::Seconds wall_s = wall_timer.Stop();
-  monitor.Finish();
-  // Children before parents: an in-flight parent sync must still find its
-  // parent serving.
-  for (auto it = servers.rbegin(); it != servers.rend(); ++it) {
-    (*it)->Stop();
-  }
-
-  TrainResult result;
-  result.wall_seconds = wall_s;
-  result.rounds = rounds_done.load();
-  result.gradients_applied = batches_applied.load();
-  for (auto& stage : stages) result.gradients_dropped += stage->Dropped();
-  obs::CountMetric("stage.staleness_drops",
-                   static_cast<std::int64_t>(result.gradients_dropped));
-  result.reached_target = monitor.ReachedTarget();
-  result.early_stopped = monitor.EarlyStopped();
-  result.curve = monitor.Curve();
-  result.round_contributors = std::move(round_contributors);
-  result.live_workers = faults.LiveCount();
-  for (const auto& directory : directories) {
-    result.workers_joined += directory->JoinedTotal();
-    result.workers_left += directory->LeftTotal();
-  }
-  for (const common::Seconds busy : ctrl_busy) {
-    result.controller_busy_seconds += busy;
-  }
-  for (const std::size_t msgs : ctrl_msgs) {
-    result.controller_messages += msgs;
-  }
-  result.breakdown.resize(world);
-  for (std::size_t w = 0; w < world; ++w) {
-    result.breakdown[w] = workers[w]->Times();
-    result.breakdown[w].wait = comm_times[w].wait;
-    result.breakdown[w].comm = comm_times[w].comm;
-  }
-  // The lowest surviving active rank's replica is the result; a clean
-  // leaver's (or never-joined pending rank's) replica is frozen early.
-  std::size_t reporter = 0;
-  bool found = false;
-  for (std::size_t w = 0; w < world && !found; ++w) {
-    if (directories[group_of[w]]->IsActive(w) && faults.Alive(w)) {
-      reporter = w;
-      found = true;
-    }
-  }
-  for (std::size_t w = 0; w < world && !found; ++w) {
-    if (faults.Alive(w)) {
-      reporter = w;
-      found = true;
-    }
-  }
-  result.final_params = final_params[reporter];
-  const nn::BatchResult final_eval = monitor.FullEval(result.final_params);
-  result.final_loss = final_eval.loss;
-  result.final_accuracy = final_eval.Accuracy();
-  result.final_train_loss =
-      EvaluateDataset(workers[0]->Net(), result.final_params, train_data, 2048)
-          .loss;
-  return result;
+  const std::size_t choices = config.probe_choices;
+  return RunPartialCollective(
+      config, factory, train_data, val_data,
+      [choices] { return MakeProbePolicy(choices); }, grouping);
 }
 
 }  // namespace rna::core::detail

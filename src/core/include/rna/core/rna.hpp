@@ -33,7 +33,7 @@
 #include "rna/data/dataset.hpp"
 #include "rna/train/config.hpp"
 #include "rna/train/metrics.hpp"
-#include "rna/train/partial_engine.hpp"
+#include "rna/train/group_engine.hpp"
 
 namespace rna::core {
 

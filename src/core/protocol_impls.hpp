@@ -8,12 +8,6 @@
 
 namespace rna::core::detail {
 
-/// Flat RNA (§3): probe-triggered partial non-blocking ring allreduce.
-train::TrainResult RunFlatRna(const train::TrainerConfig& config,
-                              const train::ModelFactory& factory,
-                              const data::Dataset& train_data,
-                              const data::Dataset& val_data);
-
 /// Hierarchical RNA (§4): speed groups + asynchronous PS averaging.
 train::TrainResult RunHierarchicalRna(const train::TrainerConfig& config,
                                       const train::ModelFactory& factory,

@@ -22,7 +22,15 @@ train::TrainResult RunTraining(const train::TrainerConfig& config,
     case train::Protocol::kAdPsgd:
       return baselines::RunAdPsgd(config, factory, train_data, val_data);
     case train::Protocol::kRna:
-      return detail::RunFlatRna(config, factory, train_data, val_data);
+      // Flat RNA (§3): the RNA engine over one group, triggered by the
+      // power-of-q-choices probe election. Everything else the paper
+      // describes (null-gradient participation, W = 1/Σw re-weighting,
+      // staleness-weighted accumulation under a bounded-staleness cap,
+      // Linear-Scaling-Rule learning rates, cross-iteration compute/comm
+      // threads) is configured through TrainerConfig.
+      return train::RunPartialCollective(
+          config, factory, train_data, val_data,
+          [q = config.probe_choices] { return MakeProbePolicy(q); });
     case train::Protocol::kRnaHierarchical:
       return detail::RunHierarchicalRna(config, factory, train_data, val_data);
     case train::Protocol::kSgp:

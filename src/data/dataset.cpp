@@ -51,20 +51,6 @@ Dataset Dataset::Select(std::span<const std::size_t> indices) const {
   return out;
 }
 
-Dataset Dataset::Shard(std::size_t rank, std::size_t world) const {
-  RNA_CHECK_MSG(world > 0 && rank < world, "invalid shard rank/world");
-  std::vector<std::size_t> indices;
-  for (std::size_t i = rank; i < Size(); i += world) indices.push_back(i);
-  if (indices.empty() && Size() > 0) {
-    // world > Size(): round-robin leaves this rank nothing, and an empty
-    // shard aborts every sampler downstream. Fall back to sharing all
-    // samples so overflow ranks train on the full dataset. (ShardView is
-    // the zero-copy way to get this; Shard keeps the owning-copy API.)
-    for (std::size_t i = 0; i < Size(); ++i) indices.push_back(i);
-  }
-  return Select(indices);
-}
-
 std::pair<Dataset, Dataset> Dataset::SplitHoldout(double fraction) const {
   RNA_CHECK_MSG(fraction > 0.0 && fraction < 1.0, "fraction must be in (0,1)");
   RNA_CHECK_MSG(Size() >= 2, "need at least 2 samples to split");
@@ -78,43 +64,6 @@ std::pair<Dataset, Dataset> Dataset::SplitHoldout(double fraction) const {
   for (std::size_t i = 0; i < train_n; ++i) train_idx[i] = i;
   for (std::size_t i = 0; i < holdout; ++i) val_idx[i] = train_n + i;
   return {Select(train_idx), Select(val_idx)};
-}
-
-BatchSampler::BatchSampler(const Dataset& dataset, std::size_t batch_size,
-                           std::uint64_t seed, SamplingMode mode)
-    : dataset_(&dataset), batch_size_(batch_size), rng_(seed), mode_(mode) {
-  RNA_CHECK_MSG(dataset.Size() > 0, "cannot sample an empty dataset");
-  RNA_CHECK_MSG(batch_size > 0, "batch size must be positive");
-  if (mode_ == SamplingMode::kLengthBucketed && dataset.IsSequence()) {
-    by_length_.resize(dataset.Size());
-    for (std::size_t i = 0; i < by_length_.size(); ++i) by_length_[i] = i;
-    std::sort(by_length_.begin(), by_length_.end(),
-              [&](std::size_t a, std::size_t b) {
-                return dataset.sequences[a].Rows() < dataset.sequences[b].Rows();
-              });
-  } else {
-    mode_ = SamplingMode::kUniform;
-  }
-}
-
-nn::Batch BatchSampler::Next() {
-  std::vector<std::size_t> indices(batch_size_);
-  if (mode_ == SamplingMode::kLengthBucketed) {
-    // A random window in length-sorted order: similar-length sequences end
-    // up in the same batch, so batch time tracks the length distribution.
-    const std::size_t n = dataset_->Size();
-    const std::size_t span = n > batch_size_ ? n - batch_size_ + 1 : 1;
-    const std::size_t start = rng_.UniformInt(span);
-    for (std::size_t i = 0; i < batch_size_; ++i) {
-      // Wrap within the length-sorted order: clamping to n-1 would pad a
-      // batch_size > n batch with duplicates of the *longest* sequence
-      // (by_length_ is ascending), systematically inflating batch compute.
-      indices[i] = by_length_[(start + i) % n];
-    }
-  } else {
-    for (auto& idx : indices) idx = rng_.UniformInt(dataset_->Size());
-  }
-  return dataset_->MakeBatch(indices);
 }
 
 }  // namespace rna::data

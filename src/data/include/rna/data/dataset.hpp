@@ -1,13 +1,13 @@
 #pragma once
 
-// In-memory datasets with deterministic sharding — the data-parallel
-// equivalent of each worker reading its own partition of ImageNet/UCF101.
+// In-memory datasets, the stand-in for the paper's ImageNet/UCF101. Each
+// worker reads its own partition through a zero-copy data::ShardView and
+// batches it with a data::BatchGenerator.
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "rna/common/rng.hpp"
 #include "rna/nn/network.hpp"
 #include "rna/tensor/tensor.hpp"
 
@@ -26,10 +26,6 @@ struct Dataset {
   /// Assembles a batch from sample indices.
   nn::Batch MakeBatch(std::span<const std::size_t> indices) const;
 
-  /// Round-robin shard: worker `rank` keeps samples with index ≡ rank
-  /// (mod world). Deterministic, disjoint, and near-equal in count.
-  Dataset Shard(std::size_t rank, std::size_t world) const;
-
   /// Splits off the last `fraction` of samples as a validation set.
   std::pair<Dataset, Dataset> SplitHoldout(double fraction) const;
 
@@ -37,7 +33,7 @@ struct Dataset {
   Dataset Select(std::span<const std::size_t> indices) const;
 };
 
-/// How batches are assembled from the shard.
+/// How batches are assembled from a worker's shard (data::BatchGenerator).
 enum class SamplingMode {
   /// Uniform with replacement — mini-batch SGD's i.i.d. sampling.
   kUniform,
@@ -47,24 +43,6 @@ enum class SamplingMode {
   /// inherent load imbalance of Figure 2(b). Falls back to kUniform for
   /// dense datasets.
   kLengthBucketed,
-};
-
-/// Batch sampler over a dataset.
-class BatchSampler {
- public:
-  BatchSampler(const Dataset& dataset, std::size_t batch_size,
-               std::uint64_t seed, SamplingMode mode = SamplingMode::kUniform);
-
-  nn::Batch Next();
-
-  std::size_t BatchSize() const { return batch_size_; }
-
- private:
-  const Dataset* dataset_;
-  std::size_t batch_size_;
-  common::Rng rng_;
-  SamplingMode mode_;
-  std::vector<std::size_t> by_length_;  // sample indices sorted by length
 };
 
 }  // namespace rna::data

@@ -1,0 +1,1048 @@
+#include "rna/train/group_engine.hpp"
+
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <optional>
+#include <span>
+#include <string>
+#include <thread>
+
+#include "rna/collectives/allreduce.hpp"
+#include "rna/collectives/ring.hpp"
+#include "rna/common/check.hpp"
+#include "rna/net/fabric.hpp"
+#include "rna/net/fault.hpp"
+#include "rna/obs/metrics.hpp"
+#include "rna/obs/trace.hpp"
+#include "rna/ps/server.hpp"
+#include "rna/ps/sharded.hpp"
+#include "rna/train/fault.hpp"
+#include "rna/train/membership.hpp"
+#include "rna/train/monitor.hpp"
+#include "rna/train/round_plan.hpp"
+#include "rna/train/stage.hpp"
+#include "rna/train/tags.hpp"
+#include "rna/train/worker.hpp"
+
+namespace rna::train {
+
+namespace {
+
+// All three built-in policies read the ReadinessBoard's O(1) sharded
+// aggregate instead of scanning a per-rank vector, so a trigger decision
+// costs the same at world=10 and world=1000.
+
+class MajorityPolicy final : public TriggerPolicy {
+ public:
+  void BeginRound(std::size_t world, common::Rng&) override {
+    majority_ = world / 2 + 1;
+  }
+  bool ShouldTrigger(const ReadinessBoard& ready) override {
+    return ready.ReadyRanks() >= majority_;
+  }
+  const char* Name() const override { return "majority"; }
+
+ private:
+  std::size_t majority_ = 1;
+};
+
+class SoloPolicy final : public TriggerPolicy {
+ public:
+  void BeginRound(std::size_t, common::Rng&) override {}
+  bool ShouldTrigger(const ReadinessBoard& ready) override {
+    return ready.ReadyRanks() > 0;
+  }
+  const char* Name() const override { return "solo"; }
+};
+
+class FullPolicy final : public TriggerPolicy {
+ public:
+  void BeginRound(std::size_t, common::Rng&) override {}
+  bool ShouldTrigger(const ReadinessBoard& ready) override {
+    return ready.ReadyRanks() == ready.Size();
+  }
+  const char* Name() const override { return "full"; }
+};
+
+// Hierarchical RNA's cross-group layer (§4 phases 2–3). The PS is a tree
+// of nodes with bounded fan-in (BuildPsTree): a group's leader talks to its
+// leaf node, and every non-root node periodically folds its state into its
+// parent, so no endpoint serves more than ps_fan_in direct children. Each
+// node is range-sharded into independent servers that leaders stripe
+// push/pulls across (ShardedPsClient). Groups never barrier against each
+// other: the PS serves them in arrival order, which is what defuses the
+// deterministic slowdown that defeats purely probabilistic approaches.
+// Under lockstep a RoundRobinGate serializes the leaders' syncs into
+// (sync round, group) order so the run replays bit-identically.
+class PsLayer {
+ public:
+  /// Serves `init` from `tree.nodes.size() * shards` fabric endpoints,
+  /// node-major from `first_rank`.
+  PsLayer(const TrainerConfig& config, net::Fabric& fabric,
+          net::Rank first_rank, PsTree tree, std::size_t shards,
+          std::size_t num_groups, std::span<const float> init)
+      : config_(config),
+        fabric_(fabric),
+        first_rank_(first_rank),
+        tree_(std::move(tree)),
+        shards_(shards),
+        gate_(num_groups) {
+    // Parents precede children in BuildPsTree's id order, so starting in id
+    // order means a child's parent sync always finds its parent serving.
+    const std::size_t dim = init.size();
+    for (std::size_t node = 0; node < tree_.nodes.size(); ++node) {
+      for (std::size_t s = 0; s < shards_; ++s) {
+        const auto begin = init.begin() + ShardBegin(dim, shards_, s);
+        const auto end = init.begin() + ShardEnd(dim, shards_, s);
+        auto server = std::make_unique<ps::ParameterServer>(
+            fabric, RankOf(node, s), std::vector<float>(begin, end));
+        const std::size_t parent = tree_.nodes[node].parent;
+        if (parent != node) {
+          server->ConfigureParent(
+              RankOf(parent, s), config.ps_parent_sync_every,
+              config.fault.Enabled() ? config.fault.retry_budget : 1,
+              config.fault.retry_timeout_s);
+        }
+        server->Start();
+        servers_.push_back(std::move(server));
+      }
+    }
+  }
+
+  ~PsLayer() {
+    // Children before parents: an in-flight parent sync must still find its
+    // parent serving.
+    for (auto it = servers_.rbegin(); it != servers_.rend(); ++it) {
+      (*it)->Stop();
+    }
+  }
+
+  PsLayer(const PsLayer&) = delete;
+  PsLayer& operator=(const PsLayer&) = delete;
+
+  /// Rank `self`'s client for its group's leaf node.
+  ps::ShardedPsClient Client(net::Rank self, std::size_t group,
+                             std::size_t dim) const {
+    ps::ShardedPsClient client(fabric_, self,
+                               RankOf(tree_.leaf_of[group], 0), shards_, dim);
+    if (config_.fault.Enabled()) {
+      client.ConfigureRetry(config_.fault.retry_budget,
+                            config_.fault.retry_timeout_s);
+    }
+    return client;
+  }
+
+  /// The round leader's sync: stripe the group model across the leaf
+  /// node's shards and replace it with the running average pulled back.
+  /// An exhausted retry budget keeps the local group model, which the next
+  /// sync folds in.
+  void Sync(std::size_t group, ps::ShardedPsClient& client,
+            std::vector<float>& params) {
+    const bool lockstep = config_.lockstep;
+    if (lockstep) {
+      // Under faults the wait is bounded, so a hung group ahead in the
+      // rotation cannot stall this one forever.
+      const bool turn =
+          config_.fault.Enabled()
+              ? gate_.AcquireTurnFor(group, config_.fault.collective_timeout_s)
+              : gate_.AcquireTurn(group);
+      if (!turn) {
+        obs::CountMetric("fault.ps_turn_timeouts");
+        return;
+      }
+    }
+    if (auto avg = client.TryPushPull(params, ps::ApplyMode::kAverage)) {
+      params = std::move(*avg);
+    } else {
+      obs::CountMetric("fault.ps_sync_skipped");
+    }
+    if (lockstep) gate_.ReleaseTurn(group);
+  }
+
+  /// A finished group frees any leader still waiting for its turn.
+  void Retire(std::size_t group) { gate_.Retire(group); }
+
+ private:
+  net::Rank RankOf(std::size_t node, std::size_t shard) const {
+    return first_rank_ + node * shards_ + shard;
+  }
+
+  const TrainerConfig& config_;
+  net::Fabric& fabric_;
+  net::Rank first_rank_;
+  PsTree tree_;
+  std::size_t shards_;
+  RoundRobinGate gate_;
+  std::vector<std::unique_ptr<ps::ParameterServer>> servers_;
+};
+
+}  // namespace
+
+std::unique_ptr<TriggerPolicy> MakeMajorityPolicy() {
+  return std::make_unique<MajorityPolicy>();
+}
+std::unique_ptr<TriggerPolicy> MakeSoloPolicy() {
+  return std::make_unique<SoloPolicy>();
+}
+std::unique_ptr<TriggerPolicy> MakeFullPolicy() {
+  return std::make_unique<FullPolicy>();
+}
+
+TrainResult RunPartialCollective(const TrainerConfig& config,
+                                 const ModelFactory& factory,
+                                 const data::Dataset& train_data,
+                                 const data::Dataset& val_data,
+                                 const TriggerPolicyFactory& policy_factory,
+                                 const SpeedGrouping& grouping) {
+  const std::size_t world = config.world;
+  RNA_CHECK_MSG(world >= 1, "need at least one worker");
+  const bool faulty = config.fault.Enabled();
+  const bool lockstep = config.lockstep;
+
+  auto workers = MakeWorkers(config, factory, train_data);
+  const std::size_t dim = workers[0]->Dim();
+  const std::vector<float> init = InitialParams(config, factory);
+
+  // ---- groups --------------------------------------------------------------
+  // A rank's group and its index inside that group are table lookups, so a
+  // controller's per-message work does not grow with the world.
+  const std::vector<std::size_t> group_of =
+      grouping ? grouping(workers, init) : std::vector<std::size_t>(world, 0);
+  RNA_CHECK_MSG(group_of.size() == world, "grouping must cover every rank");
+  std::size_t num_groups = 0;
+  for (const std::size_t g : group_of) num_groups = std::max(num_groups, g + 1);
+  std::vector<collectives::Group> groups(num_groups);
+  std::vector<std::size_t> index_in_group(world);
+  for (std::size_t w = 0; w < world; ++w) {
+    index_in_group[w] = groups[group_of[w]].Size();
+    groups[group_of[w]].members.push_back(w);
+  }
+
+  // Endpoint layout: [workers | group controllers | PS shards]. Flat RNA
+  // (one group, no PS layer) is [workers | controller].
+  PsTree tree;
+  std::size_t shards = 0;
+  if (grouping) {
+    shards = std::min(std::max<std::size_t>(1, config.ps_shards), dim);
+    tree = BuildPsTree(num_groups, config.ps_fan_in);
+    obs::SetGauge("hier.ps_nodes", static_cast<double>(tree.nodes.size()));
+    obs::SetGauge("hier.ps_shards", static_cast<double>(shards));
+  }
+  const net::Rank first_controller = world;
+  const net::Rank first_ps = world + num_groups;
+  net::Fabric fabric(first_ps + tree.nodes.size() * shards);
+
+  FaultRuntime faults(config);
+  if (auto plan = BuildFaultPlan(config)) {
+    fabric.InstallFaultPlan(std::move(plan));
+  }
+  std::unique_ptr<PsLayer> ps;
+  if (grouping) {
+    ps = std::make_unique<PsLayer>(config, fabric, first_ps, std::move(tree),
+                                   shards, num_groups, init);
+  }
+  // A mid-ring crash shows up as a hop timeout; survivors abort the round
+  // instead of deadlocking in Recv. Zero keeps the untimed receive on the
+  // zero-fault path.
+  const common::Seconds ring_timeout =
+      faulty ? config.fault.collective_timeout_s : 0.0;
+  // Reports can lag a full aborted collective, so the controller's report
+  // deadline must exceed the ring's hop timeout.
+  const common::Seconds report_budget =
+      config.fault.collective_timeout_s + config.fault.probe_timeout_s;
+
+  std::vector<std::unique_ptr<GradientStage>> stages;
+  for (std::size_t w = 0; w < world; ++w) {
+    stages.push_back(std::make_unique<GradientStage>(
+        dim, config.staleness_bound, config.combine));
+  }
+  // One board per group, published by the round leader: a group computes
+  // against its *own* model, never another group's (cross-group model flow
+  // goes through the PS layer only), which keeps every group's compute
+  // inputs on its own deterministic round boundary under lockstep. The
+  // monitor watches rank 0's group.
+  std::vector<std::unique_ptr<ParamBoard>> boards;
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    boards.push_back(std::make_unique<ParamBoard>(init));
+  }
+
+  std::atomic<bool> stop{false};         // raised by the monitor
+  std::atomic<bool> global_stop{false};  // raised by a comm thread's exit
+  std::atomic<std::size_t> rounds_done{0};
+  std::atomic<std::size_t> batches_applied{0};
+  // Written by the controller of rank 0's group only; the main thread reads
+  // it after the controllers' join(), which orders those accesses
+  // (verified under TSan by tests/test_race_stress.cpp).
+  std::vector<std::size_t> round_contributors;
+  // Same single-writer discipline: each group controller owns its
+  // membership directory and its slots of the busy-time and message
+  // tallies; the main thread reads them after join().
+  std::vector<std::unique_ptr<MembershipDirectory>> directories;
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    directories.push_back(std::make_unique<MembershipDirectory>(
+        groups[g].members, config.elastic));
+  }
+  std::vector<common::Seconds> ctrl_busy(num_groups, 0.0);
+  std::vector<std::size_t> ctrl_msgs(num_groups, 0);
+
+  EvalMonitor monitor(config, factory, val_data);
+  monitor.Start(*boards[group_of[0]], stop, rounds_done);
+
+  std::vector<WorkerTimeBreakdown> comm_times(world);
+  std::vector<std::vector<float>> final_params(world);
+
+  obs::ScopedTimer wall_timer(obs::RegisterTrack("main"),
+                              obs::Category::kOther, "train_total");
+
+  // ---- communication threads -------------------------------------------
+  std::vector<std::thread> comm_threads;
+  comm_threads.reserve(world);
+  for (std::size_t w = 0; w < world; ++w) {
+    comm_threads.emplace_back([&, w] {
+      const obs::TrackHandle track =
+          obs::RegisterTrack(obs::WorkerTrack(w, "comm"));
+      const std::size_t g = group_of[w];
+      const net::Rank controller = first_controller + g;
+      const auto group_size = static_cast<double>(groups[g].Size());
+      std::vector<float> params = init;
+      nn::SgdMomentum& optimizer = workers[w]->Optimizer();
+      std::vector<float> buffer(dim);
+      // For ContributionMode::kStaleReuse: the gradient this worker last
+      // put into a collective, re-sent once while no fresh one is ready
+      // (re-sending indefinitely would apply the same stale direction every
+      // round and diverge; eager-SGD bounds the staleness).
+      std::vector<float> last_sent(dim, 0.0f);
+      bool last_sent_valid = false;
+      const bool stale_reuse =
+          config.contribution == ContributionMode::kStaleReuse;
+      // Per-worker error-feedback residual for lossy compression; +1 for
+      // the partial collective's contributor-flag tail. Pre-sized so the
+      // hot loop never reallocates it.
+      collectives::ErrorFeedback feedback;
+      feedback.EnsureSize(dim + 1);
+      std::optional<ps::ShardedPsClient> ps_client;
+      if (ps) ps_client.emplace(ps->Client(w, g, dim));
+      bool died = false;  // fail-stop exit, distinct from session end
+      bool left = false;  // clean elastic departure, also not session end
+      for (;;) {
+        std::optional<net::Message> go;
+        {
+          obs::ScopedTimer wait_timer(track, obs::Category::kWait,
+                                      "wait_trigger", &comm_times[w].wait);
+          if (faulty) {
+            // Bounded waits: a dropped exit Go must not strand this thread.
+            while (!(go = fabric.RecvFor(w, tags::kGo, 0.05)).has_value()) {
+              if (global_stop.load() || fabric.IsClosed(w) ||
+                  !faults.Alive(w)) {
+                break;
+              }
+            }
+          } else {
+            // Lossless fast path: without fault injection nothing can drop
+            // the Go, and Shutdown() wakes the wait.
+            go = fabric.Recv(w, tags::kGo);  // analyze:allow(timed-recv)
+          }
+        }
+        if (!go.has_value()) {
+          died = faulty && !faults.Alive(w);  // killed from the compute side
+          break;
+        }
+        std::optional<RoundPlan> plan = RoundPlan::Decode(go->meta,
+                                                          fabric.Size());
+        RNA_CHECK_MSG(plan.has_value(), "malformed round plan");
+        if (plan->kind != RoundPlan::Kind::kRound) {
+          // Session over, or this rank's scheduled elastic leave (the rest
+          // of its group keeps training).
+          left = plan->kind == RoundPlan::Kind::kLeave;
+          break;
+        }
+        const std::size_t round = plan->round;
+
+        if (faults.ShouldCrashInRound(w, round)) {
+          // Fail-stop while holding the round hostage: this rank is in the
+          // round's membership, so survivors must abort via ring timeout.
+          faults.Kill(w);
+          obs::ScopedTimer crash_span(track, obs::Category::kFault, "crash");
+          crash_span.SetArg("round", static_cast<double>(round));
+          net::Message bye;
+          bye.tag = tags::kGoodbye;
+          bye.meta = {static_cast<std::int64_t>(round)};
+          fabric.Send(w, controller, std::move(bye));
+          died = true;
+          break;
+        }
+        if (faulty && !faults.Alive(w)) {
+          died = true;  // compute-side crash already announced the goodbye
+          break;
+        }
+
+        if (std::find(plan->joiners.begin(), plan->joiners.end(), w) !=
+            plan->joiners.end()) {
+          // Joining rank: install the leader's replica (params ‖ velocity,
+          // LR bit-cast into the meta) and acknowledge with a synced
+          // report, so the controller activates this rank next round with
+          // a state bitwise-identical to every member's.
+          std::optional<net::Message> state;
+          if (faulty) {
+            state = fabric.RecvFor(w, tags::JoinStateTag(round),
+                                   config.fault.collective_timeout_s);
+          } else {
+            state = fabric.Recv(  // analyze:allow(timed-recv)
+                w, tags::JoinStateTag(round));
+          }
+          bool synced = false;
+          if (state.has_value() && state->data.size() == 2 * dim &&
+              state->meta.size() > 1) {
+            std::copy(state->data.begin(), state->data.begin() + dim,
+                      params.begin());
+            optimizer.SetVelocity(
+                std::span<const float>(state->data.data() + dim, dim));
+            optimizer.SetLearningRate(std::bit_cast<double>(state->meta[1]));
+            fabric.Pool().Recycle(std::move(state->data));
+            synced = true;
+            obs::CountMetric("elastic.join_syncs");
+          }
+          net::Message ack;
+          ack.tag = tags::kRoundEnd;
+          ack.meta = RoundReport{round, 0, false, synced}.Encode();
+          fabric.Send(w, controller, std::move(ack));
+          continue;
+        }
+        const collectives::Group ring{std::move(plan->members)};
+        const auto member_it =
+            std::find(ring.members.begin(), ring.members.end(), w);
+        if (member_it == ring.members.end()) continue;  // sits this out
+        const auto my_index =
+            static_cast<std::size_t>(member_it - ring.members.begin());
+        // The lowest-ranked member leads the round: it publishes the
+        // group model, syncs it with the PS, roots the group broadcast and
+        // ships state to joiners.
+        const bool leader = my_index == 0;
+
+        // Step LR schedule: every worker decays at the same round.
+        for (std::size_t milestone : config.lr_decay_rounds) {
+          if (milestone == round) {
+            optimizer.DecayLearningRate(config.lr_decay_factor);
+          }
+        }
+
+        // Sweep stale chunks of earlier (possibly aborted) rounds so they
+        // can never alias this round's unique tag ranges.
+        if (faulty && round > 0) {
+          fabric.Purge(w, tags::kRingBase, tags::RingTag(round) - 1);
+          fabric.Purge(w, tags::kGroupCastBase,
+                       tags::GroupCastTag(round) - 1);
+        }
+
+        auto drained = stages[w]->Drain();
+        const bool fresh = drained.has_value();
+        bool contributes = fresh;
+        if (fresh) {
+          buffer = std::move(drained->grad);
+          if (stale_reuse) {
+            last_sent = buffer;
+            last_sent_valid = true;
+          }
+        } else if (stale_reuse && last_sent_valid) {
+          buffer = last_sent;  // eager-SGD: repeat the stale gradient once
+          last_sent_valid = false;
+          contributes = true;
+        } else {
+          std::fill(buffer.begin(), buffer.end(), 0.0f);  // null gradient
+        }
+
+        collectives::CollectiveOptions opts;
+        opts.schedule = config.schedule;
+        opts.compression = config.compression;
+        opts.topk_fraction = config.topk_fraction;
+        opts.tag_base = tags::RingTag(round);
+        opts.hop_timeout = ring_timeout;
+        opts.feedback = &feedback;
+        if (config.schedule == collectives::Schedule::kStragglar &&
+            plan->straggler.has_value()) {
+          // The verdict names a rank; the schedule wants the straggler's
+          // position inside this round's ring. A verdict for a rank outside
+          // the round (dropped between the verdict and the plan) degrades
+          // to the plain ring.
+          const auto it = std::find(ring.members.begin(),
+                                    ring.members.end(), *plan->straggler);
+          if (it != ring.members.end()) {
+            opts.straggler =
+                static_cast<std::size_t>(it - ring.members.begin());
+          }
+        }
+        collectives::PartialResult reduced;
+        {
+          obs::ScopedTimer comm_timer(track, obs::Category::kComm,
+                                      "partial_allreduce",
+                                      &comm_times[w].comm);
+          comm_timer.SetArg("round", static_cast<double>(round));
+          reduced = collectives::PartialAllreduceFor(
+              {fabric, ring, my_index}, opts, buffer, contributes);
+          comm_timer.SetArg("contributors",
+                            static_cast<double>(reduced.contributors));
+        }
+        if (!reduced.ok) {
+          obs::ScopedTimer abort_span(track, obs::Category::kFault,
+                                      "collective_abort");
+          abort_span.SetArg("round", static_cast<double>(round));
+          obs::CountMetric("fault.collective_aborts");
+        }
+
+        if (reduced.ok && reduced.contributors > 0) {
+          // RNA's Linear Scaling Rule: γ_k ∝ participating batch size, over
+          // the group's original size (a dead worker is a permanent null
+          // contributor under the paper's gradient rule). eager-SGD
+          // averages over that fixed size too: absent workers dilute the
+          // update instead of re-weighting it.
+          double scale = 1.0;
+          if (stale_reuse || config.lr_policy == LrScalePolicy::kLinear) {
+            scale = static_cast<double>(reduced.contributors) / group_size;
+          }
+          // The paper's W = 1/Σw re-weight, folded into the LR scale; the
+          // leader reports it so the metric is per round.
+          if (leader) obs::ObserveMetric("round.reweight_scale", scale);
+          optimizer.Step(params, buffer, scale);
+        }
+
+        // Asynchronous cross-group averaging: the leader syncs the group
+        // model with the PS tree and broadcasts whatever it ended up with
+        // (averaged or, after a skipped sync, local), so followers never
+        // block on a sync that did not happen. Skipped after an aborted
+        // collective: the group model is stale, not wrong, and the next
+        // sync folds it in.
+        if (ps && reduced.ok && config.ps_sync_every > 0 &&
+            round % config.ps_sync_every == 0) {
+          if (leader) {
+            obs::ScopedTimer ps_timer(track, obs::Category::kComm,
+                                      "ps_push_pull", &comm_times[w].comm);
+            ps_timer.SetArg("round", static_cast<double>(round));
+            ps->Sync(g, *ps_client, params);
+          }
+          obs::ScopedTimer bcast_timer(track, obs::Category::kComm,
+                                       "group_broadcast",
+                                       &comm_times[w].comm);
+          bcast_timer.SetArg("round", static_cast<double>(round));
+          if (!collectives::BroadcastFor(fabric, ring, my_index, 0, params,
+                                         tags::GroupCastTag(round),
+                                         ring_timeout)) {
+            obs::CountMetric("fault.broadcast_timeouts");
+          }
+        }
+
+        // The round number keeps versions monotonic across a leader change.
+        if (leader) {
+          boards[g]->Publish(params, static_cast<std::int64_t>(round) + 1);
+        }
+        if (leader && !plan->joiners.empty()) {
+          // Ship the post-round replica to each joining rank (every member
+          // holds an identical one, so the choice of sender does not
+          // matter): params ‖ velocity in the pooled payload, LR in the
+          // meta. Re-sent every round a joiner stays syncing, so a transfer
+          // lost to a fault is retried by the next leader.
+          const std::span<const float> velocity = optimizer.Velocity();
+          for (const net::Rank j : plan->joiners) {
+            net::Message state;
+            state.tag = tags::JoinStateTag(round);
+            state.meta = {static_cast<std::int64_t>(round),
+                          std::bit_cast<std::int64_t>(
+                              optimizer.LearningRate())};
+            state.data = fabric.Pool().Acquire(2 * dim);
+            std::copy(params.begin(), params.end(), state.data.begin());
+            std::copy(velocity.begin(), velocity.end(),
+                      state.data.begin() + dim);
+            fabric.Send(w, j, std::move(state));
+          }
+        }
+
+        net::Message report;
+        report.tag = tags::kRoundEnd;
+        report.meta = RoundReport{round, fresh ? drained->count : 0,
+                                  !reduced.ok, std::nullopt}
+                          .Encode();
+        fabric.Send(w, controller, std::move(report));
+      }
+      // A leaver or a crash must not end the session; only the exit plan
+      // (or a fabric shutdown) does.
+      if (!died && !left) global_stop.store(true);
+      final_params[w] = std::move(params);
+    });
+  }
+
+  // ---- compute threads ---------------------------------------------------
+  std::vector<std::thread> compute_threads;
+  compute_threads.reserve(world);
+  for (std::size_t w = 0; w < world; ++w) {
+    compute_threads.emplace_back([&, w] {
+      const net::Rank controller = first_controller + group_of[w];
+      const ParamBoard& board = *boards[group_of[w]];
+      std::vector<float> params = init;
+      std::vector<float> grad(dim);
+      std::int64_t seen = 0;
+      auto notify = [&](int tag, std::vector<std::int64_t> meta) {
+        net::Message note;
+        note.tag = tag;
+        note.meta = std::move(meta);
+        fabric.Send(w, controller, std::move(note));
+      };
+      auto crash_now = [&](std::int64_t round_hint) {
+        // Fail-stop announced from the compute side; the comm thread
+        // notices Alive() == false and exits without a second goodbye.
+        faults.Kill(w);
+        obs::CountMetric("fault.worker.goodbyes");
+        notify(tags::kGoodbye, {round_hint});
+      };
+      if (lockstep) {
+        // Deterministic pacing: compute exactly one batch per controller
+        // step token; acknowledge with kReady (or kGoodbye on a scheduled
+        // crash) so the controller can account for every token.
+        for (;;) {
+          std::optional<net::Message> token;
+          while (!(token = fabric.RecvFor(w, tags::kStep, 0.05))
+                      .has_value()) {
+            // Lossless lockstep waits for its own controller's exit token:
+            // global_stop only means *some* group finished its rounds, and
+            // leaving here would cut this group's step/ack handshake short
+            // and make the tail rounds of slower groups racy.
+            if (fabric.IsClosed(w) || (faulty && global_stop.load())) {
+              return;
+            }
+          }
+          if (token->meta.empty() || token->meta[0] < 0) return;
+          if (!faults.Alive(w)) return;
+          if (faulty && faults.BeforeIteration(w, workers[w]->Iterations()) ==
+                            IterationFate::kCrash) {
+            crash_now(token->meta[0]);
+            return;
+          }
+          seen = board.ReadIfNewer(seen, &params);
+          workers[w]->ComputeGradient(params, grad);
+          stages[w]->Write(grad,
+                           static_cast<std::int64_t>(workers[w]->Iterations()));
+          notify(tags::kReady, {});
+        }
+      }
+      // Free-running: the paper's wall-clock-raced schedule. See the
+      // engine-wide comment on board symmetry in stage.hpp.
+      while (!global_stop.load(std::memory_order_relaxed)) {
+        if (faulty) {
+          if (!faults.Alive(w)) return;
+          if (faults.BeforeIteration(w, workers[w]->Iterations()) ==
+              IterationFate::kCrash) {
+            crash_now(-1);
+            return;
+          }
+        }
+        seen = board.ReadIfNewer(seen, &params);
+        workers[w]->ComputeGradient(params, grad);
+        // Notify only on backlog growth so the controller's readiness
+        // counts track the true buffered-gradient count.
+        if (stages[w]->Write(
+                grad, static_cast<std::int64_t>(workers[w]->Iterations()))) {
+          notify(tags::kReady, {});
+        }
+      }
+    });
+  }
+
+  // ---- group controllers -------------------------------------------------
+  std::vector<std::thread> controllers;
+  controllers.reserve(num_groups);
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    controllers.emplace_back([&, g] {
+      const obs::TrackHandle track =
+          obs::RegisterTrack("group" + std::to_string(g) + "/controller");
+      const collectives::Group& group = groups[g];
+      const std::size_t group_size = group.Size();
+      const net::Rank self = first_controller + g;
+      MembershipDirectory& directory = *directories[g];
+      common::Seconds& busy = ctrl_busy[g];
+      std::size_t& msgs = ctrl_msgs[g];
+      // Rank 0's group records the run's rounds and contributors.
+      const bool records = g == group_of[0];
+      common::Rng rng(config.seed + 9001 + 7 * g);
+      std::unique_ptr<TriggerPolicy> policy = policy_factory();
+      // Per-member state is indexed by the member's place in the group
+      // (index_in_group). The sharded readiness aggregate makes every
+      // policy decision and the forced-trigger scan O(1).
+      ReadinessBoard readiness(group_size);
+      std::vector<std::size_t> miss_count(group_size, 0);
+      std::vector<bool> responded(group_size, false);
+      // Consecutive rounds each member reported without contributing a
+      // gradient, the controller's persistent-straggler evidence. Two or
+      // more misses in a row makes a member the round's straggler verdict,
+      // which Schedule::kStragglar consumes to re-order the ring around it
+      // (a one-round miss is noise; skipping already covers it).
+      std::vector<std::size_t> skip_streak(group_size, 0);
+      auto slot = [&](net::Rank r) { return index_in_group[r]; };
+
+      auto note_goodbye = [&](net::Rank src, std::size_t round) {
+        if (!directory.Manages(src)) return;
+        const MemberState was = directory.StateOf(src);
+        if (was == MemberState::kDead || was == MemberState::kLeft) return;
+        directory.OnDead(src);
+        faults.Kill(src);
+        readiness.Clear(slot(src));
+        obs::CountMetric("fault.controller.deaths");
+        // A (near-)instant fault span on the controller track marks the
+        // exclusion on the timeline.
+        obs::ScopedTimer death_span(track, obs::Category::kFault,
+                                    "worker_death");
+        death_span.SetArg("rank", static_cast<double>(src));
+        death_span.SetArg("round", static_cast<double>(round));
+      };
+      // Folds a round report, possibly a late one of an earlier round, into
+      // the gradient accounting and clears the rank's death strikes.
+      auto account = [&](net::Rank src, const RoundReport& report) {
+        readiness.Add(slot(src), -static_cast<std::int64_t>(report.consumed));
+        miss_count[slot(src)] = 0;
+        if (!report.aborted) batches_applied.fetch_add(report.consumed);
+      };
+      auto decode_report = [](const net::Message& msg) {
+        std::optional<RoundReport> report = RoundReport::Decode(msg.meta);
+        RNA_CHECK_MSG(report.has_value(), "malformed round report");
+        return *report;
+      };
+      // An exit plan plus an exit step token, so both of the rank's threads
+      // leave.
+      auto send_exit = [&](net::Rank r, const RoundPlan& exit) {
+        net::Message go;
+        go.tag = tags::kGo;
+        go.meta = exit.Encode();
+        fabric.Send(self, r, std::move(go));
+        net::Message step;
+        step.tag = tags::kStep;
+        step.meta = {-1};
+        fabric.Send(self, r, std::move(step));
+      };
+
+      // Under lossless lockstep every group's controller runs its full
+      // round schedule: global_stop only records that another group's
+      // session ended first, and honoring it here would make the number of
+      // rounds (and so the batch accounting) of the remaining groups depend
+      // on cross-group thread timing. The monitor's `stop` still ends the
+      // loop; faulty runs keep the abort path. A lone group cannot see
+      // global_stop before its own exit broadcast under lossless lockstep.
+      const bool lossless_lockstep = lockstep && !faulty;
+      auto session_over = [&] {
+        return stop.load() || (!lossless_lockstep && global_stop.load());
+      };
+      for (std::size_t round = 0; round < config.max_rounds && !session_over();
+           ++round) {
+        RoundPlan plan;
+        plan.round = round;
+        {
+          // Busy time is accounted in thread-CPU seconds, not wall time:
+          // with a thousand worker threads oversubscribing the cores, the
+          // wall clock inside these sections measures preemption, and the
+          // per-worker O(1) claim gated by bench_scale would drown in
+          // scheduler noise. The ScopedTimer still records the wall span
+          // for the trace.
+          common::ScopedCpuAccumulator dispatch_cpu(&busy);
+          obs::ScopedTimer dispatch_timer(track, obs::Category::kOther,
+                                          "ctrl_dispatch");
+          dispatch_timer.SetArg("round", static_cast<double>(round));
+          const auto delta = directory.BeginRound(round);
+          for (const net::Rank r : delta.leaving) {
+            // Clean elastic departure: not a death, so no strike-out and
+            // no fault accounting.
+            readiness.Clear(slot(r));
+            send_exit(r, RoundPlan::Exit(RoundPlan::Kind::kLeave));
+            msgs += 2;
+            obs::CountMetric("elastic.leaves");
+          }
+          plan.members = directory.ActiveMembers();
+          plan.joiners = directory.SyncingMembers();
+        }
+        if (plan.members.empty()) break;
+        policy->BeginRound(group_size, rng);
+
+        if (lockstep) {
+          // Pace: one compute token per live member, then account for
+          // every token (kReady, kGoodbye, or — under faults — a deadline
+          // miss from a hung worker, who stays a member and contributes
+          // null). Syncing joiners get no token: their first batch waits
+          // for the state transfer.
+          {
+            common::ScopedCpuAccumulator token_cpu(&busy);
+            obs::ScopedTimer token_timer(track, obs::Category::kOther,
+                                         "ctrl_tokens");
+            for (const net::Rank m : plan.members) {
+              net::Message step;
+              step.tag = tags::kStep;
+              step.meta = {static_cast<std::int64_t>(round)};
+              fabric.Send(self, m, std::move(step));
+            }
+            msgs += plan.members.size();
+            std::fill(responded.begin(), responded.end(), false);
+          }
+          std::size_t got = 0;
+          const int ack_tags[] = {tags::kReady, tags::kGoodbye};
+          obs::ScopedTimer step_timer(track, obs::Category::kWait,
+                                      "step_wait");
+          step_timer.SetArg("round", static_cast<double>(round));
+          while (got < plan.members.size() && !session_over()) {
+            std::optional<net::Message> msg;
+            if (faulty) {
+              const common::Seconds left =
+                  report_budget - step_timer.Elapsed();
+              if (left <= 0.0) break;
+              msg = fabric.RecvAnyFor(self, ack_tags, left);
+              if (!msg.has_value()) break;  // deadline or shutdown
+            } else {
+              // Lossless fast path: every live member acks its step token,
+              // and Shutdown() wakes the wait.
+              msg = fabric.RecvAny(  // analyze:allow(timed-recv)
+                  self, ack_tags);
+              if (!msg.has_value()) return;  // fabric shut down
+            }
+            common::ScopedCpuAccumulator handle_cpu(&busy);
+            obs::ScopedTimer handle_timer(track, obs::Category::kOther,
+                                          "ctrl_handle");
+            ++msgs;
+            const std::size_t i = slot(msg->src);
+            if (msg->tag == tags::kGoodbye) {
+              note_goodbye(msg->src, round);
+            } else if (directory.IsActive(msg->src)) {
+              readiness.Add(i, 1);
+            }
+            if (!responded[i]) {
+              responded[i] = true;
+              ++got;
+            }
+          }
+          step_timer.Stop();
+          if (session_over()) break;
+        } else {
+          obs::ScopedTimer probe_timer(track, obs::Category::kWait,
+                                       "probe_wait");
+          probe_timer.SetArg("round", static_cast<double>(round));
+          common::Seconds election_start = 0.0;
+          while (!stop.load() && !global_stop.load()) {
+            // Drain the whole notification backlog each pass so the
+            // controller mailbox stays small even with very fast compute
+            // threads.
+            while (auto note = fabric.TryRecv(self, tags::kReady)) {
+              if (directory.IsActive(note->src)) {
+                readiness.Add(slot(note->src), 1);
+              }
+            }
+            if (faulty) {
+              while (auto bye = fabric.TryRecv(self, tags::kGoodbye)) {
+                note_goodbye(bye->src, round);
+              }
+              // A hung worker's late report from an earlier round.
+              while (auto late = fabric.TryRecv(self, tags::kRoundEnd)) {
+                account(late->src, decode_report(*late));
+              }
+              if (directory.ActiveCount() == 0) break;
+            }
+            if (policy->ShouldTrigger(readiness)) break;
+            if (faulty &&
+                probe_timer.Elapsed() - election_start >
+                    config.fault.probe_timeout_s) {
+              if (readiness.ReadyRanks() > 0) {
+                // Probed-and-silent workers are treated as absent (the
+                // paper's null-gradient rule): force the round with
+                // whoever is ready rather than waiting on the dead.
+                obs::CountMetric("fault.forced_triggers");
+                break;
+              }
+              // Nobody ready at all: hold a fresh election and keep
+              // waiting.
+              policy->BeginRound(group_size, rng);
+              obs::CountMetric("fault.reelections");
+              election_start = probe_timer.Elapsed();
+            }
+            auto note = fabric.RecvFor(self, tags::kReady, 0.002);
+            if (note.has_value() && directory.IsActive(note->src)) {
+              readiness.Add(slot(note->src), 1);
+            }
+          }
+          if (stop.load() || global_stop.load()) break;
+        }
+        plan.members = directory.ActiveMembers();  // goodbyes may shrink it
+        if (plan.members.empty()) break;
+
+        obs::ScopedTimer round_timer(track, obs::Category::kRound, "round");
+        round_timer.SetArg("round", static_cast<double>(round));
+        {
+          common::ScopedCpuAccumulator go_cpu(&busy);
+          obs::ScopedTimer go_timer(track, obs::Category::kOther, "ctrl_go");
+          // The plan carries the round's membership, so every member builds
+          // the same ring, and the straggler verdict: the live member with
+          // the longest ≥2-round non-contribution streak. Every member sees
+          // the same verdict, so Schedule::kStragglar's permutation is
+          // identical ring-wide. Joiners learn which round's state
+          // transfer to expect from the leader.
+          std::size_t best_streak = 1;
+          for (const net::Rank m : plan.members) {
+            if (skip_streak[slot(m)] > best_streak) {
+              best_streak = skip_streak[slot(m)];
+              plan.straggler = m;
+            }
+          }
+          if (plan.straggler.has_value()) {
+            obs::CountMetric("round.straggler_verdicts");
+          }
+          const std::vector<std::int64_t> meta = plan.Encode();
+          for (const auto* ranks : {&plan.members, &plan.joiners}) {
+            for (const net::Rank r : *ranks) {
+              net::Message go;
+              go.tag = tags::kGo;
+              go.meta = meta;
+              fabric.Send(self, r, std::move(go));
+            }
+          }
+          msgs += plan.members.size() + plan.joiners.size();
+        }
+        const int want[] = {tags::kRoundEnd, tags::kReady, tags::kGoodbye};
+        std::size_t contributors = 0;
+        std::size_t reports = 0;
+        // Members report after the collective; syncing joiners report
+        // after (attempting to) install the transferred state.
+        const std::size_t expected = plan.members.size() + plan.joiners.size();
+        auto in_round = [&](net::Rank r) {
+          return std::find(plan.members.begin(), plan.members.end(), r) !=
+                     plan.members.end() ||
+                 std::find(plan.joiners.begin(), plan.joiners.end(), r) !=
+                     plan.joiners.end();
+        };
+        std::fill(responded.begin(), responded.end(), false);
+        obs::ScopedTimer report_timer(track, obs::Category::kWait,
+                                      "report_wait");
+        while (reports < expected) {
+          std::optional<net::Message> msg;
+          if (faulty) {
+            const common::Seconds left =
+                report_budget - report_timer.Elapsed();
+            if (left <= 0.0) break;
+            msg = fabric.RecvAnyFor(self, want, left);
+            if (!msg.has_value()) break;  // deadline or shutdown
+          } else {
+            // Lossless fast path: every live member reports each round,
+            // and Shutdown() wakes the wait.
+            msg = fabric.RecvAny(self, want);  // analyze:allow(timed-recv)
+            if (!msg.has_value()) return;  // fabric shut down
+          }
+          common::ScopedCpuAccumulator handle_cpu(&busy);
+          obs::ScopedTimer handle_timer(track, obs::Category::kOther,
+                                        "ctrl_handle");
+          ++msgs;
+          const net::Rank src = msg->src;
+          const std::size_t i = slot(src);
+          if (msg->tag == tags::kReady) {
+            if (directory.IsActive(src)) readiness.Add(i, 1);
+            continue;
+          }
+          if (msg->tag == tags::kGoodbye) {
+            note_goodbye(src, round);
+            if (in_round(src) && !responded[i]) {
+              responded[i] = true;
+              ++reports;
+            }
+            continue;
+          }
+          const RoundReport report = decode_report(*msg);
+          account(src, report);
+          if (report.round != round) continue;  // late, already accounted
+          if (!responded[i]) {
+            responded[i] = true;
+            ++reports;
+          }
+          if (directory.IsSyncing(src)) {
+            // A joiner's sync ack: a landed transfer activates the rank from
+            // the next round on. A failed one (the leader's send lost on a
+            // lossy fabric) keeps it syncing; the next plan re-lists it and
+            // the next leader re-sends.
+            if (report.synced.value_or(false)) {
+              directory.OnSynced(src);
+              obs::CountMetric("elastic.joins");
+            }
+            continue;
+          }
+          if (!report.aborted && report.consumed > 0) {
+            ++contributors;
+            skip_streak[i] = 0;
+          } else {
+            ++skip_streak[i];
+          }
+        }
+        report_timer.Stop();
+        if (reports < expected) {
+          // Deadline expired with silent members: report silence means the
+          // comm thread is gone (fail-stop), unlike step silence which is
+          // just slow compute. Strike them; dead_after_misses strikes kills.
+          auto strike = [&](net::Rank m) {
+            const MemberState s = directory.StateOf(m);
+            if (s == MemberState::kDead || s == MemberState::kLeft) return;
+            if (responded[slot(m)]) return;
+            if (++miss_count[slot(m)] >= config.fault.dead_after_misses) {
+              note_goodbye(m, round);
+              obs::CountMetric("fault.declared_dead");
+            }
+          };
+          for (const net::Rank m : plan.members) strike(m);
+          for (const net::Rank j : plan.joiners) strike(j);
+          obs::CountMetric("fault.report_deadline_misses");
+        }
+        round_timer.SetArg("contributors", static_cast<double>(contributors));
+        obs::ObserveMetric("round.contributors",
+                           static_cast<double>(contributors));
+        if (records) {
+          obs::CountMetric("round.count");
+          round_contributors.push_back(contributors);
+          rounds_done.fetch_add(1);
+        }
+      }
+      for (const net::Rank r : group.members) {
+        send_exit(r, RoundPlan::Exit(RoundPlan::Kind::kSessionEnd));
+      }
+      if (ps) ps->Retire(g);
+    });
+  }
+
+  for (auto& t : controllers) t.join();
+  for (auto& t : comm_threads) t.join();
+  // comm exits flip global_stop; compute threads notice within an iteration.
+  for (auto& t : compute_threads) t.join();
+  const common::Seconds wall_s = wall_timer.Stop();
+  monitor.Finish();
+  ps.reset();
+
+  TrainResult result;
+  result.rounds = rounds_done.load();
+  result.gradients_applied = batches_applied.load();
+  for (auto& stage : stages) result.gradients_dropped += stage->Dropped();
+  obs::CountMetric("stage.staleness_drops",
+                   static_cast<std::int64_t>(result.gradients_dropped));
+  result.round_contributors = std::move(round_contributors);
+  result.live_workers = faults.LiveCount();
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    result.workers_joined += directories[g]->JoinedTotal();
+    result.workers_left += directories[g]->LeftTotal();
+    result.controller_busy_seconds += ctrl_busy[g];
+    result.controller_messages += ctrl_msgs[g];
+  }
+
+  // The lowest surviving *active* rank's replica is the result: active
+  // survivors of a group hold identical parameters after their last shared
+  // collective, while a clean leaver's (or a never-joined rank's) replica
+  // froze early.
+  std::size_t reporter = 0;
+  bool found = false;
+  for (std::size_t w = 0; w < world && !found; ++w) {
+    found = directories[group_of[w]]->IsActive(w) && faults.Alive(w);
+    if (found) reporter = w;
+  }
+  for (std::size_t w = 0; w < world && !found; ++w) {
+    found = faults.Alive(w);
+    if (found) reporter = w;
+  }
+  FinishRun(result, wall_s, monitor, workers, comm_times,
+            std::move(final_params[reporter]), train_data);
+  return result;
+}
+
+}  // namespace rna::train

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -82,5 +83,21 @@ class EvalMonitor {
   bool reached_target_ = false;
   bool early_stopped_ = false;
 };
+
+class WorkerContext;
+
+/// The tail every runner shares, called after monitor.Finish(): stamps the
+/// wall time and the monitor's target/early-stop verdicts and curve,
+/// merges each worker's compute account with the runner's own wait/comm
+/// accounts (`wait_comm[w]`), stores `final_params`, and evaluates them on
+/// the full validation set (final loss and accuracy) and on the first 2048
+/// training samples (final train loss). Runner-specific counters are the
+/// caller's.
+void FinishRun(TrainResult& result, common::Seconds wall_seconds,
+               EvalMonitor& monitor,
+               std::span<const std::unique_ptr<WorkerContext>> workers,
+               std::span<const WorkerTimeBreakdown> wait_comm,
+               std::vector<float> final_params,
+               const data::Dataset& train_data);
 
 }  // namespace rna::train

@@ -5,6 +5,7 @@
 #include "rna/common/check.hpp"
 #include "rna/obs/metrics.hpp"
 #include "rna/obs/trace.hpp"
+#include "rna/train/worker.hpp"
 
 namespace rna::train {
 
@@ -136,6 +137,32 @@ void EvalMonitor::Loop() {
       return;
     }
   }
+}
+
+void FinishRun(TrainResult& result, common::Seconds wall_seconds,
+               EvalMonitor& monitor,
+               std::span<const std::unique_ptr<WorkerContext>> workers,
+               std::span<const WorkerTimeBreakdown> wait_comm,
+               std::vector<float> final_params,
+               const data::Dataset& train_data) {
+  result.wall_seconds = wall_seconds;
+  result.reached_target = monitor.ReachedTarget();
+  result.early_stopped = monitor.EarlyStopped();
+  result.curve = monitor.Curve();
+  result.breakdown.resize(workers.size());
+  for (std::size_t w = 0; w < workers.size(); ++w) {
+    result.breakdown[w] = workers[w]->Times();
+    result.breakdown[w].wait = wait_comm[w].wait;
+    result.breakdown[w].comm = wait_comm[w].comm;
+  }
+  result.final_params = std::move(final_params);
+  const nn::BatchResult final_eval = monitor.FullEval(result.final_params);
+  result.final_loss = final_eval.loss;
+  result.final_accuracy = final_eval.Accuracy();
+  result.final_train_loss = EvaluateDataset(workers[0]->Net(),
+                                            result.final_params, train_data,
+                                            2048)
+                                .loss;
 }
 
 }  // namespace rna::train

@@ -1,9 +1,8 @@
-// Tests for synthetic dataset generators, sharding, splitting, sampling,
-// zero-copy shard views, and the streaming batch generator.
+// Tests for synthetic dataset generators, splitting, zero-copy shard views,
+// and the streaming batch generator.
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -86,34 +85,6 @@ TEST(LengthModel, ScaledPreservesShape) {
   EXPECT_NEAR(stats.Mean(), 186.0 / 8.0, 2.0);
 }
 
-TEST(Dataset, ShardsAreDisjointAndCover) {
-  Dataset ds = MakeGaussianClusters(103, 4, 2, 0.5, 6);
-  std::size_t total = 0;
-  for (std::size_t r = 0; r < 4; ++r) {
-    Dataset shard = ds.Shard(r, 4);
-    total += shard.Size();
-    // Round-robin: shard r holds ds indices r, r+4, r+8, ...
-    for (std::size_t i = 0; i < shard.Size(); ++i) {
-      EXPECT_EQ(shard.labels[i], ds.labels[r + 4 * i]);
-    }
-  }
-  EXPECT_EQ(total, 103u);
-}
-
-TEST(Dataset, ShardSequenceDataset) {
-  LengthModel lengths{.mean = 10, .stddev = 4, .min_len = 2, .max_len = 30};
-  Dataset ds = MakeSequenceDataset(20, 3, 2, lengths, 0.1, 7);
-  Dataset shard = ds.Shard(1, 3);
-  EXPECT_EQ(shard.Size(), 7u);  // indices 1,4,7,10,13,16,19
-  EXPECT_EQ(shard.sequences[0].Rows(), ds.sequences[1].Rows());
-}
-
-TEST(Dataset, ShardValidation) {
-  Dataset ds = MakeGaussianClusters(10, 2, 2, 0.5, 8);
-  EXPECT_THROW(ds.Shard(3, 3), std::logic_error);
-  EXPECT_THROW(ds.Shard(0, 0), std::logic_error);
-}
-
 TEST(Dataset, SplitHoldout) {
   Dataset ds = MakeGaussianClusters(100, 2, 2, 0.5, 9);
   auto [train, val] = ds.SplitHoldout(0.2);
@@ -132,95 +103,9 @@ TEST(Dataset, MakeBatchDense) {
   EXPECT_EQ(b.labels[1], ds.labels[7]);
 }
 
-TEST(BatchSampler, ProducesRequestedSize) {
-  Dataset ds = MakeGaussianClusters(50, 4, 2, 0.5, 11);
-  BatchSampler sampler(ds, 8, 12);
-  for (int i = 0; i < 20; ++i) {
-    nn::Batch b = sampler.Next();
-    EXPECT_EQ(b.Size(), 8u);
-    for (auto label : b.labels) {
-      EXPECT_GE(label, 0);
-      EXPECT_LT(label, 2);
-    }
-  }
-}
-
-TEST(BatchSampler, DifferentSeedsDifferentBatches) {
-  Dataset ds = MakeGaussianClusters(1000, 2, 2, 0.5, 13);
-  BatchSampler a(ds, 16, 1), b(ds, 16, 2);
-  const nn::Batch ba = a.Next(), bb = b.Next();
-  bool differs = false;
-  for (std::size_t i = 0; i < 16 && !differs; ++i) {
-    differs = ba.inputs.At(i, 0) != bb.inputs.At(i, 0);
-  }
-  EXPECT_TRUE(differs);
-}
-
-TEST(BatchSampler, LengthBucketedGroupsSimilarLengths) {
-  LengthModel lengths{.mean = 30, .stddev = 25, .min_len = 2, .max_len = 200};
-  Dataset ds = MakeSequenceDataset(400, 3, 2, lengths, 0.1, 15);
-  BatchSampler sampler(ds, 8, 16, SamplingMode::kLengthBucketed);
-  // Within-batch length spread must be far below the dataset-wide spread.
-  common::OnlineStats dataset_lengths;
-  for (const auto& seq : ds.sequences) {
-    dataset_lengths.Add(static_cast<double>(seq.Rows()));
-  }
-  double mean_batch_spread = 0.0;
-  const int batches = 50;
-  for (int b = 0; b < batches; ++b) {
-    nn::Batch batch = sampler.Next();
-    std::size_t lo = batch.sequences[0].Rows(), hi = lo;
-    for (const auto& seq : batch.sequences) {
-      lo = std::min(lo, seq.Rows());
-      hi = std::max(hi, seq.Rows());
-    }
-    mean_batch_spread += static_cast<double>(hi - lo) / batches;
-  }
-  EXPECT_LT(mean_batch_spread, dataset_lengths.Stddev());
-}
-
-TEST(BatchSampler, BucketedBatchTimesFollowLengthDistribution) {
-  // The point of bucketing: per-batch total length varies like the sample
-  // length distribution (not averaged out as with uniform mixing).
-  LengthModel lengths{.mean = 30, .stddev = 25, .min_len = 2, .max_len = 200};
-  Dataset ds = MakeSequenceDataset(400, 3, 2, lengths, 0.1, 16);
-  auto batch_length_cv = [&](SamplingMode mode) {
-    BatchSampler sampler(ds, 8, 17, mode);
-    common::OnlineStats totals;
-    for (int b = 0; b < 200; ++b) {
-      nn::Batch batch = sampler.Next();
-      double total = 0;
-      for (const auto& seq : batch.sequences) {
-        total += static_cast<double>(seq.Rows());
-      }
-      totals.Add(total);
-    }
-    return totals.Stddev() / totals.Mean();
-  };
-  EXPECT_GT(batch_length_cv(SamplingMode::kLengthBucketed),
-            2.0 * batch_length_cv(SamplingMode::kUniform));
-}
-
-TEST(BatchSampler, BucketedFallsBackForDenseData) {
-  Dataset ds = MakeGaussianClusters(50, 4, 2, 0.5, 18);
-  BatchSampler sampler(ds, 8, 19, SamplingMode::kLengthBucketed);
-  nn::Batch b = sampler.Next();  // must not crash; behaves as uniform
-  EXPECT_EQ(b.Size(), 8u);
-}
-
-// --- Regression: the three data-plane bugs the 1000-worker worlds hit ----
-
-TEST(Dataset, EmptyShardFallsBackToAllSamples) {
-  // world > Size(): round-robin leaves overflow ranks nothing, and the
-  // sampler used to abort on the empty shard. They now share all samples.
-  Dataset ds = MakeGaussianClusters(10, 4, 2, 0.5, 21);
-  Dataset shard = ds.Shard(50, 1000);
-  ASSERT_EQ(shard.Size(), 10u);
-  BatchSampler sampler(shard, 4, 22);  // must not throw
-  EXPECT_EQ(sampler.Next().Size(), 4u);
-  // In-range ranks keep their disjoint round-robin slice.
-  EXPECT_EQ(ds.Shard(3, 10).Size(), 1u);
-}
+// --- Regression: data-plane bugs the 1000-worker worlds hit -------------
+// (The empty-shard and oversized-batch cases live with ShardView and
+// BatchGenerator below.)
 
 TEST(Dataset, SplitHoldoutNeverEmptyOnSmallDatasets) {
   // floor(10 * 0.05) = 0 used to produce an empty validation set that
@@ -235,30 +120,6 @@ TEST(Dataset, SplitHoldoutNeverEmptyOnSmallDatasets) {
   EXPECT_GE(train2.Size(), 1u);
   EXPECT_GE(val2.Size(), 1u);
   EXPECT_EQ(train2.Size() + val2.Size(), 10u);
-}
-
-TEST(BatchSampler, OversizedBucketedBatchWrapsInsteadOfLongestPadding) {
-  // batch_size > Size(): the old std::min(start + i, n - 1) clamp padded
-  // the batch with duplicates of the *longest* sequence (by_length_ is
-  // ascending). Wrapping must visit every sample equally often.
-  LengthModel lengths{.mean = 12, .stddev = 8, .min_len = 2, .max_len = 60};
-  Dataset ds = MakeSequenceDataset(6, 3, 2, lengths, 0.1, 24);
-  BatchSampler sampler(ds, 12, 25, SamplingMode::kLengthBucketed);
-  nn::Batch batch = sampler.Next();
-  ASSERT_EQ(batch.Size(), 12u);
-  std::map<std::size_t, int> count_by_length;
-  for (const auto& seq : batch.sequences) ++count_by_length[seq.Rows()];
-  std::size_t max_len = 0;
-  int samples_at_max = 0;
-  for (const auto& seq : ds.sequences) max_len = std::max(max_len, seq.Rows());
-  for (const auto& seq : ds.sequences) samples_at_max += seq.Rows() == max_len;
-  int longest_count = 0;
-  for (const auto& [len, count] : count_by_length) {
-    if (len == max_len) longest_count = count;
-  }
-  // Every sample appears exactly batch_size / n = 2 times; the longest is
-  // no longer over-represented (the clamp gave it 7 of 12 slots here).
-  EXPECT_LE(longest_count, 2 * samples_at_max);
 }
 
 TEST(LengthModel, RejectsNonPositiveMeanAndNegativeStddev) {
@@ -332,6 +193,12 @@ TEST(ShardView, EmptyStridedShardFallsBackToSharedSamples) {
   EXPECT_EQ(in_range.Size(), 2u);
 }
 
+TEST(ShardView, RejectsInvalidRankOrWorld) {
+  Dataset ds = MakeGaussianClusters(10, 2, 2, 0.5, 8);
+  EXPECT_THROW(ShardView::Strided(ds, 3, 3), std::logic_error);
+  EXPECT_THROW(ShardView::Strided(ds, 0, 0), std::logic_error);
+}
+
 TEST(ShardView, MakeBatchRangeMatchesMakeBatch) {
   Dataset ds = MakeGaussianClusters(30, 3, 2, 0.5, 31);
   ShardView view = ShardView::All(ds);
@@ -403,6 +270,40 @@ TEST(BatchGenerator, DensePrefetchStreamIsDeterministicToo) {
   BatchGenerator a(ShardView::All(ds), sync);
   BatchGenerator b(ShardView::All(ds), prefetch);
   ExpectIdenticalBatchStreams(Collect(a, 20), Collect(b, 20));
+}
+
+TEST(BatchGenerator, ProducesRequestedSize) {
+  Dataset ds = MakeGaussianClusters(50, 4, 2, 0.5, 11);
+  BatchGenerator gen(ShardView::All(ds), {.batch_size = 8, .seed = 12});
+  for (int i = 0; i < 20; ++i) {
+    nn::Batch b = gen.Next();
+    EXPECT_EQ(b.Size(), 8u);
+    for (auto label : b.labels) {
+      EXPECT_GE(label, 0);
+      EXPECT_LT(label, 2);
+    }
+  }
+}
+
+TEST(BatchGenerator, DifferentSeedsDifferentBatches) {
+  Dataset ds = MakeGaussianClusters(1000, 2, 2, 0.5, 13);
+  BatchGenerator a(ShardView::All(ds), {.batch_size = 16, .seed = 1});
+  BatchGenerator b(ShardView::All(ds), {.batch_size = 16, .seed = 2});
+  const nn::Batch ba = a.Next(), bb = b.Next();
+  bool differs = false;
+  for (std::size_t i = 0; i < 16 && !differs; ++i) {
+    differs = ba.inputs.At(i, 0) != bb.inputs.At(i, 0);
+  }
+  EXPECT_TRUE(differs);
+}
+
+TEST(BatchGenerator, BucketedFallsBackForDenseData) {
+  Dataset ds = MakeGaussianClusters(50, 4, 2, 0.5, 18);
+  BatchGenerator gen(ShardView::All(ds),
+                     {.batch_size = 8, .seed = 19,
+                      .mode = SamplingMode::kLengthBucketed});
+  nn::Batch b = gen.Next();  // must not crash; behaves as uniform
+  EXPECT_EQ(b.Size(), 8u);
 }
 
 TEST(BatchGenerator, BucketedBatchesGroupSimilarLengths) {

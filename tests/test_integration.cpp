@@ -18,7 +18,7 @@
 #include "rna/obs/export.hpp"
 #include "rna/obs/session.hpp"
 #include "rna/train/monitor.hpp"
-#include "rna/train/partial_engine.hpp"
+#include "rna/train/group_engine.hpp"
 
 namespace rna {
 namespace {
@@ -205,6 +205,41 @@ TEST(Integration, HierarchicalRnaCalibrationFailureReachesTheCaller) {
   };
   TrainerConfig c = BaseConfig(Protocol::kRnaHierarchical, 10);
   EXPECT_THROW(RunTraining(c, s.factory, s.train, s.val), std::runtime_error);
+}
+
+TEST(Integration, HierarchicalRnaIssuesStragglerVerdicts) {
+  // Ranks 0-2 take 2 ms a batch and rank 3 takes 3 ms: zeta = 1 ms is not
+  // above v = 2.25 ms, so rna-h forms one speed group, and its controller
+  // must hand kStragglar the same persistent-straggler verdicts that flat
+  // RNA's controller does.
+  Scenario s = MakeMlpScenario();
+  for (const Protocol protocol :
+       {Protocol::kRnaHierarchical, Protocol::kRna}) {
+    SCOPED_TRACE(train::ProtocolName(protocol));
+    TrainerConfig c = BaseConfig(protocol, 80);
+    c.delay_model = std::make_shared<sim::DeterministicSkewModel>(
+        0.002, std::vector<double>{0.0, 0.0, 0.0, 0.001});
+    // ThreadSanitizer slows each round's messaging several-fold but not
+    // the injected sleeps, so every rank is ready at nearly every trigger
+    // and the straggler all but vanishes; longer sleeps restore the
+    // regime this test is about.
+    c.delay_scale = kUnderTsan ? 5.0 : 1.0;
+    c.schedule = collectives::Schedule::kStragglar;
+    // A gentle optimizer: at BaseConfig's lr 0.15 / momentum 0.9 one run
+    // in ten ends an 80-round run above chance loss, ring or not.
+    c.sgd.learning_rate = 0.05;
+    c.sgd.momentum = 0.5;
+
+    obs::Session session;
+    const TrainResult r = RunTraining(c, s.factory, s.train, s.val);
+
+    if (protocol == Protocol::kRnaHierarchical) {
+      EXPECT_EQ(session.Metrics().GaugeValue("hier.groups"), 1.0);
+    }
+    EXPECT_GT(session.Metrics().CounterValue("round.straggler_verdicts"), 0);
+    EXPECT_EQ(r.live_workers, 4u);
+    EXPECT_LT(r.final_loss, 1.386);  // chance: ln(4)
+  }
 }
 
 TEST(Integration, RnaStopsAtTargetLoss) {

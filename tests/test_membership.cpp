@@ -2,7 +2,8 @@
 // ReadinessBoard against a naive reference model, the MembershipDirectory
 // state machine (every rank in exactly one state, epochs monotonic), ring
 // re-formation (single cycle over the active set after any join/leave
-// schedule), the capped grouping rule, the bounded-fan-in PS tree, and the
+// schedule), the round plans and reports that carry membership to the
+// workers, the capped grouping rule, the bounded-fan-in PS tree, and the
 // disjointness of the round-indexed tag ranges the analyzer's tag model
 // assumes.
 
@@ -17,11 +18,107 @@
 #include "rna/core/rna.hpp"
 #include "rna/ps/sharded.hpp"
 #include "rna/train/membership.hpp"
+#include "rna/train/round_plan.hpp"
 #include "rna/train/sharding.hpp"
 #include "rna/train/tags.hpp"
 
 namespace rna::train {
 namespace {
+
+// --------------------------------------------------------------- round plans
+
+constexpr std::size_t kFabric = 8;  // ranks 0..7 exist
+
+RoundPlan RoundTrip(const RoundPlan& plan) {
+  const std::optional<RoundPlan> back =
+      RoundPlan::Decode(plan.Encode(), kFabric);
+  EXPECT_TRUE(back.has_value());
+  return back.value_or(RoundPlan{});
+}
+
+TEST(RoundPlan, ExitsRoundTrip) {
+  for (const auto kind : {RoundPlan::Kind::kSessionEnd,
+                          RoundPlan::Kind::kLeave}) {
+    EXPECT_EQ(RoundTrip(RoundPlan::Exit(kind)).kind, kind);
+  }
+  // The exit layouts the workers have always understood.
+  EXPECT_EQ(RoundPlan::Exit(RoundPlan::Kind::kSessionEnd).Encode(),
+            (std::vector<std::int64_t>{-1, 1}));
+  EXPECT_EQ(RoundPlan::Exit(RoundPlan::Kind::kLeave).Encode(),
+            (std::vector<std::int64_t>{-1, 2}));
+}
+
+TEST(RoundPlan, MembersOnlyRoundTrips) {
+  RoundPlan plan;
+  plan.round = 12;
+  plan.members = {4, 0, 7};
+  EXPECT_EQ(plan.Encode(), (std::vector<std::int64_t>{12, 0, 3, 4, 0, 7}));
+  const RoundPlan back = RoundTrip(plan);
+  EXPECT_EQ(back.kind, RoundPlan::Kind::kRound);
+  EXPECT_EQ(back.round, 12u);
+  EXPECT_FALSE(back.straggler.has_value());
+  EXPECT_EQ(back.members, plan.members);
+  EXPECT_TRUE(back.joiners.empty());
+}
+
+TEST(RoundPlan, MembersJoinersAndVerdictRoundTrip) {
+  RoundPlan plan;
+  plan.round = 3;
+  plan.straggler = 0;  // rank 0 must not read as "no verdict"
+  plan.members = {0, 2};
+  plan.joiners = {5, 6};
+  EXPECT_EQ(plan.Encode(),
+            (std::vector<std::int64_t>{3, 1, 2, 0, 2, 5, 6}));
+  const RoundPlan back = RoundTrip(plan);
+  EXPECT_EQ(back.round, 3u);
+  EXPECT_EQ(back.straggler, std::optional<net::Rank>(0));
+  EXPECT_EQ(back.members, plan.members);
+  EXPECT_EQ(back.joiners, plan.joiners);
+}
+
+TEST(RoundPlan, MalformedFramesDecodeToNullopt) {
+  using Meta = std::vector<std::int64_t>;
+  EXPECT_FALSE(RoundPlan::Decode(Meta{}, kFabric).has_value());
+  // Three members announced, two present.
+  EXPECT_FALSE(RoundPlan::Decode(Meta{0, 0, 3, 1, 2}, kFabric).has_value());
+  // A negative member, joiner or verdict rank.
+  EXPECT_FALSE(RoundPlan::Decode(Meta{0, 0, 2, 1, -2}, kFabric).has_value());
+  EXPECT_FALSE(RoundPlan::Decode(Meta{0, 0, 1, 1, -1}, kFabric).has_value());
+  EXPECT_FALSE(RoundPlan::Decode(Meta{0, -4, 1, 1}, kFabric).has_value());
+  // A rank past the fabric.
+  EXPECT_FALSE(RoundPlan::Decode(Meta{0, 0, 1, 8}, kFabric).has_value());
+  EXPECT_FALSE(RoundPlan::Decode(Meta{0, 9, 1, 1}, kFabric).has_value());
+  // An exit with an unknown reason.
+  EXPECT_FALSE(RoundPlan::Decode(Meta{-1, 7}, kFabric).has_value());
+}
+
+TEST(RoundReport, MemberAndJoinerReportsRoundTrip) {
+  const RoundReport member{9, 2, true, std::nullopt};
+  EXPECT_EQ(member.Encode(), (std::vector<std::int64_t>{9, 2, 1}));
+  const std::optional<RoundReport> m = RoundReport::Decode(member.Encode());
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->round, 9u);
+  EXPECT_EQ(m->consumed, 2u);
+  EXPECT_TRUE(m->aborted);
+  EXPECT_FALSE(m->synced.has_value());
+
+  const RoundReport joiner{4, 0, false, true};
+  EXPECT_EQ(joiner.Encode(), (std::vector<std::int64_t>{4, 0, 0, 1}));
+  const std::optional<RoundReport> j = RoundReport::Decode(joiner.Encode());
+  ASSERT_TRUE(j.has_value());
+  EXPECT_EQ(j->round, 4u);
+  EXPECT_EQ(j->consumed, 0u);
+  EXPECT_FALSE(j->aborted);
+  EXPECT_EQ(j->synced, std::optional<bool>(true));
+}
+
+TEST(RoundReport, MalformedFramesDecodeToNullopt) {
+  using Meta = std::vector<std::int64_t>;
+  EXPECT_FALSE(RoundReport::Decode(Meta{}).has_value());
+  EXPECT_FALSE(RoundReport::Decode(Meta{1, 2}).has_value());
+  EXPECT_FALSE(RoundReport::Decode(Meta{-1, 0, 0}).has_value());
+  EXPECT_FALSE(RoundReport::Decode(Meta{1, -3, 0}).has_value());
+}
 
 // ---------------------------------------------------------------- readiness
 

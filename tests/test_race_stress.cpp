@@ -26,7 +26,7 @@
 #include "rna/nn/network.hpp"
 #include "rna/nn/optimizer.hpp"
 #include "rna/ps/server.hpp"
-#include "rna/train/partial_engine.hpp"
+#include "rna/train/group_engine.hpp"
 #include "rna/train/stage.hpp"
 
 namespace rna {

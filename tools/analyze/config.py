@@ -66,9 +66,9 @@ HEAP_BOUNDARY_PATTERNS = (
 
 # Every protocol/baseline entry point that must survive message loss.
 RECV_ENTRY_PATTERNS = (
-    "rna::core::RunFlatRna",
+    "rna::core::RunTraining",
     "rna::core::RunHierarchicalRna",
-    "rna::core::internal::*",
+    "rna::core::detail::*",
     "rna::baselines::Run*",
     "rna::ps::ParameterServer::*",
     "rna::ps::PsClient::*",
