@@ -139,11 +139,11 @@ void BM_PsPushPull(benchmark::State& state) {
   ps::ParameterServer server(fabric, 1,
                              std::vector<float>(elements, 0.0f));
   server.Start();
-  ps::PsClient client(fabric, 0, 1);
+  ps::PsClient client(fabric, 0, 1, /*shards=*/1, elements);
   const std::vector<float> payload(elements, 1.0f);
   for (auto _ : state) {
-    auto result = client.PushPull(payload, ps::ApplyMode::kAverage);
-    benchmark::DoNotOptimize(result.data());
+    auto result = client.TryPushPull(payload, ps::ApplyMode::kAverage);
+    benchmark::DoNotOptimize(result);
   }
   server.Stop();
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

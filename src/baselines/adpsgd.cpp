@@ -78,7 +78,7 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
       while (workers_running.load() > 0) {
         // A crashed rank answers no more gossip; requesters discover that
         // through their reply timeout and mark the peer dead.
-        if (faulty && !faults.Alive(w)) break;
+        if (!faults.Alive(w)) break;
         auto req = fabric.RecvFor(w, tags::kAvgReq, 0.002);
         if (!req.has_value()) continue;
         net::Message reply;
@@ -118,8 +118,8 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
       for (std::size_t iter = 0; iter < config.max_rounds && !stop.load();
            ++iter) {
         if (lockstep && !gate.AcquireTurn(w)) break;
-        if (faulty && faults.BeforeIteration(w, workers[w]->Iterations()) ==
-                          IterationFate::kCrash) {
+        if (faults.BeforeIteration(w, workers[w]->Iterations()) ==
+            IterationFate::kCrash) {
           faults.Kill(w);
           obs::CountMetric("fault.worker.goodbyes");
           break;  // gate.Retire below releases the rotation
@@ -137,15 +137,11 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
         if (peer >= w) ++peer;
         bool gossiped = false;
         std::optional<net::Message> rep;
-        const bool peer_usable =
-            !faulty || (faults.Alive(peer) && !peer_suspect[peer]);
-        if (peer_usable) {
-          if (faulty) {
-            // A reply from a timed-out past exchange must not satisfy this
-            // one.
-            while (fabric.TryRecv(w, tags::kAvgRep).has_value()) {
-              obs::CountMetric("fault.gossip_stale_replies");
-            }
+        if (faults.Alive(peer) && !peer_suspect[peer]) {
+          // A reply from a timed-out past exchange must not satisfy this
+          // one.
+          while (fabric.TryRecv(w, tags::kAvgRep).has_value()) {
+            obs::CountMetric("fault.gossip_stale_replies");
           }
           net::Message req;
           req.tag = tags::kAvgReq;
@@ -172,7 +168,7 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
           comm_timer.Stop();
           if (rep.has_value()) {
             gossiped = true;
-          } else if (!faulty || fabric.IsClosed(w)) {
+          } else if (fabric.IsClosed(w)) {
             break;  // fabric shut down mid-exchange
           } else {
             // Timed out: the peer is crashed or the link ate the exchange.
@@ -228,12 +224,12 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
   std::vector<float> consensus(dim, 0.0f);
   std::size_t survivors = 0;
   for (std::size_t w = 0; w < world; ++w) {
-    if (faulty && !faults.Alive(w)) continue;
+    if (!faults.Alive(w)) continue;
     ++survivors;
   }
   RNA_CHECK_MSG(survivors > 0, "every AD-PSGD worker crashed");
   for (std::size_t w = 0; w < world; ++w) {
-    if (faulty && !faults.Alive(w)) continue;
+    if (!faults.Alive(w)) continue;
     tensor::Axpy(1.0f / static_cast<float>(survivors), models[w], consensus);
   }
 

@@ -95,10 +95,8 @@ TrainResult RunHorovod(const TrainerConfig& config, const ModelFactory& factory,
             optimizer.DecayLearningRate(config.lr_decay_factor);
           }
         }
-        if (faulty) {
-          // Hang/flaky sleeps only; kCrash is unreachable here (Validate).
-          (void)faults.BeforeIteration(w, workers[w]->Iterations());
-        }
+        // Hang/flaky sleeps only; kCrash is unreachable here (Validate).
+        (void)faults.BeforeIteration(w, workers[w]->Iterations());
         workers[w]->ComputeGradient(params,
                                     std::span<float>(buffer.data(), dim));
         buffer[dim] = stop.load() ? 1.0f : 0.0f;

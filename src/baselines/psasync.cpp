@@ -8,7 +8,6 @@
 #include "rna/obs/metrics.hpp"
 #include "rna/obs/trace.hpp"
 #include "rna/ps/server.hpp"
-#include "rna/ps/sharded.hpp"
 #include "rna/train/fault.hpp"
 #include "rna/train/monitor.hpp"
 #include "rna/train/stage.hpp"
@@ -37,7 +36,7 @@ TrainResult RunCentralizedPs(const TrainerConfig& config,
 
   // The model is range-sharded over ps_shards independent server
   // endpoints [world, world + shards); workers stripe their push/pulls
-  // (ShardedPsClient), which splits the single-endpoint hotspot.
+  // (ps::PsClient), which splits the single-endpoint hotspot.
   const std::size_t shards =
       std::min(std::max<std::size_t>(1, config.ps_shards), dim);
   const net::Rank first_server = world;
@@ -86,7 +85,7 @@ TrainResult RunCentralizedPs(const TrainerConfig& config,
     threads.emplace_back([&, w] {
       const obs::TrackHandle track =
           obs::RegisterTrack(obs::WorkerTrack(w, "ps"));
-      ps::ShardedPsClient client(fabric, w, first_server, shards, dim);
+      ps::PsClient client(fabric, w, first_server, shards, dim);
       if (faulty) {
         client.ConfigureRetry(config.fault.retry_budget,
                               config.fault.retry_timeout_s);
@@ -123,28 +122,21 @@ TrainResult RunCentralizedPs(const TrainerConfig& config,
             if (lockstep) gate.ReleaseTurn(w);
             continue;  // pending: pass the turn, keep the rotation intact
           }
-          // Join: adopt the server's current model before contributing.
-          bool pulled_ok = true;
-          if (faulty) {
-            if (auto pulled = client.TryPull()) {
-              params = std::move(*pulled);
-            } else {
-              pulled_ok = false;  // budget exhausted: retry next turn
-              obs::CountMetric("fault.ps_sync_skipped");
-            }
-          } else {
-            params = client.Pull();
-          }
-          if (pulled_ok) {
+          // Join: adopt the server's current model before contributing. A
+          // failed pull retries on the next turn.
+          if (auto pulled = client.TryPull()) {
+            params = std::move(*pulled);
             joined = true;
             obs::CountMetric("elastic.joins");
             workers_joined.fetch_add(1);
+          } else {
+            obs::CountMetric("fault.ps_sync_skipped");
           }
           if (lockstep) gate.ReleaseTurn(w);
           continue;  // first gradient computes against the joined model
         }
-        if (faulty && faults.BeforeIteration(w, workers[w]->Iterations()) ==
-                          IterationFate::kCrash) {
+        if (faults.BeforeIteration(w, workers[w]->Iterations()) ==
+            IterationFate::kCrash) {
           faults.Kill(w);
           obs::CountMetric("fault.worker.goodbyes");
           break;  // gate.Retire below releases the rotation
@@ -157,19 +149,16 @@ TrainResult RunCentralizedPs(const TrainerConfig& config,
         obs::ScopedTimer comm_timer(track, obs::Category::kComm,
                                     "push_pull", &wait_comm[w].comm);
         comm_timer.SetArg("iter", static_cast<double>(iter));
-        if (faulty) {
-          // At-least-once with bounded retry; a slow (not dropped) request
-          // can double-apply its delta — accepted as gradient noise on a
-          // lossy fabric (see PsClient). An exhausted budget skips the
-          // iterate's sync: the worker keeps its stale model and moves on.
-          if (auto pulled =
-                  client.TryPushPull(delta, ps::ApplyMode::kAddDelta)) {
-            params = std::move(*pulled);
-          } else {
-            obs::CountMetric("fault.ps_sync_skipped");
-          }
+        // Under faults the call is at-least-once with bounded retry; a slow
+        // (not dropped) request can double-apply its delta — accepted as
+        // gradient noise on a lossy fabric (see PsClient). A failed call
+        // skips the iterate's sync: the worker keeps its stale model and
+        // moves on.
+        if (auto pulled =
+                client.TryPushPull(delta, ps::ApplyMode::kAddDelta)) {
+          params = std::move(*pulled);
         } else {
-          params = client.PushPull(delta, ps::ApplyMode::kAddDelta);
+          obs::CountMetric("fault.ps_sync_skipped");
         }
         comm_timer.Stop();
         gradients.fetch_add(1);

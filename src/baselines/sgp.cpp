@@ -51,7 +51,6 @@ TrainResult RunSgp(const TrainerConfig& config, const ModelFactory& factory,
   if (auto plan = BuildFaultPlan(config)) {
     fabric.InstallFaultPlan(std::move(plan));
   }
-  const bool faulty = config.fault.Enabled();
   const bool lockstep = config.lockstep;
 
   auto workers = MakeWorkers(config, factory, train_data);
@@ -103,10 +102,8 @@ TrainResult RunSgp(const TrainerConfig& config, const ModelFactory& factory,
 
         // Gradient at the de-biased point, applied to the biased model
         // scaled by ω (so the de-biased step is plain SGD).
-        if (faulty) {
-          // Hang/flaky sleeps only; kCrash is unreachable here (Validate).
-          (void)faults.BeforeIteration(w, workers[w]->Iterations());
-        }
+        // Hang/flaky sleeps only; kCrash is unreachable here (Validate).
+        (void)faults.BeforeIteration(w, workers[w]->Iterations());
         const auto inv_omega = static_cast<float>(1.0 / omega);
         for (std::size_t i = 0; i < dim; ++i) z[i] = x[i] * inv_omega;
         workers[w]->ComputeGradient(z, grad);

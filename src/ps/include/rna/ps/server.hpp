@@ -1,14 +1,19 @@
 #pragma once
 
 // A ps-lite-style parameter server on the fabric: a server thread owning a
-// flat parameter vector, and client handles exposing Push / Pull / PushPull.
-// Requests from different clients are served independently in arrival
-// order, which is exactly the asynchronous-across-groups behaviour the
-// paper's hierarchical synchronization relies on (§4, §6): each group
+// flat parameter vector, and a client handle exposing Push / TryPull /
+// TryPushPull. Requests from different clients are served independently in
+// arrival order, which is exactly the asynchronous-across-groups behaviour
+// the paper's hierarchical synchronization relies on (§4, §6): each group
 // initiator PushPulls its group model whenever it finishes a round, with no
 // cross-group barrier.
+//
+// Scale-out: the model's flat vector may be split into `shards` contiguous
+// ranges, each owned by an independent ParameterServer on its own fabric
+// endpoint (first_server + s). The client stripes every call across them.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -37,6 +42,80 @@ struct PsTags {
   static constexpr int kReply = 9001;
 };
 
+/// Contiguous shard boundaries: shard `s` of `shards` owns
+/// [ShardFirst, ShardLast) of a `dim`-float model; the first dim % shards
+/// shards are one element larger.
+inline std::size_t ShardFirst(std::size_t dim, std::size_t shards,
+                              std::size_t s) {
+  const std::size_t base = dim / shards;
+  const std::size_t extra = dim % shards;
+  return s * base + (s < extra ? s : extra);
+}
+
+inline std::size_t ShardLast(std::size_t dim, std::size_t shards,
+                             std::size_t s) {
+  return ShardFirst(dim, shards, s + 1);
+}
+
+/// Client handle bound to one fabric endpoint, for a `dim`-float model
+/// served by `shards` range-sharded servers on endpoints
+/// [first_server, first_server + shards). A call sends every shard's
+/// request before awaiting any reply, then collects the replies in
+/// whatever order the shards answer (shard s is recognized by its source
+/// rank), so it costs one round trip of the largest shard rather than
+/// `shards` sequential ones. One shard is the classic single-server
+/// protocol: one request carrying the whole payload, whose reply payload
+/// becomes the result as is.
+///
+/// Fault tolerance: by default a reply-bearing call waits until every shard
+/// answered or the fabric shut down, in bounded slices so every fabric wait
+/// has a deadline. ConfigureRetry(budget >= 2, t) switches to bounded retry
+/// with exponential backoff: the shards still missing a reply are re-sent
+/// after t, 2t, 4t, … seconds, `budget` attempts total. A failed call
+/// returns std::nullopt and the caller decides what to skip; no call
+/// aborts. Retries are at-least-once: a slow (rather than dropped) request
+/// can be applied twice, which ApplyMode::kAverage absorbs (it re-averages
+/// toward the same fixpoint) but kAddDelta does not — callers that push
+/// deltas over a lossy fabric accept that gradient noise.
+class PsClient {
+ public:
+  /// `shards` must be in [1, dim].
+  PsClient(net::Fabric& fabric, Rank self, Rank first_server,
+           std::size_t shards, std::size_t dim);
+
+  /// Enables bounded retry (see class comment). budget is the total number
+  /// of attempts; budget <= 1 keeps the wait-until-shutdown behavior.
+  void ConfigureRetry(std::size_t budget, double first_timeout_s);
+
+  /// Fold `values` (dim floats) into the server state; no reply payload.
+  void Push(std::span<const float> values, ApplyMode mode);
+
+  /// Fetch the current server state; std::nullopt on shutdown or an
+  /// exhausted retry budget (e.g., an elastic joiner fetching its first
+  /// model over a lossy fabric retries on its next turn).
+  std::optional<std::vector<float>> TryPull();
+
+  /// Atomically fold `values` in and return the post-update state — the
+  /// PSPushPull() of the paper's hierarchical synchronization.
+  /// std::nullopt on shutdown or an exhausted retry budget (the caller
+  /// skips this sync and moves on).
+  std::optional<std::vector<float>> TryPushPull(std::span<const float> values,
+                                                ApplyMode mode);
+
+ private:
+  std::optional<std::vector<float>> TryCall(std::span<const float> values,
+                                            ApplyMode mode, bool want_reply);
+
+  net::Fabric* fabric_;
+  Rank self_;
+  Rank first_server_;
+  std::size_t shards_;
+  std::size_t dim_;
+  std::size_t retry_budget_ = 1;
+  double retry_timeout_s_ = 0.05;
+  std::vector<bool> have_;  ///< per shard: replied in the call in flight
+};
+
 class ParameterServer {
  public:
   /// The server owns fabric endpoint `rank` and a state vector of `dim`
@@ -59,8 +138,8 @@ class ParameterServer {
   /// same-shard server at `parent` (kAverage) and adopts the merged
   /// result *before* replying, so a client always reads state that has
   /// been folded toward the root. Call before Start(). `retry_budget` /
-  /// `retry_timeout_s` follow PsClient::ConfigureRetry semantics; on an
-  /// exhausted budget the sync is skipped (counted, state kept local).
+  /// `retry_timeout_s` follow PsClient::ConfigureRetry semantics; a failed
+  /// sync is skipped (counted, state kept local).
   void ConfigureParent(Rank parent, std::size_t sync_every,
                        std::size_t retry_budget = 1,
                        double retry_timeout_s = 0.05);
@@ -68,7 +147,7 @@ class ParameterServer {
   Rank ServerRank() const { return rank_; }
   std::uint64_t RequestsServed() const { return requests_served_.load(); }
 
-  /// Snapshot of the state, for tests.
+  /// A copy of the current state.
   std::vector<float> Snapshot() const;
 
  private:
@@ -79,76 +158,18 @@ class ParameterServer {
   Rank rank_;
   mutable common::Mutex state_mu_;
   std::vector<float> state_ RNA_GUARDED_BY(state_mu_);
-  std::int64_t version_ RNA_GUARDED_BY(state_mu_) = 0;
   std::atomic<std::uint64_t> requests_served_{0};
   std::atomic<bool> stop_{false};
-  std::thread thread_;
 
-  // Parent-sync wiring (ServeLoop-thread only after Start()).
-  bool has_parent_ = false;
-  Rank parent_ = 0;
+  // Parent-sync wiring (ServeLoop-thread only after Start()). The server
+  // thread doubles as a one-shard client of its parent on its own
+  // endpoint: replies carry PsTags::kReply, which ServeLoop never
+  // consumes, so the two roles cannot steal each other's messages.
+  std::optional<PsClient> parent_;
   std::size_t parent_sync_every_ = 1;
-  std::size_t parent_retry_budget_ = 1;
-  double parent_retry_timeout_s_ = 0.05;
   std::size_t applied_since_parent_sync_ = 0;
-};
 
-/// Client handle bound to one fabric endpoint.
-///
-/// Fault tolerance: by default a reply-bearing call waits indefinitely (in
-/// bounded slices, so every fabric wait has a deadline) — the legacy
-/// lossless-fabric behavior. ConfigureRetry(budget >= 2, t) switches to
-/// bounded retry with exponential backoff: the request is re-sent after t,
-/// 2t, 4t, … seconds, `budget` attempts total, and the Try* calls return
-/// std::nullopt when the budget is exhausted (the non-Try wrappers treat
-/// that as fatal). Retries are at-least-once: a slow (rather than dropped)
-/// request can be applied twice, which ApplyMode::kAverage absorbs (it
-/// re-averages toward the same fixpoint) but kAddDelta does not — callers
-/// that push deltas over a lossy fabric accept that gradient noise.
-class PsClient {
- public:
-  PsClient(net::Fabric& fabric, Rank self, Rank server)
-      : fabric_(&fabric), self_(self), server_(server) {}
-
-  /// Enables bounded retry (see class comment). budget is the total number
-  /// of attempts; budget <= 1 keeps the wait-forever behavior.
-  void ConfigureRetry(std::size_t budget, double first_timeout_s);
-
-  /// Fold `values` into the server state; no reply payload.
-  void Push(std::span<const float> values, ApplyMode mode);
-
-  /// Fetch the current server state.
-  std::vector<float> Pull();
-
-  /// Like Pull, but returns std::nullopt when the retry budget is
-  /// exhausted (e.g., an elastic joiner fetching its first model over a
-  /// lossy fabric retries on the next token instead of dying).
-  std::optional<std::vector<float>> TryPull();
-
-  /// Atomically fold `values` in and return the post-update state — the
-  /// PSPushPull() of the paper's hierarchical synchronization.
-  std::vector<float> PushPull(std::span<const float> values, ApplyMode mode);
-
-  /// Like PushPull, but returns std::nullopt instead of dying when the
-  /// retry budget is exhausted (the caller skips this sync and moves on).
-  std::optional<std::vector<float>> TryPushPull(std::span<const float> values,
-                                                ApplyMode mode);
-
-  /// Server-side version observed by the last Pull/PushPull.
-  std::int64_t LastVersion() const { return last_version_; }
-
- private:
-  std::vector<float> Call(std::span<const float> values, ApplyMode mode,
-                          bool want_reply);
-  std::optional<std::vector<float>> TryCall(std::span<const float> values,
-                                            ApplyMode mode, bool want_reply);
-
-  net::Fabric* fabric_;
-  Rank self_;
-  Rank server_;
-  std::size_t retry_budget_ = 1;
-  double retry_timeout_s_ = 0.05;
-  std::int64_t last_version_ = 0;
+  std::thread thread_;
 };
 
 }  // namespace rna::ps

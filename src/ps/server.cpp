@@ -11,8 +11,8 @@ namespace rna::ps {
 
 namespace {
 
-// meta layout for requests: [0]=ApplyMode, [1]=want_reply, [2]=has_payload
-// meta layout for replies:  [0]=version
+// meta layout for requests: [0]=ApplyMode, [1]=want_reply, [2]=has_payload;
+// a reply carries only the state payload.
 constexpr std::size_t kMetaMode = 0;
 constexpr std::size_t kMetaWantReply = 1;
 constexpr std::size_t kMetaHasPayload = 2;
@@ -90,7 +90,6 @@ void ParameterServer::ServeLoop() {
             common::simd::AverageInto(state_, req->data);
             break;
         }
-        ++version_;
       }
     }
     fabric_.Pool().Recycle(std::move(req->data));
@@ -98,14 +97,13 @@ void ParameterServer::ServeLoop() {
     // replying, so the caller reads state already averaged toward the
     // root and — under lockstep, where callers are gate-serialized — the
     // whole tree's request order stays deterministic.
-    if (has_parent_ && has_payload &&
+    if (parent_ && has_payload &&
         ++applied_since_parent_sync_ >= parent_sync_every_) {
       applied_since_parent_sync_ = 0;
       SyncWithParent();
     }
     if (want_reply) {
       common::MutexLock lock(state_mu_);
-      reply.meta = {version_};
       // Pooled reply payload: push requests recycled above keep the
       // freelist warm, so the pull-reply path stops allocating once the
       // protocol reaches steady state.
@@ -123,26 +121,15 @@ void ParameterServer::ConfigureParent(Rank parent, std::size_t sync_every,
   RNA_CHECK_MSG(!thread_.joinable(), "configure the parent before Start()");
   RNA_CHECK_MSG(parent != rank_, "a PS node cannot be its own parent");
   RNA_CHECK_MSG(sync_every >= 1, "parent sync period must be >= 1");
-  has_parent_ = true;
-  parent_ = parent;
+  common::MutexLock lock(state_mu_);
+  parent_.emplace(fabric_, rank_, parent, 1, state_.size());
+  parent_->ConfigureRetry(retry_budget, retry_timeout_s);
   parent_sync_every_ = sync_every;
-  parent_retry_budget_ = retry_budget == 0 ? 1 : retry_budget;
-  parent_retry_timeout_s_ = retry_timeout_s;
 }
 
 void ParameterServer::SyncWithParent() {
   obs::CountMetric("ps.parent_syncs");
-  std::vector<float> snapshot;
-  {
-    common::MutexLock lock(state_mu_);
-    snapshot = state_;
-  }
-  // The server thread doubles as a PS client on its own endpoint: replies
-  // carry PsTags::kReply, which ServeLoop never consumes, so the two
-  // roles cannot steal each other's messages.
-  PsClient up(fabric_, rank_, parent_);
-  up.ConfigureRetry(parent_retry_budget_, parent_retry_timeout_s_);
-  auto merged = up.TryPushPull(snapshot, ApplyMode::kAverage);
+  auto merged = parent_->TryPushPull(Snapshot(), ApplyMode::kAverage);
   if (!merged.has_value()) {
     // Budget exhausted (lossy fabric) or shutdown: keep serving the local
     // state; the next due sync folds it in.
@@ -151,7 +138,18 @@ void ParameterServer::SyncWithParent() {
   }
   common::MutexLock lock(state_mu_);
   state_ = std::move(*merged);
-  ++version_;
+}
+
+PsClient::PsClient(net::Fabric& fabric, Rank self, Rank first_server,
+                   std::size_t shards, std::size_t dim)
+    : fabric_(&fabric),
+      self_(self),
+      first_server_(first_server),
+      shards_(shards),
+      dim_(dim),
+      have_(shards) {
+  RNA_CHECK_MSG(shards >= 1, "need at least one PS shard");
+  RNA_CHECK_MSG(dim >= shards, "more PS shards than parameters");
 }
 
 void PsClient::ConfigureRetry(std::size_t budget, double first_timeout_s) {
@@ -161,6 +159,9 @@ void PsClient::ConfigureRetry(std::size_t budget, double first_timeout_s) {
 
 std::optional<std::vector<float>> PsClient::TryCall(
     std::span<const float> values, ApplyMode mode, bool want_reply) {
+  if (!values.empty()) {
+    RNA_CHECK_MSG(values.size() == dim_, "PS payload dimension mismatch");
+  }
   // A retried request can produce two replies; drain leftovers so a stale
   // reply from the previous call can never satisfy this one.
   while (auto stale = fabric_->TryRecv(self_, PsTags::kReply)) {
@@ -168,68 +169,94 @@ std::optional<std::vector<float>> PsClient::TryCall(
     obs::CountMetric("ps.stale_replies_dropped");
   }
 
-  auto parse = [&](net::Message& reply) -> std::vector<float> {
-    RNA_CHECK_MSG(!reply.meta.empty(), "malformed PS reply");
-    last_version_ = reply.meta[0];
-    return std::move(reply.data);
-  };
+  // One shard adopts its reply payload as the result; more assemble their
+  // slices into a fresh vector.
+  std::vector<float> out(want_reply && shards_ > 1 ? dim_ : 0);
+  std::fill(have_.begin(), have_.end(), false);
+  std::size_t got = 0;
 
-  for (std::size_t attempt = 0; attempt < retry_budget_; ++attempt) {
-    if (attempt > 0) obs::CountMetric("ps.retries");
+  auto send_shard = [&](std::size_t s) {
     net::Message req;
     req.tag = PsTags::kRequest;
     req.meta = {static_cast<std::int64_t>(mode), want_reply ? 1 : 0,
                 values.empty() ? 0 : 1};
-    req.data = fabric_->Pool().Acquire(values.size());
-    std::copy(values.begin(), values.end(), req.data.begin());
-    fabric_->Send(self_, server_, std::move(req));
+    if (!values.empty()) {
+      const std::size_t first = ShardFirst(dim_, shards_, s);
+      const std::size_t last = ShardLast(dim_, shards_, s);
+      req.data = fabric_->Pool().Acquire(last - first);
+      std::copy(values.begin() + static_cast<std::ptrdiff_t>(first),
+                values.begin() + static_cast<std::ptrdiff_t>(last),
+                req.data.begin());
+    }
+    fabric_->Send(self_, first_server_ + s, std::move(req));
+  };
+  // Accepts a shard reply; duplicates (from a slow-then-retried request)
+  // and strays are recycled and ignored.
+  auto accept = [&](net::Message& reply) {
+    if (reply.src < first_server_ ||
+        reply.src >= first_server_ + static_cast<Rank>(shards_)) {
+      fabric_->Pool().Recycle(std::move(reply.data));
+      return;
+    }
+    const auto s = static_cast<std::size_t>(reply.src - first_server_);
+    if (have_[s]) {
+      fabric_->Pool().Recycle(std::move(reply.data));
+      obs::CountMetric("ps.stale_replies_dropped");
+      return;
+    }
+    const std::size_t first = ShardFirst(dim_, shards_, s);
+    RNA_CHECK_MSG(reply.data.size() == ShardLast(dim_, shards_, s) - first,
+                  "PS reply dimension mismatch");
+    if (shards_ == 1) {
+      out = std::move(reply.data);
+    } else {
+      std::copy(reply.data.begin(), reply.data.end(),
+                out.begin() + static_cast<std::ptrdiff_t>(first));
+      fabric_->Pool().Recycle(std::move(reply.data));
+    }
+    have_[s] = true;
+    ++got;
+  };
+
+  // Without a retry budget the wait runs until every shard answered or
+  // the fabric shut down, in bounded slices.
+  const bool until_shutdown = retry_budget_ <= 1;
+  for (std::size_t attempt = 0; attempt < retry_budget_; ++attempt) {
+    if (attempt > 0) obs::CountMetric("ps.retries");
+    // Stripe: every (still-missing) shard's request goes out before any
+    // reply is awaited, so the shards serve in parallel.
+    for (std::size_t s = 0; s < shards_; ++s) {
+      if (!have_[s]) send_shard(s);
+    }
     if (!want_reply) return std::vector<float>{};
 
-    if (retry_budget_ <= 1) {
-      // Legacy lossless-fabric mode: wait until the reply or shutdown, in
-      // bounded slices so this thread always holds a deadline.
-      for (;;) {
-        auto reply = fabric_->RecvFor(self_, PsTags::kReply, 0.05);
-        if (reply.has_value()) return parse(*reply);
-        if (fabric_->IsClosed(self_)) return std::nullopt;
+    // Exponential backoff: t, 2t, 4t, ... per attempt; each shard reply
+    // renews the window (the stripe is making progress).
+    const double backoff = static_cast<double>(std::uint64_t{1} << attempt);
+    const double timeout = until_shutdown ? 0.05 : retry_timeout_s_ * backoff;
+    while (got < shards_) {
+      auto reply = fabric_->RecvFor(self_, PsTags::kReply, timeout);
+      if (reply.has_value()) {
+        accept(*reply);
+      } else if (fabric_->IsClosed(self_)) {
+        return std::nullopt;
+      } else if (!until_shutdown) {
+        break;
       }
     }
-    // Exponential backoff: t, 2t, 4t, ... per attempt.
-    const double timeout =
-        retry_timeout_s_ * static_cast<double>(std::uint64_t{1} << attempt);
-    auto reply = fabric_->RecvFor(self_, PsTags::kReply, timeout);
-    if (reply.has_value()) return parse(*reply);
-    if (fabric_->IsClosed(self_)) return std::nullopt;
+    if (got == shards_) return out;
   }
   obs::CountMetric("ps.call_failures");
   return std::nullopt;
 }
 
-std::vector<float> PsClient::Call(std::span<const float> values,
-                                  ApplyMode mode, bool want_reply) {
-  auto result = TryCall(values, mode, want_reply);
-  RNA_CHECK_MSG(result.has_value(),
-                "PS call failed: fabric shut down or retry budget exhausted");
-  return std::move(*result);
-}
-
 void PsClient::Push(std::span<const float> values, ApplyMode mode) {
   RNA_CHECK_MSG(!values.empty(), "Push requires a payload");
-  Call(values, mode, /*want_reply=*/false);
-}
-
-std::vector<float> PsClient::Pull() {
-  return Call({}, ApplyMode::kAssign, /*want_reply=*/true);
+  TryCall(values, mode, /*want_reply=*/false);
 }
 
 std::optional<std::vector<float>> PsClient::TryPull() {
   return TryCall({}, ApplyMode::kAssign, /*want_reply=*/true);
-}
-
-std::vector<float> PsClient::PushPull(std::span<const float> values,
-                                      ApplyMode mode) {
-  RNA_CHECK_MSG(!values.empty(), "PushPull requires a payload");
-  return Call(values, mode, /*want_reply=*/true);
 }
 
 std::optional<std::vector<float>> PsClient::TryPushPull(

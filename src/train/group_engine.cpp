@@ -16,7 +16,6 @@
 #include "rna/obs/metrics.hpp"
 #include "rna/obs/trace.hpp"
 #include "rna/ps/server.hpp"
-#include "rna/ps/sharded.hpp"
 #include "rna/train/fault.hpp"
 #include "rna/train/membership.hpp"
 #include "rna/train/monitor.hpp"
@@ -70,7 +69,7 @@ class FullPolicy final : public TriggerPolicy {
 // leaf node, and every non-root node periodically folds its state into its
 // parent, so no endpoint serves more than ps_fan_in direct children. Each
 // node is range-sharded into independent servers that leaders stripe
-// push/pulls across (ShardedPsClient). Groups never barrier against each
+// push/pulls across (ps::PsClient). Groups never barrier against each
 // other: the PS serves them in arrival order, which is what defuses the
 // deterministic slowdown that defeats purely probabilistic approaches.
 // Under lockstep a RoundRobinGate serializes the leaders' syncs into
@@ -93,8 +92,8 @@ class PsLayer {
     const std::size_t dim = init.size();
     for (std::size_t node = 0; node < tree_.nodes.size(); ++node) {
       for (std::size_t s = 0; s < shards_; ++s) {
-        const auto begin = init.begin() + ShardBegin(dim, shards_, s);
-        const auto end = init.begin() + ShardEnd(dim, shards_, s);
+        const auto begin = init.begin() + ps::ShardFirst(dim, shards_, s);
+        const auto end = init.begin() + ps::ShardLast(dim, shards_, s);
         auto server = std::make_unique<ps::ParameterServer>(
             fabric, RankOf(node, s), std::vector<float>(begin, end));
         const std::size_t parent = tree_.nodes[node].parent;
@@ -122,10 +121,10 @@ class PsLayer {
   PsLayer& operator=(const PsLayer&) = delete;
 
   /// Rank `self`'s client for its group's leaf node.
-  ps::ShardedPsClient Client(net::Rank self, std::size_t group,
-                             std::size_t dim) const {
-    ps::ShardedPsClient client(fabric_, self,
-                               RankOf(tree_.leaf_of[group], 0), shards_, dim);
+  ps::PsClient Client(net::Rank self, std::size_t group,
+                      std::size_t dim) const {
+    ps::PsClient client(fabric_, self, RankOf(tree_.leaf_of[group], 0),
+                        shards_, dim);
     if (config_.fault.Enabled()) {
       client.ConfigureRetry(config_.fault.retry_budget,
                             config_.fault.retry_timeout_s);
@@ -137,7 +136,7 @@ class PsLayer {
   /// node's shards and replace it with the running average pulled back.
   /// An exhausted retry budget keeps the local group model, which the next
   /// sync folds in.
-  void Sync(std::size_t group, ps::ShardedPsClient& client,
+  void Sync(std::size_t group, ps::PsClient& client,
             std::vector<float>& params) {
     const bool lockstep = config_.lockstep;
     if (lockstep) {
@@ -321,7 +320,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
       // hot loop never reallocates it.
       collectives::ErrorFeedback feedback;
       feedback.EnsureSize(dim + 1);
-      std::optional<ps::ShardedPsClient> ps_client;
+      std::optional<ps::PsClient> ps_client;
       if (ps) ps_client.emplace(ps->Client(w, g, dim));
       bool died = false;  // fail-stop exit, distinct from session end
       bool left = false;  // clean elastic departure, also not session end
@@ -345,7 +344,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
           }
         }
         if (!go.has_value()) {
-          died = faulty && !faults.Alive(w);  // killed from the compute side
+          died = !faults.Alive(w);  // killed from the compute side
           break;
         }
         std::optional<RoundPlan> plan = RoundPlan::Decode(go->meta,
@@ -372,7 +371,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
           died = true;
           break;
         }
-        if (faulty && !faults.Alive(w)) {
+        if (!faults.Alive(w)) {
           died = true;  // compute-side crash already announced the goodbye
           break;
         }
@@ -429,7 +428,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
 
         // Sweep stale chunks of earlier (possibly aborted) rounds so they
         // can never alias this round's unique tag ranges.
-        if (faulty && round > 0) {
+        if (round > 0) {
           fabric.Purge(w, tags::kRingBase, tags::RingTag(round) - 1);
           fabric.Purge(w, tags::kGroupCastBase,
                        tags::GroupCastTag(round) - 1);
@@ -611,8 +610,8 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
           }
           if (token->meta.empty() || token->meta[0] < 0) return;
           if (!faults.Alive(w)) return;
-          if (faulty && faults.BeforeIteration(w, workers[w]->Iterations()) ==
-                            IterationFate::kCrash) {
+          if (faults.BeforeIteration(w, workers[w]->Iterations()) ==
+              IterationFate::kCrash) {
             crash_now(token->meta[0]);
             return;
           }
@@ -626,13 +625,11 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
       // Free-running: the paper's wall-clock-raced schedule. See the
       // engine-wide comment on board symmetry in stage.hpp.
       while (!global_stop.load(std::memory_order_relaxed)) {
-        if (faulty) {
-          if (!faults.Alive(w)) return;
-          if (faults.BeforeIteration(w, workers[w]->Iterations()) ==
-              IterationFate::kCrash) {
-            crash_now(-1);
-            return;
-          }
+        if (!faults.Alive(w)) return;
+        if (faults.BeforeIteration(w, workers[w]->Iterations()) ==
+            IterationFate::kCrash) {
+          crash_now(-1);
+          return;
         }
         seen = board.ReadIfNewer(seen, &params);
         workers[w]->ComputeGradient(params, grad);
@@ -722,8 +719,9 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
       // session ended first, and honoring it here would make the number of
       // rounds (and so the batch accounting) of the remaining groups depend
       // on cross-group thread timing. The monitor's `stop` still ends the
-      // loop; faulty runs keep the abort path. A lone group cannot see
-      // global_stop before its own exit broadcast under lossless lockstep.
+      // loop; fault-injected runs keep the abort path. A lone group cannot
+      // see global_stop before its own exit broadcast under lossless
+      // lockstep.
       const bool lossless_lockstep = lockstep && !faulty;
       auto session_over = [&] {
         return stop.load() || (!lossless_lockstep && global_stop.load());
@@ -828,16 +826,14 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
                 readiness.Add(slot(note->src), 1);
               }
             }
-            if (faulty) {
-              while (auto bye = fabric.TryRecv(self, tags::kGoodbye)) {
-                note_goodbye(bye->src, round);
-              }
-              // A hung worker's late report from an earlier round.
-              while (auto late = fabric.TryRecv(self, tags::kRoundEnd)) {
-                account(late->src, decode_report(*late));
-              }
-              if (directory.ActiveCount() == 0) break;
+            while (auto bye = fabric.TryRecv(self, tags::kGoodbye)) {
+              note_goodbye(bye->src, round);
             }
+            // A hung worker's late report from an earlier round.
+            while (auto late = fabric.TryRecv(self, tags::kRoundEnd)) {
+              account(late->src, decode_report(*late));
+            }
+            if (directory.ActiveCount() == 0) break;
             if (policy->ShouldTrigger(readiness)) break;
             if (faulty &&
                 probe_timer.Elapsed() - election_start >

@@ -81,10 +81,4 @@ struct PsTree {
 /// classic single-node layout where every leader talks to the root.
 PsTree BuildPsTree(std::size_t num_groups, std::size_t fan_in);
 
-/// Contiguous parameter-range shard boundaries: shard `s` of `shards` owns
-/// [ShardBegin, ShardEnd) of a `dim`-float model; the first dim % shards
-/// shards are one element larger.
-std::size_t ShardBegin(std::size_t dim, std::size_t shards, std::size_t s);
-std::size_t ShardEnd(std::size_t dim, std::size_t shards, std::size_t s);
-
 }  // namespace rna::train

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "rna/common/check.hpp"
-#include "rna/ps/sharded.hpp"
 
 namespace rna::train {
 
@@ -85,18 +84,6 @@ PsTree BuildPsTree(std::size_t num_groups, std::size_t fan_in) {
     tree.nodes[leaf].leaf_groups.push_back(g);
   }
   return tree;
-}
-
-std::size_t ShardBegin(std::size_t dim, std::size_t shards, std::size_t s) {
-  RNA_CHECK(shards >= 1 && s < shards);
-  // Delegates to the PS client's shard arithmetic so the engine's slice
-  // bounds and the wire protocol can never drift apart.
-  return ps::ShardFirst(dim, shards, s);
-}
-
-std::size_t ShardEnd(std::size_t dim, std::size_t shards, std::size_t s) {
-  RNA_CHECK(shards >= 1 && s < shards);
-  return ps::ShardLast(dim, shards, s);
 }
 
 }  // namespace rna::train

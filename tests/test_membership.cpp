@@ -16,7 +16,6 @@
 
 #include "rna/common/rng.hpp"
 #include "rna/core/rna.hpp"
-#include "rna/ps/sharded.hpp"
 #include "rna/train/membership.hpp"
 #include "rna/train/round_plan.hpp"
 #include "rna/train/sharding.hpp"
@@ -453,30 +452,6 @@ TEST_P(PsTreeFuzz, BoundedFanInSingleRootParentsFirst) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PsTreeFuzz, ::testing::Range(1, 25));
-
-// ------------------------------------------------------------------ shards
-
-TEST(Sharding, RangesPartitionTheModel) {
-  for (const std::size_t dim : {1u, 7u, 64u, 1000u}) {
-    for (std::size_t shards = 1; shards <= std::min<std::size_t>(dim, 9);
-         ++shards) {
-      std::size_t covered = 0;
-      for (std::size_t s = 0; s < shards; ++s) {
-        const std::size_t begin = ShardBegin(dim, shards, s);
-        const std::size_t end = ShardEnd(dim, shards, s);
-        EXPECT_EQ(begin, covered) << "ranges must be contiguous";
-        EXPECT_GE(end, begin + dim / shards);
-        EXPECT_LE(end - begin, dim / shards + 1);
-        // The engine's slice bounds and the PS client's wire slicing must
-        // agree exactly.
-        EXPECT_EQ(begin, ps::ShardFirst(dim, shards, s));
-        EXPECT_EQ(end, ps::ShardLast(dim, shards, s));
-        covered = end;
-      }
-      EXPECT_EQ(covered, dim);
-    }
-  }
-}
 
 // -------------------------------------------------------------------- tags
 

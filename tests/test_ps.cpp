@@ -1,16 +1,20 @@
 // Tests for the ps-lite-style parameter server: apply modes, push/pull
-// round trips, versioning, concurrent clients, clean shutdown — plus the
-// scale-out layer: range-sharded servers behind ShardedPsClient and
-// parent-folding in the recursive PS tree.
+// round trips, concurrent clients, clean shutdown — plus the scale-out
+// layer (range-sharded servers striped by one PsClient, parent-folding in
+// the recursive PS tree), the one-shard request frame, and the client's
+// retry loop against a scripted server.
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <memory>
+#include <string_view>
 #include <thread>
 
+#include "rna/common/clock.hpp"
 #include "rna/net/fabric.hpp"
+#include "rna/obs/session.hpp"
 #include "rna/ps/server.hpp"
-#include "rna/ps/sharded.hpp"
 
 namespace rna::ps {
 namespace {
@@ -19,9 +23,8 @@ TEST(ParameterServer, PullReturnsInitialState) {
   net::Fabric fabric(3);
   ParameterServer server(fabric, 2, {1.0f, 2.0f, 3.0f});
   server.Start();
-  PsClient client(fabric, 0, 2);
-  const auto state = client.Pull();
-  EXPECT_EQ(state, (std::vector<float>{1.0f, 2.0f, 3.0f}));
+  PsClient client(fabric, 0, 2, /*shards=*/1, /*dim=*/3);
+  EXPECT_EQ(client.TryPull().value(), (std::vector<float>{1.0f, 2.0f, 3.0f}));
   server.Stop();
 }
 
@@ -29,9 +32,9 @@ TEST(ParameterServer, PushAssignReplacesState) {
   net::Fabric fabric(2);
   ParameterServer server(fabric, 1, {0.0f, 0.0f});
   server.Start();
-  PsClient client(fabric, 0, 1);
+  PsClient client(fabric, 0, 1, 1, 2);
   client.Push(std::vector<float>{5.0f, 6.0f}, ApplyMode::kAssign);
-  EXPECT_EQ(client.Pull(), (std::vector<float>{5.0f, 6.0f}));
+  EXPECT_EQ(client.TryPull().value(), (std::vector<float>{5.0f, 6.0f}));
   server.Stop();
 }
 
@@ -39,10 +42,10 @@ TEST(ParameterServer, PushAddDeltaAccumulates) {
   net::Fabric fabric(2);
   ParameterServer server(fabric, 1, {1.0f});
   server.Start();
-  PsClient client(fabric, 0, 1);
+  PsClient client(fabric, 0, 1, 1, 1);
   client.Push(std::vector<float>{2.0f}, ApplyMode::kAddDelta);
   client.Push(std::vector<float>{3.0f}, ApplyMode::kAddDelta);
-  EXPECT_EQ(client.Pull(), (std::vector<float>{6.0f}));
+  EXPECT_EQ(client.TryPull().value(), (std::vector<float>{6.0f}));
   server.Stop();
 }
 
@@ -52,27 +55,13 @@ TEST(ParameterServer, PushPullAveragesAtomically) {
   net::Fabric fabric(2);
   ParameterServer server(fabric, 1, {0.0f});
   server.Start();
-  PsClient client(fabric, 0, 1);
-  const auto first = client.PushPull(std::vector<float>{8.0f},
-                                     ApplyMode::kAverage);
-  EXPECT_EQ(first, (std::vector<float>{4.0f}));  // (0+8)/2
-  const auto second = client.PushPull(std::vector<float>{4.0f},
-                                      ApplyMode::kAverage);
-  EXPECT_EQ(second, (std::vector<float>{4.0f}));  // (4+4)/2
-  server.Stop();
-}
-
-TEST(ParameterServer, VersionIncrementsOnWrites) {
-  net::Fabric fabric(2);
-  ParameterServer server(fabric, 1, {0.0f});
-  server.Start();
-  PsClient client(fabric, 0, 1);
-  client.Pull();
-  EXPECT_EQ(client.LastVersion(), 0);
-  client.PushPull(std::vector<float>{1.0f}, ApplyMode::kAssign);
-  EXPECT_EQ(client.LastVersion(), 1);
-  client.PushPull(std::vector<float>{1.0f}, ApplyMode::kAssign);
-  EXPECT_EQ(client.LastVersion(), 2);
+  PsClient client(fabric, 0, 1, 1, 1);
+  const auto first =
+      client.TryPushPull(std::vector<float>{8.0f}, ApplyMode::kAverage);
+  EXPECT_EQ(first.value(), (std::vector<float>{4.0f}));  // (0+8)/2
+  const auto second =
+      client.TryPushPull(std::vector<float>{4.0f}, ApplyMode::kAverage);
+  EXPECT_EQ(second.value(), (std::vector<float>{4.0f}));  // (4+4)/2
   server.Stop();
 }
 
@@ -80,11 +69,12 @@ TEST(ParameterServer, MixedModesCompose) {
   net::Fabric fabric(2);
   ParameterServer server(fabric, 1, {2.0f});
   server.Start();
-  PsClient client(fabric, 0, 1);
+  PsClient client(fabric, 0, 1, 1, 1);
   client.Push(std::vector<float>{4.0f}, ApplyMode::kAverage);   // (2+4)/2 = 3
   client.Push(std::vector<float>{1.0f}, ApplyMode::kAddDelta);  // 4
-  EXPECT_EQ(client.PushPull(std::vector<float>{0.0f}, ApplyMode::kAverage),
-            (std::vector<float>{2.0f}));  // (4+0)/2
+  EXPECT_EQ(
+      client.TryPushPull(std::vector<float>{0.0f}, ApplyMode::kAverage).value(),
+      (std::vector<float>{2.0f}));  // (4+0)/2
   server.Stop();
 }
 
@@ -96,15 +86,17 @@ TEST(ParameterServer, ConcurrentClientsAllServed) {
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
-      PsClient client(fabric, c, clients);
+      PsClient client(fabric, c, clients, 1, 1);
       for (int i = 0; i < 50; ++i) {
-        client.PushPull(std::vector<float>{1.0f}, ApplyMode::kAddDelta);
+        EXPECT_TRUE(
+            client.TryPushPull(std::vector<float>{1.0f}, ApplyMode::kAddDelta)
+                .has_value());
       }
     });
   }
   for (auto& t : threads) t.join();
-  PsClient reader(fabric, 0, clients);
-  EXPECT_EQ(reader.Pull()[0], 300.0f);  // 6 clients × 50 increments
+  PsClient reader(fabric, 0, clients, 1, 1);
+  EXPECT_EQ(reader.TryPull().value()[0], 300.0f);  // 6 clients × 50 increments
   EXPECT_GE(server.RequestsServed(), 301u);
   server.Stop();
 }
@@ -113,10 +105,10 @@ TEST(ParameterServer, SnapshotMatchesPull) {
   net::Fabric fabric(2);
   ParameterServer server(fabric, 1, {1.5f, 2.5f});
   server.Start();
-  PsClient client(fabric, 0, 1);
+  PsClient client(fabric, 0, 1, 1, 2);
   client.Push(std::vector<float>{1.0f, 1.0f}, ApplyMode::kAddDelta);
-  const auto pulled = client.Pull();  // serializes behind the Push
-  EXPECT_EQ(pulled, server.Snapshot());
+  const auto pulled = client.TryPull();  // serializes behind the Push
+  EXPECT_EQ(pulled.value(), server.Snapshot());
   server.Stop();
 }
 
@@ -132,11 +124,11 @@ TEST(ParameterServer, RestartAfterStop) {
   net::Fabric fabric(2);
   ParameterServer server(fabric, 1, {0.0f});
   server.Start();
-  PsClient client(fabric, 0, 1);
+  PsClient client(fabric, 0, 1, 1, 1);
   client.Push(std::vector<float>{3.0f}, ApplyMode::kAssign);
   server.Stop();
   server.Start();
-  EXPECT_EQ(client.Pull(), (std::vector<float>{3.0f}));
+  EXPECT_EQ(client.TryPull().value(), (std::vector<float>{3.0f}));
   server.Stop();
 }
 
@@ -178,21 +170,6 @@ std::vector<std::unique_ptr<ParameterServer>> StartShardBank(
   return servers;
 }
 
-TEST(ShardedPs, SingleShardMatchesPlainClientExactly) {
-  // S = 1 must stay byte-identical to PsClient on the wire: one server,
-  // two clients, interleaved writes observe each other.
-  net::Fabric fabric(3);
-  ParameterServer server(fabric, 2, {1.0f, 2.0f});
-  server.Start();
-  ShardedPsClient sharded(fabric, 0, 2, 1, 2);
-  PsClient plain(fabric, 1, 2);
-  sharded.Push(std::vector<float>{1.0f, 1.0f}, ApplyMode::kAddDelta);
-  EXPECT_EQ(plain.Pull(), (std::vector<float>{2.0f, 3.0f}));
-  plain.Push(std::vector<float>{0.0f, 0.0f}, ApplyMode::kAverage);
-  EXPECT_EQ(sharded.Pull(), (std::vector<float>{1.0f, 1.5f}));
-  server.Stop();
-}
-
 TEST(ShardedPs, MultiShardPushPullMatchesSinglePs) {
   // Equivalence oracle: the same op sequence against a 4-shard bank and
   // one full-dim server must produce identical states throughout.
@@ -205,8 +182,8 @@ TEST(ShardedPs, MultiShardPushPullMatchesSinglePs) {
   auto bank = StartShardBank(fabric, 2, init, kShards);
   ParameterServer reference(fabric, 2 + kShards, init);
   reference.Start();
-  ShardedPsClient sharded(fabric, 0, 2, kShards, kDim);
-  PsClient plain(fabric, 1, 2 + kShards);
+  PsClient sharded(fabric, 0, 2, kShards, kDim);
+  PsClient plain(fabric, 1, 2 + kShards, 1, kDim);
 
   const ApplyMode modes[] = {ApplyMode::kAddDelta, ApplyMode::kAverage,
                              ApplyMode::kAssign, ApplyMode::kAverage};
@@ -215,11 +192,12 @@ TEST(ShardedPs, MultiShardPushPullMatchesSinglePs) {
     for (std::size_t i = 0; i < kDim; ++i) {
       payload[i] = static_cast<float>((op + 1) * 10 + i);
     }
-    const auto a = sharded.PushPull(payload, modes[op]);
-    const auto b = plain.PushPull(payload, modes[op]);
-    ASSERT_EQ(a, b) << "op " << op;
+    const auto a = sharded.TryPushPull(payload, modes[op]);
+    const auto b = plain.TryPushPull(payload, modes[op]);
+    ASSERT_TRUE(a.has_value() && b.has_value()) << "op " << op;
+    ASSERT_EQ(*a, *b) << "op " << op;
   }
-  EXPECT_EQ(sharded.Pull(), plain.Pull());
+  EXPECT_EQ(sharded.TryPull().value(), plain.TryPull().value());
   for (auto& s : bank) s->Stop();
   reference.Stop();
 }
@@ -235,16 +213,18 @@ TEST(ShardedPs, ConcurrentStripedClientsAllServed) {
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      ShardedPsClient client(fabric, c, kClients, kShards, kDim);
+      PsClient client(fabric, c, kClients, kShards, kDim);
       for (int i = 0; i < 25; ++i) {
-        client.PushPull(std::vector<float>(kDim, 1.0f),
-                        ApplyMode::kAddDelta);
+        EXPECT_TRUE(client
+                        .TryPushPull(std::vector<float>(kDim, 1.0f),
+                                     ApplyMode::kAddDelta)
+                        .has_value());
       }
     });
   }
   for (auto& t : threads) t.join();
-  ShardedPsClient reader(fabric, 0, kClients, kShards, kDim);
-  EXPECT_EQ(reader.Pull(), std::vector<float>(kDim, 100.0f));
+  PsClient reader(fabric, 0, kClients, kShards, kDim);
+  EXPECT_EQ(reader.TryPull().value(), std::vector<float>(kDim, 100.0f));
   for (auto& s : bank) s->Stop();
 }
 
@@ -262,13 +242,13 @@ TEST(ShardedPs, ParentSyncFoldsChildIntoParent) {
   child.ConfigureParent(1, /*sync_every=*/1);
   child.Start();
 
-  PsClient client(fabric, 0, 2);
+  PsClient client(fabric, 0, 2, 1, 1);
   // Child applies 8 -> state 8; the parent sync runs before the reply, so
   // the returned state is already root-averaged: (0+8)/2 = 4 at the root,
   // child adopts 4.
-  const auto replied = client.PushPull(std::vector<float>{8.0f},
-                                       ApplyMode::kAssign);
-  EXPECT_EQ(replied, (std::vector<float>{4.0f}));
+  const auto replied =
+      client.TryPushPull(std::vector<float>{8.0f}, ApplyMode::kAssign);
+  EXPECT_EQ(replied.value(), (std::vector<float>{4.0f}));
   EXPECT_EQ(root.Snapshot(), (std::vector<float>{4.0f}));
   EXPECT_EQ(child.Snapshot(), (std::vector<float>{4.0f}));
   child.Stop();  // children before parents
@@ -283,19 +263,199 @@ TEST(ShardedPs, ParentSyncHonorsSyncEvery) {
   child.ConfigureParent(1, /*sync_every=*/2);
   child.Start();
 
-  PsClient client(fabric, 0, 2);
+  PsClient client(fabric, 0, 2, 1, 1);
   client.Push(std::vector<float>{6.0f}, ApplyMode::kAssign);
-  EXPECT_EQ(client.Pull(), (std::vector<float>{6.0f}));
+  EXPECT_EQ(client.TryPull().value(), (std::vector<float>{6.0f}));
   EXPECT_EQ(root.Snapshot(), (std::vector<float>{0.0f}))
       << "first applied payload must not sync yet";
   // Second applied payload reaches the threshold: child (now 6) folds into
   // the root: root = (0+6)/2 = 3, child adopts 3.
   client.Push(std::vector<float>{6.0f}, ApplyMode::kAssign);
-  EXPECT_EQ(client.Pull(), (std::vector<float>{3.0f}));
+  EXPECT_EQ(client.TryPull().value(), (std::vector<float>{3.0f}));
   EXPECT_EQ(root.Snapshot(), (std::vector<float>{3.0f}));
   child.Stop();
   root.Stop();
 }
+
+// ------------------------------------------------------ scripted server
+//
+// The test thread plays the server endpoints [kFirst, kFirst + shards),
+// answering or swallowing each request by script, while the call under
+// test runs on its own thread.
+
+constexpr net::Rank kClient = 0;
+constexpr net::Rank kFirst = 1;
+constexpr std::size_t kDim = 7;
+
+// The next request at shard `s`'s endpoint.
+net::Message NextRequest(net::Fabric& fabric, std::size_t s) {
+  auto req = fabric.RecvFor(kFirst + s, PsTags::kRequest, 10.0);
+  if (!req.has_value()) {
+    ADD_FAILURE() << "no request reached shard " << s;
+    return {};
+  }
+  return std::move(*req);
+}
+
+// Shard `s` replies with its slice of `state`.
+void Answer(net::Fabric& fabric, std::size_t shards, std::size_t s,
+            const std::vector<float>& state) {
+  net::Message reply;
+  reply.tag = PsTags::kReply;
+  reply.data.assign(
+      state.begin() + static_cast<std::ptrdiff_t>(ShardFirst(kDim, shards, s)),
+      state.begin() + static_cast<std::ptrdiff_t>(ShardLast(kDim, shards, s)));
+  fabric.Send(kFirst + s, kClient, std::move(reply));
+}
+
+std::vector<float> ServerState() {
+  std::vector<float> state(kDim);
+  for (std::size_t i = 0; i < kDim; ++i) {
+    state[i] = 0.5f + static_cast<float>(i);
+  }
+  return state;
+}
+
+TEST(PsClient, OneShardCallSendsTheClassicFrame) {
+  // One shard is the single-server protocol: exactly one request to the
+  // server carrying the whole payload, and the reply payload adopted as
+  // the result without a copy.
+  net::Fabric fabric(2);
+  PsClient client(fabric, kClient, kFirst, /*shards=*/1, /*dim=*/3);
+  const std::vector<float> payload{1.0f, 2.0f, 3.0f};
+  auto push_pull = std::async(std::launch::async, [&] {
+    return client.TryPushPull(payload, ApplyMode::kAverage);
+  });
+  const net::Message req = NextRequest(fabric, 0);
+  EXPECT_EQ(req.src, kClient);
+  EXPECT_EQ(req.meta, (std::vector<std::int64_t>{
+                          static_cast<std::int64_t>(ApplyMode::kAverage), 1,
+                          1}));
+  EXPECT_EQ(req.data, payload);
+  net::Message reply;
+  reply.tag = PsTags::kReply;
+  reply.data = {7.0f, 8.0f, 9.0f};
+  const float* reply_storage = reply.data.data();
+  fabric.Send(kFirst, kClient, std::move(reply));
+  const auto pushed = push_pull.get();
+  ASSERT_TRUE(pushed.has_value());
+  EXPECT_EQ(*pushed, (std::vector<float>{7.0f, 8.0f, 9.0f}));
+  EXPECT_EQ(pushed->data(), reply_storage);
+  EXPECT_FALSE(fabric.TryRecv(kFirst, PsTags::kRequest).has_value())
+      << "a one-shard call sends exactly one request";
+
+  auto pull = std::async(std::launch::async, [&] { return client.TryPull(); });
+  const net::Message pull_req = NextRequest(fabric, 0);
+  EXPECT_EQ(pull_req.meta,
+            (std::vector<std::int64_t>{
+                static_cast<std::int64_t>(ApplyMode::kAssign), 1, 0}));
+  EXPECT_TRUE(pull_req.data.empty());
+  net::Message state;
+  state.tag = PsTags::kReply;
+  state.data = {4.0f, 5.0f, 6.0f};
+  fabric.Send(kFirst, kClient, std::move(state));
+  EXPECT_EQ(pull.get().value(), (std::vector<float>{4.0f, 5.0f, 6.0f}));
+}
+
+TEST(PsClient, RetryResendsOnlyTheMissingShard) {
+  constexpr std::size_t kShards = 3;
+  obs::Session session;
+  net::Fabric fabric(kFirst + kShards);
+  PsClient client(fabric, kClient, kFirst, kShards, kDim);
+  client.ConfigureRetry(3, 0.25);
+  const std::vector<float> state = ServerState();
+  auto pull = std::async(std::launch::async, [&] { return client.TryPull(); });
+  for (std::size_t s = 0; s < kShards; ++s) {
+    NextRequest(fabric, s);
+    if (s != 1) Answer(fabric, kShards, s, state);  // shard 1 stays silent
+  }
+  NextRequest(fabric, 1);  // the retry
+  Answer(fabric, kShards, 1, state);
+  const auto pulled = pull.get();
+  ASSERT_TRUE(pulled.has_value());
+  EXPECT_EQ(*pulled, state);
+  EXPECT_EQ(session.Metrics().CounterValue("ps.retries"), 1);
+  EXPECT_FALSE(fabric.TryRecv(kFirst + 0, PsTags::kRequest).has_value());
+  EXPECT_FALSE(fabric.TryRecv(kFirst + 2, PsTags::kRequest).has_value());
+}
+
+// The retry loop is the same for one shard and a striped bank.
+class PsRetry : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  std::size_t Shards() const { return GetParam(); }
+  std::int64_t Count(std::string_view name) const {
+    return session_.Metrics().CounterValue(name);
+  }
+
+  obs::Session session_;
+  net::Fabric fabric_{kFirst + 3};
+};
+
+TEST_P(PsRetry, SwallowedRequestIsResent) {
+  PsClient client(fabric_, kClient, kFirst, Shards(), kDim);
+  client.ConfigureRetry(3, 0.25);
+  const std::vector<float> state = ServerState();
+  auto pull = std::async(std::launch::async, [&] { return client.TryPull(); });
+  for (std::size_t s = 0; s < Shards(); ++s) NextRequest(fabric_, s);
+  for (std::size_t s = 0; s < Shards(); ++s) {
+    NextRequest(fabric_, s);
+    Answer(fabric_, Shards(), s, state);
+  }
+  const auto pulled = pull.get();
+  ASSERT_TRUE(pulled.has_value());
+  EXPECT_EQ(*pulled, state);
+  EXPECT_EQ(Count("ps.retries"), 1);
+  EXPECT_EQ(Count("ps.call_failures"), 0);
+}
+
+TEST_P(PsRetry, UnansweredCallFailsAfterTheFullBackoff) {
+  constexpr double kT = 0.02;
+  PsClient client(fabric_, kClient, kFirst, Shards(), kDim);
+  client.ConfigureRetry(3, kT);
+  const common::Stopwatch watch;
+  const auto pushed = client.TryPushPull(ServerState(), ApplyMode::kAverage);
+  const double elapsed = watch.Elapsed();
+  EXPECT_FALSE(pushed.has_value());
+  EXPECT_EQ(Count("ps.call_failures"), 1);
+  EXPECT_EQ(Count("ps.retries"), 2);
+  EXPECT_GE(elapsed, kT + 2 * kT + 4 * kT);
+  for (std::size_t s = 0; s < Shards(); ++s) {
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      EXPECT_TRUE(fabric_.TryRecv(kFirst + s, PsTags::kRequest).has_value())
+          << "shard " << s << " attempt " << attempt;
+    }
+    EXPECT_FALSE(fabric_.TryRecv(kFirst + s, PsTags::kRequest).has_value());
+  }
+}
+
+TEST_P(PsRetry, ShutdownEndsAnUnboundedWait) {
+  // Budget 1 (the default) waits until every shard answered or the fabric
+  // shut down; a shutdown returns std::nullopt instead of aborting.
+  PsClient client(fabric_, kClient, kFirst, Shards(), kDim);
+  auto push_pull = std::async(std::launch::async, [&] {
+    return client.TryPushPull(ServerState(), ApplyMode::kAverage);
+  });
+  for (std::size_t s = 0; s < Shards(); ++s) NextRequest(fabric_, s);
+  fabric_.Shutdown();
+  EXPECT_FALSE(push_pull.get().has_value());
+}
+
+TEST_P(PsRetry, StaleReplyIsDropped) {
+  PsClient client(fabric_, kClient, kFirst, Shards(), kDim);
+  // A reply left over from an earlier, retried call.
+  Answer(fabric_, Shards(), 0, std::vector<float>(kDim, -1.0f));
+  const std::vector<float> state = ServerState();
+  auto pull = std::async(std::launch::async, [&] { return client.TryPull(); });
+  for (std::size_t s = 0; s < Shards(); ++s) {
+    NextRequest(fabric_, s);
+    Answer(fabric_, Shards(), s, state);
+  }
+  EXPECT_EQ(pull.get().value(), state);
+  EXPECT_EQ(Count("ps.stale_replies_dropped"), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, PsRetry,
+                         ::testing::Values(std::size_t{1}, std::size_t{3}));
 
 }  // namespace
 }  // namespace rna::ps

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -290,18 +291,20 @@ TEST(RaceStress, PsConcurrentPushPull) {
   std::atomic<int> atomicity_violations{0};
   for (std::size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      ps::PsClient client(fabric, static_cast<net::Rank>(c), server_rank);
+      ps::PsClient client(fabric, static_cast<net::Rank>(c), server_rank,
+                          /*shards=*/1, kDim);
       const std::vector<float> ones(kDim, 1.0f);
       for (int i = 0; i < kPushesPerClient; ++i) {
-        std::vector<float> state;
+        std::optional<std::vector<float>> state;
         if (i % 3 == 0) {
-          state = client.PushPull(ones, ps::ApplyMode::kAddDelta);
+          state = client.TryPushPull(ones, ps::ApplyMode::kAddDelta);
         } else {
           client.Push(ones, ps::ApplyMode::kAddDelta);
-          state = client.Pull();
+          state = client.TryPull();
         }
-        for (std::size_t d = 1; d < state.size(); ++d) {
-          if (state[d] != state[0]) {
+        ASSERT_TRUE(state.has_value());
+        for (std::size_t d = 1; d < state->size(); ++d) {
+          if ((*state)[d] != (*state)[0]) {
             atomicity_violations.fetch_add(1);
             break;
           }
