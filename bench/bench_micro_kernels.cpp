@@ -1,8 +1,8 @@
 // Microbenchmarks for the compute kernels underlying the training
 // substrate: matmul variants, LSTM step cost vs sequence length (the
 // physical basis of Figure 2's imbalance), attention cost vs length, and
-// the vectorized data-plane kernels (rna/common/simd.hpp) against their
-// scalar references.
+// the vectorized data-plane and activation kernels (rna/common/simd.hpp)
+// against their scalar references.
 //
 // Two modes (same contract as bench_micro_fabric):
 //   (default)            google-benchmark sweep.
@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -96,20 +97,64 @@ void BM_SimdWeightedAccumulate(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdWeightedAccumulate)->Args({1 << 16, 0})->Args({1 << 16, 1});
 
-/// LSTM forward+backward cost as a function of sequence length — linear,
-/// which is exactly the inherent-imbalance mechanism of Figure 2(b).
+/// Activation inputs spread over [-8, 8): the range LSTM gates see.
+std::vector<float> ActivationInputs(std::size_t n) {
+  std::vector<float> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = -8.0f + 16.0f * static_cast<float>(i) / static_cast<float>(n);
+  }
+  return x;
+}
+
+/// The activation kernels, wide (kAuto) vs scalar reference, like
+/// RunKernelBench.
+template <typename Kernel>
+void RunActivationBench(benchmark::State& state, Kernel&& kernel) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  common::simd::SetDispatch(state.range(1) == 0
+                                ? common::simd::Dispatch::kAuto
+                                : common::simd::Dispatch::kScalar);
+  const std::vector<float> x = ActivationInputs(n);
+  std::vector<float> y(n);
+  for (auto _ : state) {
+    kernel(x.data(), y.data(), n);
+    benchmark::DoNotOptimize(y.data());
+  }
+  common::simd::SetDispatch(common::simd::Dispatch::kAuto);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+void BM_SimdSigmoid(benchmark::State& state) {
+  RunActivationBench(state, [](const float* x, float* y, std::size_t n) {
+    common::simd::Sigmoid(x, y, n);
+  });
+}
+BENCHMARK(BM_SimdSigmoid)->Args({1 << 12, 0})->Args({1 << 12, 1});
+
+void BM_SimdTanh(benchmark::State& state) {
+  RunActivationBench(state, [](const float* x, float* y, std::size_t n) {
+    common::simd::Tanh(x, y, n);
+  });
+}
+BENCHMARK(BM_SimdTanh)->Args({1 << 12, 0})->Args({1 << 12, 1});
+
+/// LSTM forward+backward cost of one sequence as a function of its length —
+/// linear, which is exactly the inherent-imbalance mechanism of Figure 2(b).
 void BM_LstmSequence(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));
   common::Rng rng(2);
   nn::LstmLayer lstm(8, 32, rng);
   tensor::Tensor x({len, 8});
   for (auto& v : x.Flat()) v = static_cast<float>(rng.Normal(0, 1));
-  tensor::Tensor dh({1, 32});
-  dh.Fill(0.01f);
+  const nn::SequencePack pack(std::span<const tensor::Tensor>(&x, 1));
+  tensor::Tensor dh_last({1, 32});
+  dh_last.Fill(0.01f);
+  const tensor::Tensor dh = pack.ScatterLast(dh_last);
   for (auto _ : state) {
-    tensor::Tensor h = lstm.Forward(x);
+    tensor::Tensor h = lstm.Forward(pack, pack.Inputs());
     benchmark::DoNotOptimize(h.Data());
-    tensor::Tensor dx = lstm.Backward(dh);
+    tensor::Tensor dx = lstm.Backward(pack, dh, /*input_grad=*/true);
     benchmark::DoNotOptimize(dx.Data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -172,6 +217,51 @@ benchutil::BenchRow KernelRow(const std::string& label, Kernel&& kernel) {
   return row;
 }
 
+/// Elements per second of one activation over 64K inputs. `kernel` is
+/// called with (x, y, n); the dispatch applies to the simd kernels only.
+template <typename Kernel>
+double MeasureActivationRate(common::simd::Dispatch dispatch,
+                             Kernel&& kernel) {
+  constexpr std::size_t kElems = 1u << 16;
+  constexpr int kWarmup = 5;
+  constexpr int kIters = 200;
+  common::simd::SetDispatch(dispatch);
+  const std::vector<float> x = ActivationInputs(kElems);
+  std::vector<float> y(kElems);
+  for (int i = 0; i < kWarmup; ++i) kernel(x.data(), y.data(), kElems);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kIters; ++i) kernel(x.data(), y.data(), kElems);
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  common::simd::SetDispatch(common::simd::Dispatch::kAuto);
+  return static_cast<double>(kElems) * kIters / secs;
+}
+
+/// Wide vs scalar rate of one activation kernel, with the libm float
+/// formula it replaces as an informational ns/element reference.
+template <typename Kernel, typename Libm>
+benchutil::BenchRow ActivationRow(const std::string& label, Kernel&& kernel,
+                                  Libm&& libm) {
+  benchutil::BenchRow row;
+  row.label = label;
+  const double wide = MeasureActivationRate(common::simd::Dispatch::kAuto,
+                                            kernel);
+  const double narrow =
+      MeasureActivationRate(common::simd::Dispatch::kScalar, kernel);
+  const double reference = MeasureActivationRate(
+      common::simd::Dispatch::kAuto,
+      [&](const float* x, float* y, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) y[i] = libm(x[i]);
+      });
+  row.values["elems_auto_per_s"] = wide;
+  row.values["elems_scalar_per_s"] = narrow;
+  row.values["speedup"] = wide / narrow;
+  row.values["ns_per_elem_auto"] = 1e9 / wide;
+  row.values["ns_per_elem_libm"] = 1e9 / reference;
+  return row;
+}
+
 int JsonMain(const std::string& path) {
   std::vector<benchutil::BenchRow> rows;
   rows.push_back(
@@ -194,6 +284,18 @@ int JsonMain(const std::string& path) {
                                      std::span<const float> s) {
         common::simd::ScaledCopy(d, s, 0.25f);
       }));
+  rows.push_back(ActivationRow(
+      "sigmoid_64k",
+      [](const float* x, float* y, std::size_t n) {
+        common::simd::Sigmoid(x, y, n);
+      },
+      [](float v) { return 1.0f / (1.0f + std::exp(-v)); }));
+  rows.push_back(ActivationRow(
+      "tanh_64k",
+      [](const float* x, float* y, std::size_t n) {
+        common::simd::Tanh(x, y, n);
+      },
+      [](float v) { return std::tanh(v); }));
   benchutil::WriteBenchJson(path, "micro_kernels", rows);
   for (const auto& row : rows) {
     std::printf("%-24s", row.label.c_str());

@@ -1,6 +1,7 @@
 // Microbenchmarks for the arena-allocated compute plane: blocked matmul
-// kernels (vectorized vs scalar dispatch) and whole train-step throughput
-// for every model family, with the steady-state heap-allocation count
+// kernels (vectorized vs scalar dispatch), whole train-step throughput for
+// every model family plus the perfbench lstm-imbalance shape, and that
+// shape's 96-sample evaluation, with the steady-state heap-allocation count
 // measured directly (this binary replaces global operator new/delete with
 // counting versions, the same technique as tests/test_arena.cpp).
 //
@@ -15,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -22,11 +24,15 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
 #include "rna/common/rng.hpp"
 #include "rna/common/simd.hpp"
+#include "rna/data/batch_generator.hpp"
+#include "rna/data/generators.hpp"
+#include "rna/data/shard_view.hpp"
 #include "rna/nn/network.hpp"
 #include "rna/nn/optimizer.hpp"
 #include "rna/tensor/tensor.hpp"
@@ -77,7 +83,17 @@ namespace {
 
 // ------------------------------------------------------------ workloads
 
+/// The perfbench lstm-imbalance task: 6-dim length-bucketed Figure 2(a)
+/// sequences (VideoLengths(16)), split 80/20 into train and validation.
+std::pair<data::Dataset, data::Dataset> LstmImbalanceData() {
+  return data::MakeSequenceDataset(960, 6, 6, data::VideoLengths(16.0), 1.2, 5)
+      .SplitHoldout(0.2);
+}
+
 std::unique_ptr<nn::Network> MakeModel(const std::string& kind) {
+  if (kind == "lstm_imbalance") {
+    return std::make_unique<nn::LstmClassifier>(6, 16, 6, 7, 0.0);
+  }
   if (kind == "mlp") {
     return std::make_unique<nn::MlpClassifier>(
         std::vector<std::size_t>{64, 128, 10}, 7);
@@ -113,11 +129,27 @@ nn::Batch MakeBatchFor(const std::string& kind) {
   return b;
 }
 
+/// The batches one TrainLoop cycles through: one fixed batch, except the
+/// lstm-imbalance shape, which cycles 64 length-bucketed batches of 8 so
+/// the per-step cost follows the workload's length mix.
+std::vector<nn::Batch> MakeBatchesFor(const std::string& kind) {
+  if (kind != "lstm_imbalance") return {MakeBatchFor(kind)};
+  const data::Dataset train = LstmImbalanceData().first;
+  data::BatchGenerator gen(data::ShardView::All(train),
+                           {.batch_size = 8,
+                            .seed = 1,
+                            .mode = data::SamplingMode::kLengthBucketed,
+                            .prefetch_depth = 0});
+  std::vector<nn::Batch> batches;
+  for (int i = 0; i < 64; ++i) batches.push_back(gen.Next());
+  return batches;
+}
+
 /// One full training iteration on the flat staging-buffer path — the same
 /// sequence every synchronization protocol drives per step.
 struct TrainLoop {
   explicit TrainLoop(const std::string& kind)
-      : net(MakeModel(kind)), batch(MakeBatchFor(kind)) {
+      : net(MakeModel(kind)), batches(MakeBatchesFor(kind)) {
     const std::size_t dim = net->ParamCount();
     params.resize(dim);
     grad.resize(dim);
@@ -127,19 +159,21 @@ struct TrainLoop {
 
   void Step() {
     net->SetParamsFrom(params);
-    net->ForwardBackward(batch);
+    net->ForwardBackward(batches[next]);
+    next = (next + 1) % batches.size();
     net->CopyGradsTo(grad);
     opt->Step(params, grad);
   }
 
   std::unique_ptr<nn::Network> net;
-  nn::Batch batch;
+  std::vector<nn::Batch> batches;
+  std::size_t next = 0;
   std::vector<float> params, grad;
   std::unique_ptr<nn::SgdMomentum> opt;
 };
 
-const char* kModelKinds[] = {"mlp", "lstm", "deep-lstm", "transformer",
-                             "attention"};
+const char* kModelKinds[] = {"mlp",         "lstm",      "deep-lstm",
+                             "transformer", "attention", "lstm_imbalance"};
 
 // ------------------------------------------- google-benchmark sweep mode
 
@@ -152,7 +186,7 @@ void BM_TrainStep(benchmark::State& state) {
   }
   state.SetLabel(kModelKinds[state.range(0)]);
 }
-BENCHMARK(BM_TrainStep)->DenseRange(0, 4);
+BENCHMARK(BM_TrainStep)->DenseRange(0, 5);
 
 void BM_BlockedMatMul(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -216,29 +250,63 @@ benchutil::BenchRow MatMulRow(const std::string& label, std::size_t n,
 }
 
 benchutil::BenchRow TrainStepRow(const std::string& kind) {
-  constexpr int kWarmup = 3;
-  constexpr int kIters = 30;
   benchutil::BenchRow row;
   row.label = "train_step_" + kind;
   TrainLoop loop(kind);
-  for (int i = 0; i < kWarmup; ++i) loop.Step();
+  // Warm up over every batch once, so the arena has seen the largest one.
+  const std::size_t warmup = std::max<std::size_t>(3, loop.batches.size());
+  const std::size_t iters = std::max<std::size_t>(30, loop.batches.size());
+  for (std::size_t i = 0; i < warmup; ++i) loop.Step();
 
   const std::size_t heap_before =
       g_heap_allocs.load(std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kIters; ++i) loop.Step();
+  for (std::size_t i = 0; i < iters; ++i) loop.Step();
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   const std::size_t heap_delta =
       g_heap_allocs.load(std::memory_order_relaxed) - heap_before;
 
-  row.values["steps_per_s"] = kIters / secs;
+  row.values["steps_per_s"] = static_cast<double>(iters) / secs;
   // Total heap allocations across all measured steps — the gate pins this
   // to an absolute ceiling of zero.
   row.values["steady_heap_allocs"] = static_cast<double>(heap_delta);
   row.values["arena_high_water_kb"] =
       static_cast<double>(loop.net->ComputeArena().Stats().short_high_water) /
+      1024.0;
+  return row;
+}
+
+/// Evaluate on the monitor's 96-sample validation subsample of the
+/// lstm-imbalance task (the forward-only path of every eval tick).
+benchutil::BenchRow EvalLstmRow() {
+  constexpr int kWarmup = 3;
+  constexpr int kIters = 30;
+  benchutil::BenchRow row;
+  row.label = "eval_lstm_96";
+  const data::Dataset val = LstmImbalanceData().second;
+  common::Rng rng(3);
+  std::vector<std::size_t> indices(96);
+  for (auto& i : indices) i = rng.UniformInt(val.Size());
+  const nn::Batch batch = val.MakeBatch(indices);
+  auto net = MakeModel("lstm_imbalance");
+  for (int i = 0; i < kWarmup; ++i) net->Evaluate(batch);
+
+  const std::size_t heap_before =
+      g_heap_allocs.load(std::memory_order_relaxed);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kIters; ++i) net->Evaluate(batch);
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  const std::size_t heap_delta =
+      g_heap_allocs.load(std::memory_order_relaxed) - heap_before;
+
+  row.values["evals_per_s"] = kIters / secs;
+  row.values["steady_heap_allocs"] = static_cast<double>(heap_delta);
+  row.values["arena_high_water_kb"] =
+      static_cast<double>(net->ComputeArena().Stats().short_high_water) /
       1024.0;
   return row;
 }
@@ -267,6 +335,7 @@ int JsonMain(const std::string& path) {
   for (const char* kind : kModelKinds) {
     rows.push_back(TrainStepRow(kind));
   }
+  rows.push_back(EvalLstmRow());
   benchutil::WriteBenchJson(path, "micro_nn", rows);
   for (const auto& row : rows) {
     std::printf("%-24s", row.label.c_str());

@@ -19,6 +19,15 @@
 //   * NT splits the k reduction into 8 independent lanes combined by a
 //     fixed pairwise tree; the scalar reference simulates the same lanes.
 //
+// The activation family (Sigmoid/Tanh, also in simd.cpp) is the compute
+// plane's only sigmoid and tanh: the LSTM gate pass and the nn::Sigmoid /
+// nn::Tanh layers all call it. Both are built on a Cephes-style exp
+// polynomial written once, lane-generically: the scalar reference is that
+// body instantiated at float and the wide path the same body at 4 × f32, so
+// every lane runs the reference's operation sequence and rounds identically
+// (tests/test_dataplane.cpp pins every tail length, the special values and
+// a ≤ 2 ulp bound against a double reference).
+//
 // The wide path uses GCC/Clang vector extensions (8 × f32, compiled to
 // AVX/NEON/whatever the target offers) with memcpy-based unaligned
 // load/store, so it needs no intrinsics header and works on any target the
@@ -213,6 +222,18 @@ void MatMulNT(const float* a, const float* b, float* c, std::size_t m,
 void MatMulTN(const float* a, const float* b, float* c, std::size_t m,
               std::size_t k, std::size_t n, float alpha, float beta);
 
+// ---- activation kernels (dispatching like the above) ----
+//
+// y may alias x (the LSTM applies its gates in place). Saturation: the exp
+// argument is clamped to ±88, so sigmoid is exactly 0 or 1 and tanh exactly
+// ±1 once |x| ≳ 88; ±0 map to 0.5 and ±0, and NaN propagates.
+
+/// y[i] = 1 / (1 + e^{-x[i]}) for i < n.
+void Sigmoid(const float* x, float* y, std::size_t n);
+
+/// y[i] = tanh(x[i]) for i < n.
+void Tanh(const float* x, float* y, std::size_t n);
+
 namespace scalar {
 
 /// Scalar references with the dispatch-independent accumulation orders
@@ -224,6 +245,8 @@ void MatMulNT(const float* a, const float* b, float* c, std::size_t m,
               std::size_t k, std::size_t n, float alpha, float beta);
 void MatMulTN(const float* a, const float* b, float* c, std::size_t m,
               std::size_t k, std::size_t n, float alpha, float beta);
+void Sigmoid(const float* x, float* y, std::size_t n);
+void Tanh(const float* x, float* y, std::size_t n);
 
 }  // namespace scalar
 

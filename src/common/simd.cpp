@@ -1,6 +1,9 @@
 #include "rna/common/simd.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <type_traits>
 
 namespace rna::common::simd {
 
@@ -156,6 +159,124 @@ void WideMatMulTN(const float* a, const float* b, float* c, std::size_t m,
 
 #endif  // RNA_SIMD_VECTOR_EXT
 
+// ---- activations ----
+//
+// Each activation is one lane-generic body instantiated twice: at float
+// (the scalar reference) and at V4f (the wide path). Both instantiations
+// spell out the same operations in the same order, so each wide lane rounds
+// exactly like the reference. The wide path runs 4 lanes, not V8f's 8: on
+// the baseline x86-64 target 4 × f32 is one SSE register, while 8-lane
+// compares, selects and bit casts get split or scalarized (slower than
+// libm).
+
+#if RNA_SIMD_VECTOR_EXT
+using V4f = float __attribute__((vector_size(16)));
+using V4u = std::uint32_t __attribute__((vector_size(16)));
+constexpr std::size_t kActLanes = 4;
+#endif
+
+template <class F>
+struct LaneBits {
+  using type = std::uint32_t;
+};
+#if RNA_SIMD_VECTOR_EXT
+template <>
+struct LaneBits<V4f> {
+  using type = V4u;
+};
+#endif
+
+template <class F>
+inline F Splat(float c) {
+  if constexpr (std::is_same_v<F, float>) {
+    return c;
+  } else {
+    return F{c, c, c, c};
+  }
+}
+
+// Cephes-style e^x: n = round(x·log2 e), a two-part Cody–Waite reduction
+// r = x − n·ln 2, a degree-5 polynomial for e^r, then a scale by 2^n built
+// in the exponent bits. The argument is clamped to ±88 (a compare-select
+// that lets NaN through), so 2^n stays within [2^-127, 2^127]; 2^-127 is
+// encoded as +0, which flushes e^x to 0 below x ≈ −87.98.
+template <class F>
+inline F ExpLane(F x) {
+  using U = typename LaneBits<F>::type;
+  const F hi = Splat<F>(88.0f);
+  const F lo = Splat<F>(-88.0f);
+  x = x > hi ? hi : x;
+  x = x < lo ? lo : x;
+  // Adding 1.5·2^23 rounds x·log2 e to the nearest integer n and leaves n
+  // in the low mantissa bits of t.
+  const F magic = Splat<F>(12582912.0f);
+  const F t = x * Splat<F>(1.44269504088896341f) + magic;
+  const F n = t - magic;
+  F r = x - n * Splat<F>(0.693359375f);
+  r = r - n * Splat<F>(-2.12194440e-4f);
+  const F z = r * r;
+  F p = Splat<F>(1.9875691500e-4f);
+  p = p * r + Splat<F>(1.3981999507e-3f);
+  p = p * r + Splat<F>(8.3334519073e-3f);
+  p = p * r + Splat<F>(4.1665795894e-2f);
+  p = p * r + Splat<F>(1.6666665459e-1f);
+  p = p * r + Splat<F>(5.0000001201e-1f);
+  p = p * z + r + Splat<F>(1.0f);
+  const U exponent =
+      (std::bit_cast<U>(t) - std::bit_cast<U>(magic) + 127u) << 23;
+  return p * std::bit_cast<F>(exponent);
+}
+
+// 1 / (1 + e^{-x}) from e = e^{-|x|} ∈ [0, 1], which cannot overflow:
+// x ≥ 0 gives 1 / (1 + e), x < 0 gives e / (1 + e) — one division either way.
+template <class F>
+inline F SigmoidLane(F x) {
+  using U = typename LaneBits<F>::type;
+  const F ax = std::bit_cast<F>(std::bit_cast<U>(x) & 0x7fffffffu);
+  const F e = ExpLane(-ax);
+  const F one = Splat<F>(1.0f);
+  return (x < Splat<F>(0.0f) ? e : one) / (one + e);
+}
+
+// Cephes tanhf on |x|, with the sign restored from x's sign bit (so
+// tanh(−0) = −0): an odd polynomial below 0.625, else 1 − 2/(e^{2|x|} + 1),
+// which reaches exactly 1 once e^{2|x|} saturates at the exp clamp.
+template <class F>
+inline F TanhLane(F x) {
+  using U = typename LaneBits<F>::type;
+  const U bits = std::bit_cast<U>(x);
+  const U sign = bits & 0x80000000u;
+  const F ax = std::bit_cast<F>(bits ^ sign);
+  const F z = ax * ax;
+  F p = Splat<F>(-5.70498872745e-3f);
+  p = p * z + Splat<F>(2.06390887954e-2f);
+  p = p * z + Splat<F>(-5.37397155531e-2f);
+  p = p * z + Splat<F>(1.33314422036e-1f);
+  p = p * z + Splat<F>(-3.33332819422e-1f);
+  const F small = p * z * ax + ax;
+  const F one = Splat<F>(1.0f);
+  const F large = one - Splat<F>(2.0f) / (ExpLane(ax + ax) + one);
+  const F y = ax < Splat<F>(0.625f) ? small : large;
+  return std::bit_cast<F>(std::bit_cast<U>(y) | sign);
+}
+
+#if RNA_SIMD_VECTOR_EXT
+// Whole 4-lane groups through the V4f body, the tail through the float
+// body — the same operation sequence, so the split is invisible bitwise.
+template <class Body>
+inline void WideActivation(const float* x, float* y, std::size_t n,
+                           Body body) {
+  std::size_t i = 0;
+  for (; i + kActLanes <= n; i += kActLanes) {
+    V4f v;
+    std::memcpy(&v, x + i, sizeof(V4f));
+    v = body(v);
+    std::memcpy(y + i, &v, sizeof(V4f));
+  }
+  for (; i < n; ++i) y[i] = body(x[i]);
+}
+#endif
+
 }  // namespace
 
 void SetDispatch(Dispatch d) {
@@ -225,6 +346,14 @@ void MatMulTN(const float* a, const float* b, float* c, std::size_t m,
   }
 }
 
+void Sigmoid(const float* x, float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = SigmoidLane(x[i]);
+}
+
+void Tanh(const float* x, float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = TanhLane(x[i]);
+}
+
 }  // namespace scalar
 
 void MatMulNN(const float* a, const float* b, float* c, std::size_t m,
@@ -258,6 +387,26 @@ void MatMulTN(const float* a, const float* b, float* c, std::size_t m,
   }
 #endif
   scalar::MatMulTN(a, b, c, m, k, n, alpha, beta);
+}
+
+void Sigmoid(const float* x, float* y, std::size_t n) {
+#if RNA_SIMD_VECTOR_EXT
+  if (ActiveDispatch() == Dispatch::kAuto) {
+    WideActivation(x, y, n, [](auto v) { return SigmoidLane(v); });
+    return;
+  }
+#endif
+  scalar::Sigmoid(x, y, n);
+}
+
+void Tanh(const float* x, float* y, std::size_t n) {
+#if RNA_SIMD_VECTOR_EXT
+  if (ActiveDispatch() == Dispatch::kAuto) {
+    WideActivation(x, y, n, [](auto v) { return TanhLane(v); });
+    return;
+  }
+#endif
+  scalar::Tanh(x, y, n);
 }
 
 }  // namespace rna::common::simd

@@ -1,8 +1,9 @@
 #pragma once
 
 // Feed-forward layer primitives with exact backpropagation. Gradients
-// *accumulate* across Backward calls until ZeroGrads() — sequence models
-// process one sample at a time and rely on this to form batch gradients.
+// *accumulate* across Backward calls until ZeroGrads() — the attention
+// models process one sample at a time and rely on this to form batch
+// gradients.
 
 #include <memory>
 #include <vector>

@@ -1,8 +1,7 @@
 #include "rna/nn/layer.hpp"
 
-#include <cmath>
-
 #include "rna/common/check.hpp"
+#include "rna/common/simd.hpp"
 #include "rna/nn/init.hpp"
 #include "rna/tensor/ops.hpp"
 
@@ -63,8 +62,8 @@ Tensor Relu::Backward(const Tensor& dy) {
 }
 
 Tensor Tanh::Forward(const Tensor& x) {
-  Tensor y = x;
-  for (auto& v : y.Flat()) v = std::tanh(v);
+  Tensor y(x.Shape());
+  common::simd::Tanh(x.Data(), y.Data(), x.Size());
   cached_output_ = y;
   return y;
 }
@@ -79,8 +78,8 @@ Tensor Tanh::Backward(const Tensor& dy) {
 }
 
 Tensor Sigmoid::Forward(const Tensor& x) {
-  Tensor y = x;
-  for (auto& v : y.Flat()) v = 1.0f / (1.0f + std::exp(-v));
+  Tensor y(x.Shape());
+  common::simd::Sigmoid(x.Data(), y.Data(), x.Size());
   cached_output_ = y;
   return y;
 }

@@ -1,7 +1,6 @@
 #include "rna/nn/lstm.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "rna/common/check.hpp"
 #include "rna/common/simd.hpp"
@@ -12,15 +11,89 @@ namespace rna::nn {
 
 namespace {
 
-inline float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
-// Allocates a fixed-size work vector once (long-lived so it survives arena
-// scratch resets) and reuses it on every subsequent call.
-inline void EnsureScratch(Tensor& t, std::size_t size) {
-  if (t.Size() != size) t = Tensor({size}, tensor::Lifetime::kLong);
-}
+// Floats hold every integer below 2^24 exactly (the pack's index tables).
+constexpr std::size_t kExactIndexLimit = std::size_t{1} << 24;
 
 }  // namespace
+
+// ------------------------------------------------------------ SequencePack
+
+SequencePack::SequencePack(std::span<const Tensor> sequences) {
+  RNA_CHECK_MSG(!sequences.empty(), "LSTM needs a non-empty batch");
+  const std::size_t batch = sequences.size();
+  const std::size_t dim = sequences.front().Cols();
+  std::size_t steps = 0;
+  std::size_t rows = 0;
+  for (const Tensor& seq : sequences) {
+    RNA_CHECK_MSG(seq.Rows() > 0, "LSTM needs non-empty sequences");
+    RNA_CHECK_MSG(seq.Cols() == dim, "LSTM sequence width mismatch");
+    steps = std::max(steps, seq.Rows());
+    rows += seq.Rows();
+  }
+  RNA_CHECK_MSG(batch < kExactIndexLimit && steps < kExactIndexLimit,
+                "LSTM batch or sequence too long to pack");
+
+  // n_t = #{T_i > t}: a length histogram, then suffix sums.
+  active_ = Tensor({steps});
+  for (const Tensor& seq : sequences) active_[seq.Rows() - 1] += 1.0f;
+  for (std::size_t t = steps - 1; t-- > 0;) active_[t] += active_[t + 1];
+
+  // Stable counting sort, longest first: the sequences of length L take
+  // ranks [n_L, n_{L−1}) in batch order (n_T = 0).
+  Tensor next_rank({steps});  // indexed by L − 1
+  for (std::size_t t = 0; t + 1 < steps; ++t) next_rank[t] = active_[t + 1];
+  rank_ = Tensor({batch});
+  for (std::size_t s = 0; s < batch; ++s) {
+    float& slot = next_rank[sequences[s].Rows() - 1];
+    rank_[static_cast<std::size_t>(slot)] = static_cast<float>(s);
+    slot += 1.0f;
+  }
+
+  inputs_ = Tensor({rows, dim});
+  float* out = inputs_.Data();
+  for (std::size_t t = 0; t < steps; ++t) {
+    for (std::size_t r = 0; r < Active(t); ++r) {
+      const float* row = sequences[SequenceAt(r)].Data() + t * dim;
+      out = std::copy(row, row + dim, out);
+    }
+  }
+}
+
+template <class Fn>
+void SequencePack::ForEachLast(Fn fn) const {
+  std::size_t offset = 0;  // first row of step t
+  for (std::size_t t = 0; t < Steps(); ++t) {
+    const std::size_t n = Active(t);
+    // Ranks [n_{t+1}, n_t) run their last step at t.
+    const std::size_t ending = t + 1 < Steps() ? Active(t + 1) : 0;
+    for (std::size_t r = ending; r < n; ++r) fn(SequenceAt(r), offset + r);
+    offset += n;
+  }
+}
+
+Tensor SequencePack::GatherLast(const Tensor& packed) const {
+  RNA_CHECK_MSG(packed.Rows() == Rows(), "packed rows mismatch");
+  const std::size_t width = packed.Cols();
+  Tensor last({BatchSize(), width});
+  ForEachLast([&](std::size_t s, std::size_t row) {
+    const float* src = packed.Data() + row * width;
+    std::copy(src, src + width, last.Data() + s * width);
+  });
+  return last;
+}
+
+Tensor SequencePack::ScatterLast(const Tensor& last) const {
+  RNA_CHECK_MSG(last.Rows() == BatchSize(), "batch rows mismatch");
+  const std::size_t width = last.Cols();
+  Tensor packed({Rows(), width});
+  ForEachLast([&](std::size_t s, std::size_t row) {
+    const float* src = last.Data() + s * width;
+    std::copy(src, src + width, packed.Data() + row * width);
+  });
+  return packed;
+}
+
+// --------------------------------------------------------------- LstmLayer
 
 LstmLayer::LstmLayer(std::size_t input_dim, std::size_t hidden_dim,
                      common::Rng& rng)
@@ -44,145 +117,144 @@ void LstmLayer::ZeroGrads() {
   db_.Zero();
 }
 
-Tensor LstmLayer::Forward(const Tensor& x) {
-  RNA_CHECK_MSG(x.Cols() == input_dim_, "LSTM input width mismatch");
-  const std::size_t steps = x.Rows();
+Tensor LstmLayer::Forward(const SequencePack& pack, const Tensor& x) {
+  const std::size_t rows = pack.Rows();
   const std::size_t h_dim = hidden_dim_;
-  RNA_CHECK_MSG(steps > 0, "LSTM needs a non-empty sequence");
+  const std::size_t g_dim = 4 * h_dim;
+  RNA_CHECK_MSG(x.Rows() == rows && x.Cols() == input_dim_,
+                "LSTM input shape mismatch");
 
   input_ = x;
-  gate_i_ = Tensor({steps, h_dim});
-  gate_f_ = Tensor({steps, h_dim});
-  gate_g_ = Tensor({steps, h_dim});
-  gate_o_ = Tensor({steps, h_dim});
-  cell_ = Tensor({steps, h_dim});
-  tanh_cell_ = Tensor({steps, h_dim});
-  hidden_ = Tensor({steps, h_dim});
+  // Pre-activations of every row at once: z = x·Wx + b. The recurrent term
+  // is added per step below, then the gates are activated in place.
+  gates_ = Tensor({rows, g_dim});
+  tensor::MatMul(x, wx_, gates_);
+  tensor::AddRowBroadcast(gates_, b_.Flat());
+  cell_ = Tensor({rows, h_dim});
+  tanh_cell_ = Tensor({rows, h_dim});
+  hidden_ = Tensor({rows, h_dim});
 
-  // Precompute the input contribution for all steps in one matmul.
-  Tensor zx({steps, 4 * h_dim});
-  tensor::MatMul(x, wx_, zx);
-
-  EnsureScratch(z_, 4 * h_dim);
-  float* z = z_.Data();
-  for (std::size_t t = 0; t < steps; ++t) {
-    const float* zx_row = zx.Data() + t * 4 * h_dim;
-    const float* h_prev = t > 0 ? hidden_.Data() + (t - 1) * h_dim : nullptr;
-    const float* c_prev = t > 0 ? cell_.Data() + (t - 1) * h_dim : nullptr;
-
-    // z = zx_row + h_prev · Wh + b
-    for (std::size_t j = 0; j < 4 * h_dim; ++j) z[j] = zx_row[j] + b_[j];
-    if (h_prev != nullptr) {
-      // z += h_{t-1}(1×H) · Wh(H×4H)
-      common::simd::MatMulNN(h_prev, wh_.Data(), z, 1, h_dim, 4 * h_dim,
-                             1.0f, 1.0f);
+  std::size_t prev = 0;    // first row of step t − 1
+  std::size_t offset = 0;  // first row of step t
+  for (std::size_t t = 0; t < pack.Steps(); ++t) {
+    const std::size_t n = pack.Active(t);
+    float* z = gates_.Data() + offset * g_dim;
+    if (t > 0) {
+      // z_t += h_{t−1}·Wh; step t's n rows are the first n of step t − 1.
+      common::simd::MatMulNN(hidden_.Data() + prev * h_dim, wh_.Data(), z, n,
+                             h_dim, g_dim, 1.0f, 1.0f);
     }
-
-    float* gi = gate_i_.Data() + t * h_dim;
-    float* gf = gate_f_.Data() + t * h_dim;
-    float* gg = gate_g_.Data() + t * h_dim;
-    float* go = gate_o_.Data() + t * h_dim;
-    float* ct = cell_.Data() + t * h_dim;
-    float* tct = tanh_cell_.Data() + t * h_dim;
-    float* ht = hidden_.Data() + t * h_dim;
-    for (std::size_t hh = 0; hh < h_dim; ++hh) {
-      gi[hh] = SigmoidF(z[hh]);
-      gf[hh] = SigmoidF(z[h_dim + hh]);
-      gg[hh] = std::tanh(z[2 * h_dim + hh]);
-      go[hh] = SigmoidF(z[3 * h_dim + hh]);
-      const float cp = c_prev != nullptr ? c_prev[hh] : 0.0f;
-      ct[hh] = gf[hh] * cp + gi[hh] * gg[hh];
-      tct[hh] = std::tanh(ct[hh]);
-      ht[hh] = go[hh] * tct[hh];
+    float* c = cell_.Data() + offset * h_dim;
+    for (std::size_t r = 0; r < n; ++r) {
+      float* zr = z + r * g_dim;
+      common::simd::Sigmoid(zr, zr, 2 * h_dim);  // i, f
+      common::simd::Tanh(zr + 2 * h_dim, zr + 2 * h_dim, h_dim);
+      common::simd::Sigmoid(zr + 3 * h_dim, zr + 3 * h_dim, h_dim);
+      const float* gi = zr;
+      const float* gf = zr + h_dim;
+      const float* gg = zr + 2 * h_dim;
+      const float* c_prev =
+          t > 0 ? cell_.Data() + (prev + r) * h_dim : nullptr;
+      float* cr = c + r * h_dim;
+      for (std::size_t hh = 0; hh < h_dim; ++hh) {
+        const float cp = c_prev != nullptr ? c_prev[hh] : 0.0f;
+        cr[hh] = gf[hh] * cp + gi[hh] * gg[hh];
+      }
     }
+    float* tc = tanh_cell_.Data() + offset * h_dim;
+    common::simd::Tanh(c, tc, n * h_dim);
+    float* h = hidden_.Data() + offset * h_dim;
+    for (std::size_t r = 0; r < n; ++r) {
+      const float* go = z + r * g_dim + 3 * h_dim;
+      for (std::size_t hh = 0; hh < h_dim; ++hh) {
+        h[r * h_dim + hh] = go[hh] * tc[r * h_dim + hh];
+      }
+    }
+    prev = offset;
+    offset += n;
   }
-
-  Tensor h_final({1, h_dim});
-  const float* last = hidden_.Data() + (steps - 1) * h_dim;
-  for (std::size_t hh = 0; hh < h_dim; ++hh) h_final[hh] = last[hh];
-  return h_final;
-}
-
-Tensor LstmLayer::ForwardSequence(const Tensor& x) {
-  Forward(x);
   return hidden_;
 }
 
-Tensor LstmLayer::Backward(const Tensor& dh_final) {
-  const std::size_t steps = input_.Rows();
-  RNA_CHECK_MSG(dh_final.Size() == hidden_dim_,
-                "LSTM dh_final width mismatch");
-  // Gradient only on the last hidden state: a sequence gradient with one
-  // non-zero row.
-  Tensor dh_all({steps, hidden_dim_});
-  float* last = dh_all.Data() + (steps - 1) * hidden_dim_;
-  for (std::size_t hh = 0; hh < hidden_dim_; ++hh) last[hh] = dh_final[hh];
-  return BackwardSequence(dh_all);
-}
-
-Tensor LstmLayer::BackwardSequence(const Tensor& dh_all) {
-  const std::size_t steps = input_.Rows();
+Tensor LstmLayer::Backward(const SequencePack& pack, const Tensor& dh,
+                           bool input_grad) {
+  const std::size_t rows = pack.Rows();
   const std::size_t h_dim = hidden_dim_;
-  RNA_CHECK_MSG(dh_all.Rows() == steps && dh_all.Cols() == h_dim,
-                "LSTM dh_all shape mismatch");
+  const std::size_t g_dim = 4 * h_dim;
+  RNA_CHECK_MSG(input_.Rows() == rows, "LSTM backward without its forward");
+  RNA_CHECK_MSG(dh.Rows() == rows && dh.Cols() == h_dim,
+                "LSTM dh shape mismatch");
 
-  Tensor dx({steps, input_dim_});
-  EnsureScratch(dh_, h_dim);      // gradient flowing into h_t
-  EnsureScratch(dc_, h_dim);      // gradient flowing into c_t
-  EnsureScratch(dz_, 4 * h_dim);  // gradient on the pre-activation z_t
-  dh_.Zero();
-  dc_.Zero();
-  float* dh = dh_.Data();
-  float* dc = dc_.Data();
-  float* dz = dz_.Data();
+  Tensor dz({rows, g_dim});  // gradient on every pre-activation z_t
+  // Gradients flowing into h_t / c_t, one row per rank. A rank's rows stay
+  // zero until its last step, where BPTT reaches it.
+  Tensor dh_rec({pack.BatchSize(), h_dim});
+  Tensor dc({pack.BatchSize(), h_dim});
 
-  for (std::size_t t = steps; t-- > 0;) {
-    // Direct gradient on h_t from the layer above, plus the recurrent path.
-    const float* dh_row = dh_all.Data() + t * h_dim;
-    for (std::size_t hh = 0; hh < h_dim; ++hh) dh[hh] += dh_row[hh];
+  std::size_t offset = rows;  // first row of step t
+  for (std::size_t t = pack.Steps(); t-- > 0;) {
+    const std::size_t n = pack.Active(t);
+    offset -= n;
+    const std::size_t prev = t > 0 ? offset - pack.Active(t - 1) : 0;
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t row = offset + r;
+      float* dhr = dh_rec.Data() + r * h_dim;
+      float* dcr = dc.Data() + r * h_dim;
+      // Direct gradient on h_t from above, plus the recurrent path.
+      const float* dh_row = dh.Data() + row * h_dim;
+      for (std::size_t hh = 0; hh < h_dim; ++hh) dhr[hh] += dh_row[hh];
 
-    const float* gi = gate_i_.Data() + t * h_dim;
-    const float* gf = gate_f_.Data() + t * h_dim;
-    const float* gg = gate_g_.Data() + t * h_dim;
-    const float* go = gate_o_.Data() + t * h_dim;
-    const float* tct = tanh_cell_.Data() + t * h_dim;
-    const float* c_prev = t > 0 ? cell_.Data() + (t - 1) * h_dim : nullptr;
-    const float* h_prev = t > 0 ? hidden_.Data() + (t - 1) * h_dim : nullptr;
-    const float* xt = input_.Data() + t * input_dim_;
+      const float* gi = gates_.Data() + row * g_dim;
+      const float* gf = gi + h_dim;
+      const float* gg = gi + 2 * h_dim;
+      const float* go = gi + 3 * h_dim;
+      const float* tct = tanh_cell_.Data() + row * h_dim;
+      const float* c_prev =
+          t > 0 ? cell_.Data() + (prev + r) * h_dim : nullptr;
+      float* dzr = dz.Data() + row * g_dim;
+      for (std::size_t hh = 0; hh < h_dim; ++hh) {
+        const float d_o = dhr[hh] * tct[hh];
+        const float d_c =
+            dcr[hh] + dhr[hh] * go[hh] * (1.0f - tct[hh] * tct[hh]);
+        const float d_i = d_c * gg[hh];
+        const float d_g = d_c * gi[hh];
+        const float d_f = d_c * (c_prev != nullptr ? c_prev[hh] : 0.0f);
+        dcr[hh] = d_c * gf[hh];  // flows to c_{t−1}
 
-    for (std::size_t hh = 0; hh < h_dim; ++hh) {
-      const float d_o = dh[hh] * tct[hh];
-      const float d_c = dc[hh] + dh[hh] * go[hh] * (1.0f - tct[hh] * tct[hh]);
-      const float d_i = d_c * gg[hh];
-      const float d_g = d_c * gi[hh];
-      const float d_f = d_c * (c_prev != nullptr ? c_prev[hh] : 0.0f);
-      dc[hh] = d_c * gf[hh];  // flows to c_{t-1}
-
-      dz[hh] = d_i * gi[hh] * (1.0f - gi[hh]);
-      dz[h_dim + hh] = d_f * gf[hh] * (1.0f - gf[hh]);
-      dz[2 * h_dim + hh] = d_g * (1.0f - gg[hh] * gg[hh]);
-      dz[3 * h_dim + hh] = d_o * go[hh] * (1.0f - go[hh]);
+        dzr[hh] = d_i * gi[hh] * (1.0f - gi[hh]);
+        dzr[h_dim + hh] = d_f * gf[hh] * (1.0f - gf[hh]);
+        dzr[2 * h_dim + hh] = d_g * (1.0f - gg[hh] * gg[hh]);
+        dzr[3 * h_dim + hh] = d_o * go[hh] * (1.0f - go[hh]);
+      }
     }
-
-    // Parameter gradients: dWx += x_tᵀ·dz, dWh += h_{t-1}ᵀ·dz, db += dz.
-    common::simd::MatMulTN(xt, dz, dwx_.Data(), input_dim_, 1, 4 * h_dim,
-                           1.0f, 1.0f);
-    if (h_prev != nullptr) {
-      common::simd::MatMulTN(h_prev, dz, dwh_.Data(), h_dim, 1, 4 * h_dim,
-                             1.0f, 1.0f);
-    }
-    tensor::Axpy(1.0f, dz_.Flat(), db_.Flat());
-
-    // dx_t = dz · Wxᵀ ; dh_{t-1} = dz · Whᵀ.
-    common::simd::MatMulNT(dz, wx_.Data(), dx.Data() + t * input_dim_, 1,
-                           4 * h_dim, input_dim_, 1.0f, 0.0f);
     if (t > 0) {
-      common::simd::MatMulNT(dz, wh_.Data(), dh, 1, 4 * h_dim, h_dim, 1.0f,
-                             0.0f);
-    } else {
-      std::fill(dh, dh + h_dim, 0.0f);
+      // dh_{t−1} = dz_t·Whᵀ for the ranks that continue into step t − 1.
+      common::simd::MatMulNT(dz.Data() + offset * g_dim, wh_.Data(),
+                             dh_rec.Data(), n, g_dim, h_dim, 1.0f, 0.0f);
     }
   }
+
+  // Parameter gradients over every (sequence, step) row: dWx += xᵀ·dz,
+  // db += Σ dz, and dWh += h_{t−1}ᵀ·dz_t step by step (step t's rows pair
+  // with the first n_t rows of step t − 1).
+  tensor::MatMulTN(input_, dz, dwx_, 1.0f, 1.0f);
+  Tensor dz_sum({g_dim});
+  tensor::SumRows(dz, dz_sum.Flat());
+  tensor::Axpy(1.0f, dz_sum.Flat(), db_.Flat());
+  std::size_t prev = 0;
+  offset = pack.Active(0);
+  for (std::size_t t = 1; t < pack.Steps(); ++t) {
+    const std::size_t n = pack.Active(t);
+    common::simd::MatMulTN(hidden_.Data() + prev * h_dim,
+                           dz.Data() + offset * g_dim, dwh_.Data(), h_dim, n,
+                           g_dim, 1.0f, 1.0f);
+    prev = offset;
+    offset += n;
+  }
+
+  if (!input_grad) return Tensor();
+  Tensor dx({rows, input_dim_});
+  tensor::MatMulNT(dz, wx_, dx);
   return dx;
 }
 

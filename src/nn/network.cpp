@@ -136,29 +136,17 @@ BatchResult LstmClassifier::Run(const Batch& batch, bool train) {
   if (train) ZeroGrads();
   dropout_.SetTraining(train);
 
-  BatchResult result;
-  result.total = batch.labels.size();
-  const auto inv_batch =
-      static_cast<float>(1.0 / static_cast<double>(batch.labels.size()));
-
-  for (std::size_t s = 0; s < batch.sequences.size(); ++s) {
-    tensor::Tensor h = lstm_.Forward(batch.sequences[s]);
-    tensor::Tensor hd = dropout_.Forward(h);
-    tensor::Tensor logits = head_.Forward(hd);
-    LossResult lr = SoftmaxCrossEntropy(logits, {batch.labels[s]});
-    result.loss += lr.loss;
-    result.correct += lr.correct;
-    if (train) {
-      // Per-sample loss is already mean-normalized inside SCE (batch of 1),
-      // so scale by 1/B to make accumulated grads the batch average.
-      tensor::Scale(lr.dlogits.Flat(), inv_batch);
-      tensor::Tensor dh = head_.Backward(lr.dlogits);
-      dh = dropout_.Backward(dh);
-      lstm_.Backward(dh);
-    }
+  const SequencePack pack(batch.sequences);
+  const tensor::Tensor h = lstm_.Forward(pack, pack.Inputs());
+  // Dropout draws its B×H mask in batch order, row by row.
+  const tensor::Tensor hd = dropout_.Forward(pack.GatherLast(h));
+  const tensor::Tensor logits = head_.Forward(hd);
+  LossResult lr = SoftmaxCrossEntropy(logits, batch.labels);
+  if (train) {
+    const tensor::Tensor dh = dropout_.Backward(head_.Backward(lr.dlogits));
+    lstm_.Backward(pack, pack.ScatterLast(dh), /*input_grad=*/false);
   }
-  result.loss /= static_cast<double>(batch.labels.size());
-  return result;
+  return {lr.loss, lr.correct, batch.labels.size()};
 }
 
 BatchResult LstmClassifier::ForwardBackward(const Batch& batch) {
@@ -202,43 +190,26 @@ DeepLstmClassifier::DeepLstmClassifier(std::size_t input_dim,
 
 BatchResult DeepLstmClassifier::Run(const Batch& batch, bool train) {
   RNA_CHECK_MSG(!batch.sequences.empty(), "deep LSTM takes sequence inputs");
+  RNA_CHECK(batch.sequences.size() == batch.labels.size());
   ComputeScope scope(*this);
   if (train) ZeroGrads();
-  BatchResult result;
-  result.total = batch.labels.size();
-  const auto inv_batch =
-      static_cast<float>(1.0 / static_cast<double>(batch.labels.size()));
 
-  for (std::size_t s = 0; s < batch.sequences.size(); ++s) {
-    // Forward: each layer consumes the full hidden sequence of the one
-    // below; the head reads the top layer's final state.
-    tensor::Tensor h = batch.sequences[s];
-    for (auto& layer : layers_) h = layer.ForwardSequence(h);
-    const std::size_t steps = h.Rows();
-    const std::size_t hidden = h.Cols();
-    tensor::Tensor h_final({1, hidden});
-    const float* last = h.Data() + (steps - 1) * hidden;
-    for (std::size_t i = 0; i < hidden; ++i) h_final[i] = last[i];
-
-    tensor::Tensor logits = head_.Forward(h_final);
-    LossResult lr = SoftmaxCrossEntropy(logits, {batch.labels[s]});
-    result.loss += lr.loss;
-    result.correct += lr.correct;
-    if (train) {
-      tensor::Scale(lr.dlogits.Flat(), inv_batch);
-      tensor::Tensor dh_final = head_.Backward(lr.dlogits);  // 1×H
-      // Seed the top layer's sequence gradient with the final-state grad,
-      // then BPTT downward layer by layer.
-      tensor::Tensor dh_all({steps, hidden});
-      float* dst = dh_all.Data() + (steps - 1) * hidden;
-      for (std::size_t i = 0; i < hidden; ++i) dst[i] = dh_final[i];
-      for (std::size_t l = layers_.size(); l-- > 0;) {
-        dh_all = layers_[l].BackwardSequence(dh_all);
-      }
+  // Each layer consumes the full hidden sequence of the one below, in the
+  // same packed row order; the head reads the top layer's last states.
+  const SequencePack pack(batch.sequences);
+  tensor::Tensor h = pack.Inputs();
+  for (auto& layer : layers_) h = layer.Forward(pack, h);
+  const tensor::Tensor logits = head_.Forward(pack.GatherLast(h));
+  LossResult lr = SoftmaxCrossEntropy(logits, batch.labels);
+  if (train) {
+    // BPTT downward layer by layer; the bottom layer's input gradient has
+    // no consumer.
+    tensor::Tensor dh = pack.ScatterLast(head_.Backward(lr.dlogits));
+    for (std::size_t l = layers_.size(); l-- > 0;) {
+      dh = layers_[l].Backward(pack, dh, /*input_grad=*/l > 0);
     }
   }
-  result.loss /= static_cast<double>(batch.labels.size());
-  return result;
+  return {lr.loss, lr.correct, batch.labels.size()};
 }
 
 BatchResult DeepLstmClassifier::ForwardBackward(const Batch& batch) {

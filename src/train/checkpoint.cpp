@@ -75,6 +75,24 @@ Checkpoint LoadCheckpoint(const std::string& path) {
   if (header.velocity_dim != 0 && header.velocity_dim != header.dim) {
     throw std::runtime_error("corrupt checkpoint header: " + path);
   }
+  // The payload must fit in the file before anything is sized from the
+  // header: a corrupt dim would otherwise request an arbitrary allocation.
+  // Compared in floats, as dim ≤ cap and velocity_dim ≤ cap − dim, so no
+  // sum or product can overflow.
+  if (std::fseek(file.get(), 0, SEEK_END) != 0) {
+    throw std::runtime_error("cannot size checkpoint file: " + path);
+  }
+  const long file_bytes = std::ftell(file.get());
+  if (file_bytes < static_cast<long>(sizeof(header)) ||
+      std::fseek(file.get(), sizeof(header), SEEK_SET) != 0) {
+    throw std::runtime_error("cannot size checkpoint file: " + path);
+  }
+  const std::uint64_t cap =
+      (static_cast<std::uint64_t>(file_bytes) - sizeof(header)) /
+      sizeof(float);
+  if (header.dim > cap || header.velocity_dim > cap - header.dim) {
+    throw std::runtime_error("checkpoint header exceeds file size: " + path);
+  }
   Checkpoint ckpt;
   ckpt.round = header.round;
   ckpt.params.resize(header.dim);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 
@@ -72,6 +73,20 @@ TEST(Checkpoint, TruncatedPayloadThrows) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(contents.data(),
               static_cast<std::streamsize>(contents.size() - 32));
+  }
+  EXPECT_THROW(train::LoadCheckpoint(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// A 32-byte file whose header claims 2^40 floats must be rejected from the
+// file size, before anything is allocated for the payload.
+TEST(Checkpoint, OversizedHeaderThrowsBeforeAllocating) {
+  const std::string path = TempPath("ckpt_oversized.bin");
+  {
+    const std::uint64_t header[4] = {0x524e414350543031ULL,  // "RNACPT01"
+                                      std::uint64_t{1} << 40, 0, 1};
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(header), sizeof(header));
   }
   EXPECT_THROW(train::LoadCheckpoint(path), std::runtime_error);
   std::remove(path.c_str());

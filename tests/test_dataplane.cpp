@@ -2,6 +2,8 @@
 //   - the vectorized kernels in rna/common/simd.hpp are bitwise identical
 //     to their scalar references, standalone and end-to-end through the
 //     pooled ring / fused / partial collectives;
+//   - the sigmoid/tanh kernels also hold their special values and a 2 ulp
+//     bound against a double reference;
 //   - empty chunks (world > data.size()) survive fault-injected fabrics and
 //     tag purges;
 //   - BarrierFor honours its whole-barrier deadline;
@@ -10,9 +12,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -137,6 +146,112 @@ TEST(SimdKernels, AverageIntoBitwiseMatchesScalar) {
     common::simd::scalar::AverageInto(narrow, src);
     EXPECT_TRUE(BitwiseEqual(wide, narrow)) << "n=" << n;
   }
+}
+
+// ---- activation kernels ----
+
+/// Gate-range inputs in [-10, 10] plus ±0, ±inf and saturating magnitudes
+/// at a few positions, so specials land in both vector lanes and tails.
+std::vector<float> ActivationVector(std::size_t n, std::uint32_t salt) {
+  std::vector<float> v = TestVector(n, salt);
+  const float specials[] = {0.0f, -0.0f, INFINITY, -INFINITY, 95.0f, -95.0f};
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = i % 11 == 5 ? specials[(i / 11) % std::size(specials)]
+                       : v[i] / 50.0f;
+  }
+  return v;
+}
+
+TEST(SimdKernels, ActivationsBitwiseMatchScalarForEveryTail) {
+  for (std::size_t n = 0; n <= 67; ++n) {
+    const std::vector<float> x = ActivationVector(n, 9);
+    std::vector<float> wide_sig(n), wide_tanh(n), ref_sig(n), ref_tanh(n);
+    common::simd::Sigmoid(x.data(), wide_sig.data(), n);
+    common::simd::Tanh(x.data(), wide_tanh.data(), n);
+    common::simd::scalar::Sigmoid(x.data(), ref_sig.data(), n);
+    common::simd::scalar::Tanh(x.data(), ref_tanh.data(), n);
+    EXPECT_TRUE(BitwiseEqual(wide_sig, ref_sig)) << "sigmoid n=" << n;
+    EXPECT_TRUE(BitwiseEqual(wide_tanh, ref_tanh)) << "tanh n=" << n;
+  }
+  // In place (y == x), as the LSTM gate pass calls them.
+  std::vector<float> in_place = ActivationVector(37, 10);
+  std::vector<float> ref(in_place.size());
+  common::simd::scalar::Sigmoid(in_place.data(), ref.data(), ref.size());
+  common::simd::Sigmoid(in_place.data(), in_place.data(), in_place.size());
+  EXPECT_TRUE(BitwiseEqual(in_place, ref));
+}
+
+TEST(SimdKernels, ActivationSpecialValues) {
+  const float tiny[] = {1e-8f, 1e-20f, FLT_MIN,
+                        std::numeric_limits<float>::denorm_min()};
+  const float huge[] = {89.0f, 100.0f, 1e30f, FLT_MAX, INFINITY};
+  std::vector<float> x = {0.0f, -0.0f, NAN};
+  for (const float v : tiny) {
+    x.push_back(v);
+    x.push_back(-v);
+  }
+  for (const float v : huge) {
+    x.push_back(v);
+    x.push_back(-v);
+  }
+  for (const auto dispatch :
+       {common::simd::Dispatch::kAuto, common::simd::Dispatch::kScalar}) {
+    ScopedDispatch scoped(dispatch);
+    std::vector<float> sig(x.size()), th(x.size());
+    common::simd::Sigmoid(x.data(), sig.data(), x.size());
+    common::simd::Tanh(x.data(), th.data(), x.size());
+    const bool wide = dispatch == common::simd::Dispatch::kAuto;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const float v = x[i];
+      SCOPED_TRACE(::testing::Message() << "x=" << v << " wide=" << wide);
+      if (std::isnan(v)) {
+        EXPECT_TRUE(std::isnan(sig[i]));
+        EXPECT_TRUE(std::isnan(th[i]));
+      } else if (std::abs(v) >= 89.0f) {
+        EXPECT_EQ(sig[i], v > 0 ? 1.0f : 0.0f);
+        EXPECT_EQ(th[i], v > 0 ? 1.0f : -1.0f);
+      } else {
+        // ±0 and tiny |x|: sigmoid is 0.5 and tanh returns x itself,
+        // including the sign of zero.
+        EXPECT_EQ(sig[i], 0.5f);
+        EXPECT_EQ(th[i], v);
+        EXPECT_EQ(std::signbit(th[i]), std::signbit(v));
+      }
+    }
+  }
+}
+
+/// Distance in representable floats between `got` and the float nearest to
+/// the double reference.
+std::int64_t FloatSteps(float got, double reference) {
+  auto ordered = [](float f) {
+    std::int32_t bits;
+    std::memcpy(&bits, &f, sizeof(bits));
+    return bits < 0 ? -static_cast<std::int64_t>(bits & 0x7fffffff)
+                    : static_cast<std::int64_t>(bits);
+  };
+  return std::llabs(ordered(got) - ordered(static_cast<float>(reference)));
+}
+
+TEST(SimdKernels, ActivationsWithinTwoUlpOfDoubleReference) {
+  constexpr std::size_t kPoints = 1 << 20;
+  std::vector<float> x(kPoints);
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    x[i] = -30.0f + 60.0f * static_cast<float>(i) / (kPoints - 1);
+  }
+  std::vector<float> sig(kPoints), th(kPoints);
+  common::simd::Sigmoid(x.data(), sig.data(), kPoints);
+  common::simd::Tanh(x.data(), th.data(), kPoints);
+  std::int64_t worst_sig = 0;
+  std::int64_t worst_tanh = 0;
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    const double v = x[i];
+    worst_sig =
+        std::max(worst_sig, FloatSteps(sig[i], 1.0 / (1.0 + std::exp(-v))));
+    worst_tanh = std::max(worst_tanh, FloatSteps(th[i], std::tanh(v)));
+  }
+  EXPECT_LE(worst_sig, 2);
+  EXPECT_LE(worst_tanh, 2);
 }
 
 TEST(SimdKernels, DispatchSwitchSelectsScalar) {

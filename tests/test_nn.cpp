@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "rna/common/rng.hpp"
 #include "rna/common/simd.hpp"
@@ -244,18 +248,112 @@ TEST(MultiHead, OutputConcatenatesHeads) {
   EXPECT_EQ(mha.Params().size(), 6u);  // Wq/Wk/Wv per head
 }
 
+// Packing keeps every sequence to itself: in a batch of unsorted lengths,
+// GatherLast returns bitwise the final state each sequence reaches alone.
 TEST(StackedLstm, SequenceApiMatchesFinalState) {
   common::Rng rng(4);
   LstmLayer lstm(3, 5, rng);
-  Tensor x({7, 3});
-  for (auto& v : x.Flat()) v = static_cast<float>(rng.Normal(0, 1));
-  Tensor h_final = lstm.Forward(x);
-  Tensor h_all = lstm.ForwardSequence(x);
-  ASSERT_EQ(h_all.Rows(), 7u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_FLOAT_EQ(h_all.At(6, i), h_final[i]);
+  const std::size_t lengths[] = {7, 2, 7, 4};
+  std::vector<Tensor> seqs;
+  for (const std::size_t len : lengths) {
+    Tensor x({len, 3});
+    for (auto& v : x.Flat()) v = static_cast<float>(rng.Normal(0, 1));
+    seqs.push_back(std::move(x));
+  }
+  const SequencePack pack(seqs);
+  ASSERT_EQ(pack.Rows(), 20u);
+  ASSERT_EQ(pack.Steps(), 7u);
+  EXPECT_EQ(pack.Active(0), 4u);
+  EXPECT_EQ(pack.Active(2), 3u);
+  EXPECT_EQ(pack.Active(4), 2u);
+  EXPECT_EQ(pack.Active(6), 2u);
+  const Tensor h_all = lstm.Forward(pack, pack.Inputs());
+  ASSERT_EQ(h_all.Rows(), 20u);
+  const Tensor h_last = pack.GatherLast(h_all);
+  ASSERT_EQ(h_last.Rows(), 4u);
+
+  for (std::size_t s = 0; s < seqs.size(); ++s) {
+    const SequencePack alone(std::span<const Tensor>(&seqs[s], 1));
+    const Tensor h_alone = lstm.Forward(alone, alone.Inputs());
+    ASSERT_EQ(h_alone.Rows(), lengths[s]);
+    for (std::size_t i = 0; i < 5; ++i) {
+      EXPECT_EQ(h_last.At(s, i), h_alone.At(lengths[s] - 1, i))
+          << "sequence " << s << " unit " << i;
+    }
   }
 }
+
+// A batch of unsorted lengths trains like its sequences one at a time: the
+// same loss, hits and gradients as accumulating the one-sequence batches,
+// each scaled by 1/B. Pins the active-prefix masking, each sequence's own
+// final state and the dropout mask draw order (batch order, row by row).
+class LstmBatchEquivalence : public ::testing::TestWithParam<const char*> {};
+
+std::unique_ptr<Network> BatchEquivModel(const std::string& kind) {
+  if (kind == "lstm") return std::make_unique<LstmClassifier>(4, 6, 3, 17, 0.0);
+  if (kind == "lstm_dropout") {
+    return std::make_unique<LstmClassifier>(4, 6, 3, 17, 0.2);
+  }
+  return std::make_unique<DeepLstmClassifier>(4, 6, 2, 3, 17);
+}
+
+TEST_P(LstmBatchEquivalence, MatchesOneSequenceBatches) {
+  const std::size_t lengths[] = {1, 5, 2, 5, 9, 3};
+  const std::size_t batch_size = std::size(lengths);
+  common::Rng rng(51);
+  Batch batch;
+  for (const std::size_t len : lengths) {
+    Tensor seq({len, 4});
+    for (auto& x : seq.Flat()) x = static_cast<float>(rng.Normal(0, 1));
+    batch.sequences.push_back(std::move(seq));
+    batch.labels.push_back(static_cast<std::int32_t>(rng.UniformInt(3)));
+  }
+
+  auto whole = BatchEquivModel(GetParam());
+  const BatchResult result = whole->ForwardBackward(batch);
+  const std::size_t dim = whole->ParamCount();
+  std::vector<float> grad(dim);
+  whole->CopyGradsTo(grad);
+
+  auto single = BatchEquivModel(GetParam());
+  std::vector<double> expected(dim, 0.0);
+  std::vector<float> one_grad(dim);
+  double loss = 0.0;
+  std::size_t correct = 0;
+  for (std::size_t s = 0; s < batch_size; ++s) {
+    Batch one;
+    one.sequences.push_back(batch.sequences[s]);
+    one.labels.push_back(batch.labels[s]);
+    const BatchResult r = single->ForwardBackward(one);
+    loss += r.loss;
+    correct += r.correct;
+    single->CopyGradsTo(one_grad);
+    for (std::size_t i = 0; i < dim; ++i) {
+      expected[i] += static_cast<double>(one_grad[i]) / batch_size;
+    }
+  }
+  loss /= batch_size;
+
+  EXPECT_NEAR(result.loss, loss, 1e-6 * loss);
+  EXPECT_EQ(result.correct, correct);
+  EXPECT_EQ(result.total, batch_size);
+  // Relative to the largest gradient: the two paths sum the same terms in
+  // different float orders, so a coordinate whose terms cancel keeps only
+  // rounding noise of the scale of its terms (~1e-8 of max|grad| here).
+  double scale = 0.0;
+  for (const double g : expected) scale = std::max(scale, std::abs(g));
+  ASSERT_GT(scale, 0.0);
+  std::size_t off = 0;
+  for (std::size_t i = 0; i < dim; ++i) {
+    if (std::abs(grad[i] - expected[i]) > 1e-6 * scale) ++off;
+  }
+  EXPECT_EQ(off, 0u) << off << "/" << dim
+                     << " gradients differ by > 1e-6 of max|grad|";
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, LstmBatchEquivalence,
+                         ::testing::Values("lstm", "lstm_dropout",
+                                           "deep_lstm"));
 
 TEST(Adam, StepsTowardMinimum) {
   // Minimize f(x) = (x − 3)², gradient 2(x − 3).

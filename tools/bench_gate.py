@@ -71,7 +71,8 @@ ABSOLUTE_CEILINGS = {
     # (bench_micro_nn measures with counting operator new/delete): any heap
     # allocation after warm-up is a regression regardless of throughput.
     **{f"train_step_{kind}": {"steady_heap_allocs": 0.0}
-       for kind in ("mlp", "lstm", "deep-lstm", "transformer", "attention")},
+       for kind in ("mlp", "lstm", "deep-lstm", "transformer", "attention",
+                    "lstm_imbalance")},
     # Wire bytes per round are a deterministic function of the codec (world
     # 8, 256k floats, 2*(w-1)*w chunks per round), so these hold each
     # compression level to its exact frame budget: raw adds zero framing
