@@ -7,7 +7,7 @@
 //                 --checkpoint /tmp/model.ckpt
 //                 --trace-out /tmp/run.trace.json
 //
-// Protocols: horovod | eager | adpsgd | rna | rna-h | sgp | async-ps
+// Protocols: horovod | eager | adpsgd | rna | rna-h
 // Workloads: mlp | lstm | deep-lstm | attention | transformer
 //
 // --trace-out writes a Chrome trace-event JSON (load it at
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   config.eval_period_s = 0.02;
 
-  // Sharded PS plane and hierarchical grouping (rna-h / async-ps).
+  // Sharded PS plane and hierarchical grouping (rna-h).
   config.ps_shards = static_cast<std::size_t>(
       flags.GetInt("ps-shards", static_cast<int>(config.ps_shards)));
   config.ps_fan_in = static_cast<std::size_t>(

@@ -35,26 +35,4 @@ train::TrainResult RunEagerSgd(const train::TrainerConfig& config,
                                const data::Dataset& train_data,
                                const data::Dataset& val_data);
 
-/// Stochastic Gradient Push (Assran et al., discussed in the paper's §9):
-/// PushSum gossip over a time-varying directed one-out-degree graph. Each
-/// iteration a worker updates its (biased) model with a local gradient at
-/// the de-biased point x/w, then pushes half of (x, w) to one neighbor and
-/// folds in the halves it receives. Robust to communication constraints;
-/// needs O(log P) steps to propagate an update globally — the contrast the
-/// paper draws with RNA's O(1) collective.
-train::TrainResult RunSgp(const train::TrainerConfig& config,
-                          const train::ModelFactory& factory,
-                          const data::Dataset& train_data,
-                          const data::Dataset& val_data);
-
-/// The classic centralized algorithm (paper §2.2): an asynchronous
-/// parameter server. Each worker independently computes a gradient at its
-/// last pulled model and PushPulls an SGD delta; the server applies deltas
-/// in arrival order. No barrier — but every worker talks to one server,
-/// the communication hotspot decentralized training removes.
-train::TrainResult RunCentralizedPs(const train::TrainerConfig& config,
-                                    const train::ModelFactory& factory,
-                                    const data::Dataset& train_data,
-                                    const data::Dataset& val_data);
-
 }  // namespace rna::baselines

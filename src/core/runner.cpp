@@ -33,11 +33,6 @@ train::TrainResult RunTraining(const train::TrainerConfig& config,
           [q = config.probe_choices] { return MakeProbePolicy(q); });
     case train::Protocol::kRnaHierarchical:
       return detail::RunHierarchicalRna(config, factory, train_data, val_data);
-    case train::Protocol::kSgp:
-      return baselines::RunSgp(config, factory, train_data, val_data);
-    case train::Protocol::kCentralizedPs:
-      return baselines::RunCentralizedPs(config, factory, train_data,
-                                         val_data);
   }
   RNA_CHECK_MSG(false, "unknown protocol");
   return {};

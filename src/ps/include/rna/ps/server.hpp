@@ -1,7 +1,7 @@
 #pragma once
 
 // A ps-lite-style parameter server on the fabric: a server thread owning a
-// flat parameter vector, and a client handle exposing Push / TryPull /
+// flat parameter vector, and a client handle exposing TryPull and
 // TryPushPull. Requests from different clients are served independently in
 // arrival order, which is exactly the asynchronous-across-groups behaviour
 // the paper's hierarchical synchronization relies on (§4, §6): each group
@@ -28,10 +28,10 @@ namespace rna::ps {
 
 using net::Rank;
 
-/// How a pushed vector is folded into the server state.
+/// How a pushed vector is folded into the server state. The values are
+/// the wire encoding; the server rejects any other.
 enum class ApplyMode : std::int64_t {
   kAssign = 0,   ///< state = x
-  kAddDelta = 1, ///< state += x            (gradient-push style)
   kAverage = 2,  ///< state = (state + x)/2 (model averaging, paper §6)
 };
 
@@ -74,9 +74,9 @@ inline std::size_t ShardLast(std::size_t dim, std::size_t shards,
 /// after t, 2t, 4t, … seconds, `budget` attempts total. A failed call
 /// returns std::nullopt and the caller decides what to skip; no call
 /// aborts. Retries are at-least-once: a slow (rather than dropped) request
-/// can be applied twice, which ApplyMode::kAverage absorbs (it re-averages
-/// toward the same fixpoint) but kAddDelta does not — callers that push
-/// deltas over a lossy fabric accept that gradient noise.
+/// can be applied twice, which every mode absorbs (kAssign writes the same
+/// values again; kAverage re-averages toward the same pushed model). A
+/// reply of the wrong size is dropped and its shard counts as missing.
 class PsClient {
  public:
   /// `shards` must be in [1, dim].
@@ -86,9 +86,6 @@ class PsClient {
   /// Enables bounded retry (see class comment). budget is the total number
   /// of attempts; budget <= 1 keeps the wait-until-shutdown behavior.
   void ConfigureRetry(std::size_t budget, double first_timeout_s);
-
-  /// Fold `values` (dim floats) into the server state; no reply payload.
-  void Push(std::span<const float> values, ApplyMode mode);
 
   /// Fetch the current server state; std::nullopt on shutdown or an
   /// exhausted retry budget (e.g., an elastic joiner fetching its first
@@ -104,7 +101,7 @@ class PsClient {
 
  private:
   std::optional<std::vector<float>> TryCall(std::span<const float> values,
-                                            ApplyMode mode, bool want_reply);
+                                            ApplyMode mode);
 
   net::Fabric* fabric_;
   Rank self_;
@@ -145,6 +142,8 @@ class ParameterServer {
                        double retry_timeout_s = 0.05);
 
   Rank ServerRank() const { return rank_; }
+  /// Requests applied and answered; a malformed request is dropped
+  /// unanswered, counted in `ps.rejected_requests` instead.
   std::uint64_t RequestsServed() const { return requests_served_.load(); }
 
   /// A copy of the current state.
@@ -156,6 +155,7 @@ class ParameterServer {
 
   net::Fabric& fabric_;
   Rank rank_;
+  const std::size_t dim_;  ///< state size; requests must match it
   mutable common::Mutex state_mu_;
   std::vector<float> state_ RNA_GUARDED_BY(state_mu_);
   std::atomic<std::uint64_t> requests_served_{0};

@@ -11,8 +11,9 @@ namespace rna::ps {
 
 namespace {
 
-// meta layout for requests: [0]=ApplyMode, [1]=want_reply, [2]=has_payload;
-// a reply carries only the state payload.
+// meta layout for requests: [0]=ApplyMode, [1]=want_reply (always 1),
+// [2]=has_payload; a reply carries only the state payload.
+constexpr std::size_t kMetaSize = 3;
 constexpr std::size_t kMetaMode = 0;
 constexpr std::size_t kMetaWantReply = 1;
 constexpr std::size_t kMetaHasPayload = 2;
@@ -21,11 +22,27 @@ constexpr std::size_t kMetaHasPayload = 2;
 // flight ahead of it are still served.
 constexpr std::int64_t kStopSentinel = -1;
 
+// A request the server can serve: a three-word meta naming a known mode and
+// asking for a reply, and either no payload or exactly `dim` floats.
+bool Servable(const net::Message& req, std::size_t dim) {
+  if (req.meta.size() != kMetaSize) return false;
+  const std::int64_t mode = req.meta[kMetaMode];
+  const std::int64_t has_payload = req.meta[kMetaHasPayload];
+  return (mode == static_cast<std::int64_t>(ApplyMode::kAssign) ||
+          mode == static_cast<std::int64_t>(ApplyMode::kAverage)) &&
+         req.meta[kMetaWantReply] == 1 &&
+         (has_payload == 0 || has_payload == 1) &&
+         req.data.size() == (has_payload == 1 ? dim : 0);
+}
+
 }  // namespace
 
 ParameterServer::ParameterServer(net::Fabric& fabric, Rank rank,
                                  std::vector<float> initial)
-    : fabric_(fabric), rank_(rank), state_(std::move(initial)) {}
+    : fabric_(fabric),
+      rank_(rank),
+      dim_(initial.size()),
+      state_(std::move(initial)) {}
 
 ParameterServer::~ParameterServer() { Stop(); }
 
@@ -63,28 +80,32 @@ void ParameterServer::ServeLoop() {
       if (stop_.load() || fabric_.IsClosed(rank_)) return;
       continue;  // idle timeout
     }
-    RNA_CHECK_MSG(req->meta.size() >= 3, "malformed PS request");
-    if (req->meta[kMetaMode] == kStopSentinel) return;
+    // Only this server's own Stop() may end the loop.
+    if (req->src == rank_ && req->meta.size() == kMetaSize &&
+        req->meta[kMetaMode] == kStopSentinel) {
+      return;
+    }
+    // A malformed frame is dropped unanswered and leaves the state as is;
+    // its sender sees a missing reply, as after a dropped request.
+    if (!Servable(*req, dim_)) {
+      fabric_.Pool().Recycle(std::move(req->data));
+      obs::CountMetric("ps.rejected_requests");
+      continue;
+    }
     obs::ScopedTimer rpc_timer(track, obs::Category::kRpc, "serve_request");
     rpc_timer.SetArg("src", static_cast<double>(req->src));
     obs::CountMetric("ps.requests");
     const auto mode = static_cast<ApplyMode>(req->meta[kMetaMode]);
-    const bool want_reply = req->meta[kMetaWantReply] != 0;
-    const bool has_payload = req->meta[kMetaHasPayload] != 0;
+    const bool has_payload = req->meta[kMetaHasPayload] == 1;
 
     net::Message reply;
     reply.tag = PsTags::kReply;
     {
       common::MutexLock lock(state_mu_);
       if (has_payload) {
-        RNA_CHECK_MSG(req->data.size() == state_.size(),
-                      "PS payload dimension mismatch");
         switch (mode) {
           case ApplyMode::kAssign:
             std::copy(req->data.begin(), req->data.end(), state_.begin());
-            break;
-          case ApplyMode::kAddDelta:
-            common::simd::AddInto(state_, req->data);
             break;
           case ApplyMode::kAverage:
             common::simd::AverageInto(state_, req->data);
@@ -102,7 +123,7 @@ void ParameterServer::ServeLoop() {
       applied_since_parent_sync_ = 0;
       SyncWithParent();
     }
-    if (want_reply) {
+    {
       common::MutexLock lock(state_mu_);
       // Pooled reply payload: push requests recycled above keep the
       // freelist warm, so the pull-reply path stops allocating once the
@@ -111,7 +132,7 @@ void ParameterServer::ServeLoop() {
       std::copy(state_.begin(), state_.end(), reply.data.begin());
     }
     requests_served_.fetch_add(1);
-    if (want_reply) fabric_.Send(rank_, req->src, std::move(reply));
+    fabric_.Send(rank_, req->src, std::move(reply));
   }
 }
 
@@ -158,7 +179,7 @@ void PsClient::ConfigureRetry(std::size_t budget, double first_timeout_s) {
 }
 
 std::optional<std::vector<float>> PsClient::TryCall(
-    std::span<const float> values, ApplyMode mode, bool want_reply) {
+    std::span<const float> values, ApplyMode mode) {
   if (!values.empty()) {
     RNA_CHECK_MSG(values.size() == dim_, "PS payload dimension mismatch");
   }
@@ -171,15 +192,14 @@ std::optional<std::vector<float>> PsClient::TryCall(
 
   // One shard adopts its reply payload as the result; more assemble their
   // slices into a fresh vector.
-  std::vector<float> out(want_reply && shards_ > 1 ? dim_ : 0);
+  std::vector<float> out(shards_ > 1 ? dim_ : 0);
   std::fill(have_.begin(), have_.end(), false);
   std::size_t got = 0;
 
   auto send_shard = [&](std::size_t s) {
     net::Message req;
     req.tag = PsTags::kRequest;
-    req.meta = {static_cast<std::int64_t>(mode), want_reply ? 1 : 0,
-                values.empty() ? 0 : 1};
+    req.meta = {static_cast<std::int64_t>(mode), 1, values.empty() ? 0 : 1};
     if (!values.empty()) {
       const std::size_t first = ShardFirst(dim_, shards_, s);
       const std::size_t last = ShardLast(dim_, shards_, s);
@@ -190,8 +210,9 @@ std::optional<std::vector<float>> PsClient::TryCall(
     }
     fabric_->Send(self_, first_server_ + s, std::move(req));
   };
-  // Accepts a shard reply; duplicates (from a slow-then-retried request)
-  // and strays are recycled and ignored.
+  // Accepts a shard reply; duplicates (from a slow-then-retried request),
+  // strays and wrong-size replies are recycled and ignored, so a shard
+  // whose reply was rejected stays missing and is re-sent on retry.
   auto accept = [&](net::Message& reply) {
     if (reply.src < first_server_ ||
         reply.src >= first_server_ + static_cast<Rank>(shards_)) {
@@ -205,8 +226,11 @@ std::optional<std::vector<float>> PsClient::TryCall(
       return;
     }
     const std::size_t first = ShardFirst(dim_, shards_, s);
-    RNA_CHECK_MSG(reply.data.size() == ShardLast(dim_, shards_, s) - first,
-                  "PS reply dimension mismatch");
+    if (reply.data.size() != ShardLast(dim_, shards_, s) - first) {
+      fabric_->Pool().Recycle(std::move(reply.data));
+      obs::CountMetric("ps.rejected_replies");
+      return;
+    }
     if (shards_ == 1) {
       out = std::move(reply.data);
     } else {
@@ -228,7 +252,6 @@ std::optional<std::vector<float>> PsClient::TryCall(
     for (std::size_t s = 0; s < shards_; ++s) {
       if (!have_[s]) send_shard(s);
     }
-    if (!want_reply) return std::vector<float>{};
 
     // Exponential backoff: t, 2t, 4t, ... per attempt; each shard reply
     // renews the window (the stripe is making progress).
@@ -250,19 +273,14 @@ std::optional<std::vector<float>> PsClient::TryCall(
   return std::nullopt;
 }
 
-void PsClient::Push(std::span<const float> values, ApplyMode mode) {
-  RNA_CHECK_MSG(!values.empty(), "Push requires a payload");
-  TryCall(values, mode, /*want_reply=*/false);
-}
-
 std::optional<std::vector<float>> PsClient::TryPull() {
-  return TryCall({}, ApplyMode::kAssign, /*want_reply=*/true);
+  return TryCall({}, ApplyMode::kAssign);
 }
 
 std::optional<std::vector<float>> PsClient::TryPushPull(
     std::span<const float> values, ApplyMode mode) {
   RNA_CHECK_MSG(!values.empty(), "PushPull requires a payload");
-  return TryCall(values, mode, /*want_reply=*/true);
+  return TryCall(values, mode);
 }
 
 }  // namespace rna::ps

@@ -31,18 +31,6 @@ struct CommModel {
     const double chunk = static_cast<double>(bytes) / static_cast<double>(world);
     return 2.0 * static_cast<double>(world - 1) * (alpha + chunk / bandwidth);
   }
-
-  /// Star broadcast (root sends to all, links shared serially).
-  Seconds Broadcast(std::size_t world, std::size_t bytes) const {
-    if (world < 2) return 0.0;
-    return static_cast<double>(world - 1) * alpha +
-           static_cast<double>(bytes) / bandwidth;
-  }
-
-  /// PS push + pull round trip of the full model.
-  Seconds PushPull(std::size_t bytes) const {
-    return 2.0 * PointToPoint(bytes);
-  }
 };
 
 /// Host↔device staging copies over PCIe (Table 5's "transmission cost").

@@ -77,19 +77,6 @@ SimResult SimulateEagerMajority(const SimConfig& config,
 SimResult SimulateAdPsgd(const SimConfig& config,
                          const IterationTimeModel& model);
 
-struct HierarchicalSimOptions {
-  RnaSimOptions rna;
-  /// Assignment of each worker to a group (values in [0, num_groups)).
-  std::vector<std::size_t> group_of;
-};
-
-/// Hierarchical RNA (§4): each group runs RNA internally; per round the
-/// group initiator PushPulls the group model through a PS and broadcasts it
-/// back. Groups proceed asynchronously; the result aggregates all groups.
-SimResult SimulateHierarchicalRna(const SimConfig& config,
-                                  const IterationTimeModel& model,
-                                  const HierarchicalSimOptions& options);
-
 /// §8.4 / Figure 10 microbenchmark: `world` workers process tasks
 /// back-to-back with durations drawn from `tasks`; each round the scheduler
 /// probes `choices` random workers and the round's response time is the

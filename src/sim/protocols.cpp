@@ -245,68 +245,6 @@ SimResult SimulateAdPsgd(const SimConfig& config,
   return result;
 }
 
-SimResult SimulateHierarchicalRna(const SimConfig& config,
-                                  const IterationTimeModel& model,
-                                  const HierarchicalSimOptions& options) {
-  RNA_CHECK(options.group_of.size() == config.world);
-  std::size_t num_groups = 0;
-  for (std::size_t g : options.group_of) num_groups = std::max(num_groups, g + 1);
-
-  SimResult total;
-  total.breakdown.resize(config.world);
-  total.rounds = config.rounds;
-
-  // Each group runs RNA independently (asynchronously w.r.t. the others),
-  // paying an extra PS push/pull + intra-group broadcast per round.
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    std::vector<std::size_t> members;
-    for (std::size_t w = 0; w < config.world; ++w) {
-      if (options.group_of[w] == g) members.push_back(w);
-    }
-    if (members.empty()) continue;
-
-    // Restrict the iteration model to the group by index remapping.
-    class RemappedModel : public IterationTimeModel {
-     public:
-      RemappedModel(const IterationTimeModel& inner,
-                    std::vector<std::size_t> map)
-          : inner_(inner), map_(std::move(map)) {}
-      Seconds Sample(std::size_t worker, std::size_t iteration,
-                     common::Rng& rng) const override {
-        return inner_.Sample(map_.at(worker), iteration, rng);
-      }
-
-     private:
-      const IterationTimeModel& inner_;
-      std::vector<std::size_t> map_;
-    };
-
-    SimConfig group_config = config;
-    group_config.world = members.size();
-    group_config.seed = config.seed + 17 * (g + 1);
-    RemappedModel group_model(model, members);
-    SimResult r = SimulateRna(group_config, group_model, options.rna);
-
-    // The PS push/pull and intra-group broadcast run asynchronously on the
-    // communication threads (§4/§6: the PS averaging is executed
-    // asynchronously, overlapped with compute), so they load the comm
-    // breakdown but do not serialize rounds.
-    const Seconds per_round_overhead =
-        config.comm.PushPull(config.model_bytes) +
-        config.comm.Broadcast(members.size(), config.model_bytes);
-
-    total.gradients_applied += r.gradients_applied;
-    total.gradients_dropped += r.gradients_dropped;
-    total.total_time = std::max(total.total_time, r.total_time);
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      total.breakdown[members[i]] = r.breakdown[i];
-      total.breakdown[members[i]].comm +=
-          per_round_overhead * static_cast<double>(r.rounds);
-    }
-  }
-  return total;
-}
-
 std::vector<double> ProbeResponseTimes(std::size_t world, std::size_t choices,
                                        std::size_t rounds,
                                        const IterationTimeModel& tasks,

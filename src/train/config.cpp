@@ -16,10 +16,6 @@ const char* ProtocolName(Protocol p) {
       return "rna";
     case Protocol::kRnaHierarchical:
       return "rna-h";
-    case Protocol::kSgp:
-      return "sgp";
-    case Protocol::kCentralizedPs:
-      return "async-ps";
   }
   return "?";
 }
@@ -30,8 +26,6 @@ std::optional<Protocol> ParseProtocol(std::string_view name) {
   if (name == "ad-psgd" || name == "adpsgd") return Protocol::kAdPsgd;
   if (name == "rna") return Protocol::kRna;
   if (name == "rna-h") return Protocol::kRnaHierarchical;
-  if (name == "sgp") return Protocol::kSgp;
-  if (name == "async-ps") return Protocol::kCentralizedPs;
   return std::nullopt;
 }
 
@@ -67,8 +61,7 @@ std::string TrainerConfig::Validate() const {
              protocol == Protocol::kRnaHierarchical) {
     why << "calibration_iters must be >= 1 for rna-h (grouping needs "
            "measured iteration times)";
-  } else if ((protocol == Protocol::kAdPsgd || protocol == Protocol::kSgp) &&
-             world < 2) {
+  } else if (protocol == Protocol::kAdPsgd && world < 2) {
     why << ProtocolName(protocol) << " needs at least two workers (got "
         << world << ")";
   } else if (compression == collectives::Compression::kTopK &&
@@ -80,18 +73,15 @@ std::string TrainerConfig::Validate() const {
         << "); use ring for a single-worker run";
   } else if ((schedule != collectives::Schedule::kRing ||
               compression != collectives::Compression::kNone) &&
-             (protocol == Protocol::kAdPsgd || protocol == Protocol::kSgp ||
-              protocol == Protocol::kCentralizedPs)) {
+             protocol == Protocol::kAdPsgd) {
     why << ProtocolName(protocol)
         << " has no allreduce path: --schedule/--compression only apply to "
            "horovod, eager-sgd, rna, and rna-h";
   } else if (ps_shards == 0) {
     why << "ps_shards must be >= 1 (got 0)";
-  } else if (ps_shards > 1 && protocol != Protocol::kRnaHierarchical &&
-             protocol != Protocol::kCentralizedPs) {
+  } else if (ps_shards > 1 && protocol != Protocol::kRnaHierarchical) {
     why << ProtocolName(protocol)
-        << " has no parameter server: ps_shards > 1 only applies to rna-h "
-           "and async-ps";
+        << " has no parameter server: ps_shards > 1 only applies to rna-h";
   } else if (ps_fan_in == 1) {
     why << "ps_fan_in must be 0 (flat) or >= 2 (a tree with fan-in 1 never "
            "converges on a root)";
@@ -117,12 +107,11 @@ std::string TrainerConfig::ValidateElastic() const {
   std::ostringstream why;
   const bool supported = protocol == Protocol::kRna ||
                          protocol == Protocol::kEagerSgd ||
-                         protocol == Protocol::kRnaHierarchical ||
-                         protocol == Protocol::kCentralizedPs;
+                         protocol == Protocol::kRnaHierarchical;
   if (!supported) {
     why << ProtocolName(protocol)
         << " cannot change membership mid-training: elastic schedules only "
-           "apply to rna, eager-sgd, rna-h, and async-ps";
+           "apply to rna, eager-sgd, and rna-h";
     return why.str();
   }
   if (!lockstep) {
@@ -203,7 +192,7 @@ std::string TrainerConfig::ValidateFault() const {
     why << "fault.dead_after_misses must be >= 1 (got 0)";
   } else if ((fault.drop_prob > 0.0 || fault.dup_prob > 0.0 ||
               fault.ps_drop_prob > 0.0) &&
-             (protocol == Protocol::kHorovod || protocol == Protocol::kSgp)) {
+             protocol == Protocol::kHorovod) {
     why << ProtocolName(protocol)
         << " cannot run on a lossy fabric: its untimed collectives deadlock "
            "on a dropped message (use delay faults instead)";
@@ -224,8 +213,7 @@ std::string TrainerConfig::ValidateFault() const {
         why << "fault schedule flaky_prob must be a probability in [0, 1] "
                "(got "
             << w.flaky_prob << ")";
-      } else if (w.HasCrash() && (protocol == Protocol::kHorovod ||
-                                  protocol == Protocol::kSgp)) {
+      } else if (w.HasCrash() && protocol == Protocol::kHorovod) {
         why << ProtocolName(protocol)
             << " cannot survive a crash fault: its collective needs every "
                "member (use hang/flaky faults instead)";

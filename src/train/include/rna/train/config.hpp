@@ -25,8 +25,6 @@ enum class Protocol {
   kAdPsgd,           ///< asynchronous randomized pairwise averaging
   kRna,              ///< the paper's contribution (flat)
   kRnaHierarchical,  ///< RNA within speed groups + PS across groups (§4)
-  kSgp,              ///< stochastic gradient push (PushSum gossip, §9)
-  kCentralizedPs,    ///< classic asynchronous parameter server (§2.2)
 };
 
 const char* ProtocolName(Protocol p);
@@ -234,7 +232,7 @@ struct TrainerConfig {
   // Scale-out knobs.
   /// Parameter-range sharding of the PS: each shard owns a contiguous
   /// 1/ps_shards slice of the model and its own fabric endpoint, and
-  /// clients stripe push/pull across all shards (rna-h and async-ps).
+  /// clients stripe push/pull across all shards (rna-h only).
   /// 1 keeps the classic single-server layout and wire format.
   std::size_t ps_shards = 1;
   /// Recursive PS fan-in for rna-h: 0 (default) keeps the flat two-level
@@ -252,8 +250,8 @@ struct TrainerConfig {
   /// bounded at large worlds. 0 = uncapped (classic ζ>v grouping only).
   std::size_t max_group_size = 0;
 
-  /// Elastic membership (requires lockstep; rna / eager-sgd / rna-h /
-  /// async-ps): ranks listed here join and/or leave mid-training. The
+  /// Elastic membership (requires lockstep; rna / eager-sgd / rna-h):
+  /// ranks listed here join and/or leave mid-training. The
   /// controller re-partitions the round membership, a joiner receives
   /// params + optimizer state from the round leader before its first
   /// round, and a leaver departs without being treated as a crash.

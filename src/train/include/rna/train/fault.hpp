@@ -9,8 +9,8 @@
 //    (fault seed, rank, iteration), not a shared RNG, so they replay
 //    identically regardless of thread interleaving;
 //  * RoundRobinGate serializes per-worker iterations into a fixed global
-//    order for TrainerConfig::lockstep runs of the gossip/PS protocols
-//    (AD-PSGD, async-PS), which have no controller to pace them.
+//    order for TrainerConfig::lockstep runs of AD-PSGD, which has no
+//    controller to pace it (rna-h's PS layer reuses it for group syncs).
 
 #include <atomic>
 #include <cstdint>

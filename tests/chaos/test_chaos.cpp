@@ -24,6 +24,7 @@
 #include "rna/core/rna.hpp"
 #include "rna/net/fabric.hpp"
 #include "rna/net/fault.hpp"
+#include "rna/obs/session.hpp"
 #include "rna/sim/workload.hpp"
 #include "rna/train/config.hpp"
 #include "rna/train/metrics.hpp"
@@ -105,15 +106,23 @@ TEST(Chaos, CrashBetweenRoundsContributorOracle) {
 // sent the request once and blocked in an untimed Recv for the reply: the
 // first dropped message (either direction) hung that worker forever. The
 // at-least-once retry loop (exponential backoff, bounded budget) rides
-// through a 10% loss rate essentially always.
+// through a 10% loss rate essentially always. rna-h capped at two ranks
+// per group has two groups, so every group leader's sync crosses the PS.
 TEST(Chaos, DropTenPercentOfPsTraffic) {
   constexpr std::size_t kWorld = 4;
   Scenario s = SmallScenario(13);
-  TrainerConfig c = ChaosConfig(Protocol::kCentralizedPs, kWorld, 12);
+  TrainerConfig c = ChaosConfig(Protocol::kRnaHierarchical, kWorld, 12);
+  c.lockstep = true;
+  c.calibration_iters = 2;
+  c.max_group_size = 2;
   c.fault.ps_drop_prob = 0.10;
 
+  obs::Session session;
   const TrainResult r = core::RunTraining(c, s.factory, s.train, s.val);
 
+  EXPECT_EQ(session.Metrics().GaugeValue("hier.groups"), 2.0);
+  EXPECT_GT(session.Metrics().CounterValue("ps.retries"), 0)
+      << "no drop hit the PS";
   EXPECT_EQ(r.live_workers, kWorld);
   EXPECT_GT(r.gradients_applied, 0u);
   EXPECT_LT(r.final_loss, kChanceLoss);

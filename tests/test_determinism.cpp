@@ -10,10 +10,7 @@
 //                     round, so membership and staleness are schedule-free
 //   * rna-h         — plus nominal (delay-model-sampled) calibration instead
 //                     of wall-clock measurement
-//   * ad-psgd /
-//     async-ps      — RoundRobinGate serializes iterations into rank order
-//   * sgp           — iteration-unique push tags replace parity tags, fixing
-//                     the (receiver, iteration) pairing
+//   * ad-psgd       — RoundRobinGate serializes iterations into rank order
 // Wall-clock-derived fields (wall_seconds, curve, breakdown) are exempt;
 // everything the optimizer touched must match exactly.
 
@@ -118,12 +115,6 @@ TEST(LockstepDeterminism, RnaHierarchical) {
   ExpectIdenticalRuns(Protocol::kRnaHierarchical);
 }
 
-TEST(LockstepDeterminism, Sgp) { ExpectIdenticalRuns(Protocol::kSgp); }
-
-TEST(LockstepDeterminism, CentralizedPs) {
-  ExpectIdenticalRuns(Protocol::kCentralizedPs);
-}
-
 // Every reduction schedule × wire compression combo must preserve the
 // lockstep-determinism property: the collective policy changes the wire
 // format and the hop graph, never the schedule-freedom of the run.
@@ -188,17 +179,10 @@ TEST(ElasticDeterminism, RnaHierarchicalWithShardedPsTree) {
   ExpectIdenticalRunsWith(c);
 }
 
-TEST(ElasticDeterminism, CentralizedPs) {
-  TrainerConfig c = ElasticConfig(Protocol::kCentralizedPs);
-  c.ps_shards = 2;
-  ExpectIdenticalRunsWith(c);
-}
-
 // Protocols without an elastic path must reject the schedule up front with
 // a deterministic diagnostic — not accept it and silently ignore it.
 TEST(ElasticDeterminism, UnsupportedProtocolsRejectSchedules) {
-  for (const Protocol p :
-       {Protocol::kHorovod, Protocol::kSgp, Protocol::kAdPsgd}) {
+  for (const Protocol p : {Protocol::kHorovod, Protocol::kAdPsgd}) {
     SCOPED_TRACE(ProtocolName(p));
     const TrainerConfig c = ElasticConfig(p);
     EXPECT_NE(c.Validate().find("cannot change membership mid-training"),

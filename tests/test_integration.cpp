@@ -374,26 +374,6 @@ TEST(Integration, LrDecayScheduleOnHorovod) {
   EXPECT_GT(r.final_loss, 1.0);
 }
 
-TEST(Integration, SgpLearns) {
-  Scenario s = MakeMlpScenario();
-  TrainerConfig c = BaseConfig(Protocol::kSgp, 400);
-  c.sgd.learning_rate = 0.1;
-  const TrainResult r = RunTraining(c, s.factory, s.train, s.val);
-  ExpectLearned(r, 0.7);
-  // One push-sum exchange per worker per iteration; shutdown may clip the
-  // last iteration of a worker whose peer exited first.
-  EXPECT_GE(r.gradients_applied, 400u * 4 - 4);
-  EXPECT_LE(r.gradients_applied, 400u * 4);
-}
-
-TEST(Integration, CentralizedPsLearns) {
-  Scenario s = MakeMlpScenario();
-  TrainerConfig c = BaseConfig(Protocol::kCentralizedPs, 300);
-  c.sgd.learning_rate = 0.3;  // plain async SGD, no momentum on the server
-  const TrainResult r = RunTraining(c, s.factory, s.train, s.val);
-  ExpectLearned(r, 0.7);
-}
-
 TEST(Integration, FinalParamsMatchReportedAccuracy) {
   // The returned final_params must be the model the final metrics describe.
   Scenario s = MakeMlpScenario();

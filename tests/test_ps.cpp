@@ -1,8 +1,9 @@
-// Tests for the ps-lite-style parameter server: apply modes, push/pull
-// round trips, concurrent clients, clean shutdown — plus the scale-out
-// layer (range-sharded servers striped by one PsClient, parent-folding in
-// the recursive PS tree), the one-shard request frame, and the client's
-// retry loop against a scripted server.
+// Tests for the ps-lite-style parameter server: the two apply modes (assign
+// and average), push/pull round trips, concurrent clients, clean shutdown,
+// rejection of malformed request frames — plus the scale-out layer
+// (range-sharded servers striped by one PsClient, parent-folding in the
+// recursive PS tree), the one-shard request frame, and the client's retry
+// loop and reply checks against a scripted server.
 
 #include <gtest/gtest.h>
 
@@ -33,19 +34,11 @@ TEST(ParameterServer, PushAssignReplacesState) {
   ParameterServer server(fabric, 1, {0.0f, 0.0f});
   server.Start();
   PsClient client(fabric, 0, 1, 1, 2);
-  client.Push(std::vector<float>{5.0f, 6.0f}, ApplyMode::kAssign);
+  EXPECT_EQ(
+      client.TryPushPull(std::vector<float>{5.0f, 6.0f}, ApplyMode::kAssign)
+          .value(),
+      (std::vector<float>{5.0f, 6.0f}));
   EXPECT_EQ(client.TryPull().value(), (std::vector<float>{5.0f, 6.0f}));
-  server.Stop();
-}
-
-TEST(ParameterServer, PushAddDeltaAccumulates) {
-  net::Fabric fabric(2);
-  ParameterServer server(fabric, 1, {1.0f});
-  server.Start();
-  PsClient client(fabric, 0, 1, 1, 1);
-  client.Push(std::vector<float>{2.0f}, ApplyMode::kAddDelta);
-  client.Push(std::vector<float>{3.0f}, ApplyMode::kAddDelta);
-  EXPECT_EQ(client.TryPull().value(), (std::vector<float>{6.0f}));
   server.Stop();
 }
 
@@ -70,11 +63,15 @@ TEST(ParameterServer, MixedModesCompose) {
   ParameterServer server(fabric, 1, {2.0f});
   server.Start();
   PsClient client(fabric, 0, 1, 1, 1);
-  client.Push(std::vector<float>{4.0f}, ApplyMode::kAverage);   // (2+4)/2 = 3
-  client.Push(std::vector<float>{1.0f}, ApplyMode::kAddDelta);  // 4
+  EXPECT_EQ(
+      client.TryPushPull(std::vector<float>{4.0f}, ApplyMode::kAverage).value(),
+      (std::vector<float>{3.0f}));  // (2+4)/2
+  EXPECT_EQ(
+      client.TryPushPull(std::vector<float>{10.0f}, ApplyMode::kAssign).value(),
+      (std::vector<float>{10.0f}));
   EXPECT_EQ(
       client.TryPushPull(std::vector<float>{0.0f}, ApplyMode::kAverage).value(),
-      (std::vector<float>{2.0f}));  // (4+0)/2
+      (std::vector<float>{5.0f}));  // (10+0)/2
   server.Stop();
 }
 
@@ -89,15 +86,16 @@ TEST(ParameterServer, ConcurrentClientsAllServed) {
       PsClient client(fabric, c, clients, 1, 1);
       for (int i = 0; i < 50; ++i) {
         EXPECT_TRUE(
-            client.TryPushPull(std::vector<float>{1.0f}, ApplyMode::kAddDelta)
+            client.TryPushPull(std::vector<float>{1.0f}, ApplyMode::kAverage)
                 .has_value());
       }
     });
   }
   for (auto& t : threads) t.join();
+  EXPECT_EQ(server.RequestsServed(), 300u);  // 6 clients × 50 calls
+  // 300 halvings of the distance to 1 round to 1 exactly in float.
   PsClient reader(fabric, 0, clients, 1, 1);
-  EXPECT_EQ(reader.TryPull().value()[0], 300.0f);  // 6 clients × 50 increments
-  EXPECT_GE(server.RequestsServed(), 301u);
+  EXPECT_EQ(reader.TryPull().value()[0], 1.0f);
   server.Stop();
 }
 
@@ -106,8 +104,11 @@ TEST(ParameterServer, SnapshotMatchesPull) {
   ParameterServer server(fabric, 1, {1.5f, 2.5f});
   server.Start();
   PsClient client(fabric, 0, 1, 1, 2);
-  client.Push(std::vector<float>{1.0f, 1.0f}, ApplyMode::kAddDelta);
-  const auto pulled = client.TryPull();  // serializes behind the Push
+  ASSERT_TRUE(
+      client.TryPushPull(std::vector<float>{1.0f, 1.0f}, ApplyMode::kAverage)
+          .has_value());
+  const auto pulled = client.TryPull();
+  EXPECT_EQ(pulled.value(), (std::vector<float>{1.25f, 1.75f}));
   EXPECT_EQ(pulled.value(), server.Snapshot());
   server.Stop();
 }
@@ -125,10 +126,60 @@ TEST(ParameterServer, RestartAfterStop) {
   ParameterServer server(fabric, 1, {0.0f});
   server.Start();
   PsClient client(fabric, 0, 1, 1, 1);
-  client.Push(std::vector<float>{3.0f}, ApplyMode::kAssign);
+  ASSERT_TRUE(
+      client.TryPushPull(std::vector<float>{3.0f}, ApplyMode::kAssign)
+          .has_value());
   server.Stop();
   server.Start();
   EXPECT_EQ(client.TryPull().value(), (std::vector<float>{3.0f}));
+  server.Stop();
+}
+
+TEST(ParameterServer, MalformedRequestsAreRejected) {
+  // Each bad frame is dropped unanswered and leaves the state as is; the
+  // server keeps serving, and only its own Stop() ends it.
+  constexpr auto kAssign = static_cast<std::int64_t>(ApplyMode::kAssign);
+  struct Frame {
+    std::vector<std::int64_t> meta;
+    std::size_t floats;
+  };
+  const Frame bad[] = {
+      {{}, 0},                  // no meta
+      {{kAssign, 1}, 0},        // short meta
+      {{kAssign, 1, 0, 0}, 0},  // long meta
+      {{1, 1, 1}, 3},           // mode 1, between kAssign and kAverage
+      {{7, 1, 1}, 3},           // unknown mode
+      {{-1, 0, 0}, 0},          // stop sentinel from another rank
+      {{kAssign, 0, 1}, 3},     // no reply wanted
+      {{kAssign, 2, 1}, 3},     // want_reply not 1
+      {{kAssign, 1, 2}, 3},     // has_payload not 0 or 1
+      {{kAssign, 1, 1}, 0},     // missing payload
+      {{kAssign, 1, 1}, 2},     // short payload
+      {{kAssign, 1, 1}, 4},     // long payload
+      {{kAssign, 1, 0}, 3},     // payload without has_payload
+  };
+  obs::Session session;
+  net::Fabric fabric(2);
+  ParameterServer server(fabric, 1, {1.0f, 2.0f, 3.0f});
+  server.Start();
+  for (const Frame& frame : bad) {
+    net::Message req;
+    req.tag = PsTags::kRequest;
+    req.meta = frame.meta;
+    req.data.assign(frame.floats, 9.0f);
+    fabric.Send(0, 1, std::move(req));
+  }
+  // Frames from one sender arrive in order, so the pull is served after
+  // every bad frame; the retry budget turns a stopped server into a
+  // failure instead of a hang.
+  PsClient client(fabric, 0, 1, 1, 3);
+  client.ConfigureRetry(3, 0.5);
+  EXPECT_EQ(client.TryPull().value(), (std::vector<float>{1.0f, 2.0f, 3.0f}));
+  EXPECT_FALSE(fabric.TryRecv(0, PsTags::kReply).has_value())
+      << "a malformed frame was answered";
+  EXPECT_EQ(server.RequestsServed(), 1u);
+  EXPECT_EQ(session.Metrics().CounterValue("ps.rejected_requests"),
+            static_cast<std::int64_t>(std::size(bad)));
   server.Stop();
 }
 
@@ -185,7 +236,7 @@ TEST(ShardedPs, MultiShardPushPullMatchesSinglePs) {
   PsClient sharded(fabric, 0, 2, kShards, kDim);
   PsClient plain(fabric, 1, 2 + kShards, 1, kDim);
 
-  const ApplyMode modes[] = {ApplyMode::kAddDelta, ApplyMode::kAverage,
+  const ApplyMode modes[] = {ApplyMode::kAverage, ApplyMode::kAverage,
                              ApplyMode::kAssign, ApplyMode::kAverage};
   for (int op = 0; op < 4; ++op) {
     std::vector<float> payload(kDim);
@@ -217,14 +268,16 @@ TEST(ShardedPs, ConcurrentStripedClientsAllServed) {
       for (int i = 0; i < 25; ++i) {
         EXPECT_TRUE(client
                         .TryPushPull(std::vector<float>(kDim, 1.0f),
-                                     ApplyMode::kAddDelta)
+                                     ApplyMode::kAverage)
                         .has_value());
       }
     });
   }
   for (auto& t : threads) t.join();
+  for (auto& s : bank) EXPECT_EQ(s->RequestsServed(), 100u);  // 4 × 25
+  // 100 halvings of the distance to 1 round to 1 exactly in float.
   PsClient reader(fabric, 0, kClients, kShards, kDim);
-  EXPECT_EQ(reader.TryPull().value(), std::vector<float>(kDim, 100.0f));
+  EXPECT_EQ(reader.TryPull().value(), std::vector<float>(kDim, 1.0f));
   for (auto& s : bank) s->Stop();
 }
 
@@ -264,14 +317,18 @@ TEST(ShardedPs, ParentSyncHonorsSyncEvery) {
   child.Start();
 
   PsClient client(fabric, 0, 2, 1, 1);
-  client.Push(std::vector<float>{6.0f}, ApplyMode::kAssign);
-  EXPECT_EQ(client.TryPull().value(), (std::vector<float>{6.0f}));
+  EXPECT_EQ(
+      client.TryPushPull(std::vector<float>{6.0f}, ApplyMode::kAssign).value(),
+      (std::vector<float>{6.0f}));
   EXPECT_EQ(root.Snapshot(), (std::vector<float>{0.0f}))
       << "first applied payload must not sync yet";
+  // A pull applies no payload, so it does not count toward sync_every.
+  EXPECT_EQ(client.TryPull().value(), (std::vector<float>{6.0f}));
   // Second applied payload reaches the threshold: child (now 6) folds into
-  // the root: root = (0+6)/2 = 3, child adopts 3.
-  client.Push(std::vector<float>{6.0f}, ApplyMode::kAssign);
-  EXPECT_EQ(client.TryPull().value(), (std::vector<float>{3.0f}));
+  // the root: root = (0+6)/2 = 3, child adopts 3 before replying.
+  EXPECT_EQ(
+      client.TryPushPull(std::vector<float>{6.0f}, ApplyMode::kAssign).value(),
+      (std::vector<float>{3.0f}));
   EXPECT_EQ(root.Snapshot(), (std::vector<float>{3.0f}));
   child.Stop();
   root.Stop();
@@ -377,6 +434,42 @@ TEST(PsClient, RetryResendsOnlyTheMissingShard) {
   EXPECT_EQ(session.Metrics().CounterValue("ps.retries"), 1);
   EXPECT_FALSE(fabric.TryRecv(kFirst + 0, PsTags::kRequest).has_value());
   EXPECT_FALSE(fabric.TryRecv(kFirst + 2, PsTags::kRequest).has_value());
+}
+
+TEST(PsClient, WrongSizeReplyIsIgnored) {
+  // A reply of the wrong size for its shard is recycled and counted; the
+  // shard stays missing, so the retry re-sends to it alone.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(shards);
+    obs::Session session;
+    net::Fabric fabric(kFirst + shards);
+    PsClient client(fabric, kClient, kFirst, shards, kDim);
+    client.ConfigureRetry(3, 0.25);
+    const std::vector<float> state = ServerState();
+    auto pull =
+        std::async(std::launch::async, [&] { return client.TryPull(); });
+    for (std::size_t s = 0; s < shards; ++s) {
+      NextRequest(fabric, s);
+      if (s != 0) {
+        Answer(fabric, shards, s, state);
+        continue;
+      }
+      net::Message short_reply;
+      short_reply.tag = PsTags::kReply;
+      short_reply.data.assign(ShardLast(kDim, shards, 0) - 1, -1.0f);
+      fabric.Send(kFirst, kClient, std::move(short_reply));
+    }
+    NextRequest(fabric, 0);  // the retry
+    Answer(fabric, shards, 0, state);
+    const auto pulled = pull.get();
+    ASSERT_TRUE(pulled.has_value());
+    EXPECT_EQ(*pulled, state);
+    EXPECT_EQ(session.Metrics().CounterValue("ps.rejected_replies"), 1);
+    EXPECT_EQ(session.Metrics().CounterValue("ps.retries"), 1);
+    for (std::size_t s = 1; s < shards; ++s) {
+      EXPECT_FALSE(fabric.TryRecv(kFirst + s, PsTags::kRequest).has_value());
+    }
+  }
 }
 
 // The retry loop is the same for one shard and a striped bank.

@@ -144,7 +144,7 @@ TEST(Validate, RejectsEachBrokenFaultField) {
        }},
       {"lossy fabric",
        [](TrainerConfig& c) {
-         c.protocol = Protocol::kSgp;
+         c.protocol = Protocol::kHorovod;
          c.fault.ps_drop_prob = 0.1;
        }},
       {"cannot survive a crash",
@@ -166,19 +166,17 @@ TEST(Validate, RejectsEachBrokenFaultField) {
 }
 
 TEST(Validate, DelayFaultsAreLegalEvenForLosslessProtocols) {
-  // Horovod/SGP reject drop faults (their untimed collectives would
-  // deadlock) but tolerate pure slowness: delay and hang/flaky faults pass.
-  for (Protocol p : {Protocol::kHorovod, Protocol::kSgp}) {
-    TrainerConfig c = ValidConfig(p);
-    c.fault.delay_prob = 0.3;
-    c.fault.delay_s = 0.01;
-    train::WorkerFaultSchedule s;
-    s.rank = 0;
-    s.hang_at_iteration = 1;
-    s.hang_for_s = 0.01;
-    c.fault.workers.push_back(s);
-    EXPECT_EQ(c.Validate(), "") << ProtocolName(p);
-  }
+  // Horovod rejects drop faults (its untimed collectives would deadlock)
+  // but tolerates pure slowness: delay and hang/flaky faults pass.
+  TrainerConfig c = ValidConfig(Protocol::kHorovod);
+  c.fault.delay_prob = 0.3;
+  c.fault.delay_s = 0.01;
+  train::WorkerFaultSchedule s;
+  s.rank = 0;
+  s.hang_at_iteration = 1;
+  s.hang_for_s = 0.01;
+  c.fault.workers.push_back(s);
+  EXPECT_EQ(c.Validate(), "");
 }
 
 TEST(Validate, ZeroDecayFactorFreezesTrainingAndIsLegal) {
@@ -191,8 +189,7 @@ TEST(Validate, ZeroDecayFactorFreezesTrainingAndIsLegal) {
 TEST(ParseProtocolTest, RoundTripsEveryProtocolName) {
   const Protocol all[] = {
       Protocol::kHorovod, Protocol::kEagerSgd,        Protocol::kAdPsgd,
-      Protocol::kRna,     Protocol::kRnaHierarchical, Protocol::kSgp,
-      Protocol::kCentralizedPs,
+      Protocol::kRna,     Protocol::kRnaHierarchical,
   };
   for (Protocol p : all) {
     const auto parsed = ParseProtocol(ProtocolName(p));
@@ -208,6 +205,9 @@ TEST(ParseProtocolTest, AcceptsAliasesAndRejectsJunk) {
   EXPECT_FALSE(ParseProtocol("RNA").has_value());  // names are exact
   EXPECT_FALSE(ParseProtocol("allreduce").has_value());
   EXPECT_FALSE(ParseProtocol("rna ").has_value());
+  // SGP and the asynchronous PS were removed; their names no longer parse.
+  EXPECT_FALSE(ParseProtocol("sgp").has_value());
+  EXPECT_FALSE(ParseProtocol("async-ps").has_value());
 }
 
 TEST(TrainResultHelpers, EmptyResultYieldsZeroMeans) {

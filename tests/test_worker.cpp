@@ -328,8 +328,6 @@ TEST(Config, ProtocolNamesAreStable) {
   EXPECT_STREQ(ProtocolName(Protocol::kHorovod), "horovod");
   EXPECT_STREQ(ProtocolName(Protocol::kRna), "rna");
   EXPECT_STREQ(ProtocolName(Protocol::kRnaHierarchical), "rna-h");
-  EXPECT_STREQ(ProtocolName(Protocol::kSgp), "sgp");
-  EXPECT_STREQ(ProtocolName(Protocol::kCentralizedPs), "async-ps");
 }
 
 }  // namespace
