@@ -1,6 +1,6 @@
 // Microbenchmarks for the communication substrate: fabric point-to-point
 // latency, ring allreduce and partial allreduce cost across world sizes,
-// pipelined fused allreduce, and PS push/pull round trips.
+// and PS push/pull round trips.
 //
 // Two modes:
 //   (default)            google-benchmark sweep (all BM_* below).
@@ -22,7 +22,6 @@
 
 #include "bench_json.hpp"
 #include "rna/collectives/allreduce.hpp"
-#include "rna/collectives/fusion.hpp"
 #include "rna/net/fabric.hpp"
 #include "rna/ps/server.hpp"
 
@@ -196,54 +195,6 @@ benchutil::BenchRow RingBaselineRow() {
   return row;
 }
 
-benchutil::BenchRow FusedBaselineRow() {
-  constexpr std::size_t kWorld = 4;
-  constexpr std::size_t kTensors = 16;
-  constexpr std::size_t kTensorElems = 1u << 14;
-  constexpr std::size_t kBucketElems = 1u << 16;
-  constexpr int kWarmup = 2;
-  constexpr int kIters = 10;
-
-  net::Fabric fabric(kWorld);
-  const auto group = collectives::Group::Full(kWorld);
-  std::vector<collectives::TensorSpec> specs(kTensors);
-  for (std::size_t t = 0; t < kTensors; ++t) {
-    specs[t] = {"t" + std::to_string(t), kTensorElems};
-  }
-  const auto plan = collectives::FusionPlan::Build(specs, kBucketElems);
-  const int stride = collectives::FusionTagStride(kWorld);
-  const int tags_per_round = static_cast<int>(plan.BucketCount()) * stride;
-  std::vector<std::vector<std::vector<float>>> data(kWorld);
-  std::vector<std::vector<float*>> ptrs(kWorld);
-  for (std::size_t r = 0; r < kWorld; ++r) {
-    data[r].assign(kTensors, std::vector<float>(kTensorElems, 1.0f));
-    for (auto& tensor : data[r]) ptrs[r].push_back(tensor.data());
-  }
-  auto run_round = [&](int round) {
-    std::vector<std::thread> threads;
-    for (std::size_t r = 0; r < kWorld; ++r) {
-      threads.emplace_back([&, r] {
-        collectives::CollectiveOptions opts;
-        opts.tag_base = round * tags_per_round;
-        collectives::FusedAllreduce({fabric, group, r}, opts, specs, ptrs[r],
-                                    plan);
-      });
-    }
-    for (auto& t : threads) t.join();
-  };
-
-  for (int i = 0; i < kWarmup; ++i) run_round(i);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kIters; ++i) run_round(kWarmup + i);
-  const double secs = SecondsSince(t0);
-
-  benchutil::BenchRow row;
-  row.label = "fused_allreduce_w4_16x16k";
-  row.values["elems_per_s"] =
-      static_cast<double>(kTensors * kTensorElems) * kIters / secs;
-  return row;
-}
-
 benchutil::BenchRow PingPongBaselineRow() {
   constexpr std::size_t kElems = 1u << 14;  // 64 KiB payload
   constexpr int kWarmup = 50;
@@ -295,7 +246,6 @@ benchutil::BenchRow PingPongBaselineRow() {
 int JsonMain(const std::string& path) {
   std::vector<benchutil::BenchRow> rows;
   rows.push_back(RingBaselineRow());
-  rows.push_back(FusedBaselineRow());
   rows.push_back(PingPongBaselineRow());
   benchutil::WriteBenchJson(path, "micro_fabric", rows);
   for (const auto& row : rows) {

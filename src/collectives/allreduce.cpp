@@ -8,38 +8,28 @@
 
 namespace rna::collectives {
 
-Pass::Pass(const CollectiveContext& ctx, const CollectiveOptions& options,
-           std::span<float> data)
-    : impl_(options.schedule == Schedule::kTree
-                ? std::variant<RingPass, TreePass>(
-                      std::in_place_type<TreePass>, ctx, options, data)
-                : std::variant<RingPass, TreePass>(
-                      std::in_place_type<RingPass>, ctx, options, data)) {}
-
-void Pass::LaunchHop() {
-  std::visit([](auto& pass) { pass.LaunchHop(); }, impl_);
-}
-
-bool Pass::CompleteHop() {
-  return std::visit([](auto& pass) { return pass.CompleteHop(); }, impl_);
-}
-
-bool Pass::Done() const {
-  return std::visit([](const auto& pass) { return pass.Done(); }, impl_);
-}
-
-bool Pass::Failed() const {
-  return std::visit([](const auto& pass) { return pass.Failed(); }, impl_);
-}
-
 bool AllreduceFor(const CollectiveContext& ctx,
                   const CollectiveOptions& options, std::span<float> data) {
-  Pass pass(ctx, options, data);
-  while (!pass.Done()) {
-    pass.LaunchHop();
-    if (!pass.CompleteHop()) return false;
+  const std::size_t world = ctx.group.Size();
+  RNA_CHECK_MSG(world > 0 && ctx.my_index < world, "bad group index");
+  RNA_CHECK_MSG(options.exact_tail <= data.size(),
+                "exact tail larger than the buffer");
+  if (options.compression == Compression::kTopK) {
+    RNA_CHECK_MSG(options.topk_fraction > 0.0 && options.topk_fraction <= 1.0,
+                  "top-k fraction must be in (0, 1]");
   }
-  return true;
+  std::span<float> residual{};
+  if (options.compression != Compression::kNone &&
+      options.feedback != nullptr) {
+    if (options.feedback->Size() < data.size()) {
+      options.feedback->EnsureSize(data.size());
+    }
+    residual = options.feedback->Slice(0, data.size());
+  }
+  if (world == 1) return true;
+  return options.schedule == Schedule::kTree
+             ? detail::TreeAllreduceFor(ctx, options, data, residual)
+             : detail::RingAllreduceFor(ctx, options, data, residual);
 }
 
 void Allreduce(const CollectiveContext& ctx, const CollectiveOptions& options,

@@ -1,7 +1,5 @@
 #include "rna/collectives/compression.hpp"
 
-#include <algorithm>
-
 #include "rna/common/check.hpp"
 
 namespace rna::collectives {
@@ -49,10 +47,6 @@ void ErrorFeedback::EnsureSize(std::size_t n) {
   } else {
     residual_.assign(n, 0.0f);
   }
-}
-
-void ErrorFeedback::Clear() {
-  std::fill(residual_.begin(), residual_.end(), 0.0f);
 }
 
 std::span<float> ErrorFeedback::Slice(std::size_t offset, std::size_t n) {

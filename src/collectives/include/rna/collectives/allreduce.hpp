@@ -5,94 +5,47 @@
 // This replaces the old grown-by-accretion positional entry points
 // (RingAllreduce / RingAllreduceFor / RingPartialAllreduce): call sites
 // build a CollectiveOptions once and the same options select the wire
-// format and topology everywhere — flat rings, hierarchical groups, fused
-// buckets, Horovod's baseline.
+// format and topology everywhere — flat rings, hierarchical groups,
+// Horovod's baseline. Each schedule is one plain hop loop (one send, then
+// one receive, per hop) in the detail namespace below.
 
-#include <optional>
 #include <span>
-#include <variant>
-#include <vector>
 
 #include "rna/collectives/options.hpp"
 #include "rna/collectives/ring.hpp"
 
 namespace rna::collectives {
 
-/// One binomial-tree allreduce pass (Schedule::kTree): a reduce-to-root
-/// up-sweep (log₂N rounds; at round `mask` every position with that bit
-/// set sends its full partial sum to pos − mask) followed by a binomial
-/// broadcast down-sweep. 2·⌈log₂N⌉ sequential hops instead of the ring's
-/// 2(N−1) — the latency-optimal choice for small buffers or large worlds —
-/// at the cost of full-buffer payloads per hop.
+namespace detail {
+
+/// The schedules behind AllreduceFor, which validates the options, sizes
+/// the error feedback and returns early for a one-member group; both need
+/// world >= 2. `residual` is the feedback window [0, data.size()) of
+/// options.feedback, or empty (no feedback, or Compression::kNone).
 ///
-/// Compression applies once per rank: each rank encodes its reduce send
+/// Schedule::kRing/kStragglar (ring.cpp): the paper's ring, 2(N−1) hops.
+/// Chunks are encoded through rna/net/wire once per send and forwarded
+/// verbatim through the all-gather. kStragglar moves `options.straggler` to
+/// the ring's tail *position* (chunk ownership and neighbors permute with
+/// it; tags do not), so its slow hops overlap the most other work instead
+/// of stalling a fixed pair of neighbors.
+bool RingAllreduceFor(const CollectiveContext& ctx,
+                      const CollectiveOptions& options, std::span<float> data,
+                      std::span<float> residual);
+
+/// Schedule::kTree (schedule.cpp): a binomial reduce-to-root up-sweep
+/// (log₂N rounds; at round `mask` every position with that bit set sends
+/// its full partial sum to pos − mask) followed by a binomial broadcast
+/// down-sweep. 2·⌈log₂N⌉ sequential hops instead of the ring's 2(N−1) —
+/// the latency-optimal choice for small buffers or large worlds — at the
+/// cost of full-buffer payloads per hop. Each rank encodes its reduce send
 /// (with error feedback) and the root encodes the broadcast frame, which
-/// is then forwarded verbatim down the tree, so all ranks end bitwise
-/// identical. Same LaunchHop/CompleteHop driving contract as RingPass;
-/// tags stay inside [tag_base, tag_base + TreeTagSpan(world)).
-class TreePass {
- public:
-  TreePass(const CollectiveContext& ctx, const CollectiveOptions& options,
-           std::span<float> data);
+/// is forwarded verbatim down the tree, so all ranks end bitwise identical.
+bool TreeAllreduceFor(const CollectiveContext& ctx,
+                      const CollectiveOptions& options, std::span<float> data,
+                      std::span<float> residual);
 
-  /// Performs every send that precedes the next blocking receive.
-  void LaunchHop();
-
-  /// Drives the pass through its next receive (and any sends that follow
-  /// it). False when the receive timed out or the fabric shut down.
-  bool CompleteHop();
-
-  bool Done() const { return stage_ == Stage::kDone && !failed_; }
-  bool Failed() const { return failed_; }
-
- private:
-  enum class Stage { kReduce, kBcastRecv, kBcastSend, kDone };
-
-  std::vector<float> EncodeFrame();
-  void SendFrame(std::size_t to_pos, int tag, bool last);
-  void BeginBroadcast();
-
-  net::Fabric* fabric_;
-  const Group* group_;
-  std::span<float> data_;
-  int tag_base_;
-  common::Seconds hop_timeout_;
-  net::wire::Format format_;
-  double topk_fraction_;
-  std::size_t exact_tail_;
-  ErrorFeedback* feedback_;
-  std::size_t feedback_offset_;
-
-  std::size_t world_;
-  std::size_t pos_ = 0;
-  Rank self_ = 0;
-  std::size_t top_mask_ = 0;    ///< highest power of two below world
-  std::size_t level_ = 0;       ///< mask this position sends up at (0=root)
-  Stage stage_ = Stage::kDone;
-  std::size_t reduce_mask_ = 1;
-  std::size_t bcast_mask_ = 0;
-  /// The encoded frame being fanned out to children (root: fresh encode;
-  /// inner nodes: the received frame, forwarded verbatim).
-  std::optional<std::vector<float>> frame_;
-  bool failed_ = false;
-};
-
-/// A schedule-polymorphic pass: RingPass for Schedule::kRing/kStragglar,
-/// TreePass for Schedule::kTree, behind the LaunchHop/CompleteHop driving
-/// interface fusion pipelines against.
-class Pass {
- public:
-  Pass(const CollectiveContext& ctx, const CollectiveOptions& options,
-       std::span<float> data);
-
-  void LaunchHop();
-  bool CompleteHop();
-  bool Done() const;
-  bool Failed() const;
-
- private:
-  std::variant<RingPass, TreePass> impl_;
-};
+}  // namespace detail
 
 /// In-place sum-allreduce: after the call every member's `data` holds the
 /// elementwise sum across the group (for lossy compression: the identical
@@ -100,8 +53,9 @@ class Pass {
 /// equal-size buffers and identical options; the pass's tags live in
 /// [options.tag_base, options.tag_base + TreeTagSpan(world)).
 ///
-/// Returns false when a hop timed out (options.hop_timeout > 0) or the
-/// fabric shut down — i.e. a group member crashed mid-collective — leaving
+/// Returns false when a hop timed out (options.hop_timeout > 0), the
+/// fabric shut down — i.e. a group member crashed mid-collective — or a
+/// peer's frame failed to decode (`collectives.rejected_frames`), leaving
 /// `data` in an undefined partial state; the caller must abort the round,
 /// discard the buffer, and purge the tag range. This is what keeps a
 /// mid-collective crash from deadlocking every survivor in Recv.

@@ -45,16 +45,11 @@ net::wire::Format ToWireFormat(Compression c);
 class ErrorFeedback {
  public:
   /// Grows/shrinks to `n` elements. Growth zero-fills the new suffix and
-  /// keeps existing residuals (fused passes grow the shared buffer bucket
-  /// by bucket); shrinking re-zeros everything (stale residuals from a
-  /// different buffer layout must never leak in).
+  /// keeps existing residuals; shrinking re-zeros everything (stale
+  /// residuals from a different buffer layout must never leak in).
   void EnsureSize(std::size_t n);
 
   std::size_t Size() const { return residual_.size(); }
-
-  /// Zeroes all residuals (e.g. after a failed round whose encodes were
-  /// never delivered).
-  void Clear();
 
   std::span<float> All() { return residual_; }
   std::span<float> Slice(std::size_t offset, std::size_t n);

@@ -34,7 +34,7 @@ struct Group {
 };
 
 /// Who is communicating: one caller's view of a cooperative collective.
-/// The fabric and group must outlive every pass constructed from this.
+/// The fabric and group must outlive every call made with it.
 struct CollectiveContext {
   net::Fabric& fabric;
   const Group& group;
@@ -74,15 +74,11 @@ struct CollectiveOptions {
 
   /// Per-worker error-feedback residual for the lossy policies; may be
   /// null (residuals are then dropped — fp16/int8 tolerate it, kTopK
-  /// converges much slower). The pass uses residual elements
-  /// [feedback_offset, feedback_offset + data.size()) and grows the buffer
-  /// if it is too small (growth zero-fills — pre-size once before the hot
-  /// loop to keep residuals alive and the steady state allocation-free).
+  /// converges much slower). The call uses residual elements
+  /// [0, data.size()) and grows the buffer if it is too small (growth
+  /// zero-fills — pre-size once before the hot loop to keep residuals alive
+  /// and the steady state allocation-free).
   ErrorFeedback* feedback = nullptr;
-
-  /// Element offset into `feedback` where this buffer's residuals live —
-  /// how fused buckets share one residual buffer across sub-passes.
-  std::size_t feedback_offset = 0;
 };
 
 }  // namespace rna::collectives

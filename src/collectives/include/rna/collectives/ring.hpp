@@ -5,17 +5,16 @@
 // moving 1/N of the buffer to the left-to-right neighbor, then N−1
 // all-gather steps. These primitives are *cooperative*: every member of the
 // group must call the same operation with the same options, exactly like an
-// MPI collective. The allreduce entry points live in allreduce.hpp; this
-// header has the ring pass state machine plus the broadcast/barrier
-// primitives.
+// MPI collective. The allreduce entry points live in allreduce.hpp (the ring
+// pass itself is detail::RingAllreduceFor in ring.cpp); this header has the
+// shared hop receive plus the broadcast/barrier primitives.
 //
 // Data plane (see DESIGN.md "Data plane & memory"): hop payloads are
 // acquired from the fabric's BufferPool and recycled by the receiver after
 // folding, so a steady-state ring moves buffers instead of allocating them;
 // the reduce-scatter accumulate and the W = 1/Σw re-weight run through the
 // vectorized kernels in rna/common/simd.hpp (bitwise identical to their
-// scalar references). Hops are exposed as a resumable RingPass state
-// machine so fusion can pipeline several buckets' rings.
+// scalar references).
 
 #include <optional>
 #include <span>
@@ -27,93 +26,28 @@
 namespace rna::collectives {
 
 namespace detail {
-/// Receive with the collective deadline contract: `timeout` > 0 is a plain
-/// timed receive; 0 or negative loops bounded RecvFor slices with an
-/// IsClosed check between them, so even "untimed" collectives never sit in
-/// an unbounded blocking receive.
-std::optional<net::Message> RecvHop(net::Fabric& fabric, Rank self, int tag,
-                                    common::Seconds timeout);
+/// Receives one hop frame at `tag` and decodes it into `dst` (see
+/// wire::Decode). Returns the payload for the caller to forward or
+/// recycle. std::nullopt when the hop missed its deadline (`timeout` > 0;
+/// 0 or negative waits in bounded slices until the fabric shuts down) or
+/// the frame was malformed — a rejected frame is recycled and counted in
+/// `collectives.rejected_frames`, and either way the pass must abort.
+std::optional<std::vector<float>> RecvFrame(net::Fabric& fabric, Rank self,
+                                            int tag, common::Seconds timeout,
+                                            net::wire::Format format,
+                                            std::span<float> dst,
+                                            net::wire::Fold fold,
+                                            std::size_t exact_tail);
 }  // namespace detail
-
-/// One ring allreduce pass as a resumable hop state machine: 2(N−1) hops,
-/// each a LaunchHop() (send this step's chunk to the right neighbor, never
-/// blocks) followed by a CompleteHop() (receive, fold, advance). Driving it
-/// to completion hop by hop is AllreduceFor with Schedule::kRing; launching
-/// the first hop of pass k+1 before completing pass k is what lets
-/// FusedAllreduceFor pipeline buckets (each pass owns a disjoint tag range,
-/// see RingTagSpan in schedule.hpp).
-///
-/// Options consumed: compression (chunks are encoded through rna/net/wire
-/// on every send — Compression::kNone keeps the historical dense payloads
-/// bit for bit), topk_fraction, exact_tail, feedback, hop_timeout,
-/// tag_base, and — when schedule == Schedule::kStragglar — `straggler`:
-/// that member is moved to the ring's tail *position* (chunk ownership and
-/// neighbors permute with it; tags do not), so its slow hops overlap the
-/// most other work instead of stalling a fixed pair of neighbors.
-///
-/// The caller's `data` span, group, and feedback must outlive the pass. A
-/// timeout or fabric shutdown marks the pass Failed(); the data buffer is
-/// then in an undefined partial state and the pass's tag range should be
-/// purged before the tags are reused.
-class RingPass {
- public:
-  RingPass(const CollectiveContext& ctx, const CollectiveOptions& options,
-           std::span<float> data);
-
-  /// Sends the current hop's chunk if it has not been sent yet. No-op when
-  /// the pass is Done(), Failed(), or the hop is already in flight.
-  void LaunchHop();
-
-  /// Receives and folds the current hop (launching it first if needed).
-  /// Returns false when the hop timed out or the fabric shut down — the
-  /// pass is Failed() from then on. Returns true (without work) when Done().
-  bool CompleteHop();
-
-  bool Done() const { return step_ >= total_steps_; }
-  bool Failed() const { return failed_; }
-
- private:
-  std::size_t OffsetOf(std::size_t c) const;
-  std::span<float> Chunk(std::size_t c) const;
-  std::size_t TailInChunk(std::size_t c) const;
-  int TagOf(std::size_t step) const;
-  std::size_t PosToIndex(std::size_t pos) const;
-  std::vector<float> EncodeChunk(std::size_t c);
-
-  net::Fabric* fabric_;
-  const Group* group_;
-  std::span<float> data_;
-  int tag_base_;
-  common::Seconds hop_timeout_;
-  net::wire::Format format_;
-  double topk_fraction_;
-  std::size_t exact_tail_;
-  ErrorFeedback* feedback_;
-  std::size_t feedback_offset_;
-  std::size_t straggler_;  ///< group index at the tail, or kNoStraggler
-
-  std::size_t world_;
-  std::size_t pos_ = 0;  ///< my position in the (possibly permuted) ring
-  Rank self_ = 0;
-  Rank right_ = 0;
-  std::size_t chunk_base_ = 0;
-  std::size_t chunk_extra_ = 0;
-  std::size_t total_steps_ = 0;
-  std::size_t step_ = 0;
-  bool sent_ = false;
-  bool failed_ = false;
-  /// All-gather frames are forwarded verbatim (never re-encoded, so lossy
-  /// compression is applied exactly once per chunk); this stashes the frame
-  /// received last hop until the next LaunchHop sends it on.
-  std::optional<std::vector<float>> forward_;
-};
 
 /// Star broadcast from `root_index` to all other members.
 void Broadcast(net::Fabric& fabric, const Group& group, std::size_t my_index,
                std::size_t root_index, std::span<float> data, int tag_base);
 
 /// Timed broadcast receive (the root never blocks): false when the root's
-/// message did not arrive within `timeout` (0 or negative = wait forever).
+/// message did not arrive within `timeout` (0 or negative = wait forever)
+/// or was not data.size() floats long (recycled and counted like any
+/// rejected frame, `data` untouched).
 bool BroadcastFor(net::Fabric& fabric, const Group& group,
                   std::size_t my_index, std::size_t root_index,
                   std::span<float> data, int tag_base,

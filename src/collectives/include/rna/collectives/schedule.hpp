@@ -11,8 +11,8 @@
 //
 // The tag-span functions below are part of the tag-discipline model
 // (tools/analyze reads this header): every schedule for a `world`-member
-// group must keep all of its tags inside [tag_base, tag_base +
-// span) so round strides and fusion strides provably cover them.
+// group must keep all of its tags inside [tag_base, tag_base + span) so the
+// round stride provably covers them.
 
 #include <cstddef>
 #include <optional>
@@ -41,7 +41,7 @@ inline int RingTagSpan(std::size_t world) {
 
 /// Tags a tree pass may touch: reduce sends at tag_base + sender_pos
 /// (pos in [1, world)), broadcast deliveries at tag_base + world +
-/// receiver_pos. Never wider than a ring pass's fusion stride.
+/// receiver_pos.
 inline int TreeTagSpan(std::size_t world) {
   return static_cast<int>(2 * world);
 }

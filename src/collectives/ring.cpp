@@ -2,8 +2,9 @@
 
 #include <algorithm>
 
+#include "rna/collectives/allreduce.hpp"
 #include "rna/common/check.hpp"
-#include "rna/common/simd.hpp"
+#include "rna/obs/metrics.hpp"
 
 namespace rna::collectives {
 
@@ -14,10 +15,8 @@ namespace {
 /// sit in an unbounded blocking receive (the untimed-recv deadlock class).
 constexpr common::Seconds kForeverSlice = 0.05;
 
-}  // namespace
-
-namespace detail {
-
+/// Receive with the collective deadline contract: `timeout` > 0 is a plain
+/// timed receive; 0 or negative loops bounded RecvFor slices.
 std::optional<net::Message> RecvHop(net::Fabric& fabric, Rank self, int tag,
                                     common::Seconds timeout) {
   if (timeout > 0.0) return fabric.RecvFor(self, tag, timeout);
@@ -25,6 +24,134 @@ std::optional<net::Message> RecvHop(net::Fabric& fabric, Rank self, int tag,
     auto msg = fabric.RecvFor(self, tag, kForeverSlice);
     if (msg.has_value() || fabric.IsClosed(self)) return msg;
   }
+}
+
+}  // namespace
+
+namespace detail {
+
+std::optional<std::vector<float>> RecvFrame(net::Fabric& fabric, Rank self,
+                                            int tag, common::Seconds timeout,
+                                            net::wire::Format format,
+                                            std::span<float> dst,
+                                            net::wire::Fold fold,
+                                            std::size_t exact_tail) {
+  auto in = RecvHop(fabric, self, tag, timeout);
+  if (!in.has_value()) return std::nullopt;
+  if (!net::wire::Decode(format, in->data, dst, fold, exact_tail)) {
+    obs::CountMetric("collectives.rejected_frames");
+    fabric.Pool().Recycle(std::move(in->data));
+    return std::nullopt;
+  }
+  return std::move(in->data);
+}
+
+bool RingAllreduceFor(const CollectiveContext& ctx,
+                      const CollectiveOptions& options, std::span<float> data,
+                      std::span<float> residual) {
+  net::Fabric& fabric = ctx.fabric;
+  const std::size_t world = ctx.group.Size();
+  const net::wire::Format format = ToWireFormat(options.compression);
+  const std::size_t exact_tail = options.exact_tail;
+  // The StragglAR-style permutation moves the straggler to the tail
+  // *position*; everyone else keeps their relative order. Positions — not
+  // member indices — own chunks and define neighbors, so the permutation
+  // re-routes the ring without touching tags or membership.
+  const std::size_t straggler = options.schedule == Schedule::kStragglar
+                                    ? options.straggler
+                                    : kNoStraggler;
+  auto index_at = [&](std::size_t pos) {
+    if (straggler >= world) return pos;
+    if (pos == world - 1) return straggler;
+    return pos < straggler ? pos : pos + 1;
+  };
+  std::size_t pos = ctx.my_index;
+  if (straggler < world && pos >= straggler) {
+    pos = pos == straggler ? world - 1 : pos - 1;
+  }
+  const Rank self = ctx.group.At(ctx.my_index);
+  const Rank right = ctx.group.At(index_at((pos + 1) % world));
+
+  // Chunk boundaries dividing the data into `world` near-equal ranges: the
+  // first `extra` chunks carry one extra element. With n < world the tail
+  // chunks are empty — their hop messages carry a zero-length payload,
+  // which the fabric (and its fault rules) treat like any other message.
+  const std::size_t base = data.size() / world;
+  const std::size_t extra = data.size() % world;
+  auto offset_of = [&](std::size_t c) {
+    return c * base + std::min(c, extra);
+  };
+  auto chunk = [&](std::size_t c) {
+    return data.subspan(offset_of(c), offset_of(c + 1) - offset_of(c));
+  };
+  // How many of the buffer's last `exact_tail` elements land in chunk c.
+  auto tail_in = [&](std::size_t c) -> std::size_t {
+    const std::size_t from =
+        std::max(offset_of(c), data.size() - exact_tail);
+    return offset_of(c + 1) > from ? offset_of(c + 1) - from : 0;
+  };
+  auto encode = [&](std::size_t c) {
+    const auto out = chunk(c);
+    const std::size_t tail = tail_in(c);
+    const std::size_t k =
+        format == net::wire::Format::kTopK
+            ? net::wire::TopKCount(out.size() - tail, options.topk_fraction)
+            : 0;
+    return net::wire::Encode(
+        fabric.Pool(), format, out,
+        residual.empty() ? residual
+                         : residual.subspan(offset_of(c), out.size()),
+        k, tail);
+  };
+
+  // Reduce-scatter steps use tag_base + step; all-gather steps keep the
+  // historical tag_base + world + gather_step layout (the tag at
+  // tag_base + world − 1 is unused). See RingTagSpan in schedule.hpp.
+  const std::size_t reduce_steps = world - 1;
+  // All-gather frames are forwarded verbatim (never re-encoded, so lossy
+  // compression is applied exactly once per chunk and every rank decodes
+  // the same bytes); this holds the frame received last hop.
+  std::vector<float> forward;
+  for (std::size_t step = 0; step < 2 * reduce_steps; ++step) {
+    const bool reducing = step < reduce_steps;
+    const std::size_t s = reducing ? step : step - reduce_steps;
+    const int tag =
+        options.tag_base + static_cast<int>(reducing ? s : world + s);
+    const std::size_t send_c = (pos + (reducing ? 0 : 1) + world - s) % world;
+    net::Message msg;
+    msg.tag = tag;
+    if (!reducing && s > 0) {
+      msg.data = std::move(forward);
+    } else {
+      msg.data = encode(send_c);
+      if (!reducing && format != net::wire::Format::kRaw) {
+        // First gather hop: the chunk owner broadcasts its reduced chunk.
+        // Self-apply the lossy round-trip so the owner's copy is bitwise
+        // what every other rank will decode.
+        RNA_CHECK(net::wire::Decode(format, msg.data, chunk(send_c),
+                                    net::wire::Fold::kAssign,
+                                    tail_in(send_c)));
+      }
+    }
+    fabric.CountWire(format, chunk(send_c).size() * sizeof(float),
+                     msg.data.size() * sizeof(float));
+    fabric.Send(self, right, std::move(msg));
+
+    const std::size_t recv_c =
+        (pos + 2 * world - s - (reducing ? 1 : 0)) % world;
+    auto in = RecvFrame(fabric, self, tag, options.hop_timeout, format,
+                        chunk(recv_c),
+                        reducing ? net::wire::Fold::kAdd
+                                 : net::wire::Fold::kAssign,
+                        tail_in(recv_c));
+    if (!in.has_value()) return false;
+    if (!reducing && s + 1 < reduce_steps) {
+      forward = std::move(*in);  // this rank's next gather send
+    } else {
+      fabric.Pool().Recycle(std::move(*in));
+    }
+  }
+  return true;
 }
 
 }  // namespace detail
@@ -40,170 +167,6 @@ Group Group::Full(std::size_t world) {
   g.members.resize(world);
   for (std::size_t i = 0; i < world; ++i) g.members[i] = i;
   return g;
-}
-
-RingPass::RingPass(const CollectiveContext& ctx,
-                   const CollectiveOptions& options, std::span<float> data)
-    : fabric_(&ctx.fabric),
-      group_(&ctx.group),
-      data_(data),
-      tag_base_(options.tag_base),
-      hop_timeout_(options.hop_timeout),
-      format_(ToWireFormat(options.compression)),
-      topk_fraction_(options.topk_fraction),
-      exact_tail_(options.exact_tail),
-      feedback_(options.compression == Compression::kNone ? nullptr
-                                                          : options.feedback),
-      feedback_offset_(options.feedback_offset),
-      straggler_(options.schedule == Schedule::kStragglar ? options.straggler
-                                                          : kNoStraggler),
-      world_(ctx.group.Size()) {
-  RNA_CHECK_MSG(world_ > 0 && ctx.my_index < world_, "bad group index");
-  RNA_CHECK_MSG(exact_tail_ <= data_.size(),
-                "exact tail larger than the buffer");
-  if (format_ == net::wire::Format::kTopK) {
-    RNA_CHECK_MSG(topk_fraction_ > 0.0 && topk_fraction_ <= 1.0,
-                  "top-k fraction must be in (0, 1]");
-  }
-  if (feedback_ != nullptr &&
-      feedback_->Size() < feedback_offset_ + data_.size()) {
-    feedback_->EnsureSize(feedback_offset_ + data_.size());
-  }
-  if (world_ == 1) return;  // total_steps_ stays 0: Done() immediately
-  // The StragglAR-style permutation moves the straggler to the tail
-  // *position*; everyone else keeps their relative order. Positions — not
-  // member indices — own chunks and define neighbors, so the permutation
-  // re-routes the ring without touching tags or membership.
-  std::size_t pos = ctx.my_index;
-  if (straggler_ < world_) {
-    if (ctx.my_index == straggler_) {
-      pos = world_ - 1;
-    } else if (ctx.my_index > straggler_) {
-      pos = ctx.my_index - 1;
-    }
-  }
-  pos_ = pos;
-  self_ = ctx.group.At(ctx.my_index);
-  right_ = ctx.group.At(PosToIndex((pos_ + 1) % world_));
-  chunk_base_ = data_.size() / world_;
-  chunk_extra_ = data_.size() % world_;
-  total_steps_ = 2 * (world_ - 1);
-}
-
-std::size_t RingPass::PosToIndex(std::size_t pos) const {
-  if (straggler_ >= world_) return pos;
-  if (pos == world_ - 1) return straggler_;
-  return pos < straggler_ ? pos : pos + 1;
-}
-
-std::size_t RingPass::OffsetOf(std::size_t c) const {
-  // Chunk boundaries dividing the data into `world_` near-equal ranges:
-  // the first `chunk_extra_` chunks carry one extra element. With
-  // n < world the tail chunks are empty — their hop messages carry a
-  // zero-length payload, which the fabric (and its fault rules) treat
-  // like any other message.
-  return c * chunk_base_ + std::min(c, chunk_extra_);
-}
-
-std::span<float> RingPass::Chunk(std::size_t c) const {
-  return data_.subspan(OffsetOf(c), OffsetOf(c + 1) - OffsetOf(c));
-}
-
-std::size_t RingPass::TailInChunk(std::size_t c) const {
-  // How many of the buffer's last `exact_tail_` elements land in chunk c.
-  if (exact_tail_ == 0) return 0;
-  const std::size_t lo = OffsetOf(c);
-  const std::size_t hi = OffsetOf(c + 1);
-  const std::size_t tail_lo = data_.size() - exact_tail_;
-  const std::size_t from = std::max(lo, tail_lo);
-  return hi > from ? hi - from : 0;
-}
-
-int RingPass::TagOf(std::size_t step) const {
-  // Reduce-scatter steps use tag_base + step; all-gather steps keep the
-  // historical tag_base + world + gather_step layout (the tag at
-  // tag_base + world − 1 is unused). See RingTagSpan in schedule.hpp.
-  const std::size_t reduce_steps = world_ - 1;
-  if (step < reduce_steps) return tag_base_ + static_cast<int>(step);
-  return tag_base_ + static_cast<int>(world_ + (step - reduce_steps));
-}
-
-std::vector<float> RingPass::EncodeChunk(std::size_t c) {
-  const auto out = Chunk(c);
-  const std::size_t tail = TailInChunk(c);
-  std::span<float> residual{};
-  if (feedback_ != nullptr) {
-    residual = feedback_->Slice(feedback_offset_ + OffsetOf(c), out.size());
-  }
-  const std::size_t k =
-      format_ == net::wire::Format::kTopK
-          ? net::wire::TopKCount(out.size() - tail, topk_fraction_)
-          : 0;
-  return net::wire::Encode(fabric_->Pool(), format_, out, residual, k, tail);
-}
-
-void RingPass::LaunchHop() {
-  if (Done() || failed_ || sent_) return;
-  const std::size_t reduce_steps = world_ - 1;
-  const bool reducing = step_ < reduce_steps;
-  const std::size_t s = reducing ? step_ : step_ - reduce_steps;
-  const std::size_t send_chunk = reducing
-                                     ? (pos_ + world_ - s) % world_
-                                     : (pos_ + 1 + world_ - s) % world_;
-  net::Message msg;
-  msg.tag = TagOf(step_);
-  if (!reducing && s > 0) {
-    // All-gather forwards: pass the frame received last hop on verbatim.
-    // Re-encoding would apply quantization loss once per hop instead of
-    // once per chunk and break the all-ranks-identical guarantee.
-    RNA_CHECK_MSG(forward_.has_value(), "gather forward frame missing");
-    msg.data = std::move(*forward_);
-    forward_.reset();
-  } else {
-    msg.data = EncodeChunk(send_chunk);
-    if (!reducing && format_ != net::wire::Format::kRaw) {
-      // First gather hop: the chunk owner broadcasts its reduced chunk.
-      // Self-apply the lossy round-trip so the owner's copy is bitwise
-      // what every other rank will decode.
-      net::wire::Decode(format_, msg.data, Chunk(send_chunk),
-                        net::wire::Fold::kAssign, TailInChunk(send_chunk));
-    }
-  }
-  fabric_->CountWire(format_, Chunk(send_chunk).size() * sizeof(float),
-                     msg.data.size() * sizeof(float));
-  fabric_->Send(self_, right_, std::move(msg));
-  sent_ = true;
-}
-
-bool RingPass::CompleteHop() {
-  if (failed_) return false;
-  if (Done()) return true;
-  LaunchHop();
-  auto in = detail::RecvHop(*fabric_, self_, TagOf(step_), hop_timeout_);
-  if (!in.has_value()) {
-    failed_ = true;
-    return false;
-  }
-  const std::size_t reduce_steps = world_ - 1;
-  const bool reducing = step_ < reduce_steps;
-  const std::size_t s = reducing ? step_ : step_ - reduce_steps;
-  const std::size_t recv_chunk = reducing
-                                     ? (pos_ + 2 * world_ - s - 1) % world_
-                                     : (pos_ + 2 * world_ - s) % world_;
-  const auto target = Chunk(recv_chunk);
-  net::wire::Decode(format_, in->data, target,
-                    reducing ? net::wire::Fold::kAdd
-                             : net::wire::Fold::kAssign,
-                    TailInChunk(recv_chunk));
-  if (!reducing && s + 1 < reduce_steps) {
-    // This frame is this rank's next gather send; keep it intact.
-    forward_ = std::move(in->data);
-  } else {
-    fabric_->Pool().Recycle(std::move(in->data));
-  }
-  ++step_;
-  sent_ = false;
-  return true;
 }
 
 bool BroadcastFor(net::Fabric& fabric, const Group& group,
@@ -223,13 +186,14 @@ bool BroadcastFor(net::Fabric& fabric, const Group& group,
       std::copy(data.begin(), data.end(), msg.data.begin());
       fabric.Send(self, group.At(i), std::move(msg));
     }
-  } else {
-    auto in = detail::RecvHop(fabric, self, tag_base, timeout);
-    if (!in.has_value()) return false;
-    RNA_CHECK_MSG(in->data.size() == data.size(), "broadcast size mismatch");
-    std::copy(in->data.begin(), in->data.end(), data.begin());
-    fabric.Pool().Recycle(std::move(in->data));
+    return true;
   }
+  // A raw frame decodes as a size-checked copy.
+  auto in = detail::RecvFrame(fabric, self, tag_base, timeout,
+                              net::wire::Format::kRaw, data,
+                              net::wire::Fold::kAssign, /*exact_tail=*/0);
+  if (!in.has_value()) return false;
+  fabric.Pool().Recycle(std::move(*in));
   return true;
 }
 
@@ -252,7 +216,7 @@ bool BarrierFor(net::Fabric& fabric, const Group& group, std::size_t my_index,
   const auto deadline =
       common::SteadyClock::now() + common::FromSeconds(timeout);
   auto recv_step = [&](int tag) {
-    if (timeout <= 0.0) return detail::RecvHop(fabric, self, tag, 0.0);
+    if (timeout <= 0.0) return RecvHop(fabric, self, tag, 0.0);
     const common::Seconds left =
         common::ToSeconds(deadline - common::SteadyClock::now());
     if (left <= 0.0) return std::optional<net::Message>{};

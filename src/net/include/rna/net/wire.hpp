@@ -77,11 +77,14 @@ std::vector<float> Encode(BufferPool& pool, Format f,
                           std::span<float> residual, std::size_t k,
                           std::size_t exact_tail);
 
-/// Decodes a payload produced by Encode into `dst` (whose size must equal
-/// the encoded element count; checked against the frame header). kAssign
-/// overwrites — for kTopK the unselected elements become zero; kAdd folds
-/// the decoded values in (sparse add for kTopK).
-void Decode(Format f, std::span<const float> payload, std::span<float> dst,
-            Fold fold, std::size_t exact_tail);
+/// Decodes a payload produced by Encode into `dst`. kAssign overwrites —
+/// for kTopK the unselected elements become zero; kAdd folds the decoded
+/// values in (sparse add for kTopK). The payload is a peer's bytes, so the
+/// whole frame is validated first: size, magic, format id, element count
+/// (= dst.size()), and top-k keep count and indices. A malformed frame
+/// returns false with `dst` untouched.
+[[nodiscard]] bool Decode(Format f, std::span<const float> payload,
+                          std::span<float> dst, Fold fold,
+                          std::size_t exact_tail);
 
 }  // namespace rna::net::wire

@@ -281,35 +281,42 @@ std::vector<float> Encode(BufferPool& pool, Format f,
   return payload;
 }
 
-void Decode(Format f, std::span<const float> payload, std::span<float> dst,
+bool Decode(Format f, std::span<const float> payload, std::span<float> dst,
             Fold fold, std::size_t exact_tail) {
   const std::size_t n = dst.size();
   RNA_CHECK_MSG(exact_tail <= n, "wire: exact tail larger than chunk");
   const std::size_t nq = n - exact_tail;
 
   if (f == Format::kRaw) {
-    RNA_CHECK_MSG(payload.size() == n, "wire: raw payload size mismatch");
+    if (payload.size() != n) return false;
     if (fold == Fold::kAdd) {
       common::simd::AddInto(dst, payload);
     } else {
       std::copy(payload.begin(), payload.end(), dst.begin());
     }
-    return;
+    return true;
   }
 
-  RNA_CHECK_MSG(payload.size() >= kHeaderWords, "wire: truncated frame");
+  // Validate the whole frame before touching dst: a peer's bytes are
+  // untrusted, and a rejected frame must leave the chunk as it was.
+  if (payload.size() < kHeaderWords) return false;
   const std::uint32_t hdr = U32FromWord(payload[0]);
-  RNA_CHECK_MSG((hdr & 0xffff0000u) == kMagic, "wire: bad frame magic");
-  RNA_CHECK_MSG(static_cast<Format>(hdr & 0xffu) == f,
-                "wire: frame format mismatch");
-  RNA_CHECK_MSG(U32FromWord(payload[1]) == static_cast<std::uint32_t>(n),
-                "wire: frame element count mismatch");
+  if ((hdr & 0xffff0000u) != kMagic ||
+      static_cast<Format>(hdr & 0xffu) != f ||
+      U32FromWord(payload[1]) != static_cast<std::uint32_t>(n)) {
+    return false;
+  }
+  const std::size_t k =
+      f == Format::kTopK ? std::size_t{U32FromWord(payload[2])} : 0;
+  if (k > nq || payload.size() != EncodedWords(f, n, k, exact_tail)) {
+    return false;
+  }
+  for (std::size_t s = 0; s < k; ++s) {
+    if (U32FromWord(payload[kHeaderWords + s]) >= nq) return false;
+  }
 
   switch (f) {
     case Format::kFp16: {
-      RNA_CHECK_MSG(
-          payload.size() == EncodedWords(f, n, 0, exact_tail),
-          "wire: fp16 payload size mismatch");
       const float scale = payload[2];
       for (std::size_t i = 0; i < nq; i += 2) {
         const std::uint32_t word = U32FromWord(payload[kHeaderWords + i / 2]);
@@ -333,9 +340,6 @@ void Decode(Format f, std::span<const float> payload, std::span<float> dst,
       break;
     }
     case Format::kInt8: {
-      RNA_CHECK_MSG(
-          payload.size() == EncodedWords(f, n, 0, exact_tail),
-          "wire: int8 payload size mismatch");
       const float scale = payload[2];
       for (std::size_t i = 0; i < nq; i += 4) {
         const std::uint32_t word = U32FromWord(payload[kHeaderWords + i / 4]);
@@ -353,18 +357,12 @@ void Decode(Format f, std::span<const float> payload, std::span<float> dst,
       break;
     }
     case Format::kTopK: {
-      const std::size_t k = U32FromWord(payload[2]);
-      RNA_CHECK_MSG(k <= nq, "wire: top-k keep count larger than chunk");
-      RNA_CHECK_MSG(
-          payload.size() == EncodedWords(f, n, k, exact_tail),
-          "wire: top-k payload size mismatch");
       if (fold == Fold::kAssign) {
         std::fill(dst.begin(), dst.begin() + static_cast<std::ptrdiff_t>(nq),
                   0.0f);
       }
       for (std::size_t s = 0; s < k; ++s) {
         const std::size_t idx = U32FromWord(payload[kHeaderWords + s]);
-        RNA_CHECK_MSG(idx < nq, "wire: top-k index out of range");
         const float v = payload[kHeaderWords + k + s];
         if (fold == Fold::kAdd) {
           dst[idx] += v;
@@ -386,6 +384,7 @@ void Decode(Format f, std::span<const float> payload, std::span<float> dst,
       dst[nq + i] = v;
     }
   }
+  return true;
 }
 
 }  // namespace rna::net::wire

@@ -131,14 +131,13 @@ class ParameterServer {
   void Stop();
 
   /// Makes this server an interior node of a PS tree: after every
-  /// `sync_every` applied payloads it PushPulls its whole state to the
-  /// same-shard server at `parent` (kAverage) and adopts the merged
-  /// result *before* replying, so a client always reads state that has
-  /// been folded toward the root. Call before Start(). `retry_budget` /
-  /// `retry_timeout_s` follow PsClient::ConfigureRetry semantics; a failed
-  /// sync is skipped (counted, state kept local).
-  void ConfigureParent(Rank parent, std::size_t sync_every,
-                       std::size_t retry_budget = 1,
+  /// applied payload it PushPulls its whole state to the same-shard server
+  /// at `parent` (kAverage) and adopts the merged result *before*
+  /// replying, so a client always reads state that has been folded toward
+  /// the root. Call before Start(). `retry_budget` / `retry_timeout_s`
+  /// follow PsClient::ConfigureRetry semantics; a failed sync is skipped
+  /// (counted, state kept local).
+  void ConfigureParent(Rank parent, std::size_t retry_budget = 1,
                        double retry_timeout_s = 0.05);
 
   Rank ServerRank() const { return rank_; }
@@ -166,8 +165,6 @@ class ParameterServer {
   // endpoint: replies carry PsTags::kReply, which ServeLoop never
   // consumes, so the two roles cannot steal each other's messages.
   std::optional<PsClient> parent_;
-  std::size_t parent_sync_every_ = 1;
-  std::size_t applied_since_parent_sync_ = 0;
 
   std::thread thread_;
 };

@@ -118,11 +118,7 @@ void ParameterServer::ServeLoop() {
     // replying, so the caller reads state already averaged toward the
     // root and — under lockstep, where callers are gate-serialized — the
     // whole tree's request order stays deterministic.
-    if (parent_ && has_payload &&
-        ++applied_since_parent_sync_ >= parent_sync_every_) {
-      applied_since_parent_sync_ = 0;
-      SyncWithParent();
-    }
+    if (parent_ && has_payload) SyncWithParent();
     {
       common::MutexLock lock(state_mu_);
       // Pooled reply payload: push requests recycled above keep the
@@ -136,16 +132,13 @@ void ParameterServer::ServeLoop() {
   }
 }
 
-void ParameterServer::ConfigureParent(Rank parent, std::size_t sync_every,
-                                      std::size_t retry_budget,
+void ParameterServer::ConfigureParent(Rank parent, std::size_t retry_budget,
                                       double retry_timeout_s) {
   RNA_CHECK_MSG(!thread_.joinable(), "configure the parent before Start()");
   RNA_CHECK_MSG(parent != rank_, "a PS node cannot be its own parent");
-  RNA_CHECK_MSG(sync_every >= 1, "parent sync period must be >= 1");
   common::MutexLock lock(state_mu_);
   parent_.emplace(fabric_, rank_, parent, 1, state_.size());
   parent_->ConfigureRetry(retry_budget, retry_timeout_s);
-  parent_sync_every_ = sync_every;
 }
 
 void ParameterServer::SyncWithParent() {

@@ -24,7 +24,7 @@ Arena::Scope::~Scope() { t_current_arena = previous_; }
 
 Arena::Arena(std::size_t initial_bytes) {
   if (initial_bytes > 0) {
-    short_.chunks.push_back(NewChunk(RoundUp(initial_bytes)));
+    chunks_.push_back(NewChunk(RoundUp(initial_bytes)));
   }
 }
 
@@ -38,47 +38,39 @@ Arena::Chunk Arena::NewChunk(std::size_t capacity) {
   return chunk;
 }
 
-float* Arena::AllocateFrom(Region& region, std::size_t bytes,
-                           bool allow_growth) {
-  for (; region.cursor < region.chunks.size(); ++region.cursor) {
-    Chunk& chunk = region.chunks[region.cursor];
+float* Arena::Bump(std::size_t bytes) {
+  for (; cursor_ < chunks_.size(); ++cursor_) {
+    Chunk& chunk = chunks_[cursor_];
     if (chunk.capacity - chunk.used >= bytes) {
       float* out = reinterpret_cast<float*>(chunk.data.get() + chunk.used);
       chunk.used += bytes;
       return out;
     }
   }
-  if (!allow_growth) throw std::bad_alloc();
-  region.chunks.push_back(
-      NewChunk(bytes > kMinChunkBytes ? bytes : kMinChunkBytes));
-  region.cursor = region.chunks.size() - 1;
-  Chunk& chunk = region.chunks.back();
+  // In exact mode the arena is capacity-planned: growth is an OOM.
+  if (exact_) throw std::bad_alloc();
+  chunks_.push_back(NewChunk(bytes > kMinChunkBytes ? bytes : kMinChunkBytes));
+  cursor_ = chunks_.size() - 1;
+  Chunk& chunk = chunks_.back();
   chunk.used = bytes;
   return reinterpret_cast<float*>(chunk.data.get());
 }
 
-float* Arena::Allocate(std::size_t elems, Lifetime lifetime) {
+float* Arena::Allocate(std::size_t elems) {
   if (elems == 0) return nullptr;
   const std::size_t bytes = RoundUp(elems * sizeof(float));
-  if (lifetime == Lifetime::kShort) {
-    // In exact mode the short region is capacity-planned: growth is an OOM.
-    float* out = AllocateFrom(short_, bytes, /*allow_growth=*/!exact_);
-    ++stats_.short_allocs;
-    stats_.short_in_use += bytes;
-    if (stats_.short_in_use > stats_.short_high_water) {
-      stats_.short_high_water = stats_.short_in_use;
-    }
-    return out;
+  float* out = Bump(bytes);
+  ++stats_.short_allocs;
+  stats_.short_in_use += bytes;
+  if (stats_.short_in_use > stats_.short_high_water) {
+    stats_.short_high_water = stats_.short_in_use;
   }
-  float* out = AllocateFrom(long_, bytes, /*allow_growth=*/true);
-  ++stats_.long_allocs;
-  stats_.long_in_use += bytes;
   return out;
 }
 
 void Arena::ResetScratch() {
-  for (Chunk& chunk : short_.chunks) chunk.used = 0;
-  short_.cursor = 0;
+  for (Chunk& chunk : chunks_) chunk.used = 0;
+  cursor_ = 0;
   stats_.short_in_use = 0;
   ++stats_.resets;
 }
@@ -86,13 +78,13 @@ void Arena::ResetScratch() {
 void Arena::ReserveExact(std::size_t short_bytes) {
   RNA_CHECK_MSG(stats_.short_in_use == 0,
                 "ReserveExact requires no live scratch (call ResetScratch)");
-  for (const Chunk& chunk : short_.chunks) {
+  for (const Chunk& chunk : chunks_) {
     stats_.reserved_bytes -= chunk.capacity;
   }
-  short_.chunks.clear();
-  short_.cursor = 0;
+  chunks_.clear();
+  cursor_ = 0;
   if (short_bytes > 0) {
-    short_.chunks.push_back(NewChunk(RoundUp(short_bytes)));
+    chunks_.push_back(NewChunk(RoundUp(short_bytes)));
   }
   exact_ = true;
 }

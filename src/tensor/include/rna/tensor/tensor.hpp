@@ -70,12 +70,9 @@ class Tensor {
   Tensor() = default;
 
   /// Zero-initialized tensor of the given shape. Storage comes from the
-  /// thread's active arena (short-lived) or the heap when no arena is set.
+  /// thread's active arena (per-step scratch) or the heap when no arena is
+  /// set.
   explicit Tensor(tensor::Shape shape);
-
-  /// Arena-aware constructor with an explicit lifetime: kLong storage
-  /// survives ResetScratch — for scratch reused across steps.
-  Tensor(tensor::Shape shape, Lifetime lifetime);
 
   /// Builds a tensor from existing data; data.size() must match the shape.
   Tensor(tensor::Shape shape, std::span<const float> data);
@@ -129,7 +126,7 @@ class Tensor {
   std::string ShapeString() const;
 
  private:
-  void AllocateStorage(std::size_t n, Lifetime lifetime, bool zero);
+  void AllocateStorage(std::size_t n, bool zero);
   void Release();
 
   tensor::Shape shape_;

@@ -6,7 +6,7 @@
 
 namespace rna::tensor {
 
-void Tensor::AllocateStorage(std::size_t n, Lifetime lifetime, bool zero) {
+void Tensor::AllocateStorage(std::size_t n, bool zero) {
   size_ = n;
   if (n == 0) {
     data_ = nullptr;
@@ -14,7 +14,7 @@ void Tensor::AllocateStorage(std::size_t n, Lifetime lifetime, bool zero) {
   }
   if (Arena* arena = Arena::Current()) {
     arena_backed_ = true;
-    data_ = arena->Allocate(n, lifetime);
+    data_ = arena->Allocate(n);
   } else {
     owned_.reset(new float[n]);
     data_ = owned_.get();
@@ -30,23 +30,19 @@ void Tensor::Release() {
 }
 
 Tensor::Tensor(tensor::Shape shape) : shape_(shape) {
-  AllocateStorage(shape_.Elements(), Lifetime::kShort, /*zero=*/true);
-}
-
-Tensor::Tensor(tensor::Shape shape, Lifetime lifetime) : shape_(shape) {
-  AllocateStorage(shape_.Elements(), lifetime, /*zero=*/true);
+  AllocateStorage(shape_.Elements(), /*zero=*/true);
 }
 
 Tensor::Tensor(tensor::Shape shape, std::span<const float> data)
     : shape_(shape) {
   RNA_CHECK_MSG(data.size() == shape_.Elements(),
                 "data size does not match shape");
-  AllocateStorage(shape_.Elements(), Lifetime::kShort, /*zero=*/false);
+  AllocateStorage(shape_.Elements(), /*zero=*/false);
   if (size_ > 0) std::memcpy(data_, data.data(), size_ * sizeof(float));
 }
 
 Tensor::Tensor(const Tensor& other) : shape_(other.shape_) {
-  AllocateStorage(other.size_, Lifetime::kShort, /*zero=*/false);
+  AllocateStorage(other.size_, /*zero=*/false);
   if (size_ > 0) std::memcpy(data_, other.data_, size_ * sizeof(float));
 }
 
@@ -60,7 +56,7 @@ Tensor& Tensor::operator=(const Tensor& other) {
                      Arena::Current() == nullptr;
   if (!reuse) {
     Release();
-    AllocateStorage(other.size_, Lifetime::kShort, /*zero=*/false);
+    AllocateStorage(other.size_, /*zero=*/false);
   }
   if (size_ > 0) std::memcpy(data_, other.data_, size_ * sizeof(float));
   return *this;

@@ -88,8 +88,6 @@ std::string TrainerConfig::Validate() const {
   } else if (ps_fan_in > 0 && protocol != Protocol::kRnaHierarchical) {
     why << ProtocolName(protocol)
         << " has no PS tree: ps_fan_in only applies to rna-h";
-  } else if (ps_fan_in > 0 && ps_parent_sync_every == 0) {
-    why << "ps_parent_sync_every must be >= 1 when ps_fan_in is set";
   } else if (max_group_size > 0 && protocol != Protocol::kRnaHierarchical) {
     why << ProtocolName(protocol)
         << " has no speed groups: max_group_size only applies to rna-h";

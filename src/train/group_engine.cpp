@@ -99,7 +99,7 @@ class PsLayer {
         const std::size_t parent = tree_.nodes[node].parent;
         if (parent != node) {
           server->ConfigureParent(
-              RankOf(parent, s), config.ps_parent_sync_every,
+              RankOf(parent, s),
               config.fault.Enabled() ? config.fault.retry_budget : 1,
               config.fault.retry_timeout_s);
         }

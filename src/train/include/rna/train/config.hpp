@@ -239,12 +239,9 @@ struct TrainerConfig {
   /// layout (every group leader talks to the root PS). A value f >= 2
   /// builds a tree of PS nodes where at most f groups share a leaf node
   /// and at most f nodes share a parent, so no endpoint ever serves more
-  /// than f direct children.
+  /// than f direct children. A non-root node folds its state into its
+  /// parent (kAverage push/pull) after every applied payload.
   std::size_t ps_fan_in = 0;
-  /// How often (in served requests) a non-root PS node folds its state
-  /// into its parent (kAverage push/pull). Only meaningful with
-  /// ps_fan_in >= 2.
-  std::size_t ps_parent_sync_every = 1;
   /// Cap on hierarchical group size: a speed group larger than this is
   /// split (preserving speed ordering) so intra-group ring latency stays
   /// bounded at large worlds. 0 = uncapped (classic ζ>v grouping only).

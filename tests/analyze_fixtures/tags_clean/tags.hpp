@@ -30,8 +30,4 @@ inline constexpr int RingTag(std::size_t round) {
   return kRingBase + static_cast<int>(round % 100000) * kRingStride;
 }
 
-inline int FusionTagStride(std::size_t world) {
-  return static_cast<int>(2 * world + 2);
-}
-
 }  // namespace rna::train::tags

@@ -86,7 +86,6 @@ namespace {
 using nn::Batch;
 using nn::Network;
 using tensor::Arena;
-using tensor::Lifetime;
 using tensor::Tensor;
 
 // ------------------------------------------------------------- invariants
@@ -136,19 +135,6 @@ TEST(ArenaInvariants, GrowsOnDemandAndTracksHighWater) {
   arena.Allocate(chunk_elems);
   arena.Allocate(chunk_elems);
   EXPECT_EQ(arena.Stats().chunk_allocs, 2u);
-}
-
-TEST(ArenaInvariants, LongLifetimeSurvivesReset) {
-  Arena arena;
-  float* longterm = arena.Allocate(16, Lifetime::kLong);
-  longterm[0] = 42.0f;
-  arena.Allocate(16, Lifetime::kShort);
-  arena.ResetScratch();
-  EXPECT_EQ(longterm[0], 42.0f);
-  EXPECT_EQ(arena.Stats().long_in_use, Arena::kAlignment);
-  // Long allocations are never rewound, so a new one extends the region.
-  float* next = arena.Allocate(16, Lifetime::kLong);
-  EXPECT_NE(next, longterm);
 }
 
 TEST(ArenaInvariants, ReserveExactConsolidatesAndRejectsOverflow) {
@@ -314,19 +300,6 @@ TEST(TensorArena, NoDoubleReleaseAfterMove) {
   // (freed) chunk. Destruction happens at scope exit; reaching the end of
   // the test without ASan complaining is the assertion.
   SUCCEED();
-}
-
-TEST(TensorArena, ExplicitLongLifetimeTensor) {
-  Arena arena;
-  Tensor longterm;
-  {
-    Arena::StepScope step(arena);
-    longterm = Tensor({10}, Lifetime::kLong);
-    longterm.Fill(9.0f);
-  }
-  // The storage is long-lived, so it survives the step reset intact.
-  for (float x : longterm.Flat()) EXPECT_EQ(x, 9.0f);
-  EXPECT_GT(arena.Stats().long_in_use, 0u);
 }
 
 // ----------------------------------------------------------- steady state

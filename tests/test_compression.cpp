@@ -2,6 +2,7 @@
 //   - wire codec round-trips (raw bitwise; fp16/int8 within per-chunk
 //     quantization bounds; top-k exact on kept values) across awkward sizes;
 //   - the exact tail rides bit-for-bit through every lossy format;
+//   - a malformed frame is rejected without touching the destination;
 //   - top-k selection order and tie-breaking are deterministic;
 //   - error feedback makes the time-averaged lossy encoding unbiased;
 //   - encoding is pool-allocation-free in steady state;
@@ -11,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "rna/collectives/allreduce.hpp"
@@ -74,7 +77,8 @@ TEST(WireCodec, RawRoundTripIsBitwiseAndHeaderless) {
     EXPECT_EQ(payload.size(), n) << "kRaw must not frame";
     EXPECT_TRUE(BitwiseEqual(payload, src));
     std::vector<float> dst(n, -7.0f);
-    wire::Decode(wire::Format::kRaw, payload, dst, wire::Fold::kAssign, 0);
+    ASSERT_TRUE(wire::Decode(wire::Format::kRaw, payload, dst,
+                             wire::Fold::kAssign, 0));
     EXPECT_TRUE(BitwiseEqual(dst, src)) << "n=" << n;
     pool.Recycle(std::move(payload));
   }
@@ -87,7 +91,8 @@ TEST(WireCodec, Fp16RoundTripWithinHalfPrecisionBound) {
     auto payload = wire::Encode(pool, wire::Format::kFp16, src, {}, 0, 0);
     EXPECT_EQ(payload.size(), wire::EncodedWords(wire::Format::kFp16, n, 0, 0));
     std::vector<float> dst(n, 0.0f);
-    wire::Decode(wire::Format::kFp16, payload, dst, wire::Fold::kAssign, 0);
+    ASSERT_TRUE(wire::Decode(wire::Format::kFp16, payload, dst,
+                             wire::Fold::kAssign, 0));
     // Error budget: half precision (11-bit significand) applied to values
     // normalized by the per-chunk scale.
     const float bound = MaxAbs(src) * (1.0f / 1024.0f) + 1e-6f;
@@ -105,7 +110,8 @@ TEST(WireCodec, Int8RoundTripWithinQuantizationStep)  {
     auto payload = wire::Encode(pool, wire::Format::kInt8, src, {}, 0, 0);
     EXPECT_EQ(payload.size(), wire::EncodedWords(wire::Format::kInt8, n, 0, 0));
     std::vector<float> dst(n, 0.0f);
-    wire::Decode(wire::Format::kInt8, payload, dst, wire::Fold::kAssign, 0);
+    ASSERT_TRUE(wire::Decode(wire::Format::kInt8, payload, dst,
+                             wire::Fold::kAssign, 0));
     // One quantization step is scale = max|v|/127; rounding keeps every
     // element within half a step (plus float slack).
     const float bound = MaxAbs(src) / 127.0f * 0.51f + 1e-6f;
@@ -124,7 +130,8 @@ TEST(WireCodec, TopKKeepsExactValuesAndZeroesTheRest) {
     auto payload = wire::Encode(pool, wire::Format::kTopK, src, {}, k, 0);
     EXPECT_EQ(payload.size(), wire::EncodedWords(wire::Format::kTopK, n, k, 0));
     std::vector<float> dst(n, -1.0f);
-    wire::Decode(wire::Format::kTopK, payload, dst, wire::Fold::kAssign, 0);
+    ASSERT_TRUE(wire::Decode(wire::Format::kTopK, payload, dst,
+                             wire::Fold::kAssign, 0));
     std::size_t kept = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (dst[i] != 0.0f) {
@@ -148,7 +155,8 @@ TEST(WireCodec, TopKFullFractionIsLossless) {
   EXPECT_EQ(k, src.size());
   auto payload = wire::Encode(pool, wire::Format::kTopK, src, {}, k, 0);
   std::vector<float> dst(src.size(), 0.0f);
-  wire::Decode(wire::Format::kTopK, payload, dst, wire::Fold::kAssign, 0);
+  ASSERT_TRUE(wire::Decode(wire::Format::kTopK, payload, dst,
+                           wire::Fold::kAssign, 0));
   EXPECT_TRUE(BitwiseEqual(dst, src));
   pool.Recycle(std::move(payload));
 }
@@ -158,7 +166,8 @@ TEST(WireCodec, TopKSelectionBreaksTiesByLowestIndex) {
   const std::vector<float> src = {1.0f, -3.0f, 2.0f, 3.0f, -3.0f};
   auto payload = wire::Encode(pool, wire::Format::kTopK, src, {}, 2, 0);
   std::vector<float> dst(src.size(), 0.0f);
-  wire::Decode(wire::Format::kTopK, payload, dst, wire::Fold::kAssign, 0);
+  ASSERT_TRUE(wire::Decode(wire::Format::kTopK, payload, dst,
+                           wire::Fold::kAssign, 0));
   // |−3| = |3| = |−3| tie for the top-2: the two lowest indices win.
   const std::vector<float> expected = {0.0f, -3.0f, 0.0f, 3.0f, 0.0f};
   EXPECT_TRUE(BitwiseEqual(dst, expected));
@@ -170,7 +179,8 @@ TEST(WireCodec, DecodeAddFoldsSparseAndDense) {
   const std::vector<float> src = {1.0f, -4.0f, 2.0f, 8.0f};
   std::vector<float> dst = {10.0f, 10.0f, 10.0f, 10.0f};
   auto payload = wire::Encode(pool, wire::Format::kTopK, src, {}, 2, 0);
-  wire::Decode(wire::Format::kTopK, payload, dst, wire::Fold::kAdd, 0);
+  ASSERT_TRUE(
+      wire::Decode(wire::Format::kTopK, payload, dst, wire::Fold::kAdd, 0));
   // Top-2 by magnitude: −4 and 8 fold in; the rest stay untouched.
   const std::vector<float> expected = {10.0f, 6.0f, 10.0f, 18.0f};
   EXPECT_TRUE(BitwiseEqual(dst, expected));
@@ -189,13 +199,62 @@ TEST(WireCodec, ExactTailRidesBitwiseThroughEveryFormat) {
           f == wire::Format::kTopK ? wire::TopKCount(n - 1, 0.5) : 0;
       auto payload = wire::Encode(pool, f, src, {}, k, /*exact_tail=*/1);
       std::vector<float> dst(n, -1.0f);
-      wire::Decode(f, payload, dst, wire::Fold::kAssign, /*exact_tail=*/1);
+      ASSERT_TRUE(wire::Decode(f, payload, dst, wire::Fold::kAssign,
+                               /*exact_tail=*/1));
       std::uint32_t a, b;
       std::memcpy(&a, &dst.back(), sizeof(a));
       std::memcpy(&b, &src.back(), sizeof(b));
       EXPECT_EQ(a, b) << wire::FormatName(f) << " n=" << n;
       pool.Recycle(std::move(payload));
     }
+  }
+}
+
+TEST(WireCodec, MalformedFramesAreRejected) {
+  // A frame is a peer's bytes: each way it can be malformed must be
+  // rejected before anything is written, for every format and both folds.
+  constexpr std::size_t kN = 16;
+  net::BufferPool pool;
+  const auto src = TestVector(kN, 9);
+  const auto bits = [](float w) { return std::bit_cast<std::uint32_t>(w); };
+  const auto word = [](std::uint32_t u) { return std::bit_cast<float>(u); };
+  for (const auto f : {wire::Format::kRaw, wire::Format::kFp16,
+                       wire::Format::kInt8, wire::Format::kTopK}) {
+    const std::size_t k =
+        f == wire::Format::kTopK ? wire::TopKCount(kN, 0.25) : 0;
+    const auto good = wire::Encode(pool, f, src, {}, k, 0);
+    std::vector<std::pair<const char*, std::vector<float>>> bad = {
+        {"truncated", {good.begin(), good.end() - 1}},
+        {"one word", {good.front()}},
+        {"header only", {good.begin(), good.begin() + 3}},
+    };
+    auto corrupt = [&](const char* what, std::size_t at, float value) {
+      bad.emplace_back(what, good);
+      bad.back().second[at] = value;
+    };
+    if (f != wire::Format::kRaw) {
+      const std::uint32_t hdr = bits(good[0]);
+      corrupt("bad magic", 0, word(hdr ^ 0x00010000u));
+      corrupt("wrong format id", 0,
+              word((hdr & ~0xffu) | ((hdr & 0xffu) % 3 + 1)));
+      corrupt("wrong count", 1, word(kN + 1));
+    }
+    if (f == wire::Format::kTopK) {
+      corrupt("top-k k > n", 2, word(kN + 1));
+      corrupt("top-k index out of range", 3, word(kN));
+    }
+    for (const auto fold : {wire::Fold::kAssign, wire::Fold::kAdd}) {
+      for (const auto& [what, frame] : bad) {
+        std::vector<float> dst(kN, -7.0f);
+        EXPECT_FALSE(wire::Decode(f, frame, dst, fold, 0))
+            << wire::FormatName(f) << ": " << what;
+        EXPECT_TRUE(BitwiseEqual(dst, std::vector<float>(kN, -7.0f)))
+            << wire::FormatName(f) << ": " << what << " wrote into dst";
+      }
+    }
+    std::vector<float> dst(kN);
+    EXPECT_TRUE(wire::Decode(f, good, dst, wire::Fold::kAssign, 0))
+        << wire::FormatName(f) << ": the intact frame";
   }
 }
 
@@ -243,7 +302,7 @@ TEST(ErrorFeedback, MakesLossyEncodingUnbiasedOverTime) {
         f == wire::Format::kTopK ? wire::TopKCount(src.size(), 0.2) : 0;
     for (int t = 0; t < kRounds; ++t) {
       auto payload = wire::Encode(pool, f, src, residual, k, 0);
-      wire::Decode(f, payload, sum, wire::Fold::kAdd, 0);
+      ASSERT_TRUE(wire::Decode(f, payload, sum, wire::Fold::kAdd, 0));
       pool.Recycle(std::move(payload));
     }
     const float bound = MaxAbs(src) * 0.05f + 1e-3f;

@@ -1,12 +1,13 @@
 // Data-plane regression suite (see DESIGN.md "Data plane & memory"):
 //   - the vectorized kernels in rna/common/simd.hpp are bitwise identical
 //     to their scalar references, standalone and end-to-end through the
-//     pooled ring / fused / partial collectives;
+//     pooled ring / partial collectives;
 //   - the sigmoid/tanh kernels also hold their special values and a 2 ulp
 //     bound against a double reference;
 //   - empty chunks (world > data.size()) survive fault-injected fabrics and
 //     tag purges;
-//   - BarrierFor honours its whole-barrier deadline;
+//   - BarrierFor honours its whole-barrier deadline, AllreduceFor its hop
+//     deadline, and a malformed hop or broadcast frame fails the call;
 //   - the BufferPool really makes the steady state allocation-free (hit
 //     counters), and its metrics reach the registry.
 
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "rna/collectives/allreduce.hpp"
-#include "rna/collectives/fusion.hpp"
 #include "rna/collectives/ring.hpp"
 #include "rna/common/simd.hpp"
 #include "rna/net/fabric.hpp"
@@ -350,73 +350,6 @@ TEST(DataPlaneEquivalence, PartialAllreduceBitwiseAcrossSizes) {
   }
 }
 
-/// Fused allreduce must be bitwise identical to ring-reducing each bucket's
-/// concatenation — pipelining and pooled staging change nothing numerically.
-TEST(DataPlaneEquivalence, FusedMatchesPerBucketRingBitwise) {
-  const std::size_t world = 4;
-  const std::vector<collectives::TensorSpec> specs = {
-      {"a", 60}, {"b", 60}, {"c", 60}, {"d", 60}, {"e", 9}};
-  const auto plan = collectives::FusionPlan::Build(specs, /*max=*/128);
-  ASSERT_GE(plan.BucketCount(), 2u) << "need a multi-bucket pipeline";
-
-  // Per-rank tensor inputs.
-  std::vector<std::vector<std::vector<float>>> tensors(world);
-  for (std::size_t r = 0; r < world; ++r) {
-    for (std::size_t t = 0; t < specs.size(); ++t) {
-      tensors[r].push_back(TestVector(
-          specs[t].elements, static_cast<std::uint32_t>(r * 31 + t)));
-    }
-  }
-
-  // Fused run.
-  auto fused = tensors;
-  {
-    net::Fabric fabric(world);
-    const Group group = Group::Full(world);
-    std::vector<std::thread> threads;
-    for (std::size_t r = 0; r < world; ++r) {
-      threads.emplace_back([&, r] {
-        std::vector<float*> ptrs;
-        for (auto& t : fused[r]) ptrs.push_back(t.data());
-        collectives::FusedAllreduce({fabric, group, r}, Opts(100), specs,
-                                    ptrs, plan);
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-
-  // Reference: one plain ring per bucket over the concatenated bucket.
-  for (const auto& bucket : plan.buckets) {
-    net::Fabric fabric(world);
-    const Group group = Group::Full(world);
-    std::vector<std::vector<float>> concat(world);
-    for (std::size_t r = 0; r < world; ++r) {
-      for (std::size_t t = 0; t < bucket.tensor_count; ++t) {
-        const auto& src = tensors[r][bucket.first_tensor + t];
-        concat[r].insert(concat[r].end(), src.begin(), src.end());
-      }
-    }
-    std::vector<std::thread> threads;
-    for (std::size_t r = 0; r < world; ++r) {
-      threads.emplace_back([&, r] {
-        collectives::Allreduce({fabric, group, r}, Opts(10), concat[r]);
-      });
-    }
-    for (auto& t : threads) t.join();
-    for (std::size_t r = 0; r < world; ++r) {
-      std::size_t offset = 0;
-      for (std::size_t t = 0; t < bucket.tensor_count; ++t) {
-        const auto& got = fused[r][bucket.first_tensor + t];
-        EXPECT_TRUE(BitwiseEqual(
-            got, std::span<const float>(concat[r].data() + offset,
-                                        got.size())))
-            << "rank " << r << " tensor " << bucket.first_tensor + t;
-        offset += got.size();
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // world > data.size(): the tail chunks are empty and their hops carry
 // zero-length payloads. Those hops must be first-class citizens — fault
@@ -711,39 +644,80 @@ TEST(WireAccounting, PublishesWireMetricsOnShutdown) {
 }
 
 // ---------------------------------------------------------------------------
-// Timed fused allreduce: hop deadlines propagate through every bucket.
+// Hop deadlines and hostile frames: an absent member or a malformed frame
+// fails the call (false) instead of hanging it or killing the process.
 
-TEST(FusedAllreduceFor, TimesOutWhenAMemberIsAbsent) {
-  const std::size_t world = 3;
-  net::Fabric fabric(world);
-  const Group group = Group::Full(world);
-  const std::vector<collectives::TensorSpec> specs = {{"a", 32}, {"b", 32}};
-  const auto plan = collectives::FusionPlan::Build(specs, /*max=*/32);
-  // Ranks 0 and 1 run the collective; rank 2 never shows up.
-  std::vector<int> ok(2, 1);
-  std::vector<std::vector<std::vector<float>>> data(2);
-  std::vector<std::thread> threads;
-  for (std::size_t r = 0; r < 2; ++r) {
-    threads.emplace_back([&, r] {
-      data[r] = {std::vector<float>(32, 1.0f),
-                 std::vector<float>(32, 2.0f)};
-      std::vector<float*> ptrs = {data[r][0].data(), data[r][1].data()};
-      ok[r] = collectives::FusedAllreduceFor(
-                  {fabric, group, r}, Opts(0, /*hop_timeout=*/0.2), specs,
-                  ptrs, plan)
-                  ? 1
-                  : 0;
-    });
+const collectives::Schedule kHopSchedules[] = {collectives::Schedule::kRing,
+                                               collectives::Schedule::kTree};
+
+TEST(AllreduceFor, TimesOutWhenAMemberIsAbsent) {
+  for (const auto schedule : kHopSchedules) {
+    SCOPED_TRACE(collectives::ScheduleName(schedule));
+    const std::size_t world = 3;
+    net::Fabric fabric(world);
+    const Group group = Group::Full(world);
+    collectives::CollectiveOptions opts = Opts(0, /*hop_timeout=*/0.2);
+    opts.schedule = schedule;
+    // Ranks 0 and 1 run the collective; rank 2 never shows up.
+    std::vector<int> ok(2, 1);
+    std::vector<std::thread> threads;
+    for (std::size_t r = 0; r < 2; ++r) {
+      threads.emplace_back([&, r] {
+        std::vector<float> data(64, static_cast<float>(r + 1));
+        ok[r] = collectives::AllreduceFor({fabric, group, r}, opts, data);
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(ok[0], 0);
+    EXPECT_EQ(ok[1], 0);
+    // The aborted call's contract: purge its whole tag range before reuse.
+    for (std::size_t r = 0; r < world; ++r) {
+      fabric.Purge(r, 0, collectives::TreeTagSpan(world) - 1);
+    }
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(ok[0], 0);
-  EXPECT_EQ(ok[1], 0);
-  // The aborted call's contract: purge its whole tag range before reuse.
-  const int span =
-      static_cast<int>(plan.BucketCount()) * collectives::FusionTagStride(3);
-  for (std::size_t r = 0; r < world; ++r) {
-    fabric.Purge(r, 0, span - 1);
+}
+
+TEST(AllreduceFor, RejectsAMalformedHopFrame) {
+  // Rank 0 runs alone; the test plays rank 1 and answers rank 0's first
+  // receive with a frame one word long, where a chunk of 4 (ring) or the
+  // whole 8-float buffer (tree) is due.
+  for (const auto schedule : kHopSchedules) {
+    SCOPED_TRACE(collectives::ScheduleName(schedule));
+    obs::MetricsRegistry registry;
+    obs::SetActiveMetrics(&registry);
+    net::Fabric fabric(2);
+    const Group group = Group::Full(2);
+    collectives::CollectiveOptions opts = Opts(40, /*hop_timeout=*/1.0);
+    opts.schedule = schedule;
+    // Ring: step 0's tag; tree: the root's first child, position 1.
+    const int first_recv = schedule == collectives::Schedule::kTree ? 1 : 0;
+    net::Message bad;
+    bad.tag = opts.tag_base + first_recv;
+    bad.data = {1.0f};
+    fabric.Send(1, 0, std::move(bad));
+    std::vector<float> data(8, 1.0f);
+    EXPECT_FALSE(collectives::AllreduceFor({fabric, group, 0}, opts, data));
+    obs::SetActiveMetrics(nullptr);
+    EXPECT_EQ(registry.CounterValue("collectives.rejected_frames"), 1);
   }
+}
+
+TEST(BroadcastFor, RejectsAWrongSizeFrame) {
+  obs::MetricsRegistry registry;
+  obs::SetActiveMetrics(&registry);
+  net::Fabric fabric(2);
+  const Group group = Group::Full(2);
+  net::Message bad;
+  bad.tag = 7;
+  bad.data.assign(5, 9.0f);  // the root's frame must be 4 floats long
+  fabric.Send(0, 1, std::move(bad));
+  std::vector<float> data(4, 1.0f);
+  EXPECT_FALSE(collectives::BroadcastFor(fabric, group, /*my_index=*/1,
+                                         /*root_index=*/0, data,
+                                         /*tag_base=*/7, /*timeout=*/1.0));
+  obs::SetActiveMetrics(nullptr);
+  EXPECT_EQ(data, std::vector<float>(4, 1.0f));
+  EXPECT_EQ(registry.CounterValue("collectives.rejected_frames"), 1);
 }
 
 }  // namespace

@@ -285,14 +285,14 @@ TEST(ShardedPs, ConcurrentStripedClientsAllServed) {
 
 TEST(ShardedPs, ParentSyncFoldsChildIntoParent) {
   // Two-node tree, one shard: the child averages its state into the root
-  // after every applied payload (sync_every = 1), so a client pushing to
-  // the child sees state that reflects the root's — cross-group averaging
-  // through the tree instead of a shared endpoint.
+  // after every applied payload, so a client pushing to the child sees
+  // state that reflects the root's — cross-group averaging through the
+  // tree instead of a shared endpoint.
   net::Fabric fabric(3);
   ParameterServer root(fabric, 1, {0.0f});
   root.Start();
   ParameterServer child(fabric, 2, {0.0f});
-  child.ConfigureParent(1, /*sync_every=*/1);
+  child.ConfigureParent(1);
   child.Start();
 
   PsClient client(fabric, 0, 2, 1, 1);
@@ -304,33 +304,16 @@ TEST(ShardedPs, ParentSyncFoldsChildIntoParent) {
   EXPECT_EQ(replied.value(), (std::vector<float>{4.0f}));
   EXPECT_EQ(root.Snapshot(), (std::vector<float>{4.0f}));
   EXPECT_EQ(child.Snapshot(), (std::vector<float>{4.0f}));
+  // A pull applies no payload, so it does not sync: with the root reset
+  // to 0 behind the child's back, a pull from the child still reads 4 and
+  // leaves the root at 0 (a sync would have made both (0+4)/2 = 2).
+  PsClient root_client(fabric, 0, 1, 1, 1);
+  ASSERT_TRUE(
+      root_client.TryPushPull(std::vector<float>{0.0f}, ApplyMode::kAssign)
+          .has_value());
+  EXPECT_EQ(client.TryPull().value(), (std::vector<float>{4.0f}));
+  EXPECT_EQ(root.Snapshot(), (std::vector<float>{0.0f}));
   child.Stop();  // children before parents
-  root.Stop();
-}
-
-TEST(ShardedPs, ParentSyncHonorsSyncEvery) {
-  net::Fabric fabric(3);
-  ParameterServer root(fabric, 1, {0.0f});
-  root.Start();
-  ParameterServer child(fabric, 2, {0.0f});
-  child.ConfigureParent(1, /*sync_every=*/2);
-  child.Start();
-
-  PsClient client(fabric, 0, 2, 1, 1);
-  EXPECT_EQ(
-      client.TryPushPull(std::vector<float>{6.0f}, ApplyMode::kAssign).value(),
-      (std::vector<float>{6.0f}));
-  EXPECT_EQ(root.Snapshot(), (std::vector<float>{0.0f}))
-      << "first applied payload must not sync yet";
-  // A pull applies no payload, so it does not count toward sync_every.
-  EXPECT_EQ(client.TryPull().value(), (std::vector<float>{6.0f}));
-  // Second applied payload reaches the threshold: child (now 6) folds into
-  // the root: root = (0+6)/2 = 3, child adopts 3 before replying.
-  EXPECT_EQ(
-      client.TryPushPull(std::vector<float>{6.0f}, ApplyMode::kAssign).value(),
-      (std::vector<float>{3.0f}));
-  EXPECT_EQ(root.Snapshot(), (std::vector<float>{3.0f}));
-  child.Stop();
   root.Stop();
 }
 

@@ -4,15 +4,14 @@ construction, and every tag expression must come from a named family.
 Two halves:
 
 1. Numeric: the constants and constexpr tag functions are read from the
-   real headers (tags.hpp, fusion.hpp, PsTags) and evaluated, then the
+   real headers (tags.hpp, schedule.hpp, PsTags) and evaluated, then the
    range invariants the protocols rely on are verified — static tags
    pairwise distinct and below the round-indexed ranges, the barrier
    family's occupied set disjoint from every static tag, GroupCastTag
    rounds staying below kRingBase, RingTag round-uniqueness (stride wide
    enough for the supported world size, no int overflow over the
-   supported round count), and FusionTagStride bucket disjointness
-   (stride covers a ring pass; a fused call at a RingTag base fits a
-   useful number of buckets inside one round's range).
+   supported round count), and every schedule's tag span
+   (RingTagSpan/TreeTagSpan) fitting inside one round's stride.
 
 2. Expression sites: every `msg.tag = ...` / receive tag argument in the
    protocol layers must reference a named tag (tags::k*, PsTags::k*), a
@@ -96,8 +95,8 @@ class TagModel:
 def _load_model(root):
     model = TagModel()
     loaded = []
-    for rel in (config.TAGS_HEADER, config.FUSION_HEADER,
-                config.SCHEDULE_HEADER, config.PS_HEADER):
+    for rel in (config.TAGS_HEADER, config.SCHEDULE_HEADER,
+                config.PS_HEADER):
         p = Path(root) / rel
         if p.is_file():
             model.load_header(rel, p.read_text(errors="replace"))
@@ -189,37 +188,11 @@ def _numeric_findings(model):
                      f"RingTag({config.TAG_MIN_ROUNDS - 1}) overflows a "
                      "32-bit tag; shrink the stride or the round bound")
 
-    if "FusionTagStride" in f:
-        for world in (1, 2, 3, 8, 64, 1024, config.TAG_MIN_WORLD * 2):
-            stride = f["FusionTagStride"](world)
-            if stride < 2 * world - 1:
-                fail("FusionTagStride",
-                     f"FusionTagStride({world})={stride} is narrower than "
-                     f"a ring pass's tag span ({2 * world - 1}); "
-                     "concurrent buckets would collide")
-        if ring_stride is not None:
-            buckets = ring_stride // f["FusionTagStride"](8)
-            if buckets < config.TAG_MIN_FUSED_BUCKETS_AT_W8:
-                fail("FusionTagStride",
-                     f"a fused call at a RingTag base only fits {buckets} "
-                     f"buckets inside one round's range (need "
-                     f"{config.TAG_MIN_FUSED_BUCKETS_AT_W8} at world=8)")
-
     # Schedule tag spans (schedule.hpp): every schedule must keep its pass
-    # inside the fusion bucket stride (or concurrent fused buckets collide)
-    # and inside one round's ring stride (or consecutive rounds collide).
+    # inside one round's ring stride (or consecutive rounds collide).
     for span_name in ("RingTagSpan", "TreeTagSpan"):
         if span_name not in f:
             continue
-        if "FusionTagStride" in f:
-            for world in (1, 2, 3, 8, 64, 1024, config.TAG_MIN_WORLD * 2):
-                span = f[span_name](world)
-                stride = f["FusionTagStride"](world)
-                if span > stride:
-                    fail(span_name,
-                         f"{span_name}({world})={span} exceeds "
-                         f"FusionTagStride({world})={stride}; concurrent "
-                         "fused buckets would collide under that schedule")
         if ring_stride is not None:
             span = f[span_name](config.TAG_MIN_WORLD)
             if span > ring_stride:

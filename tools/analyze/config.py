@@ -16,13 +16,10 @@ HEAP_ENTRY_PATTERNS = (
     "rna::nn::*::Evaluate",
     "rna::collectives::AllreduceFor",
     "rna::collectives::PartialAllreduceFor",
-    "rna::collectives::FusedAllreduceFor",
     "rna::collectives::BroadcastFor",
     "rna::collectives::BarrierFor",
-    "rna::collectives::RingPass::LaunchHop",
-    "rna::collectives::RingPass::CompleteHop",
-    "rna::collectives::TreePass::LaunchHop",
-    "rna::collectives::TreePass::CompleteHop",
+    "rna::collectives::detail::RingAllreduceFor",
+    "rna::collectives::detail::TreeAllreduceFor",
 )
 
 # Sanctioned allocation routers: traversal does not descend into these and
@@ -46,8 +43,8 @@ HEAP_BOUNDARY_PATTERNS = (
     # though ZeroGrads reaches them from ForwardBackward.
     "rna::nn::*::Params",
     "rna::nn::*::Grads",
-    # Error-feedback residuals grow once per (bucket, size) on the first
-    # pass and are steady-state stable after warm-up (passes only call
+    # Error-feedback residuals grow once per buffer size on the first pass
+    # and are steady-state stable after warm-up (AllreduceFor only calls
     # EnsureSize when the buffer is too small); the wire codec itself
     # stages through BufferPool.
     "rna::collectives::ErrorFeedback::EnsureSize",
@@ -98,17 +95,14 @@ RECV_SINK_OWNERS = (
 # -- tag-discipline ----------------------------------------------------------
 
 TAGS_HEADER = "src/train/include/rna/train/tags.hpp"
-FUSION_HEADER = "src/collectives/include/rna/collectives/fusion.hpp"
 SCHEDULE_HEADER = "src/collectives/include/rna/collectives/schedule.hpp"
 PS_HEADER = "src/ps/include/rna/ps/server.hpp"
 
 # Guarantees the protocols rely on (see tags.hpp comments): ring tags must
 # be round-unique for worlds at least this large, for at least this many
-# rounds, and a fused call at a ring tag base must fit this many buckets
-# inside one round's tag range.
+# rounds.
 TAG_MIN_WORLD = 1024
 TAG_MIN_ROUNDS = 100_000
-TAG_MIN_FUSED_BUCKETS_AT_W8 = 64
 
 # Files whose tag expressions are checked (protocol + transport layers).
 TAG_SCAN_PREFIXES = (
@@ -119,8 +113,8 @@ TAG_SCAN_PREFIXES = (
 # Identifiers that legitimise a tag expression: a named tag family or a
 # plumbing parameter carrying a caller-validated base.
 TAG_FAMILY_TOKENS = (
-    "RingTag", "GroupCastTag", "BarrierTag", "TagOf", "FusionTagStride",
-    "RingTagSpan", "TreeTagSpan",
+    "RingTag", "GroupCastTag", "BarrierTag", "TagOf", "RingTagSpan",
+    "TreeTagSpan",
 )
 TAG_PLUMBING_TOKENS = (
     "tag_base", "tag", "push_tag", "tag_lo", "tag_hi", "base",
