@@ -34,8 +34,8 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Wait-forever receive in bounded slices (RecvFor with timeout 0 is a
-/// try-receive, and an untimed Recv would hang the bench on shutdown).
+/// Waits in bounded slices until the message arrives or the fabric shuts
+/// down (RecvFor with timeout 0 is a try-receive).
 std::optional<net::Message> BlockingRecv(net::Fabric& fabric, net::Rank at,
                                          int tag) {
   for (;;) {

@@ -41,7 +41,7 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
   if (auto plan = BuildFaultPlan(config)) {
     fabric.InstallFaultPlan(std::move(plan));
   }
-  const bool faulty = config.fault.Enabled();
+  const common::Seconds reply_timeout = DeadlinesFor(config).hop;
   const bool lockstep = config.lockstep;
   // Serializes iterations (compute + gossip) into rank order under
   // lockstep; crashed or finished ranks retire from the rotation.
@@ -117,7 +117,11 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
 
       for (std::size_t iter = 0; iter < config.max_rounds && !stop.load();
            ++iter) {
-        if (lockstep && !gate.AcquireTurn(w)) break;
+        // A turn covers one peer iteration, hangs included, so no fault
+        // recovery timeout applies to it.
+        if (lockstep && !gate.AcquireTurnFor(w, common::kLosslessDeadline)) {
+          break;
+        }
         if (faults.BeforeIteration(w, workers[w]->Iterations()) ==
             IterationFate::kCrash) {
           faults.Kill(w);
@@ -154,22 +158,10 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
           comm_timer.SetArg("iter", static_cast<double>(iter));
           comm_timer.SetArg("peer", static_cast<double>(peer));
           fabric.Send(w, peer, std::move(req));
-          if (faulty) {
-            rep = fabric.RecvFor(w, tags::kAvgRep,
-                                 config.fault.collective_timeout_s);
-          } else {
-            // Lossless fabric: wait for the reply in bounded slices so the
-            // wait still wakes on shutdown (no untimed receive anywhere).
-            for (;;) {
-              rep = fabric.RecvFor(w, tags::kAvgRep, 0.05);
-              if (rep.has_value() || fabric.IsClosed(w)) break;
-            }
-          }
+          rep = fabric.RecvFor(w, tags::kAvgRep, reply_timeout);
           comm_timer.Stop();
           if (rep.has_value()) {
             gossiped = true;
-          } else if (fabric.IsClosed(w)) {
-            break;  // fabric shut down mid-exchange
           } else {
             // Timed out: the peer is crashed or the link ate the exchange.
             // Fall back to a local SGD step and stop gossiping with it.

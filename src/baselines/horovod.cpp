@@ -40,14 +40,9 @@ TrainResult RunHorovod(const TrainerConfig& config, const ModelFactory& factory,
   if (auto plan = BuildFaultPlan(config)) {
     fabric.InstallFaultPlan(std::move(plan));
   }
-  const bool faulty = config.fault.Enabled();
-  // Under fault injection every collective wait is bounded; a worker whose
-  // barrier or ring times out abandons the run (its peers' own deadlines
-  // release them too). Without faults 0.0 = wait forever, but even that path
-  // uses the For-variants, whose slack waits wake on fabric shutdown — no
-  // untimed receive survives in this file.
-  const common::Seconds hop_timeout =
-      faulty ? config.fault.collective_timeout_s : 0.0;
+  // A worker whose barrier or ring misses its deadline abandons the run
+  // (its peers' own deadlines release them too).
+  const common::Seconds hop_timeout = DeadlinesFor(config).hop;
 
   auto workers = MakeWorkers(config, factory, train_data);
   const std::size_t dim = workers[0]->Dim();
@@ -110,11 +105,9 @@ TrainResult RunHorovod(const TrainerConfig& config, const ModelFactory& factory,
           wait_timer.SetArg("round", static_cast<double>(round));
           // The whole-barrier deadline must cover world − 1 straggling
           // arrivals at the leader, not just one hop.
-          const common::Seconds barrier_timeout =
-              faulty ? hop_timeout * static_cast<double>(world) : 0.0;
-          if (!collectives::BarrierFor(fabric, group, w,
-                                       tags::BarrierTag(round),
-                                       barrier_timeout)) {
+          if (!collectives::BarrierFor(
+                  fabric, group, w, tags::BarrierTag(round),
+                  hop_timeout * static_cast<double>(world))) {
             break;
           }
         }

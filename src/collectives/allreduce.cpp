@@ -14,6 +14,7 @@ bool AllreduceFor(const CollectiveContext& ctx,
   RNA_CHECK_MSG(world > 0 && ctx.my_index < world, "bad group index");
   RNA_CHECK_MSG(options.exact_tail <= data.size(),
                 "exact tail larger than the buffer");
+  RNA_CHECK_MSG(options.hop_timeout > 0.0, "hop timeout must be positive");
   if (options.compression == Compression::kTopK) {
     RNA_CHECK_MSG(options.topk_fraction > 0.0 && options.topk_fraction <= 1.0,
                   "top-k fraction must be in (0, 1]");
@@ -34,8 +35,7 @@ bool AllreduceFor(const CollectiveContext& ctx,
 
 void Allreduce(const CollectiveContext& ctx, const CollectiveOptions& options,
                std::span<float> data) {
-  RNA_CHECK_MSG(AllreduceFor(ctx, options, data),
-                "fabric shut down mid-collective");
+  RNA_CHECK_MSG(AllreduceFor(ctx, options, data), "allreduce failed");
 }
 
 PartialResult PartialAllreduceFor(const CollectiveContext& ctx,
@@ -63,7 +63,6 @@ PartialResult PartialAllreduceFor(const CollectiveContext& ctx,
   if (!AllreduceFor(ctx, partial, buffer)) {
     // Aborted mid-pass (member crash or shutdown): the partial sums are
     // meaningless — zero the output and tell the caller to skip the step.
-    RNA_CHECK_MSG(options.hop_timeout > 0.0, "fabric shut down mid-collective");
     std::fill(data.begin(), data.end(), 0.0f);
     fabric.Pool().Recycle(std::move(buffer));
     result.ok = false;

@@ -53,17 +53,17 @@ bool TreeAllreduceFor(const CollectiveContext& ctx,
 /// equal-size buffers and identical options; the pass's tags live in
 /// [options.tag_base, options.tag_base + TreeTagSpan(world)).
 ///
-/// Returns false when a hop timed out (options.hop_timeout > 0), the
-/// fabric shut down — i.e. a group member crashed mid-collective — or a
-/// peer's frame failed to decode (`collectives.rejected_frames`), leaving
-/// `data` in an undefined partial state; the caller must abort the round,
-/// discard the buffer, and purge the tag range. This is what keeps a
-/// mid-collective crash from deadlocking every survivor in Recv.
+/// Returns false when a hop missed options.hop_timeout, the fabric shut
+/// down — i.e. a group member crashed mid-collective — or a peer's frame
+/// failed to decode (`collectives.rejected_frames`), leaving `data` in an
+/// undefined partial state; the caller must abort the round, discard the
+/// buffer, and purge the tag range. This is what keeps a mid-collective
+/// crash from deadlocking every survivor in a hop receive.
 bool AllreduceFor(const CollectiveContext& ctx,
                   const CollectiveOptions& options, std::span<float> data);
 
 /// Throwing wrapper: terminates (RNA_CHECK) if the collective aborted.
-/// For call sites with no abort path (tests, benches, setup).
+/// For call sites with no abort path (tests, benches).
 void Allreduce(const CollectiveContext& ctx, const CollectiveOptions& options,
                std::span<float> data);
 
@@ -81,8 +81,8 @@ struct PartialResult {
 /// average — or all zeros when nobody contributed. The contributor count
 /// rides as one bit-exact tail element appended to the payload, so it
 /// survives every compression policy. options.exact_tail is overridden
-/// accordingly; options.hop_timeout > 0 bounds each hop receive, and on
-/// timeout the result has ok == false (see AllreduceFor).
+/// accordingly; options.hop_timeout bounds each hop receive, and on a
+/// failed pass the result has ok == false (see AllreduceFor).
 PartialResult PartialAllreduceFor(const CollectiveContext& ctx,
                                  const CollectiveOptions& options,
                                  std::span<float> data, bool contributes);

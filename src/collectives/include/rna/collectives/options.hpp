@@ -59,9 +59,9 @@ struct CollectiveOptions {
   /// the width). Must not collide with other traffic in flight.
   int tag_base = 0;
 
-  /// > 0 bounds every blocking receive of the pass; 0 or negative waits
-  /// until the message arrives or the fabric shuts down.
-  common::Seconds hop_timeout = 0.0;
+  /// Bounds every receive of the pass; must be > 0. A missed deadline
+  /// fails the pass (see AllreduceFor).
+  common::Seconds hop_timeout = common::kLosslessDeadline;
 
   /// Group index of the controller-identified persistent straggler, or
   /// kNoStraggler. Only Schedule::kStragglar consumes it (the straggler is

@@ -28,10 +28,10 @@ namespace rna::collectives {
 namespace detail {
 /// Receives one hop frame at `tag` and decodes it into `dst` (see
 /// wire::Decode). Returns the payload for the caller to forward or
-/// recycle. std::nullopt when the hop missed its deadline (`timeout` > 0;
-/// 0 or negative waits in bounded slices until the fabric shuts down) or
-/// the frame was malformed — a rejected frame is recycled and counted in
-/// `collectives.rejected_frames`, and either way the pass must abort.
+/// recycle. std::nullopt when the hop missed its deadline `timeout`, the
+/// fabric shut down, or the frame was malformed — a rejected frame is
+/// recycled and counted in `collectives.rejected_frames`, and either way
+/// the pass must abort.
 std::optional<std::vector<float>> RecvFrame(net::Fabric& fabric, Rank self,
                                             int tag, common::Seconds timeout,
                                             net::wire::Format format,
@@ -40,31 +40,31 @@ std::optional<std::vector<float>> RecvFrame(net::Fabric& fabric, Rank self,
                                             std::size_t exact_tail);
 }  // namespace detail
 
-/// Star broadcast from `root_index` to all other members.
+/// Star broadcast from `root_index` to all other members; terminates
+/// (RNA_CHECK) unless it completes within common::kLosslessDeadline. For
+/// call sites with no abort path (tests, benches).
 void Broadcast(net::Fabric& fabric, const Group& group, std::size_t my_index,
                std::size_t root_index, std::span<float> data, int tag_base);
 
 /// Timed broadcast receive (the root never blocks): false when the root's
-/// message did not arrive within `timeout` (0 or negative = wait forever)
-/// or was not data.size() floats long (recycled and counted like any
+/// message did not arrive within `timeout`, the fabric shut down, or the
+/// frame was not data.size() floats long (recycled and counted like any
 /// rejected frame, `data` untouched).
 bool BroadcastFor(net::Fabric& fabric, const Group& group,
                   std::size_t my_index, std::size_t root_index,
                   std::span<float> data, int tag_base,
                   common::Seconds timeout);
 
-/// Full barrier over the group (gather-to-first + release). Blocks until
-/// every member arrives or the fabric shuts down.
+/// Full barrier over the group (gather-to-first + release); terminates
+/// (RNA_CHECK) unless every member arrives within common::kLosslessDeadline.
 void Barrier(net::Fabric& fabric, const Group& group, std::size_t my_index,
              int tag_base);
 
-/// Timed barrier: `timeout` > 0 bounds the *whole* barrier (the leader's
-/// gather and each follower's release wait share one deadline); 0 or
-/// negative waits forever. Returns false when the deadline passed or the
-/// fabric shut down — some members may then be left waiting on tag_base/
-/// tag_base+1 traffic that never comes, so they must run with a timeout
-/// too (that is the caller's migration contract: no untimed barrier on any
-/// fault-exposed path).
+/// Timed barrier: `timeout` bounds the *whole* barrier (the leader's
+/// gather and each follower's release wait share one deadline). Returns
+/// false when the deadline passed or the fabric shut down — some members
+/// may then be left waiting on tag_base/tag_base+1 traffic that never
+/// comes, until their own deadline releases them.
 bool BarrierFor(net::Fabric& fabric, const Group& group, std::size_t my_index,
                 int tag_base, common::Seconds timeout);
 

@@ -8,26 +8,6 @@
 
 namespace rna::collectives {
 
-namespace {
-
-/// Granularity of the wait-forever receive loop: bounded RecvFor slices
-/// with an IsClosed check between them, so even "untimed" collectives never
-/// sit in an unbounded blocking receive (the untimed-recv deadlock class).
-constexpr common::Seconds kForeverSlice = 0.05;
-
-/// Receive with the collective deadline contract: `timeout` > 0 is a plain
-/// timed receive; 0 or negative loops bounded RecvFor slices.
-std::optional<net::Message> RecvHop(net::Fabric& fabric, Rank self, int tag,
-                                    common::Seconds timeout) {
-  if (timeout > 0.0) return fabric.RecvFor(self, tag, timeout);
-  for (;;) {
-    auto msg = fabric.RecvFor(self, tag, kForeverSlice);
-    if (msg.has_value() || fabric.IsClosed(self)) return msg;
-  }
-}
-
-}  // namespace
-
 namespace detail {
 
 std::optional<std::vector<float>> RecvFrame(net::Fabric& fabric, Rank self,
@@ -36,7 +16,7 @@ std::optional<std::vector<float>> RecvFrame(net::Fabric& fabric, Rank self,
                                             std::span<float> dst,
                                             net::wire::Fold fold,
                                             std::size_t exact_tail) {
-  auto in = RecvHop(fabric, self, tag, timeout);
+  auto in = fabric.RecvFor(self, tag, timeout);
   if (!in.has_value()) return std::nullopt;
   if (!net::wire::Decode(format, in->data, dst, fold, exact_tail)) {
     obs::CountMetric("collectives.rejected_frames");
@@ -200,8 +180,8 @@ bool BroadcastFor(net::Fabric& fabric, const Group& group,
 void Broadcast(net::Fabric& fabric, const Group& group, std::size_t my_index,
                std::size_t root_index, std::span<float> data, int tag_base) {
   RNA_CHECK_MSG(BroadcastFor(fabric, group, my_index, root_index, data,
-                             tag_base, /*timeout=*/0.0),
-                "fabric shut down mid-broadcast");
+                             tag_base, common::kLosslessDeadline),
+                "broadcast failed");
 }
 
 bool BarrierFor(net::Fabric& fabric, const Group& group, std::size_t my_index,
@@ -216,7 +196,6 @@ bool BarrierFor(net::Fabric& fabric, const Group& group, std::size_t my_index,
   const auto deadline =
       common::SteadyClock::now() + common::FromSeconds(timeout);
   auto recv_step = [&](int tag) {
-    if (timeout <= 0.0) return RecvHop(fabric, self, tag, 0.0);
     const common::Seconds left =
         common::ToSeconds(deadline - common::SteadyClock::now());
     if (left <= 0.0) return std::optional<net::Message>{};
@@ -242,8 +221,8 @@ bool BarrierFor(net::Fabric& fabric, const Group& group, std::size_t my_index,
 void Barrier(net::Fabric& fabric, const Group& group, std::size_t my_index,
              int tag_base) {
   RNA_CHECK_MSG(BarrierFor(fabric, group, my_index, tag_base,
-                           /*timeout=*/0.0),
-                "fabric shut down mid-barrier");
+                           common::kLosslessDeadline),
+                "barrier failed");
 }
 
 }  // namespace rna::collectives

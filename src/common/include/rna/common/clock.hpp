@@ -16,6 +16,12 @@ using SteadyClock = std::chrono::steady_clock;
 /// workload models.
 using Seconds = double;
 
+/// The deadline of every protocol wait in a fault-free run (see
+/// train::DeadlinesFor). Nothing can drop a message there, so the bound is
+/// never reached unless a protocol bug loses one; the run then takes the
+/// fault path's recovery instead of hanging.
+inline constexpr Seconds kLosslessDeadline = 30.0;
+
 inline Seconds ToSeconds(SteadyClock::duration d) {
   return std::chrono::duration<double>(d).count();
 }

@@ -38,11 +38,6 @@ std::optional<Message> Mailbox::PopLocked(std::span<const int> tags) {
   return std::nullopt;
 }
 
-std::optional<Message> Mailbox::Get(int tag) {
-  const int tags[] = {tag};
-  return GetAny(tags);
-}
-
 std::optional<Message> Mailbox::GetFor(int tag, common::Seconds timeout) {
   const int tags[] = {tag};
   return GetAnyFor(tags, timeout);
@@ -73,15 +68,6 @@ std::size_t Mailbox::PurgeTagRange(int tag_lo, int tag_hi) {
     return m.tag >= tag_lo && m.tag <= tag_hi;
   });
   return before - messages_.size();
-}
-
-std::optional<Message> Mailbox::GetAny(std::span<const int> tags) {
-  common::MutexLock lock(mu_);
-  for (;;) {
-    if (auto found = PopLocked(tags)) return found;
-    if (closed_) return std::nullopt;
-    cv_.Wait(mu_);
-  }
 }
 
 std::optional<Message> Mailbox::TryGet(int tag) {
@@ -234,20 +220,10 @@ void Fabric::TimerLoop() {
   }
 }
 
-std::optional<Message> Fabric::Recv(Rank at, int tag) {
-  RNA_CHECK(at < Size());
-  return mailboxes_[at]->Get(tag);
-}
-
 std::optional<Message> Fabric::RecvFor(Rank at, int tag,
                                        common::Seconds timeout) {
   RNA_CHECK(at < Size());
   return mailboxes_[at]->GetFor(tag, timeout);
-}
-
-std::optional<Message> Fabric::RecvAny(Rank at, std::span<const int> tags) {
-  RNA_CHECK(at < Size());
-  return mailboxes_[at]->GetAny(tags);
 }
 
 std::optional<Message> Fabric::RecvAnyFor(Rank at, std::span<const int> tags,

@@ -1,10 +1,10 @@
 #pragma once
 
 // An in-process message fabric: N endpoints, each with a tag-addressed
-// mailbox supporting blocking, timed, and multi-tag receives. This is the
-// repo's substitute for MPI point-to-point transport (see DESIGN.md); all
-// collectives, the parameter server, the RNA controller RPCs and the
-// AD-PSGD gossip run on top of it.
+// mailbox supporting timed and multi-tag receives; every receive has a
+// deadline. This is the repo's substitute for MPI point-to-point transport
+// (see DESIGN.md); all collectives, the parameter server, the RNA
+// controller RPCs and the AD-PSGD gossip run on top of it.
 //
 // An optional latency model delays deliveries on a dedicated timer thread,
 // letting experiments inject network heterogeneity without touching
@@ -43,22 +43,17 @@ class Mailbox {
   /// Enqueues a message; returns false if the mailbox is closed.
   bool Put(Message msg);
 
-  /// Blocks until a message with the tag arrives (or close). Messages with
-  /// other tags are unaffected.
-  std::optional<Message> Get(int tag);
-
-  /// Timed variant; std::nullopt on timeout or close-and-drained. A zero
-  /// (or negative) timeout degenerates to TryGet: one pop attempt, no wait.
+  /// Waits up to `timeout` for a message with the tag; std::nullopt on
+  /// timeout or close-and-drained. Messages with other tags are unaffected.
+  /// A zero (or negative) timeout degenerates to TryGet: one pop attempt,
+  /// no wait.
   std::optional<Message> GetFor(int tag, common::Seconds timeout);
-
-  /// Blocks until a message with *any* of the tags arrives; lower tag index
-  /// in `tags` wins when several are ready.
-  std::optional<Message> GetAny(std::span<const int> tags);
 
   /// Timed multi-tag receive: waits until a message matching any tag
   /// arrives, the deadline passes (std::nullopt), or the mailbox closes.
-  /// This is what lets the controller wait on "probe reply OR goodbye" with
-  /// a deadline instead of blocking forever on a dead worker.
+  /// When several match, the oldest queued one wins, whatever the order of
+  /// `tags`. This is what lets the controller wait on "probe reply OR
+  /// goodbye" with a deadline instead of blocking forever on a dead worker.
   std::optional<Message> GetAnyFor(std::span<const int> tags,
                                    common::Seconds timeout);
 
@@ -127,9 +122,7 @@ class Fabric {
   void Send(Rank from, Rank to, Message msg);
 
   // Receive helpers delegating to the endpoint's mailbox.
-  std::optional<Message> Recv(Rank at, int tag);
   std::optional<Message> RecvFor(Rank at, int tag, common::Seconds timeout);
-  std::optional<Message> RecvAny(Rank at, std::span<const int> tags);
   std::optional<Message> RecvAnyFor(Rank at, std::span<const int> tags,
                                     common::Seconds timeout);
   std::optional<Message> TryRecv(Rank at, int tag);

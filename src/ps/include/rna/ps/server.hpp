@@ -67,24 +67,25 @@ inline std::size_t ShardLast(std::size_t dim, std::size_t shards,
 /// protocol: one request carrying the whole payload, whose reply payload
 /// becomes the result as is.
 ///
-/// Fault tolerance: by default a reply-bearing call waits until every shard
-/// answered or the fabric shut down, in bounded slices so every fabric wait
-/// has a deadline. ConfigureRetry(budget >= 2, t) switches to bounded retry
-/// with exponential backoff: the shards still missing a reply are re-sent
-/// after t, 2t, 4t, … seconds, `budget` attempts total. A failed call
-/// returns std::nullopt and the caller decides what to skip; no call
-/// aborts. Retries are at-least-once: a slow (rather than dropped) request
-/// can be applied twice, which every mode absorbs (kAssign writes the same
-/// values again; kAverage re-averages toward the same pushed model). A
-/// reply of the wrong size is dropped and its shard counts as missing.
+/// Fault tolerance: a call makes up to `budget` attempts; the shards still
+/// missing a reply are re-sent after t, 2t, 4t, … seconds (each shard
+/// reply renews the current window). The default is one attempt that
+/// waits common::kLosslessDeadline; ConfigureRetry sets budget and t. A
+/// failed call returns std::nullopt and the caller decides what to skip;
+/// no call aborts. Retries are at-least-once: a slow (rather than
+/// dropped) request can be applied twice, which every mode absorbs
+/// (kAssign writes the same values again; kAverage re-averages toward the
+/// same pushed model). A reply of the wrong size is dropped and its shard
+/// counts as missing.
 class PsClient {
  public:
   /// `shards` must be in [1, dim].
   PsClient(net::Fabric& fabric, Rank self, Rank first_server,
            std::size_t shards, std::size_t dim);
 
-  /// Enables bounded retry (see class comment). budget is the total number
-  /// of attempts; budget <= 1 keeps the wait-until-shutdown behavior.
+  /// Sets the retry policy (see class comment): `budget` total attempts
+  /// (0 counts as 1), the first waiting `first_timeout_s` (kept when not
+  /// positive).
   void ConfigureRetry(std::size_t budget, double first_timeout_s);
 
   /// Fetch the current server state; std::nullopt on shutdown or an
@@ -109,7 +110,7 @@ class PsClient {
   std::size_t shards_;
   std::size_t dim_;
   std::size_t retry_budget_ = 1;
-  double retry_timeout_s_ = 0.05;
+  double retry_timeout_s_ = common::kLosslessDeadline;
   std::vector<bool> have_;  ///< per shard: replied in the call in flight
 };
 
@@ -138,7 +139,7 @@ class ParameterServer {
   /// follow PsClient::ConfigureRetry semantics; a failed sync is skipped
   /// (counted, state kept local).
   void ConfigureParent(Rank parent, std::size_t retry_budget = 1,
-                       double retry_timeout_s = 0.05);
+                       double retry_timeout_s = common::kLosslessDeadline);
 
   Rank ServerRank() const { return rank_; }
   /// Requests applied and answered; a malformed request is dropped

@@ -235,9 +235,6 @@ std::optional<std::vector<float>> PsClient::TryCall(
     ++got;
   };
 
-  // Without a retry budget the wait runs until every shard answered or
-  // the fabric shut down, in bounded slices.
-  const bool until_shutdown = retry_budget_ <= 1;
   for (std::size_t attempt = 0; attempt < retry_budget_; ++attempt) {
     if (attempt > 0) obs::CountMetric("ps.retries");
     // Stripe: every (still-missing) shard's request goes out before any
@@ -249,18 +246,14 @@ std::optional<std::vector<float>> PsClient::TryCall(
     // Exponential backoff: t, 2t, 4t, ... per attempt; each shard reply
     // renews the window (the stripe is making progress).
     const double backoff = static_cast<double>(std::uint64_t{1} << attempt);
-    const double timeout = until_shutdown ? 0.05 : retry_timeout_s_ * backoff;
+    const double timeout = retry_timeout_s_ * backoff;
     while (got < shards_) {
       auto reply = fabric_->RecvFor(self_, PsTags::kReply, timeout);
-      if (reply.has_value()) {
-        accept(*reply);
-      } else if (fabric_->IsClosed(self_)) {
-        return std::nullopt;
-      } else if (!until_shutdown) {
-        break;
-      }
+      if (!reply.has_value()) break;  // window expired or shut down
+      accept(*reply);
     }
     if (got == shards_) return out;
+    if (fabric_->IsClosed(self_)) return std::nullopt;
   }
   obs::CountMetric("ps.call_failures");
   return std::nullopt;

@@ -192,8 +192,8 @@ std::string TrainerConfig::ValidateFault() const {
               fault.ps_drop_prob > 0.0) &&
              protocol == Protocol::kHorovod) {
     why << ProtocolName(protocol)
-        << " cannot run on a lossy fabric: its untimed collectives deadlock "
-           "on a dropped message (use delay faults instead)";
+        << " cannot run on a lossy fabric: a dropped message ends its BSP "
+           "run at the hop deadline (use delay faults instead)";
   } else {
     for (const WorkerFaultSchedule& w : fault.workers) {
       if (w.rank >= world) {

@@ -25,6 +25,22 @@ double FlakyDraw(std::uint64_t seed, std::size_t rank, std::size_t iter) {
 
 }  // namespace
 
+Deadlines DeadlinesFor(const TrainerConfig& config) {
+  const FaultConfig& f = config.fault;
+  if (!f.Enabled()) {
+    constexpr common::Seconds t = common::kLosslessDeadline;
+    return {.hop = t, .report = t, .probe = t, .ps_attempts = 1,
+            .ps_retry_s = t};
+  }
+  // Under faults a report can lag a full aborted collective, so the
+  // controller's report deadline exceeds the hop deadline.
+  return {.hop = f.collective_timeout_s,
+          .report = f.collective_timeout_s + f.probe_timeout_s,
+          .probe = f.probe_timeout_s,
+          .ps_attempts = f.retry_budget,
+          .ps_retry_s = f.retry_timeout_s};
+}
+
 std::uint64_t EffectiveFaultSeed(const TrainerConfig& config) {
   if (config.fault.seed != 0) return config.fault.seed;
   return common::SplitMix64(config.seed ^ 0xC4A05C4A05ull).Next();
@@ -126,12 +142,6 @@ void RoundRobinGate::AdvanceLocked() {
   do {
     cursor_ = (cursor_ + 1) % retired_.size();
   } while (retired_[cursor_]);
-}
-
-bool RoundRobinGate::AcquireTurn(std::size_t rank) {
-  common::MutexLock lock(mu_);
-  while (!down_ && !retired_[rank] && cursor_ != rank) cv_.Wait(mu_);
-  return !down_ && !retired_[rank];
 }
 
 bool RoundRobinGate::AcquireTurnFor(std::size_t rank,

@@ -78,10 +78,11 @@ class PsLayer {
  public:
   /// Serves `init` from `tree.nodes.size() * shards` fabric endpoints,
   /// node-major from `first_rank`.
-  PsLayer(const TrainerConfig& config, net::Fabric& fabric,
+  PsLayer(const Deadlines& deadlines, bool lockstep, net::Fabric& fabric,
           net::Rank first_rank, PsTree tree, std::size_t shards,
           std::size_t num_groups, std::span<const float> init)
-      : config_(config),
+      : deadlines_(deadlines),
+        lockstep_(lockstep),
         fabric_(fabric),
         first_rank_(first_rank),
         tree_(std::move(tree)),
@@ -98,10 +99,8 @@ class PsLayer {
             fabric, RankOf(node, s), std::vector<float>(begin, end));
         const std::size_t parent = tree_.nodes[node].parent;
         if (parent != node) {
-          server->ConfigureParent(
-              RankOf(parent, s),
-              config.fault.Enabled() ? config.fault.retry_budget : 1,
-              config.fault.retry_timeout_s);
+          server->ConfigureParent(RankOf(parent, s), deadlines_.ps_attempts,
+                                  deadlines_.ps_retry_s);
         }
         server->Start();
         servers_.push_back(std::move(server));
@@ -125,10 +124,7 @@ class PsLayer {
                       std::size_t dim) const {
     ps::PsClient client(fabric_, self, RankOf(tree_.leaf_of[group], 0),
                         shards_, dim);
-    if (config_.fault.Enabled()) {
-      client.ConfigureRetry(config_.fault.retry_budget,
-                            config_.fault.retry_timeout_s);
-    }
+    client.ConfigureRetry(deadlines_.ps_attempts, deadlines_.ps_retry_s);
     return client;
   }
 
@@ -138,25 +134,18 @@ class PsLayer {
   /// sync folds in.
   void Sync(std::size_t group, ps::PsClient& client,
             std::vector<float>& params) {
-    const bool lockstep = config_.lockstep;
-    if (lockstep) {
-      // Under faults the wait is bounded, so a hung group ahead in the
-      // rotation cannot stall this one forever.
-      const bool turn =
-          config_.fault.Enabled()
-              ? gate_.AcquireTurnFor(group, config_.fault.collective_timeout_s)
-              : gate_.AcquireTurn(group);
-      if (!turn) {
-        obs::CountMetric("fault.ps_turn_timeouts");
-        return;
-      }
+    // The turn wait is bounded, so a hung group ahead in the rotation
+    // cannot stall this one forever.
+    if (lockstep_ && !gate_.AcquireTurnFor(group, deadlines_.hop)) {
+      obs::CountMetric("fault.ps_turn_timeouts");
+      return;
     }
     if (auto avg = client.TryPushPull(params, ps::ApplyMode::kAverage)) {
       params = std::move(*avg);
     } else {
       obs::CountMetric("fault.ps_sync_skipped");
     }
-    if (lockstep) gate_.ReleaseTurn(group);
+    if (lockstep_) gate_.ReleaseTurn(group);
   }
 
   /// A finished group frees any leader still waiting for its turn.
@@ -167,7 +156,8 @@ class PsLayer {
     return first_rank_ + node * shards_ + shard;
   }
 
-  const TrainerConfig& config_;
+  const Deadlines deadlines_;
+  const bool lockstep_;
   net::Fabric& fabric_;
   net::Rank first_rank_;
   PsTree tree_;
@@ -196,7 +186,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
                                  const SpeedGrouping& grouping) {
   const std::size_t world = config.world;
   RNA_CHECK_MSG(world >= 1, "need at least one worker");
-  const bool faulty = config.fault.Enabled();
+  const Deadlines deadlines = DeadlinesFor(config);
   const bool lockstep = config.lockstep;
 
   auto workers = MakeWorkers(config, factory, train_data);
@@ -238,18 +228,9 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
   }
   std::unique_ptr<PsLayer> ps;
   if (grouping) {
-    ps = std::make_unique<PsLayer>(config, fabric, first_ps, std::move(tree),
-                                   shards, num_groups, init);
+    ps = std::make_unique<PsLayer>(deadlines, lockstep, fabric, first_ps,
+                                   std::move(tree), shards, num_groups, init);
   }
-  // A mid-ring crash shows up as a hop timeout; survivors abort the round
-  // instead of deadlocking in Recv. Zero keeps the untimed receive on the
-  // zero-fault path.
-  const common::Seconds ring_timeout =
-      faulty ? config.fault.collective_timeout_s : 0.0;
-  // Reports can lag a full aborted collective, so the controller's report
-  // deadline must exceed the ring's hop timeout.
-  const common::Seconds report_budget =
-      config.fault.collective_timeout_s + config.fault.probe_timeout_s;
 
   std::vector<std::unique_ptr<GradientStage>> stages;
   for (std::size_t w = 0; w < world; ++w) {
@@ -329,18 +310,11 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
         {
           obs::ScopedTimer wait_timer(track, obs::Category::kWait,
                                       "wait_trigger", &comm_times[w].wait);
-          if (faulty) {
-            // Bounded waits: a dropped exit Go must not strand this thread.
-            while (!(go = fabric.RecvFor(w, tags::kGo, 0.05)).has_value()) {
-              if (global_stop.load() || fabric.IsClosed(w) ||
-                  !faults.Alive(w)) {
-                break;
-              }
-            }
-          } else {
-            // Lossless fast path: without fault injection nothing can drop
-            // the Go, and Shutdown() wakes the wait.
-            go = fabric.Recv(w, tags::kGo);  // analyze:allow(timed-recv)
+          // Short slices, so the wait also ends when the rank dies on its
+          // compute side; a dropped exit Go ends it when the run closes
+          // the fabric.
+          while (!(go = fabric.RecvFor(w, tags::kGo, 0.05)).has_value()) {
+            if (fabric.IsClosed(w) || !faults.Alive(w)) break;
           }
         }
         if (!go.has_value()) {
@@ -382,14 +356,8 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
           // LR bit-cast into the meta) and acknowledge with a synced
           // report, so the controller activates this rank next round with
           // a state bitwise-identical to every member's.
-          std::optional<net::Message> state;
-          if (faulty) {
-            state = fabric.RecvFor(w, tags::JoinStateTag(round),
-                                   config.fault.collective_timeout_s);
-          } else {
-            state = fabric.Recv(  // analyze:allow(timed-recv)
-                w, tags::JoinStateTag(round));
-          }
+          std::optional<net::Message> state =
+              fabric.RecvFor(w, tags::JoinStateTag(round), deadlines.hop);
           bool synced = false;
           if (state.has_value() && state->data.size() == 2 * dim &&
               state->meta.size() > 1) {
@@ -456,7 +424,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
         opts.compression = config.compression;
         opts.topk_fraction = config.topk_fraction;
         opts.tag_base = tags::RingTag(round);
-        opts.hop_timeout = ring_timeout;
+        opts.hop_timeout = deadlines.hop;
         opts.feedback = &feedback;
         if (config.schedule == collectives::Schedule::kStragglar &&
             plan->straggler.has_value()) {
@@ -525,7 +493,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
           bcast_timer.SetArg("round", static_cast<double>(round));
           if (!collectives::BroadcastFor(fabric, ring, my_index, 0, params,
                                          tags::GroupCastTag(round),
-                                         ring_timeout)) {
+                                         deadlines.hop)) {
             obs::CountMetric("fault.broadcast_timeouts");
           }
         }
@@ -600,13 +568,13 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
           std::optional<net::Message> token;
           while (!(token = fabric.RecvFor(w, tags::kStep, 0.05))
                       .has_value()) {
-            // Lossless lockstep waits for its own controller's exit token:
-            // global_stop only means *some* group finished its rounds, and
-            // leaving here would cut this group's step/ack handshake short
-            // and make the tail rounds of slower groups racy.
-            if (fabric.IsClosed(w) || (faulty && global_stop.load())) {
-              return;
-            }
+            // Lockstep waits for its own controller's exit token, or for
+            // the fabric closing once every controller finished (a lossy
+            // fabric may drop the token): global_stop only means *some*
+            // group finished its rounds, and leaving on it would cut this
+            // group's step/ack handshake short and make the tail rounds of
+            // slower groups racy.
+            if (fabric.IsClosed(w)) return;
           }
           if (token->meta.empty() || token->meta[0] < 0) return;
           if (!faults.Alive(w)) return;
@@ -714,17 +682,14 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
         fabric.Send(self, r, std::move(step));
       };
 
-      // Under lossless lockstep every group's controller runs its full
-      // round schedule: global_stop only records that another group's
-      // session ended first, and honoring it here would make the number of
-      // rounds (and so the batch accounting) of the remaining groups depend
-      // on cross-group thread timing. The monitor's `stop` still ends the
-      // loop; fault-injected runs keep the abort path. A lone group cannot
-      // see global_stop before its own exit broadcast under lossless
-      // lockstep.
-      const bool lossless_lockstep = lockstep && !faulty;
+      // Under lockstep every group's controller runs its full round
+      // schedule: global_stop only records that another group's session
+      // ended first, and honoring it here would make the number of rounds
+      // (and so the batch accounting) of the remaining groups depend on
+      // cross-group thread timing. The monitor's `stop` still ends the
+      // loop.
       auto session_over = [&] {
-        return stop.load() || (!lossless_lockstep && global_stop.load());
+        return stop.load() || (!lockstep && global_stop.load());
       };
       for (std::size_t round = 0; round < config.max_rounds && !session_over();
            ++round) {
@@ -758,10 +723,10 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
 
         if (lockstep) {
           // Pace: one compute token per live member, then account for
-          // every token (kReady, kGoodbye, or — under faults — a deadline
-          // miss from a hung worker, who stays a member and contributes
-          // null). Syncing joiners get no token: their first batch waits
-          // for the state transfer.
+          // every token (kReady, kGoodbye, or a deadline miss from a hung
+          // worker, who stays a member and contributes null). Syncing
+          // joiners get no token: their first batch waits for the state
+          // transfer.
           {
             common::ScopedCpuAccumulator token_cpu(&busy);
             obs::ScopedTimer token_timer(track, obs::Category::kOther,
@@ -781,20 +746,11 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
                                       "step_wait");
           step_timer.SetArg("round", static_cast<double>(round));
           while (got < plan.members.size() && !session_over()) {
-            std::optional<net::Message> msg;
-            if (faulty) {
-              const common::Seconds left =
-                  report_budget - step_timer.Elapsed();
-              if (left <= 0.0) break;
-              msg = fabric.RecvAnyFor(self, ack_tags, left);
-              if (!msg.has_value()) break;  // deadline or shutdown
-            } else {
-              // Lossless fast path: every live member acks its step token,
-              // and Shutdown() wakes the wait.
-              msg = fabric.RecvAny(  // analyze:allow(timed-recv)
-                  self, ack_tags);
-              if (!msg.has_value()) return;  // fabric shut down
-            }
+            const common::Seconds left =
+                deadlines.report - step_timer.Elapsed();
+            if (left <= 0.0) break;
+            auto msg = fabric.RecvAnyFor(self, ack_tags, left);
+            if (!msg.has_value()) break;  // deadline
             common::ScopedCpuAccumulator handle_cpu(&busy);
             obs::ScopedTimer handle_timer(track, obs::Category::kOther,
                                           "ctrl_handle");
@@ -835,9 +791,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
             }
             if (directory.ActiveCount() == 0) break;
             if (policy->ShouldTrigger(readiness)) break;
-            if (faulty &&
-                probe_timer.Elapsed() - election_start >
-                    config.fault.probe_timeout_s) {
+            if (probe_timer.Elapsed() - election_start > deadlines.probe) {
               if (readiness.ReadyRanks() > 0) {
                 // Probed-and-silent workers are treated as absent (the
                 // paper's null-gradient rule): force the round with
@@ -909,19 +863,11 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
         obs::ScopedTimer report_timer(track, obs::Category::kWait,
                                       "report_wait");
         while (reports < expected) {
-          std::optional<net::Message> msg;
-          if (faulty) {
-            const common::Seconds left =
-                report_budget - report_timer.Elapsed();
-            if (left <= 0.0) break;
-            msg = fabric.RecvAnyFor(self, want, left);
-            if (!msg.has_value()) break;  // deadline or shutdown
-          } else {
-            // Lossless fast path: every live member reports each round,
-            // and Shutdown() wakes the wait.
-            msg = fabric.RecvAny(self, want);  // analyze:allow(timed-recv)
-            if (!msg.has_value()) return;  // fabric shut down
-          }
+          const common::Seconds left =
+              deadlines.report - report_timer.Elapsed();
+          if (left <= 0.0) break;
+          auto msg = fabric.RecvAnyFor(self, want, left);
+          if (!msg.has_value()) break;  // deadline
           common::ScopedCpuAccumulator handle_cpu(&busy);
           obs::ScopedTimer handle_timer(track, obs::Category::kOther,
                                         "ctrl_handle");
@@ -1000,8 +946,12 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
   }
 
   for (auto& t : controllers) t.join();
+  // Every controller has sent its exits. Closing the fabric releases any
+  // comm or lockstep compute thread whose exit a lossy fabric dropped.
+  fabric.Shutdown();
   for (auto& t : comm_threads) t.join();
-  // comm exits flip global_stop; compute threads notice within an iteration.
+  // comm exits flip global_stop; free-running compute threads notice it
+  // within an iteration.
   for (auto& t : compute_threads) t.join();
   const common::Seconds wall_s = wall_timer.Stop();
   monitor.Finish();

@@ -147,8 +147,9 @@ struct FaultConfig {
   /// rank dead (fail-stop) and removes it from membership for good.
   std::size_t dead_after_misses = 3;
 
-  /// True when any fault can actually fire (used to skip plan installation
-  /// and keep the zero-fault fast path byte-identical to the old code).
+  /// True when any fault can fire. Only DeadlinesFor (which bounds a
+  /// fault-free run's waits by common::kLosslessDeadline instead of the
+  /// recovery knobs) and Validate read it.
   bool Enabled() const {
     return drop_prob > 0.0 || dup_prob > 0.0 || delay_prob > 0.0 ||
            ps_drop_prob > 0.0 || !workers.empty();
@@ -168,13 +169,6 @@ struct TrainerConfig {
   /// Sequence workloads use kLengthBucketed to reproduce the paper's
   /// inherent load imbalance (per-batch compute ∝ sequence length).
   data::SamplingMode sampling = data::SamplingMode::kUniform;
-  /// Batch-prefetch depth per worker (data::BatchGenerator): each worker's
-  /// batches are pre-assembled on a background thread up to this many
-  /// batches ahead, so steady-state compute spans contain no batch
-  /// assembly. 0 assembles synchronously inside the step (the comparison
-  /// baseline / minimum-thread mode). The emitted batch stream is
-  /// identical for every depth, so this knob never perturbs determinism.
-  std::size_t prefetch_batches = 2;
   nn::SgdConfig sgd;
 
   /// Step learning-rate schedule (§7.2: "decays to 0.1× on epochs

@@ -1,6 +1,7 @@
 #pragma once
 
 // Per-run fault machinery shared by every protocol runner:
+//  * DeadlinesFor picks the deadline of every protocol wait;
 //  * BuildFaultPlan lowers TrainerConfig::fault's network probabilities into
 //    a net::FaultPlan for the run's fabric;
 //  * FaultRuntime tracks which ranks are alive and fires the per-rank
@@ -27,6 +28,20 @@ class FaultPlan;
 }
 
 namespace rna::train {
+
+/// The bounds on a run's protocol waits. Every wait has one: a fault-free
+/// run bounds each by common::kLosslessDeadline, which only a protocol bug
+/// can reach, and a fault-injected run uses FaultConfig's recovery knobs.
+struct Deadlines {
+  common::Seconds hop;         ///< collective hop, group broadcast, join state
+  common::Seconds report;      ///< controller's step-ack and report waits
+  common::Seconds probe;       ///< free-running wait before a forced trigger
+  std::size_t ps_attempts;     ///< PS client attempts per call
+  common::Seconds ps_retry_s;  ///< first PS attempt's wait (doubles after)
+};
+
+/// The one place that reads FaultConfig::Enabled() to pick deadlines.
+Deadlines DeadlinesFor(const TrainerConfig& config);
 
 /// The effective fault seed for a run (fault.seed, or derived from the
 /// training seed when 0 so one seed replays the whole chaos scenario).
@@ -83,12 +98,8 @@ class RoundRobinGate {
  public:
   explicit RoundRobinGate(std::size_t world);
 
-  /// Blocks until it is `rank`'s turn; false when the gate was shut down
-  /// (the caller should stop iterating). Must be paired with ReleaseTurn.
-  bool AcquireTurn(std::size_t rank);
-
-  /// Timed variant: additionally returns false when the turn did not come
-  /// within `timeout` seconds (the caller should skip its slot, not stop).
+  /// Waits up to `timeout` seconds for `rank`'s turn. False when the turn
+  /// did not come in time, the rank was retired or the gate was shut down.
   /// Only a true return must be paired with ReleaseTurn.
   bool AcquireTurnFor(std::size_t rank, common::Seconds timeout);
 

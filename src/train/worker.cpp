@@ -18,7 +18,6 @@ WorkerContext::WorkerContext(std::size_t rank, const TrainerConfig& config,
                      .batch_size = config.batch_size,
                      .seed = config.seed + 1000 + 31 * rank,
                      .mode = config.sampling,
-                     .prefetch_depth = config.prefetch_batches,
                  }),
       optimizer_(dim_, config.sgd),
       delay_model_(config.delay_model.get()),

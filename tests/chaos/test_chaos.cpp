@@ -108,25 +108,36 @@ TEST(Chaos, CrashBetweenRoundsContributorOracle) {
 // at-least-once retry loop (exponential backoff, bounded budget) rides
 // through a 10% loss rate essentially always. rna-h capped at two ranks
 // per group has two groups, so every group leader's sync crosses the PS.
+// Budget 1 is a regression lock: the PS client once read a budget of 1 as
+// "wait until the fabric shuts down", so one dropped PS message stalled a
+// group leader and the run never returned. It now makes one timed attempt,
+// and a lost message fails the call (a skipped sync) instead.
 TEST(Chaos, DropTenPercentOfPsTraffic) {
   constexpr std::size_t kWorld = 4;
-  Scenario s = SmallScenario(13);
-  TrainerConfig c = ChaosConfig(Protocol::kRnaHierarchical, kWorld, 12);
-  c.lockstep = true;
-  c.calibration_iters = 2;
-  c.max_group_size = 2;
-  c.fault.ps_drop_prob = 0.10;
+  for (const std::size_t budget : {std::size_t{5}, std::size_t{1}}) {
+    SCOPED_TRACE(budget);
+    Scenario s = SmallScenario(13);
+    TrainerConfig c = ChaosConfig(Protocol::kRnaHierarchical, kWorld, 12);
+    c.lockstep = true;
+    c.calibration_iters = 2;
+    c.max_group_size = 2;
+    c.fault.ps_drop_prob = 0.10;
+    c.fault.retry_budget = budget;
 
-  obs::Session session;
-  const TrainResult r = core::RunTraining(c, s.factory, s.train, s.val);
+    obs::Session session;
+    const TrainResult r = core::RunTraining(c, s.factory, s.train, s.val);
 
-  EXPECT_EQ(session.Metrics().GaugeValue("hier.groups"), 2.0);
-  EXPECT_GT(session.Metrics().CounterValue("ps.retries"), 0)
-      << "no drop hit the PS";
-  EXPECT_EQ(r.live_workers, kWorld);
-  EXPECT_GT(r.gradients_applied, 0u);
-  EXPECT_LT(r.final_loss, kChanceLoss);
-  for (float p : r.final_params) ASSERT_TRUE(std::isfinite(p));
+    EXPECT_EQ(session.Metrics().GaugeValue("hier.groups"), 2.0);
+    // A drop shows up as a retry, or with no retries left as a failed call.
+    EXPECT_GT(session.Metrics().CounterValue(budget > 1 ? "ps.retries"
+                                                        : "ps.call_failures"),
+              0)
+        << "no drop hit the PS";
+    EXPECT_EQ(r.live_workers, kWorld);
+    EXPECT_GT(r.gradients_applied, 0u);
+    EXPECT_LT(r.final_loss, kChanceLoss);
+    for (float p : r.final_params) ASSERT_TRUE(std::isfinite(p));
+  }
 }
 
 // Hang the worker the controller just probed (the would-be initiator of the

@@ -41,8 +41,8 @@ using collectives::Group;
 
 /// CollectiveOptions with just a tag base and optional per-hop deadline —
 /// ring schedule, no compression (the pre-policy data path).
-collectives::CollectiveOptions Opts(int tag_base,
-                                    common::Seconds hop_timeout = 0.0) {
+collectives::CollectiveOptions Opts(
+    int tag_base, common::Seconds hop_timeout = common::kLosslessDeadline) {
   collectives::CollectiveOptions o;
   o.tag_base = tag_base;
   o.hop_timeout = hop_timeout;

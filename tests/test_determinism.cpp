@@ -71,11 +71,10 @@ TrainerConfig LockstepConfig(Protocol protocol) {
   return c;
 }
 
-void ExpectIdenticalRunsAcross(const TrainerConfig& config_a,
-                               const TrainerConfig& config_b) {
+void ExpectIdenticalRunsWith(const TrainerConfig& config) {
   Scenario s = SmallScenario();
-  const TrainResult a = core::RunTraining(config_a, s.factory, s.train, s.val);
-  const TrainResult b = core::RunTraining(config_b, s.factory, s.train, s.val);
+  const TrainResult a = core::RunTraining(config, s.factory, s.train, s.val);
+  const TrainResult b = core::RunTraining(config, s.factory, s.train, s.val);
 
   ASSERT_EQ(a.final_params.size(), b.final_params.size());
   for (std::size_t i = 0; i < a.final_params.size(); ++i) {
@@ -90,10 +89,6 @@ void ExpectIdenticalRunsAcross(const TrainerConfig& config_a,
   EXPECT_EQ(a.live_workers, b.live_workers);
   EXPECT_EQ(a.workers_joined, b.workers_joined);
   EXPECT_EQ(a.workers_left, b.workers_left);
-}
-
-void ExpectIdenticalRunsWith(const TrainerConfig& config) {
-  ExpectIdenticalRunsAcross(config, config);
 }
 
 void ExpectIdenticalRuns(Protocol protocol) {
@@ -194,20 +189,6 @@ TEST(ElasticDeterminism, RejectedWithoutLockstep) {
   TrainerConfig c = ElasticConfig(Protocol::kRna);
   c.lockstep = false;
   EXPECT_NE(c.Validate().find("requires lockstep"), std::string::npos);
-}
-
-// The streaming data plane's contract: each generator's batch stream is a
-// pure function of its seed, so the prefetch depth — 0 (synchronous),
-// shallow, or deep — must not move a single bit of the trained result.
-TEST(LockstepDeterminism, PrefetchDepthInvariant) {
-  for (const Protocol p : {Protocol::kRna, Protocol::kHorovod}) {
-    SCOPED_TRACE(ProtocolName(p));
-    TrainerConfig synchronous = LockstepConfig(p);
-    synchronous.prefetch_batches = 0;
-    TrainerConfig prefetched = LockstepConfig(p);
-    prefetched.prefetch_batches = 3;
-    ExpectIdenticalRunsAcross(synchronous, prefetched);
-  }
 }
 
 TEST(LockstepDeterminism, DifferentSeedsActuallyDiverge) {

@@ -300,6 +300,9 @@ TEST(FaultRuntime, FlakyWindowIsDeterministicPerSeed) {
 // --------------------------------------------------------------------------
 // RoundRobinGate: the lockstep pacer for controller-less protocols.
 
+// Long enough to never fire on a turn that is coming.
+constexpr common::Seconds kTurnWait = 10.0;
+
 TEST(RoundRobinGate, EnforcesFixedGlobalOrder) {
   const std::size_t world = 3;
   const int iters = 5;
@@ -310,7 +313,7 @@ TEST(RoundRobinGate, EnforcesFixedGlobalOrder) {
   for (std::size_t w = 0; w < world; ++w) {
     threads.emplace_back([&, w] {
       for (int i = 0; i < iters; ++i) {
-        if (!gate.AcquireTurn(w)) return;
+        if (!gate.AcquireTurnFor(w, kTurnWait)) return;
         {
           common::MutexLock lock(mu);
           order.push_back(w);
@@ -333,7 +336,7 @@ TEST(RoundRobinGate, RetiredRankIsSkipped) {
   std::vector<std::size_t> order;
   std::thread t0([&] {
     for (int i = 0; i < 2; ++i) {
-      ASSERT_TRUE(gate.AcquireTurn(0));
+      ASSERT_TRUE(gate.AcquireTurnFor(0, kTurnWait));
       order.push_back(0);
       gate.ReleaseTurn(0);
     }
@@ -341,7 +344,7 @@ TEST(RoundRobinGate, RetiredRankIsSkipped) {
   });
   std::thread t2([&] {
     for (int i = 0; i < 2; ++i) {
-      ASSERT_TRUE(gate.AcquireTurn(2));
+      ASSERT_TRUE(gate.AcquireTurnFor(2, kTurnWait));
       order.push_back(2);
       gate.ReleaseTurn(2);
     }
@@ -368,7 +371,11 @@ TEST(RoundRobinGate, AcquireTurnForTimesOutWhenTurnNeverComes) {
 
 TEST(RoundRobinGate, ShutdownReleasesWaiters) {
   train::RoundRobinGate gate(2);
-  std::thread waiter([&] { EXPECT_FALSE(gate.AcquireTurn(1)); });
+  std::thread waiter([&] {
+    const common::Stopwatch watch;
+    EXPECT_FALSE(gate.AcquireTurnFor(1, kTurnWait));
+    EXPECT_LT(watch.Elapsed(), kTurnWait / 2);
+  });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   gate.Shutdown();
   waiter.join();
@@ -378,7 +385,7 @@ TEST(RoundRobinGate, RetireOfCurrentHolderAdvancesCursor) {
   // The "Retire after break" safety net: a rank that exits its loop while
   // holding the turn must not wedge the rotation. Double-retire is benign.
   train::RoundRobinGate gate(2);
-  ASSERT_TRUE(gate.AcquireTurn(0));
+  ASSERT_TRUE(gate.AcquireTurnFor(0, kTurnWait));
   gate.Retire(0);  // still holding the turn
   gate.Retire(0);  // and the loop-exit path retires again
   EXPECT_TRUE(gate.AcquireTurnFor(1, 1.0));

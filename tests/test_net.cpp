@@ -1,6 +1,6 @@
-// Tests for the in-process fabric: tag-scoped delivery, blocking and timed
-// receives, multi-tag receives, shutdown semantics, traffic accounting, and
-// the latency-injection timer path.
+// Tests for the in-process fabric: tag-scoped delivery, timed receives,
+// multi-tag receives, shutdown semantics, traffic accounting, and the
+// latency-injection timer path.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,10 @@
 
 namespace rna::net {
 namespace {
+
+// Every receive has a deadline; the tests' is long enough to never fire on
+// a message that is on its way.
+constexpr common::Seconds kTestWait = 10.0;
 
 Message Make(int tag, std::vector<float> data = {},
              std::vector<std::int64_t> meta = {}) {
@@ -24,7 +28,7 @@ Message Make(int tag, std::vector<float> data = {},
 TEST(Fabric, PointToPointDelivery) {
   Fabric fabric(2);
   fabric.Send(0, 1, Make(5, {1.0f, 2.0f}, {42}));
-  auto msg = fabric.Recv(1, 5);
+  auto msg = fabric.RecvFor(1, 5, kTestWait);
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->src, 0u);
   EXPECT_EQ(msg->tag, 5);
@@ -38,9 +42,9 @@ TEST(Fabric, TagScopedFifo) {
   fabric.Send(0, 1, Make(2, {2.0f}));
   fabric.Send(0, 1, Make(1, {3.0f}));
   // Tag 2 first despite arriving second; tag-1 messages keep FIFO order.
-  EXPECT_EQ(fabric.Recv(1, 2)->data[0], 2.0f);
-  EXPECT_EQ(fabric.Recv(1, 1)->data[0], 1.0f);
-  EXPECT_EQ(fabric.Recv(1, 1)->data[0], 3.0f);
+  EXPECT_EQ(fabric.RecvFor(1, 2, kTestWait)->data[0], 2.0f);
+  EXPECT_EQ(fabric.RecvFor(1, 1, kTestWait)->data[0], 1.0f);
+  EXPECT_EQ(fabric.RecvFor(1, 1, kTestWait)->data[0], 3.0f);
 }
 
 TEST(Fabric, RecvAnyPicksEarliestMatching) {
@@ -50,7 +54,7 @@ TEST(Fabric, RecvAnyPicksEarliestMatching) {
   const int tags[] = {8, 7};
   // The queue is scanned front-first, so the earlier message wins even
   // though its tag is listed second.
-  auto msg = fabric.RecvAny(1, tags);
+  auto msg = fabric.RecvAnyFor(1, tags, kTestWait);
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->tag, 7);
 }
@@ -85,7 +89,7 @@ TEST(Fabric, RecvForReturnsEarlyOnArrival) {
 TEST(Fabric, BlockingRecvCrossThread) {
   Fabric fabric(2);
   std::thread receiver([&] {
-    auto msg = fabric.Recv(1, 4);
+    auto msg = fabric.RecvFor(1, 4, kTestWait);
     ASSERT_TRUE(msg.has_value());
     EXPECT_EQ(msg->data[0], 1.5f);
   });
@@ -96,7 +100,9 @@ TEST(Fabric, BlockingRecvCrossThread) {
 TEST(Fabric, ShutdownWakesBlockedReceivers) {
   Fabric fabric(1);
   std::thread receiver([&] {
-    EXPECT_FALSE(fabric.Recv(0, 1).has_value());
+    const common::Stopwatch watch;
+    EXPECT_FALSE(fabric.RecvFor(0, 1, kTestWait).has_value());
+    EXPECT_LT(watch.Elapsed(), kTestWait / 2);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   fabric.Shutdown();
@@ -131,14 +137,14 @@ TEST(Fabric, TrafficStatsAccumulate) {
 TEST(Fabric, InvalidRankRejected) {
   Fabric fabric(2);
   EXPECT_THROW(fabric.Send(0, 5, Make(1)), std::logic_error);
-  EXPECT_THROW(fabric.Recv(9, 1), std::logic_error);
+  EXPECT_THROW(fabric.RecvFor(9, 1, kTestWait), std::logic_error);
 }
 
 TEST(Fabric, LatencyModelDelaysDelivery) {
   Fabric fabric(2, [](Rank, Rank, std::size_t) { return 0.03; });
   const common::Stopwatch watch;
   fabric.Send(0, 1, Make(1));
-  auto msg = fabric.Recv(1, 1);
+  auto msg = fabric.RecvFor(1, 1, kTestWait);
   ASSERT_TRUE(msg.has_value());
   EXPECT_GE(watch.Elapsed(), 0.025);
 }
@@ -150,7 +156,7 @@ TEST(Fabric, LatencyModelPreservesPerPairOrderWhenEqual) {
     fabric.Send(0, 1, Make(1, {static_cast<float>(i)}));
   }
   for (int i = 0; i < 10; ++i) {
-    auto msg = fabric.Recv(1, 1);
+    auto msg = fabric.RecvFor(1, 1, kTestWait);
     ASSERT_TRUE(msg.has_value());
     EXPECT_EQ(msg->data[0], static_cast<float>(i));
   }
@@ -182,7 +188,7 @@ TEST(Fabric, PerSenderFifoUnderConcurrency) {
   std::vector<std::int64_t> next(senders, 0);
   for (int received = 0; received < static_cast<int>(senders) * per_sender;
        ++received) {
-    auto msg = fabric.Recv(senders, 1);
+    auto msg = fabric.RecvFor(senders, 1, kTestWait);
     ASSERT_TRUE(msg.has_value());
     ASSERT_EQ(msg->meta[0], next[msg->src]) << "sender " << msg->src;
     ++next[msg->src];
@@ -199,7 +205,7 @@ TEST(Fabric, ConcurrentBidirectionalExchange) {
     std::int64_t sum = 0;
     for (int i = 0; i < n; ++i) {
       fabric.Send(self, peer, Make(7, {}, {i}));
-      auto msg = fabric.Recv(self, 7);
+      auto msg = fabric.RecvFor(self, 7, kTestWait);
       if (!msg.has_value()) break;
       sum += msg->meta[0];
     }
@@ -215,11 +221,13 @@ TEST(Fabric, ConcurrentBidirectionalExchange) {
   EXPECT_EQ(sum1, expected);
 }
 
-TEST(Mailbox, GetAnyHonorsClose) {
+TEST(Mailbox, GetAnyForHonorsClose) {
   Mailbox box;
   std::thread t([&] {
     const int tags[] = {1, 2};
-    EXPECT_FALSE(box.GetAny(tags).has_value());
+    const common::Stopwatch watch;
+    EXPECT_FALSE(box.GetAnyFor(tags, kTestWait).has_value());
+    EXPECT_LT(watch.Elapsed(), kTestWait / 2);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   box.Close();

@@ -313,7 +313,7 @@ TEST(FabricTracing, DelayedDeliveriesRecordInFlightSpansAndMetrics) {
     msg.tag = 7;
     msg.data = {1.0f, 2.0f};
     fabric.Send(0, 1, std::move(msg));
-    ASSERT_TRUE(fabric.Recv(1, 7).has_value());
+    ASSERT_TRUE(fabric.RecvFor(1, 7, /*timeout=*/10.0).has_value());
   }  // destructor joins the timer thread → the "fabric" track is quiescent
 
   const auto tracks = session.Trace().Snapshot();

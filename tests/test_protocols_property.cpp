@@ -1,17 +1,20 @@
 // Property sweeps across every synchronization protocol and several world
-// sizes: each must actually learn the same separable task, and the result
-// structure must satisfy the invariants the benches rely on. Runs the full
-// threaded stack per case, so budgets are kept small.
+// sizes: each must actually learn the same separable task, the result
+// structure must satisfy the invariants the benches rely on, and a
+// fault-free run must never reach a deadline. Runs the full threaded stack
+// per case, so budgets are kept small.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 #include <thread>
 
 #include "rna/collectives/allreduce.hpp"
 #include "rna/core/rna.hpp"
 #include "rna/data/generators.hpp"
 #include "rna/net/fabric.hpp"
+#include "rna/obs/session.hpp"
 
 namespace rna {
 namespace {
@@ -60,7 +63,20 @@ TEST_P(ProtocolSweep, LearnsAndReportsConsistently) {
   config.eval_period_s = 0.01;
   config.seed = 7;
 
+  obs::Session session;
   const TrainResult r = RunTraining(config, factory, train_data, val_data);
+
+  // Fault-free, so no wait may reach its deadline (common::kLosslessDeadline)
+  // and no recovery path may run: a lost message is a protocol bug.
+  for (const obs::MetricsRegistry::Row& row : session.Metrics().Rows()) {
+    if (row.kind != "counter") continue;
+    const std::string_view name = row.name;
+    if (name.starts_with("fault.") || name == "ps.retries" ||
+        name == "ps.call_failures" || name == "ps.parent_sync_skipped" ||
+        name == "collectives.rejected_frames") {
+      EXPECT_EQ(row.value, 0.0) << name;
+    }
+  }
 
   // Learned something real.
   // Thresholds are deliberately loose: thread-timing nondeterminism moves

@@ -485,35 +485,46 @@ TEST_P(PsRetry, SwallowedRequestIsResent) {
 }
 
 TEST_P(PsRetry, UnansweredCallFailsAfterTheFullBackoff) {
+  // `budget` attempts wait t, 2t, 4t, …; budget 1 is one attempt of t.
   constexpr double kT = 0.02;
-  PsClient client(fabric_, kClient, kFirst, Shards(), kDim);
-  client.ConfigureRetry(3, kT);
-  const common::Stopwatch watch;
-  const auto pushed = client.TryPushPull(ServerState(), ApplyMode::kAverage);
-  const double elapsed = watch.Elapsed();
-  EXPECT_FALSE(pushed.has_value());
-  EXPECT_EQ(Count("ps.call_failures"), 1);
-  EXPECT_EQ(Count("ps.retries"), 2);
-  EXPECT_GE(elapsed, kT + 2 * kT + 4 * kT);
-  for (std::size_t s = 0; s < Shards(); ++s) {
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      EXPECT_TRUE(fabric_.TryRecv(kFirst + s, PsTags::kRequest).has_value())
-          << "shard " << s << " attempt " << attempt;
+  for (const std::size_t budget : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(budget);
+    const std::int64_t failures = Count("ps.call_failures");
+    const std::int64_t retries = Count("ps.retries");
+    PsClient client(fabric_, kClient, kFirst, Shards(), kDim);
+    client.ConfigureRetry(budget, kT);
+    const common::Stopwatch watch;
+    const auto pushed = client.TryPushPull(ServerState(), ApplyMode::kAverage);
+    const double elapsed = watch.Elapsed();
+    EXPECT_FALSE(pushed.has_value());
+    EXPECT_EQ(Count("ps.call_failures") - failures, 1);
+    EXPECT_EQ(Count("ps.retries") - retries,
+              static_cast<std::int64_t>(budget) - 1);
+    EXPECT_GE(elapsed,
+              kT * static_cast<double>((std::size_t{1} << budget) - 1));
+    for (std::size_t s = 0; s < Shards(); ++s) {
+      for (std::size_t attempt = 0; attempt < budget; ++attempt) {
+        EXPECT_TRUE(fabric_.TryRecv(kFirst + s, PsTags::kRequest).has_value())
+            << "shard " << s << " attempt " << attempt;
+      }
+      EXPECT_FALSE(fabric_.TryRecv(kFirst + s, PsTags::kRequest).has_value());
     }
-    EXPECT_FALSE(fabric_.TryRecv(kFirst + s, PsTags::kRequest).has_value());
   }
 }
 
-TEST_P(PsRetry, ShutdownEndsAnUnboundedWait) {
-  // Budget 1 (the default) waits until every shard answered or the fabric
-  // shut down; a shutdown returns std::nullopt instead of aborting.
+TEST_P(PsRetry, ShutdownEndsAPendingWait) {
+  // The default policy's one attempt waits common::kLosslessDeadline; a
+  // shutdown ends it early with std::nullopt, not a failed call or abort.
   PsClient client(fabric_, kClient, kFirst, Shards(), kDim);
+  const common::Stopwatch watch;
   auto push_pull = std::async(std::launch::async, [&] {
     return client.TryPushPull(ServerState(), ApplyMode::kAverage);
   });
   for (std::size_t s = 0; s < Shards(); ++s) NextRequest(fabric_, s);
   fabric_.Shutdown();
   EXPECT_FALSE(push_pull.get().has_value());
+  EXPECT_LT(watch.Elapsed(), common::kLosslessDeadline / 2);
+  EXPECT_EQ(Count("ps.call_failures"), 0);
 }
 
 TEST_P(PsRetry, StaleReplyIsDropped) {

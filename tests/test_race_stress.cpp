@@ -35,6 +35,10 @@ namespace {
 
 using namespace std::chrono_literals;
 
+// Every fabric receive has a deadline; this one never fires on a message
+// that is on its way, and a shutdown ends the wait long before it.
+constexpr common::Seconds kTestWait = 10.0;
+
 // ---------------------------------------------------------------------------
 // BlockingQueue
 
@@ -250,7 +254,7 @@ TEST(RaceStress, FabricAllToAllUnderLatencyChurn) {
   const net::TrafficStats total = fabric.TotalStats();
   EXPECT_EQ(total.messages_sent, kWorld * (kWorld - 1) * kPerPeer);
   fabric.Shutdown();
-  EXPECT_FALSE(fabric.Recv(0, kTag).has_value());
+  EXPECT_FALSE(fabric.RecvFor(0, kTag, kTestWait).has_value());
 }
 
 TEST(RaceStress, FabricShutdownWakesBlockedReceivers) {
@@ -260,7 +264,9 @@ TEST(RaceStress, FabricShutdownWakesBlockedReceivers) {
   for (net::Rank r = 0; r < 3; ++r) {
     blocked.emplace_back([&, r] {
       const int tags[] = {1, 2};
-      EXPECT_FALSE(fabric.RecvAny(r, tags).has_value());
+      const common::Stopwatch watch;
+      EXPECT_FALSE(fabric.RecvAnyFor(r, tags, kTestWait).has_value());
+      EXPECT_LT(watch.Elapsed(), kTestWait / 2);
       woke.fetch_add(1);
     });
   }
@@ -432,7 +438,6 @@ TEST(RaceStress, HierarchicalCalibrationHandsOffWorkers) {
   config.world = 4;
   config.batch_size = 4;
   config.sampling = data::SamplingMode::kLengthBucketed;
-  config.prefetch_batches = 2;
   config.calibration_iters = 3;
   config.delay_model = std::make_shared<sim::DeterministicSkewModel>(
       0.0005, std::vector<double>{0.0, 0.0, 0.004, 0.004});

@@ -140,7 +140,7 @@ TEST(Validate, RejectsEachBrokenFaultField) {
       {"lossy fabric",
        [](TrainerConfig& c) {
          c.protocol = Protocol::kHorovod;
-         c.fault.drop_prob = 0.1;  // untimed BSP collective would deadlock
+         c.fault.drop_prob = 0.1;  // a drop would end the BSP run
        }},
       {"lossy fabric",
        [](TrainerConfig& c) {
@@ -166,8 +166,9 @@ TEST(Validate, RejectsEachBrokenFaultField) {
 }
 
 TEST(Validate, DelayFaultsAreLegalEvenForLosslessProtocols) {
-  // Horovod rejects drop faults (its untimed collectives would deadlock)
-  // but tolerates pure slowness: delay and hang/flaky faults pass.
+  // Horovod rejects drop faults (a drop would end its BSP run at the hop
+  // deadline) but tolerates pure slowness: delay and hang/flaky faults
+  // pass.
   TrainerConfig c = ValidConfig(Protocol::kHorovod);
   c.fault.delay_prob = 0.3;
   c.fault.delay_s = 0.01;

@@ -289,25 +289,12 @@ TEST(WorkerContext, SteadyStateConsumesPrefetchedBatches) {
   // assembling inline on the compute path.
   data::Dataset ds = data::MakeGaussianClusters(64, 4, 2, 0.4, 12);
   TrainerConfig config = SmallConfig(1);
-  ASSERT_GT(config.prefetch_batches, 0u);
   WorkerContext worker(0, config, MlpFactory(), ds);
   std::vector<float> params = InitialParams(config, MlpFactory());
   std::vector<float> grad(worker.Dim());
   for (int i = 0; i < 6; ++i) worker.ComputeGradient(params, grad);
   EXPECT_EQ(worker.Generator().PrefetchedPops(), 6u);
   EXPECT_EQ(worker.Generator().SynchronousAssemblies(), 0u);
-}
-
-TEST(WorkerContext, SynchronousModeWhenPrefetchDisabled) {
-  data::Dataset ds = data::MakeGaussianClusters(64, 4, 2, 0.4, 13);
-  TrainerConfig config = SmallConfig(1);
-  config.prefetch_batches = 0;
-  WorkerContext worker(0, config, MlpFactory(), ds);
-  std::vector<float> params = InitialParams(config, MlpFactory());
-  std::vector<float> grad(worker.Dim());
-  for (int i = 0; i < 4; ++i) worker.ComputeGradient(params, grad);
-  EXPECT_EQ(worker.Generator().PrefetchedPops(), 0u);
-  EXPECT_EQ(worker.Generator().SynchronousAssemblies(), 4u);
 }
 
 TEST(WorkerContext, OverflowRankTrainsOnSharedShard) {

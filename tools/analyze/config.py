@@ -83,10 +83,10 @@ RECV_SINK_PATTERNS = (
     "rna::net::Fabric::RecvAny",
 )
 
-# Wrappers that ARE the untimed receive implementation (they call the
-# sinks by definition and exist for tests/benches that want wait-forever
-# semantics); the finding should point at protocol code reaching them, not
-# at their own bodies.
+# The transport that would own an untimed receive (none exists: every
+# fabric receive takes a deadline, and the sinks above stay listed so that
+# re-adding one fails this check); a finding should point at protocol code
+# reaching a sink, not at the transport's own bodies.
 RECV_SINK_OWNERS = (
     "rna::net::Mailbox::*",
     "rna::net::Fabric::*",
