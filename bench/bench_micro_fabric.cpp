@@ -138,7 +138,7 @@ void BM_PsPushPull(benchmark::State& state) {
   ps::ParameterServer server(fabric, 1,
                              std::vector<float>(elements, 0.0f));
   server.Start();
-  ps::PsClient client(fabric, 0, 1, /*shards=*/1, elements);
+  ps::PsClient client(fabric, 0, 1, elements);
   const std::vector<float> payload(elements, 1.0f);
   for (auto _ : state) {
     auto result = client.TryPushPull(payload, ps::ApplyMode::kAverage);

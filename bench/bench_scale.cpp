@@ -1,23 +1,16 @@
-// Scale-out sweep: hierarchical RNA under lockstep at world sizes 10 →
-// 1000, with the sharded controller (per-group readiness boards), a
-// 4-shard PS plane, and a bounded-fan-in PS tree. Rows emitted to
-// BENCH_scale.json by --json-out (bench-smoke gates them via
-// tools/bench_gate.py):
+// Scale sweep: hierarchical RNA under lockstep at world sizes 10 → 1000,
+// with one controller (and readiness board) per speed group and one
+// parameter server. Rows emitted to BENCH_scale.json by --json-out
+// (bench-smoke gates them via tools/bench_gate.py):
 //
-//   scale_w<N>          one lockstep rna-h run at world N. The gated
-//                       figure is controller_msgs_flatness_vs_w10:
-//                       controller messages (sent + handled) per worker
-//                       per round, relative to the world=10 run. The
-//                       count is deterministic under lockstep, and O(1)
-//                       per-worker dispatch means the ratio stays flat
-//                       (ceiling 2.0 at world=1000) instead of growing
-//                       with the world. completed (rounds == max_rounds)
-//                       is floor-gated: the 1000-worker run must
-//                       actually finish.
-//   scale_elastic_w100  the same configuration at world 100 with two
-//                       scheduled joins and a leave mid-training;
-//                       completed, workers_joined and workers_left are
-//                       floor-gated.
+//   scale_w<N>  one lockstep rna-h run at world N. The gated figure is
+//               controller_msgs_flatness_vs_w10: controller messages
+//               (sent + handled) per worker per round, relative to the
+//               world=10 run. The count is deterministic under lockstep,
+//               and O(1) per-worker dispatch means the ratio stays flat
+//               (ceiling 2.0 at world=1000) instead of growing with the
+//               world. completed (rounds == max_rounds) is floor-gated:
+//               the 1000-worker run must actually finish.
 //
 // controller_us_per_worker_round (thread-CPU time in the controller's
 // dispatch/handle sections) is informational only: on an oversubscribed
@@ -52,8 +45,7 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 constexpr std::size_t kRounds = 6;
 
 /// Four deterministic speed tiers (0 / 0.5 / 1 / 1.5 ms extra) so the
-/// hierarchical engine forms real speed groups at every world size; the
-/// size cap then splits each tier into groups of at most 32.
+/// hierarchical engine forms real speed groups at every world size.
 std::shared_ptr<sim::IterationTimeModel> TieredModel(std::size_t world) {
   std::vector<common::Seconds> extra(world);
   for (std::size_t w = 0; w < world; ++w) {
@@ -73,9 +65,6 @@ train::TrainerConfig ScaleConfig(std::size_t world) {
   config.patience = 1000000;
   config.calibration_iters = 1;
   config.delay_model = TieredModel(world);
-  config.max_group_size = 32;
-  config.ps_shards = 4;
-  config.ps_fan_in = 8;
   config.ps_sync_every = 2;
   return config;
 }
@@ -125,30 +114,6 @@ void ScaleRows(std::vector<benchutil::BenchRow>& rows,
   }
 }
 
-void ElasticRow(std::vector<benchutil::BenchRow>& rows,
-                const data::Dataset& train_data, const data::Dataset& val_data,
-                const train::ModelFactory& factory) {
-  train::TrainerConfig config = ScaleConfig(100);
-  // Ranks 98 and 99 join after rounds 1 and 2; rank 0 bows out at round 4.
-  config.elastic.push_back({.rank = 98, .join_at_round = 1});
-  config.elastic.push_back({.rank = 99, .join_at_round = 2});
-  config.elastic.push_back(
-      {.rank = 0, .join_at_round = 0, .leave_at_round = 4});
-  const auto t0 = std::chrono::steady_clock::now();
-  const train::TrainResult result =
-      core::RunTraining(config, factory, train_data, val_data);
-
-  benchutil::BenchRow row;
-  row.label = "scale_elastic_w100";
-  row.values["completed"] = result.rounds == kRounds ? 1.0 : 0.0;
-  row.values["workers_joined"] = static_cast<double>(result.workers_joined);
-  row.values["workers_left"] = static_cast<double>(result.workers_left);
-  row.values["rounds"] = static_cast<double>(result.rounds);
-  row.values["live_workers"] = static_cast<double>(result.live_workers);
-  row.values["wall_s"] = SecondsSince(t0);
-  rows.push_back(row);
-}
-
 int Run(const std::string& json_out) {
   // 3000 samples keeps every shard non-empty at world=1000 (3 per worker).
   data::Dataset all = data::MakeGaussianClusters(3000, 6, 3, 0.3, 11);
@@ -160,7 +125,6 @@ int Run(const std::string& json_out) {
 
   std::vector<benchutil::BenchRow> rows;
   ScaleRows(rows, train_data, val_data, factory);
-  ElasticRow(rows, train_data, val_data, factory);
   if (!json_out.empty()) {
     benchutil::WriteBenchJson(json_out, "scale", rows);
   }

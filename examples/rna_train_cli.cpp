@@ -14,13 +14,11 @@
 // https://ui.perfetto.dev); --metrics-out writes one JSON object per
 // metric (counters, gauges, timer distributions).
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <utility>
+#include <string>
 
 #include "rna/common/flags.hpp"
 #include "rna/core/rna.hpp"
@@ -31,25 +29,6 @@
 using namespace rna;
 
 namespace {
-
-/// Parses an elastic schedule list: "4@3,7@10" means rank 4 at round 3 and
-/// rank 7 at round 10.
-std::vector<std::pair<std::size_t, std::size_t>> ParseRankAtRound(
-    const std::string& csv) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  std::stringstream stream(csv);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    const auto at = item.find('@');
-    if (at == std::string::npos) {
-      std::fprintf(stderr, "expected rank@round, got: %s\n", item.c_str());
-      std::exit(1);
-    }
-    out.emplace_back(std::stoul(item.substr(0, at)),
-                     std::stoul(item.substr(at + 1)));
-  }
-  return out;
-}
 
 std::vector<double> ParseTiers(const std::string& csv, std::size_t world) {
   std::vector<double> tiers;
@@ -67,6 +46,15 @@ std::vector<double> ParseTiers(const std::string& csv, std::size_t world) {
 
 int main(int argc, char** argv) {
   const common::Flags flags(argc, argv);
+  // A flag this binary does not read would otherwise be dropped silently.
+  if (const std::optional<std::string> unknown = flags.Unknown(
+          {"help", "protocol", "workload", "world", "data-seed", "rounds",
+           "target-loss", "batch", "lr", "momentum", "probes", "staleness",
+           "seed", "tiers", "jitter-ms", "checkpoint", "schedule",
+           "compression", "topk-fraction", "trace-out", "metrics-out"})) {
+    std::fprintf(stderr, "unknown flag: --%s\n", unknown->c_str());
+    return 1;
+  }
   if (flags.Has("help")) {
     std::printf(
         "usage: rna_train_cli [--protocol P] [--workload W] [--world N]\n"
@@ -76,13 +64,7 @@ int main(int argc, char** argv) {
         "  [--schedule ring|tree|stragglar] [--compression "
         "none|fp16|int8|topk]\n"
         "  [--topk-fraction F] [--trace-out TRACE.json] "
-        "[--metrics-out METRICS.jsonl]\n"
-        "  [--ps-shards N] [--ps-fan-in F] [--max-group-size G]\n"
-        "  [--join RANK@ROUND,...] [--leave RANK@ROUND,...]\n"
-        "--join/--leave schedule elastic membership changes (they imply\n"
-        "lockstep); --ps-shards stripes the parameter server over N\n"
-        "endpoints, --ps-fan-in bounds the PS aggregation tree, and\n"
-        "--max-group-size caps rna-h speed groups.\n");
+        "[--metrics-out METRICS.jsonl] [--data-seed D]\n");
     return 0;
   }
 
@@ -165,40 +147,6 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   config.eval_period_s = 0.02;
 
-  // Sharded PS plane and hierarchical grouping (rna-h).
-  config.ps_shards = static_cast<std::size_t>(
-      flags.GetInt("ps-shards", static_cast<int>(config.ps_shards)));
-  config.ps_fan_in = static_cast<std::size_t>(
-      flags.GetInt("ps-fan-in", static_cast<int>(config.ps_fan_in)));
-  config.max_group_size = static_cast<std::size_t>(
-      flags.GetInt("max-group-size", static_cast<int>(config.max_group_size)));
-
-  // Elastic membership: joins and clean leaves on scheduled round
-  // boundaries. A leave for a rank without a join entry departs from the
-  // founding membership.
-  const std::string join_csv = flags.GetString("join", "");
-  const std::string leave_csv = flags.GetString("leave", "");
-  for (const auto& [rank, round] : ParseRankAtRound(join_csv)) {
-    config.elastic.push_back({.rank = rank, .join_at_round = round});
-  }
-  for (const auto& [rank, round] : ParseRankAtRound(leave_csv)) {
-    const auto it = std::find_if(
-        config.elastic.begin(), config.elastic.end(),
-        [rank = rank](const train::ElasticSchedule& e) {
-          return e.rank == rank;
-        });
-    if (it != config.elastic.end()) {
-      it->leave_at_round = round;
-    } else {
-      config.elastic.push_back(
-          {.rank = rank, .join_at_round = 0, .leave_at_round = round});
-    }
-  }
-  if (!config.elastic.empty() && !config.lockstep) {
-    std::printf("note: --join/--leave require lockstep; enabling it\n");
-    config.lockstep = true;
-  }
-
   // Collective policy: reduction schedule and wire compression.
   const std::string schedule_name = flags.GetString("schedule", "ring");
   const std::optional<collectives::Schedule> schedule =
@@ -263,11 +211,6 @@ int main(int argc, char** argv) {
   std::printf("val loss=%.4f val acc=%.2f%% reached_target=%s\n",
               result.final_loss, result.final_accuracy * 100.0,
               result.reached_target ? "yes" : "no");
-  if (!config.elastic.empty()) {
-    std::printf("elastic: joined=%zu left=%zu live=%zu\n",
-                result.workers_joined, result.workers_left,
-                result.live_workers);
-  }
   for (std::size_t w = 0; w < result.breakdown.size(); ++w) {
     const auto& b = result.breakdown[w];
     std::printf("  worker %zu: %zu batches, compute %.3fs, wait %.3fs, "

@@ -1,5 +1,6 @@
 #include "rna/common/flags.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -64,6 +65,16 @@ bool Flags::GetBool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+std::optional<std::string> Flags::Unknown(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return name;
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace rna::common

@@ -4,8 +4,11 @@
 // --name=value or --name value; --flag alone is boolean true.
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rna::common {
@@ -20,6 +23,11 @@ class Flags {
   std::int64_t GetInt(const std::string& name, std::int64_t fallback) const;
   double GetDouble(const std::string& name, double fallback) const;
   bool GetBool(const std::string& name, bool fallback) const;
+
+  /// The first given flag, in name order, that `known` does not list;
+  /// std::nullopt when every given flag is known.
+  std::optional<std::string> Unknown(
+      std::initializer_list<std::string_view> known) const;
 
   /// Non-flag positional arguments, in order.
   const std::vector<std::string>& Positional() const { return positional_; }

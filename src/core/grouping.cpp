@@ -52,35 +52,4 @@ std::vector<std::size_t> ComputeSpeedGroups(const std::vector<double>& times) {
   return group_of;
 }
 
-std::vector<std::size_t> ComputeSpeedGroupsCapped(
-    const std::vector<double>& times, std::size_t max_group_size) {
-  std::vector<std::size_t> group_of = ComputeSpeedGroups(times);
-  if (max_group_size == 0) return group_of;
-
-  std::size_t num_groups = 0;
-  for (std::size_t g : group_of) num_groups = std::max(num_groups, g + 1);
-  std::vector<std::vector<std::size_t>> members(num_groups);
-  for (std::size_t w = 0; w < group_of.size(); ++w) {
-    members[group_of[w]].push_back(w);
-  }
-
-  // Oversized ζ>v groups are speed-homogeneous by construction, so a
-  // balanced chunking (sizes differ by at most one, never above the cap)
-  // preserves the grouping invariant while bounding every ring.
-  std::size_t next = 0;
-  for (const auto& m : members) {
-    const std::size_t n = m.size();
-    const std::size_t chunks = (n + max_group_size - 1) / max_group_size;
-    const std::size_t base = n / chunks;
-    const std::size_t extra = n % chunks;
-    std::size_t i = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t len = base + (c < extra ? 1 : 0);
-      const std::size_t id = next++;
-      for (std::size_t k = 0; k < len; ++k) group_of[m[i++]] = id;
-    }
-  }
-  return group_of;
-}
-
 }  // namespace rna::core

@@ -67,13 +67,12 @@ std::vector<double> CalibrateIterationTimes(
 
 // Hierarchical synchronization (§4): workers are partitioned into
 // speed-homogeneous groups by the recursive ζ>v rule over calibrated
-// iteration times (optionally size-capped for large worlds), and each group
-// runs RNA internally: the engine gives every group its own controller, and
-// each PS-sync round the group's leader averages the group model through
-// the parameter-server tree and broadcasts the result inside the group
-// (see rna/train/group_engine.hpp). Under TrainerConfig::lockstep the
-// grouping comes from the *nominal* delay model (no wall-clock race), so
-// the whole run replays bit-identically.
+// iteration times, and each group runs RNA internally: the engine gives
+// every group its own controller, and each PS-sync round the group's leader
+// averages the group model through the parameter server and broadcasts the
+// result inside the group (see rna/train/group_engine.hpp). Under
+// TrainerConfig::lockstep the grouping comes from the *nominal* delay model
+// (no wall-clock race), so the whole run replays bit-identically.
 TrainResult RunHierarchicalRna(const TrainerConfig& config,
                                const ModelFactory& factory,
                                const data::Dataset& train_data,
@@ -85,9 +84,8 @@ TrainResult RunHierarchicalRna(const TrainerConfig& config,
                                       obs::Category::kOther, "calibration");
     const std::size_t calib =
         std::max<std::size_t>(1, config.calibration_iters);
-    const std::vector<std::size_t> group_of = ComputeSpeedGroupsCapped(
-        CalibrateIterationTimes(config, workers, init, calib),
-        config.max_group_size);
+    const std::vector<std::size_t> group_of = ComputeSpeedGroups(
+        CalibrateIterationTimes(config, workers, init, calib));
     const std::size_t num_groups =
         1 + *std::max_element(group_of.begin(), group_of.end());
     obs::SetGauge("hier.groups", static_cast<double>(num_groups));

@@ -50,13 +50,6 @@ std::unique_ptr<train::TriggerPolicy> MakeProbePolicy(std::size_t choices);
 /// contiguous group id per worker.
 std::vector<std::size_t> ComputeSpeedGroups(const std::vector<double>& times);
 
-/// ComputeSpeedGroups with a hard size cap (the recursive-grouping rule
-/// for large worlds): any ζ>v group larger than `max_group_size` is split
-/// into near-equal contiguous chunks no larger than the cap, and ids are
-/// re-numbered densely. max_group_size == 0 means uncapped.
-std::vector<std::size_t> ComputeSpeedGroupsCapped(
-    const std::vector<double>& times, std::size_t max_group_size);
-
 /// The single entry point: validates `config` (throws std::invalid_argument
 /// with the Validate() message when it is unrunnable) and runs the protocol
 /// selected by config.protocol.

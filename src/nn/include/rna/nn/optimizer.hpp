@@ -25,15 +25,8 @@ class SgdMomentum {
   void Step(std::span<float> params, std::span<const float> grad,
             double lr_scale = 1.0);
 
-  void SetLearningRate(double lr) { config_.learning_rate = lr; }
-  double LearningRate() const { return config_.learning_rate; }
-
   /// Multiplies the learning rate in place (used for decay schedules).
   void DecayLearningRate(double factor) { config_.learning_rate *= factor; }
-
-  /// Momentum state, exposed for checkpointing.
-  std::span<const float> Velocity() const { return velocity_; }
-  void SetVelocity(std::span<const float> velocity);
 
  private:
   SgdConfig config_;

@@ -1,6 +1,5 @@
 #include "rna/nn/optimizer.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "rna/common/check.hpp"
@@ -9,11 +8,6 @@ namespace rna::nn {
 
 SgdMomentum::SgdMomentum(std::size_t param_count, SgdConfig config)
     : config_(config), velocity_(param_count, 0.0f) {}
-
-void SgdMomentum::SetVelocity(std::span<const float> velocity) {
-  RNA_CHECK(velocity.size() == velocity_.size());
-  std::copy(velocity.begin(), velocity.end(), velocity_.begin());
-}
 
 Adam::Adam(std::size_t param_count, AdamConfig config)
     : config_(config), m_(param_count, 0.0f), v_(param_count, 0.0f) {}

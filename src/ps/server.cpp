@@ -114,11 +114,6 @@ void ParameterServer::ServeLoop() {
       }
     }
     fabric_.Pool().Recycle(std::move(req->data));
-    // Interior tree node: fold the updated state into the parent *before*
-    // replying, so the caller reads state already averaged toward the
-    // root and — under lockstep, where callers are gate-serialized — the
-    // whole tree's request order stays deterministic.
-    if (parent_ && has_payload) SyncWithParent();
     {
       common::MutexLock lock(state_mu_);
       // Pooled reply payload: push requests recycled above keep the
@@ -132,39 +127,9 @@ void ParameterServer::ServeLoop() {
   }
 }
 
-void ParameterServer::ConfigureParent(Rank parent, std::size_t retry_budget,
-                                      double retry_timeout_s) {
-  RNA_CHECK_MSG(!thread_.joinable(), "configure the parent before Start()");
-  RNA_CHECK_MSG(parent != rank_, "a PS node cannot be its own parent");
-  common::MutexLock lock(state_mu_);
-  parent_.emplace(fabric_, rank_, parent, 1, state_.size());
-  parent_->ConfigureRetry(retry_budget, retry_timeout_s);
-}
-
-void ParameterServer::SyncWithParent() {
-  obs::CountMetric("ps.parent_syncs");
-  auto merged = parent_->TryPushPull(Snapshot(), ApplyMode::kAverage);
-  if (!merged.has_value()) {
-    // Budget exhausted (lossy fabric) or shutdown: keep serving the local
-    // state; the next due sync folds it in.
-    obs::CountMetric("ps.parent_sync_skipped");
-    return;
-  }
-  common::MutexLock lock(state_mu_);
-  state_ = std::move(*merged);
-}
-
-PsClient::PsClient(net::Fabric& fabric, Rank self, Rank first_server,
-                   std::size_t shards, std::size_t dim)
-    : fabric_(&fabric),
-      self_(self),
-      first_server_(first_server),
-      shards_(shards),
-      dim_(dim),
-      have_(shards) {
-  RNA_CHECK_MSG(shards >= 1, "need at least one PS shard");
-  RNA_CHECK_MSG(dim >= shards, "more PS shards than parameters");
-}
+PsClient::PsClient(net::Fabric& fabric, Rank self, Rank server,
+                   std::size_t dim)
+    : fabric_(&fabric), self_(self), server_(server), dim_(dim) {}
 
 void PsClient::ConfigureRetry(std::size_t budget, double first_timeout_s) {
   retry_budget_ = budget == 0 ? 1 : budget;
@@ -183,76 +148,28 @@ std::optional<std::vector<float>> PsClient::TryCall(
     obs::CountMetric("ps.stale_replies_dropped");
   }
 
-  // One shard adopts its reply payload as the result; more assemble their
-  // slices into a fresh vector.
-  std::vector<float> out(shards_ > 1 ? dim_ : 0);
-  std::fill(have_.begin(), have_.end(), false);
-  std::size_t got = 0;
-
-  auto send_shard = [&](std::size_t s) {
+  for (std::size_t attempt = 0; attempt < retry_budget_; ++attempt) {
+    if (attempt > 0) obs::CountMetric("ps.retries");
     net::Message req;
     req.tag = PsTags::kRequest;
     req.meta = {static_cast<std::int64_t>(mode), 1, values.empty() ? 0 : 1};
     if (!values.empty()) {
-      const std::size_t first = ShardFirst(dim_, shards_, s);
-      const std::size_t last = ShardLast(dim_, shards_, s);
-      req.data = fabric_->Pool().Acquire(last - first);
-      std::copy(values.begin() + static_cast<std::ptrdiff_t>(first),
-                values.begin() + static_cast<std::ptrdiff_t>(last),
-                req.data.begin());
+      req.data = fabric_->Pool().Acquire(dim_);
+      std::copy(values.begin(), values.end(), req.data.begin());
     }
-    fabric_->Send(self_, first_server_ + s, std::move(req));
-  };
-  // Accepts a shard reply; duplicates (from a slow-then-retried request),
-  // strays and wrong-size replies are recycled and ignored, so a shard
-  // whose reply was rejected stays missing and is re-sent on retry.
-  auto accept = [&](net::Message& reply) {
-    if (reply.src < first_server_ ||
-        reply.src >= first_server_ + static_cast<Rank>(shards_)) {
-      fabric_->Pool().Recycle(std::move(reply.data));
-      return;
-    }
-    const auto s = static_cast<std::size_t>(reply.src - first_server_);
-    if (have_[s]) {
-      fabric_->Pool().Recycle(std::move(reply.data));
-      obs::CountMetric("ps.stale_replies_dropped");
-      return;
-    }
-    const std::size_t first = ShardFirst(dim_, shards_, s);
-    if (reply.data.size() != ShardLast(dim_, shards_, s) - first) {
-      fabric_->Pool().Recycle(std::move(reply.data));
-      obs::CountMetric("ps.rejected_replies");
-      return;
-    }
-    if (shards_ == 1) {
-      out = std::move(reply.data);
-    } else {
-      std::copy(reply.data.begin(), reply.data.end(),
-                out.begin() + static_cast<std::ptrdiff_t>(first));
-      fabric_->Pool().Recycle(std::move(reply.data));
-    }
-    have_[s] = true;
-    ++got;
-  };
+    fabric_->Send(self_, server_, std::move(req));
 
-  for (std::size_t attempt = 0; attempt < retry_budget_; ++attempt) {
-    if (attempt > 0) obs::CountMetric("ps.retries");
-    // Stripe: every (still-missing) shard's request goes out before any
-    // reply is awaited, so the shards serve in parallel.
-    for (std::size_t s = 0; s < shards_; ++s) {
-      if (!have_[s]) send_shard(s);
-    }
-
-    // Exponential backoff: t, 2t, 4t, ... per attempt; each shard reply
-    // renews the window (the stripe is making progress).
+    // Exponential backoff: t, 2t, 4t, ... per attempt; any reply renews
+    // the window. A stray or wrong-size reply is recycled and ignored.
     const double backoff = static_cast<double>(std::uint64_t{1} << attempt);
     const double timeout = retry_timeout_s_ * backoff;
-    while (got < shards_) {
-      auto reply = fabric_->RecvFor(self_, PsTags::kReply, timeout);
-      if (!reply.has_value()) break;  // window expired or shut down
-      accept(*reply);
+    while (auto reply = fabric_->RecvFor(self_, PsTags::kReply, timeout)) {
+      if (reply->src == server_ && reply->data.size() == dim_) {
+        return std::move(reply->data);
+      }
+      if (reply->src == server_) obs::CountMetric("ps.rejected_replies");
+      fabric_->Pool().Recycle(std::move(reply->data));
     }
-    if (got == shards_) return out;
     if (fabric_->IsClosed(self_)) return std::nullopt;
   }
   obs::CountMetric("ps.call_failures");

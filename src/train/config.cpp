@@ -77,85 +77,8 @@ std::string TrainerConfig::Validate() const {
     why << ProtocolName(protocol)
         << " has no allreduce path: --schedule/--compression only apply to "
            "horovod, eager-sgd, rna, and rna-h";
-  } else if (ps_shards == 0) {
-    why << "ps_shards must be >= 1 (got 0)";
-  } else if (ps_shards > 1 && protocol != Protocol::kRnaHierarchical) {
-    why << ProtocolName(protocol)
-        << " has no parameter server: ps_shards > 1 only applies to rna-h";
-  } else if (ps_fan_in == 1) {
-    why << "ps_fan_in must be 0 (flat) or >= 2 (a tree with fan-in 1 never "
-           "converges on a root)";
-  } else if (ps_fan_in > 0 && protocol != Protocol::kRnaHierarchical) {
-    why << ProtocolName(protocol)
-        << " has no PS tree: ps_fan_in only applies to rna-h";
-  } else if (max_group_size > 0 && protocol != Protocol::kRnaHierarchical) {
-    why << ProtocolName(protocol)
-        << " has no speed groups: max_group_size only applies to rna-h";
-  } else if (std::string elastic_why = ValidateElastic();
-             !elastic_why.empty()) {
-    why << elastic_why;
   } else if (std::string fault_why = ValidateFault(); !fault_why.empty()) {
     why << fault_why;
-  }
-  return why.str();
-}
-
-std::string TrainerConfig::ValidateElastic() const {
-  if (elastic.empty()) return {};
-  std::ostringstream why;
-  const bool supported = protocol == Protocol::kRna ||
-                         protocol == Protocol::kEagerSgd ||
-                         protocol == Protocol::kRnaHierarchical;
-  if (!supported) {
-    why << ProtocolName(protocol)
-        << " cannot change membership mid-training: elastic schedules only "
-           "apply to rna, eager-sgd, and rna-h";
-    return why.str();
-  }
-  if (!lockstep) {
-    why << "elastic membership requires lockstep: a joiner's state sync "
-           "must land on a deterministic round boundary";
-    return why.str();
-  }
-  std::size_t founding = 0;
-  std::vector<bool> seen(world, false);
-  for (const ElasticSchedule& e : elastic) {
-    if (e.rank >= world) {
-      why << "elastic schedule targets rank " << e.rank
-          << " outside the world of " << world;
-    } else if (seen[e.rank]) {
-      why << "elastic schedule lists rank " << e.rank << " twice";
-    } else if (e.join_at_round == ElasticSchedule::kNever) {
-      why << "elastic schedule for rank " << e.rank
-          << " never joins; drop the rank from the world instead";
-    } else if (e.join_at_round >= max_rounds) {
-      why << "elastic schedule join_at_round (" << e.join_at_round
-          << ") for rank " << e.rank << " is beyond max_rounds ("
-          << max_rounds << "): the join would never fire";
-    } else if (e.leave_at_round != ElasticSchedule::kNever &&
-               e.leave_at_round <= e.join_at_round) {
-      why << "elastic schedule for rank " << e.rank << " leaves (round "
-          << e.leave_at_round << ") before it has joined (round "
-          << e.join_at_round << ")";
-    } else if (e.leave_at_round != ElasticSchedule::kNever &&
-               e.leave_at_round >= max_rounds) {
-      why << "elastic schedule leave_at_round (" << e.leave_at_round
-          << ") for rank " << e.rank << " is beyond max_rounds ("
-          << max_rounds << "): the leave would never fire";
-    }
-    if (why.tellp() != 0) return why.str();
-    seen[e.rank] = true;
-  }
-  for (std::size_t w = 0; w < world; ++w) {
-    bool late_joiner = false;
-    for (const ElasticSchedule& e : elastic) {
-      if (e.rank == w && e.join_at_round > 0) late_joiner = true;
-    }
-    if (!late_joiner) ++founding;
-  }
-  if (founding == 0) {
-    why << "elastic schedule leaves no founding member: at least one rank "
-           "must be active at round 0 to lead the first state sync";
   }
   return why.str();
 }

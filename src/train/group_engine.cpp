@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <optional>
-#include <span>
 #include <string>
 #include <thread>
 
@@ -17,8 +15,8 @@
 #include "rna/obs/trace.hpp"
 #include "rna/ps/server.hpp"
 #include "rna/train/fault.hpp"
-#include "rna/train/membership.hpp"
 #include "rna/train/monitor.hpp"
+#include "rna/train/readiness.hpp"
 #include "rna/train/round_plan.hpp"
 #include "rna/train/stage.hpp"
 #include "rna/train/tags.hpp"
@@ -28,9 +26,9 @@ namespace rna::train {
 
 namespace {
 
-// All three built-in policies read the ReadinessBoard's O(1) sharded
-// aggregate instead of scanning a per-rank vector, so a trigger decision
-// costs the same at world=10 and world=1000.
+// All three built-in policies read the ReadinessBoard's O(1) ready tally
+// instead of scanning a per-rank vector, so a trigger decision costs the
+// same at any group size.
 
 class MajorityPolicy final : public TriggerPolicy {
  public:
@@ -64,74 +62,39 @@ class FullPolicy final : public TriggerPolicy {
   const char* Name() const override { return "full"; }
 };
 
-// Hierarchical RNA's cross-group layer (§4 phases 2–3). The PS is a tree
-// of nodes with bounded fan-in (BuildPsTree): a group's leader talks to its
-// leaf node, and every non-root node periodically folds its state into its
-// parent, so no endpoint serves more than ps_fan_in direct children. Each
-// node is range-sharded into independent servers that leaders stripe
-// push/pulls across (ps::PsClient). Groups never barrier against each
-// other: the PS serves them in arrival order, which is what defuses the
-// deterministic slowdown that defeats purely probabilistic approaches.
-// Under lockstep a RoundRobinGate serializes the leaders' syncs into
-// (sync round, group) order so the run replays bit-identically.
+// Hierarchical RNA's cross-group layer (§4 phases 2–3): one parameter
+// server that every group's round leader push/pulls its group model
+// through. Groups never barrier against each other: the PS serves them in
+// arrival order, which is what defuses the deterministic slowdown that
+// defeats purely probabilistic approaches. Under lockstep a RoundRobinGate
+// serializes the leaders' syncs into (sync round, group) order so the run
+// replays bit-identically.
 class PsLayer {
  public:
-  /// Serves `init` from `tree.nodes.size() * shards` fabric endpoints,
-  /// node-major from `first_rank`.
+  /// Serves `init` from fabric endpoint `rank`.
   PsLayer(const Deadlines& deadlines, bool lockstep, net::Fabric& fabric,
-          net::Rank first_rank, PsTree tree, std::size_t shards,
-          std::size_t num_groups, std::span<const float> init)
+          net::Rank rank, std::size_t num_groups, std::vector<float> init)
       : deadlines_(deadlines),
         lockstep_(lockstep),
         fabric_(fabric),
-        first_rank_(first_rank),
-        tree_(std::move(tree)),
-        shards_(shards),
-        gate_(num_groups) {
-    // Parents precede children in BuildPsTree's id order, so starting in id
-    // order means a child's parent sync always finds its parent serving.
-    const std::size_t dim = init.size();
-    for (std::size_t node = 0; node < tree_.nodes.size(); ++node) {
-      for (std::size_t s = 0; s < shards_; ++s) {
-        const auto begin = init.begin() + ps::ShardFirst(dim, shards_, s);
-        const auto end = init.begin() + ps::ShardLast(dim, shards_, s);
-        auto server = std::make_unique<ps::ParameterServer>(
-            fabric, RankOf(node, s), std::vector<float>(begin, end));
-        const std::size_t parent = tree_.nodes[node].parent;
-        if (parent != node) {
-          server->ConfigureParent(RankOf(parent, s), deadlines_.ps_attempts,
-                                  deadlines_.ps_retry_s);
-        }
-        server->Start();
-        servers_.push_back(std::move(server));
-      }
-    }
-  }
-
-  ~PsLayer() {
-    // Children before parents: an in-flight parent sync must still find its
-    // parent serving.
-    for (auto it = servers_.rbegin(); it != servers_.rend(); ++it) {
-      (*it)->Stop();
-    }
+        gate_(num_groups),
+        server_(fabric, rank, std::move(init)) {
+    server_.Start();
   }
 
   PsLayer(const PsLayer&) = delete;
   PsLayer& operator=(const PsLayer&) = delete;
 
-  /// Rank `self`'s client for its group's leaf node.
-  ps::PsClient Client(net::Rank self, std::size_t group,
-                      std::size_t dim) const {
-    ps::PsClient client(fabric_, self, RankOf(tree_.leaf_of[group], 0),
-                        shards_, dim);
+  /// Rank `self`'s client.
+  ps::PsClient Client(net::Rank self, std::size_t dim) const {
+    ps::PsClient client(fabric_, self, server_.ServerRank(), dim);
     client.ConfigureRetry(deadlines_.ps_attempts, deadlines_.ps_retry_s);
     return client;
   }
 
-  /// The round leader's sync: stripe the group model across the leaf
-  /// node's shards and replace it with the running average pulled back.
-  /// An exhausted retry budget keeps the local group model, which the next
-  /// sync folds in.
+  /// The round leader's sync: push the group model and replace it with the
+  /// running average pulled back. An exhausted retry budget keeps the
+  /// local group model, which the next sync folds in.
   void Sync(std::size_t group, ps::PsClient& client,
             std::vector<float>& params) {
     // The turn wait is bounded, so a hung group ahead in the rotation
@@ -152,18 +115,11 @@ class PsLayer {
   void Retire(std::size_t group) { gate_.Retire(group); }
 
  private:
-  net::Rank RankOf(std::size_t node, std::size_t shard) const {
-    return first_rank_ + node * shards_ + shard;
-  }
-
   const Deadlines deadlines_;
   const bool lockstep_;
   net::Fabric& fabric_;
-  net::Rank first_rank_;
-  PsTree tree_;
-  std::size_t shards_;
   RoundRobinGate gate_;
-  std::vector<std::unique_ptr<ps::ParameterServer>> servers_;
+  ps::ParameterServer server_;  ///< stops on destruction
 };
 
 }  // namespace
@@ -208,19 +164,11 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
     groups[group_of[w]].members.push_back(w);
   }
 
-  // Endpoint layout: [workers | group controllers | PS shards]. Flat RNA
-  // (one group, no PS layer) is [workers | controller].
-  PsTree tree;
-  std::size_t shards = 0;
-  if (grouping) {
-    shards = std::min(std::max<std::size_t>(1, config.ps_shards), dim);
-    tree = BuildPsTree(num_groups, config.ps_fan_in);
-    obs::SetGauge("hier.ps_nodes", static_cast<double>(tree.nodes.size()));
-    obs::SetGauge("hier.ps_shards", static_cast<double>(shards));
-  }
+  // Endpoint layout: [workers | group controllers | PS]. Flat RNA (one
+  // group, no PS layer) is [workers | controller].
   const net::Rank first_controller = world;
-  const net::Rank first_ps = world + num_groups;
-  net::Fabric fabric(first_ps + tree.nodes.size() * shards);
+  const net::Rank ps_rank = world + num_groups;
+  net::Fabric fabric(ps_rank + (grouping ? 1 : 0));
 
   FaultRuntime faults(config);
   if (auto plan = BuildFaultPlan(config)) {
@@ -228,8 +176,8 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
   }
   std::unique_ptr<PsLayer> ps;
   if (grouping) {
-    ps = std::make_unique<PsLayer>(deadlines, lockstep, fabric, first_ps,
-                                   std::move(tree), shards, num_groups, init);
+    ps = std::make_unique<PsLayer>(deadlines, lockstep, fabric, ps_rank,
+                                   num_groups, init);
   }
 
   std::vector<std::unique_ptr<GradientStage>> stages;
@@ -255,14 +203,9 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
   // it after the controllers' join(), which orders those accesses
   // (verified under TSan by tests/test_race_stress.cpp).
   std::vector<std::size_t> round_contributors;
-  // Same single-writer discipline: each group controller owns its
-  // membership directory and its slots of the busy-time and message
-  // tallies; the main thread reads them after join().
-  std::vector<std::unique_ptr<MembershipDirectory>> directories;
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    directories.push_back(std::make_unique<MembershipDirectory>(
-        groups[g].members, config.elastic));
-  }
+  // Same single-writer discipline: each group controller owns its slots of
+  // the busy-time and message tallies; the main thread reads them after
+  // join().
   std::vector<common::Seconds> ctrl_busy(num_groups, 0.0);
   std::vector<std::size_t> ctrl_msgs(num_groups, 0);
 
@@ -302,9 +245,8 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
       collectives::ErrorFeedback feedback;
       feedback.EnsureSize(dim + 1);
       std::optional<ps::PsClient> ps_client;
-      if (ps) ps_client.emplace(ps->Client(w, g, dim));
+      if (ps) ps_client.emplace(ps->Client(w, dim));
       bool died = false;  // fail-stop exit, distinct from session end
-      bool left = false;  // clean elastic departure, also not session end
       for (;;) {
         std::optional<net::Message> go;
         {
@@ -324,12 +266,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
         std::optional<RoundPlan> plan = RoundPlan::Decode(go->meta,
                                                           fabric.Size());
         RNA_CHECK_MSG(plan.has_value(), "malformed round plan");
-        if (plan->kind != RoundPlan::Kind::kRound) {
-          // Session over, or this rank's scheduled elastic leave (the rest
-          // of its group keeps training).
-          left = plan->kind == RoundPlan::Kind::kLeave;
-          break;
-        }
+        if (plan->kind == RoundPlan::Kind::kSessionEnd) break;
         const std::size_t round = plan->round;
 
         if (faults.ShouldCrashInRound(w, round)) {
@@ -350,32 +287,6 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
           break;
         }
 
-        if (std::find(plan->joiners.begin(), plan->joiners.end(), w) !=
-            plan->joiners.end()) {
-          // Joining rank: install the leader's replica (params ‖ velocity,
-          // LR bit-cast into the meta) and acknowledge with a synced
-          // report, so the controller activates this rank next round with
-          // a state bitwise-identical to every member's.
-          std::optional<net::Message> state =
-              fabric.RecvFor(w, tags::JoinStateTag(round), deadlines.hop);
-          bool synced = false;
-          if (state.has_value() && state->data.size() == 2 * dim &&
-              state->meta.size() > 1) {
-            std::copy(state->data.begin(), state->data.begin() + dim,
-                      params.begin());
-            optimizer.SetVelocity(
-                std::span<const float>(state->data.data() + dim, dim));
-            optimizer.SetLearningRate(std::bit_cast<double>(state->meta[1]));
-            fabric.Pool().Recycle(std::move(state->data));
-            synced = true;
-            obs::CountMetric("elastic.join_syncs");
-          }
-          net::Message ack;
-          ack.tag = tags::kRoundEnd;
-          ack.meta = RoundReport{round, 0, false, synced}.Encode();
-          fabric.Send(w, controller, std::move(ack));
-          continue;
-        }
         const collectives::Group ring{std::move(plan->members)};
         const auto member_it =
             std::find(ring.members.begin(), ring.members.end(), w);
@@ -383,8 +294,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
         const auto my_index =
             static_cast<std::size_t>(member_it - ring.members.begin());
         // The lowest-ranked member leads the round: it publishes the
-        // group model, syncs it with the PS, roots the group broadcast and
-        // ships state to joiners.
+        // group model, syncs it with the PS and roots the group broadcast.
         const bool leader = my_index == 0;
 
         // Step LR schedule: every worker decays at the same round.
@@ -474,7 +384,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
         }
 
         // Asynchronous cross-group averaging: the leader syncs the group
-        // model with the PS tree and broadcasts whatever it ended up with
+        // model with the PS and broadcasts whatever it ended up with
         // (averaged or, after a skipped sync, local), so followers never
         // block on a sync that did not happen. Skipped after an aborted
         // collective: the group model is stale, not wrong, and the next
@@ -502,37 +412,16 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
         if (leader) {
           boards[g]->Publish(params, static_cast<std::int64_t>(round) + 1);
         }
-        if (leader && !plan->joiners.empty()) {
-          // Ship the post-round replica to each joining rank (every member
-          // holds an identical one, so the choice of sender does not
-          // matter): params ‖ velocity in the pooled payload, LR in the
-          // meta. Re-sent every round a joiner stays syncing, so a transfer
-          // lost to a fault is retried by the next leader.
-          const std::span<const float> velocity = optimizer.Velocity();
-          for (const net::Rank j : plan->joiners) {
-            net::Message state;
-            state.tag = tags::JoinStateTag(round);
-            state.meta = {static_cast<std::int64_t>(round),
-                          std::bit_cast<std::int64_t>(
-                              optimizer.LearningRate())};
-            state.data = fabric.Pool().Acquire(2 * dim);
-            std::copy(params.begin(), params.end(), state.data.begin());
-            std::copy(velocity.begin(), velocity.end(),
-                      state.data.begin() + dim);
-            fabric.Send(w, j, std::move(state));
-          }
-        }
-
         net::Message report;
         report.tag = tags::kRoundEnd;
-        report.meta = RoundReport{round, fresh ? drained->count : 0,
-                                  !reduced.ok, std::nullopt}
-                          .Encode();
+        report.meta =
+            RoundReport{round, fresh ? drained->count : 0, !reduced.ok}
+                .Encode();
         fabric.Send(w, controller, std::move(report));
       }
-      // A leaver or a crash must not end the session; only the exit plan
-      // (or a fabric shutdown) does.
-      if (!died && !left) global_stop.store(true);
+      // A crash must not end the session; only the exit plan (or a fabric
+      // shutdown) does.
+      if (!died) global_stop.store(true);
       final_params[w] = std::move(params);
     });
   }
@@ -621,7 +510,10 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
       const collectives::Group& group = groups[g];
       const std::size_t group_size = group.Size();
       const net::Rank self = first_controller + g;
-      MembershipDirectory& directory = *directories[g];
+      // Busy time is accounted in thread-CPU seconds, not wall time: with
+      // many worker threads oversubscribing the cores, the wall clock inside
+      // the controller's work sections measures preemption. Each section's
+      // ScopedTimer still records the wall span for the trace.
       common::Seconds& busy = ctrl_busy[g];
       std::size_t& msgs = ctrl_msgs[g];
       // Rank 0's group records the run's rounds and contributors.
@@ -629,9 +521,13 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
       common::Rng rng(config.seed + 9001 + 7 * g);
       std::unique_ptr<TriggerPolicy> policy = policy_factory();
       // Per-member state is indexed by the member's place in the group
-      // (index_in_group). The sharded readiness aggregate makes every
-      // policy decision and the forced-trigger scan O(1).
+      // (index_in_group). The readiness tally makes every policy decision
+      // and the forced-trigger scan O(1).
       ReadinessBoard readiness(group_size);
+      // The live members in ring order. A goodbye or a declared death
+      // removes a rank for good.
+      std::vector<net::Rank> live = group.members;
+      std::vector<bool> dead(group_size, false);
       std::vector<std::size_t> miss_count(group_size, 0);
       std::vector<bool> responded(group_size, false);
       // Consecutive rounds each member reported without contributing a
@@ -643,10 +539,9 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
       auto slot = [&](net::Rank r) { return index_in_group[r]; };
 
       auto note_goodbye = [&](net::Rank src, std::size_t round) {
-        if (!directory.Manages(src)) return;
-        const MemberState was = directory.StateOf(src);
-        if (was == MemberState::kDead || was == MemberState::kLeft) return;
-        directory.OnDead(src);
+        if (dead[slot(src)]) return;
+        dead[slot(src)] = true;
+        live.erase(std::find(live.begin(), live.end(), src));
         faults.Kill(src);
         readiness.Clear(slot(src));
         obs::CountMetric("fault.controller.deaths");
@@ -669,19 +564,6 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
         RNA_CHECK_MSG(report.has_value(), "malformed round report");
         return *report;
       };
-      // An exit plan plus an exit step token, so both of the rank's threads
-      // leave.
-      auto send_exit = [&](net::Rank r, const RoundPlan& exit) {
-        net::Message go;
-        go.tag = tags::kGo;
-        go.meta = exit.Encode();
-        fabric.Send(self, r, std::move(go));
-        net::Message step;
-        step.tag = tags::kStep;
-        step.meta = {-1};
-        fabric.Send(self, r, std::move(step));
-      };
-
       // Under lockstep every group's controller runs its full round
       // schedule: global_stop only records that another group's session
       // ended first, and honoring it here would make the number of rounds
@@ -695,38 +577,14 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
            ++round) {
         RoundPlan plan;
         plan.round = round;
-        {
-          // Busy time is accounted in thread-CPU seconds, not wall time:
-          // with a thousand worker threads oversubscribing the cores, the
-          // wall clock inside these sections measures preemption, and the
-          // per-worker O(1) claim gated by bench_scale would drown in
-          // scheduler noise. The ScopedTimer still records the wall span
-          // for the trace.
-          common::ScopedCpuAccumulator dispatch_cpu(&busy);
-          obs::ScopedTimer dispatch_timer(track, obs::Category::kOther,
-                                          "ctrl_dispatch");
-          dispatch_timer.SetArg("round", static_cast<double>(round));
-          const auto delta = directory.BeginRound(round);
-          for (const net::Rank r : delta.leaving) {
-            // Clean elastic departure: not a death, so no strike-out and
-            // no fault accounting.
-            readiness.Clear(slot(r));
-            send_exit(r, RoundPlan::Exit(RoundPlan::Kind::kLeave));
-            msgs += 2;
-            obs::CountMetric("elastic.leaves");
-          }
-          plan.members = directory.ActiveMembers();
-          plan.joiners = directory.SyncingMembers();
-        }
+        plan.members = live;
         if (plan.members.empty()) break;
         policy->BeginRound(group_size, rng);
 
         if (lockstep) {
           // Pace: one compute token per live member, then account for
           // every token (kReady, kGoodbye, or a deadline miss from a hung
-          // worker, who stays a member and contributes null). Syncing
-          // joiners get no token: their first batch waits for the state
-          // transfer.
+          // worker, who stays a member and contributes null).
           {
             common::ScopedCpuAccumulator token_cpu(&busy);
             obs::ScopedTimer token_timer(track, obs::Category::kOther,
@@ -758,7 +616,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
             const std::size_t i = slot(msg->src);
             if (msg->tag == tags::kGoodbye) {
               note_goodbye(msg->src, round);
-            } else if (directory.IsActive(msg->src)) {
+            } else if (!dead[i]) {
               readiness.Add(i, 1);
             }
             if (!responded[i]) {
@@ -778,9 +636,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
             // controller mailbox stays small even with very fast compute
             // threads.
             while (auto note = fabric.TryRecv(self, tags::kReady)) {
-              if (directory.IsActive(note->src)) {
-                readiness.Add(slot(note->src), 1);
-              }
+              if (!dead[slot(note->src)]) readiness.Add(slot(note->src), 1);
             }
             while (auto bye = fabric.TryRecv(self, tags::kGoodbye)) {
               note_goodbye(bye->src, round);
@@ -789,7 +645,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
             while (auto late = fabric.TryRecv(self, tags::kRoundEnd)) {
               account(late->src, decode_report(*late));
             }
-            if (directory.ActiveCount() == 0) break;
+            if (live.empty()) break;
             if (policy->ShouldTrigger(readiness)) break;
             if (probe_timer.Elapsed() - election_start > deadlines.probe) {
               if (readiness.ReadyRanks() > 0) {
@@ -806,13 +662,13 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
               election_start = probe_timer.Elapsed();
             }
             auto note = fabric.RecvFor(self, tags::kReady, 0.002);
-            if (note.has_value() && directory.IsActive(note->src)) {
+            if (note.has_value() && !dead[slot(note->src)]) {
               readiness.Add(slot(note->src), 1);
             }
           }
           if (stop.load() || global_stop.load()) break;
         }
-        plan.members = directory.ActiveMembers();  // goodbyes may shrink it
+        plan.members = live;  // goodbyes may shrink it
         if (plan.members.empty()) break;
 
         obs::ScopedTimer round_timer(track, obs::Category::kRound, "round");
@@ -824,8 +680,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
           // the same ring, and the straggler verdict: the live member with
           // the longest ≥2-round non-contribution streak. Every member sees
           // the same verdict, so Schedule::kStragglar's permutation is
-          // identical ring-wide. Joiners learn which round's state
-          // transfer to expect from the leader.
+          // identical ring-wide.
           std::size_t best_streak = 1;
           for (const net::Rank m : plan.members) {
             if (skip_streak[slot(m)] > best_streak) {
@@ -837,27 +692,21 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
             obs::CountMetric("round.straggler_verdicts");
           }
           const std::vector<std::int64_t> meta = plan.Encode();
-          for (const auto* ranks : {&plan.members, &plan.joiners}) {
-            for (const net::Rank r : *ranks) {
-              net::Message go;
-              go.tag = tags::kGo;
-              go.meta = meta;
-              fabric.Send(self, r, std::move(go));
-            }
+          for (const net::Rank r : plan.members) {
+            net::Message go;
+            go.tag = tags::kGo;
+            go.meta = meta;
+            fabric.Send(self, r, std::move(go));
           }
-          msgs += plan.members.size() + plan.joiners.size();
+          msgs += plan.members.size();
         }
         const int want[] = {tags::kRoundEnd, tags::kReady, tags::kGoodbye};
         std::size_t contributors = 0;
         std::size_t reports = 0;
-        // Members report after the collective; syncing joiners report
-        // after (attempting to) install the transferred state.
-        const std::size_t expected = plan.members.size() + plan.joiners.size();
+        const std::size_t expected = plan.members.size();
         auto in_round = [&](net::Rank r) {
           return std::find(plan.members.begin(), plan.members.end(), r) !=
-                     plan.members.end() ||
-                 std::find(plan.joiners.begin(), plan.joiners.end(), r) !=
-                     plan.joiners.end();
+                 plan.members.end();
         };
         std::fill(responded.begin(), responded.end(), false);
         obs::ScopedTimer report_timer(track, obs::Category::kWait,
@@ -875,7 +724,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
           const net::Rank src = msg->src;
           const std::size_t i = slot(src);
           if (msg->tag == tags::kReady) {
-            if (directory.IsActive(src)) readiness.Add(i, 1);
+            if (!dead[i]) readiness.Add(i, 1);
             continue;
           }
           if (msg->tag == tags::kGoodbye) {
@@ -893,17 +742,6 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
             responded[i] = true;
             ++reports;
           }
-          if (directory.IsSyncing(src)) {
-            // A joiner's sync ack: a landed transfer activates the rank from
-            // the next round on. A failed one (the leader's send lost on a
-            // lossy fabric) keeps it syncing; the next plan re-lists it and
-            // the next leader re-sends.
-            if (report.synced.value_or(false)) {
-              directory.OnSynced(src);
-              obs::CountMetric("elastic.joins");
-            }
-            continue;
-          }
           if (!report.aborted && report.consumed > 0) {
             ++contributors;
             skip_streak[i] = 0;
@@ -916,17 +754,13 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
           // Deadline expired with silent members: report silence means the
           // comm thread is gone (fail-stop), unlike step silence which is
           // just slow compute. Strike them; dead_after_misses strikes kills.
-          auto strike = [&](net::Rank m) {
-            const MemberState s = directory.StateOf(m);
-            if (s == MemberState::kDead || s == MemberState::kLeft) return;
-            if (responded[slot(m)]) return;
+          for (const net::Rank m : plan.members) {
+            if (dead[slot(m)] || responded[slot(m)]) continue;
             if (++miss_count[slot(m)] >= config.fault.dead_after_misses) {
               note_goodbye(m, round);
               obs::CountMetric("fault.declared_dead");
             }
-          };
-          for (const net::Rank m : plan.members) strike(m);
-          for (const net::Rank j : plan.joiners) strike(j);
+          }
           obs::CountMetric("fault.report_deadline_misses");
         }
         round_timer.SetArg("contributors", static_cast<double>(contributors));
@@ -938,8 +772,18 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
           rounds_done.fetch_add(1);
         }
       }
+      // An exit plan plus an exit step token, so both of each member's
+      // threads leave.
+      const std::vector<std::int64_t> exit = RoundPlan::SessionEnd().Encode();
       for (const net::Rank r : group.members) {
-        send_exit(r, RoundPlan::Exit(RoundPlan::Kind::kSessionEnd));
+        net::Message go;
+        go.tag = tags::kGo;
+        go.meta = exit;
+        fabric.Send(self, r, std::move(go));
+        net::Message step;
+        step.tag = tags::kStep;
+        step.meta = {-1};
+        fabric.Send(self, r, std::move(step));
       }
       if (ps) ps->Retire(g);
     });
@@ -966,26 +810,16 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
   result.round_contributors = std::move(round_contributors);
   result.live_workers = faults.LiveCount();
   for (std::size_t g = 0; g < num_groups; ++g) {
-    result.workers_joined += directories[g]->JoinedTotal();
-    result.workers_left += directories[g]->LeftTotal();
     result.controller_busy_seconds += ctrl_busy[g];
     result.controller_messages += ctrl_msgs[g];
   }
 
-  // The lowest surviving *active* rank's replica is the result: active
-  // survivors of a group hold identical parameters after their last shared
-  // collective, while a clean leaver's (or a never-joined rank's) replica
-  // froze early.
+  // The lowest surviving rank's replica is the result (rank 0's if none
+  // survived): a group's survivors hold identical parameters after their
+  // last shared collective.
   std::size_t reporter = 0;
-  bool found = false;
-  for (std::size_t w = 0; w < world && !found; ++w) {
-    found = directories[group_of[w]]->IsActive(w) && faults.Alive(w);
-    if (found) reporter = w;
-  }
-  for (std::size_t w = 0; w < world && !found; ++w) {
-    found = faults.Alive(w);
-    if (found) reporter = w;
-  }
+  while (reporter < world && !faults.Alive(reporter)) ++reporter;
+  if (reporter == world) reporter = 0;
   FinishRun(result, wall_s, monitor, workers, comm_times,
             std::move(final_params[reporter]), train_data);
   return result;

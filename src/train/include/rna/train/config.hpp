@@ -103,19 +103,6 @@ struct WorkerFaultSchedule {
   }
 };
 
-/// Elastic-membership schedule for one rank: the worker sits out (pending)
-/// until `join_at_round`, syncs state from the round leader, participates,
-/// and departs cleanly at `leave_at_round` (a leave is not a death — no
-/// strike-out, no fault accounting). `kNever` keeps the worker until the
-/// end; join_at_round == 0 makes it a founding member.
-struct ElasticSchedule {
-  static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
-
-  std::size_t rank = 0;
-  std::size_t join_at_round = 0;
-  std::size_t leave_at_round = kNever;
-};
-
 /// Fault-injection settings for a training run: network-level message
 /// faults (lowered into a net::FaultPlan installed on the run's fabric),
 /// per-rank worker schedules, and the recovery knobs the protocol layer
@@ -153,12 +140,6 @@ struct FaultConfig {
   bool Enabled() const {
     return drop_prob > 0.0 || dup_prob > 0.0 || delay_prob > 0.0 ||
            ps_drop_prob > 0.0 || !workers.empty();
-  }
-  bool AnyCrash() const {
-    for (const auto& w : workers) {
-      if (w.HasCrash()) return true;
-    }
-    return false;
   }
 };
 
@@ -223,31 +204,6 @@ struct TrainerConfig {
   std::size_t calibration_iters = 8;
   std::size_t ps_sync_every = 1;
 
-  // Scale-out knobs.
-  /// Parameter-range sharding of the PS: each shard owns a contiguous
-  /// 1/ps_shards slice of the model and its own fabric endpoint, and
-  /// clients stripe push/pull across all shards (rna-h only).
-  /// 1 keeps the classic single-server layout and wire format.
-  std::size_t ps_shards = 1;
-  /// Recursive PS fan-in for rna-h: 0 (default) keeps the flat two-level
-  /// layout (every group leader talks to the root PS). A value f >= 2
-  /// builds a tree of PS nodes where at most f groups share a leaf node
-  /// and at most f nodes share a parent, so no endpoint ever serves more
-  /// than f direct children. A non-root node folds its state into its
-  /// parent (kAverage push/pull) after every applied payload.
-  std::size_t ps_fan_in = 0;
-  /// Cap on hierarchical group size: a speed group larger than this is
-  /// split (preserving speed ordering) so intra-group ring latency stays
-  /// bounded at large worlds. 0 = uncapped (classic ζ>v grouping only).
-  std::size_t max_group_size = 0;
-
-  /// Elastic membership (requires lockstep; rna / eager-sgd / rna-h):
-  /// ranks listed here join and/or leave mid-training. The
-  /// controller re-partitions the round membership, a joiner receives
-  /// params + optimizer state from the round leader before its first
-  /// round, and a leaver departs without being treated as a crash.
-  std::vector<ElasticSchedule> elastic;
-
   /// Deterministic pacing: the controller hands each live worker exactly one
   /// compute token per round, so every protocol's schedule (and therefore
   /// its TrainResult) is a pure function of the seeds — the precondition
@@ -268,12 +224,8 @@ struct TrainerConfig {
   /// this message; CLIs should call it before running to fail fast.
   std::string Validate() const;
 
-  /// True when any rank joins or leaves mid-training.
-  bool HasElastic() const { return !elastic.empty(); }
-
  private:
   std::string ValidateFault() const;
-  std::string ValidateElastic() const;
 };
 
 }  // namespace rna::train

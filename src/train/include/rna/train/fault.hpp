@@ -33,7 +33,7 @@ namespace rna::train {
 /// run bounds each by common::kLosslessDeadline, which only a protocol bug
 /// can reach, and a fault-injected run uses FaultConfig's recovery knobs.
 struct Deadlines {
-  common::Seconds hop;         ///< collective hop, group broadcast, join state
+  common::Seconds hop;         ///< collective hop, group broadcast
   common::Seconds report;      ///< controller's step-ack and report waits
   common::Seconds probe;       ///< free-running wait before a forced trigger
   std::size_t ps_attempts;     ///< PS client attempts per call

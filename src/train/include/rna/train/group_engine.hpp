@@ -21,7 +21,7 @@
 // majority rule, rna::baselines) run the whole world as one group.
 // Hierarchical RNA passes a SpeedGrouping: each speed group then runs RNA
 // internally (§4 "each group runs RNA internally"), and group leaders
-// average their models through a parameter-server tree and broadcast the
+// average their models through one parameter server and broadcast the
 // result inside the group.
 
 #include <functional>
@@ -32,7 +32,7 @@
 #include "rna/data/dataset.hpp"
 #include "rna/train/config.hpp"
 #include "rna/train/metrics.hpp"
-#include "rna/train/sharding.hpp"
+#include "rna/train/readiness.hpp"
 
 namespace rna::train {
 
@@ -50,7 +50,7 @@ class TriggerPolicy {
 
   /// `ready.Count(i)` = buffered-gradient count of the group's i-th member
   /// (as known from notifications); `ready.ReadyRanks()` is the O(1)
-  /// sharded aggregate, so a policy decision never scans the group.
+  /// ready tally, so a policy decision never scans the group.
   /// Return true to trigger the collective now.
   virtual bool ShouldTrigger(const ReadinessBoard& ready) = 0;
 
@@ -79,7 +79,7 @@ using SpeedGrouping = std::function<std::vector<std::size_t>(
 
 /// Runs a full training job under the RNA engine. Without `grouping` the
 /// world is one group with no parameter-server layer; with it, every group
-/// gets its own controller and the parameter-server tree joins the groups.
+/// gets its own controller and one parameter server joins the groups.
 TrainResult RunPartialCollective(const TrainerConfig& config,
                                  const ModelFactory& factory,
                                  const data::Dataset& train_data,

@@ -50,11 +50,6 @@ struct TrainResult {
   /// unless fault injection crashed (or death-detection excluded) workers.
   std::size_t live_workers = 0;
 
-  /// Elastic membership: ranks that completed a mid-training join (state
-  /// sync acknowledged) and ranks that departed cleanly.
-  std::size_t workers_joined = 0;
-  std::size_t workers_left = 0;
-
   /// Thread-CPU seconds the controller(s) spent doing per-round work
   /// (token dispatch, Go construction, message handling, verdicts) —
   /// waits excluded, and descheduled time excluded too, so the figure

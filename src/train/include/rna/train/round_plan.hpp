@@ -5,11 +5,10 @@
 // RoundReport in a kRoundEnd message. Both travel in net::Message::meta,
 // and each type owns the one Encode and the one Decode of its layout:
 //
-//   RoundPlan    [round, verdict, M, members[0..M), joiners...]
+//   RoundPlan    [round, verdict, M, members[0..M)]
 //                verdict = straggler rank + 1, or 0 for no verdict
-//                [-1, 1] ends the session; [-1, 2] tells one rank to leave
-//   RoundReport  [round, consumed, aborted]      a member's round report
-//                [round, 0, 0, synced]           a joiner's sync ack
+//                [-1, 1] ends the session
+//   RoundReport  [round, consumed, aborted]
 
 #include <cstdint>
 #include <optional>
@@ -24,7 +23,6 @@ struct RoundPlan {
   enum class Kind {
     kRound,       ///< run `round` over `members`
     kSessionEnd,  ///< the session is over for every rank
-    kLeave,       ///< this rank's scheduled elastic departure
   };
 
   Kind kind = Kind::kRound;
@@ -33,19 +31,17 @@ struct RoundPlan {
   /// Schedule::kStragglar re-orders the ring around.
   std::optional<net::Rank> straggler;
   std::vector<net::Rank> members;  ///< the round's ring, in ring order
-  /// Syncing ranks: the round leader ships each one its model state.
-  std::vector<net::Rank> joiners;
 
-  static RoundPlan Exit(Kind kind) {
+  static RoundPlan SessionEnd() {
     RoundPlan plan;
-    plan.kind = kind;
+    plan.kind = Kind::kSessionEnd;
     return plan;
   }
 
   std::vector<std::int64_t> Encode() const;
 
-  /// std::nullopt for a malformed frame: empty, a member count past its
-  /// end, or a rank that is negative or not below `fabric_size`.
+  /// std::nullopt for a malformed frame: empty, a member count other than
+  /// its length − 3, or a rank that is negative or not below `fabric_size`.
   static std::optional<RoundPlan> Decode(std::span<const std::int64_t> meta,
                                          std::size_t fabric_size);
 };
@@ -54,12 +50,10 @@ struct RoundReport {
   std::size_t round = 0;
   std::size_t consumed = 0;  ///< gradients drained into the collective
   bool aborted = false;      ///< the collective timed out
-  /// Set only on a joiner's ack: whether the leader's state landed.
-  std::optional<bool> synced;
 
   std::vector<std::int64_t> Encode() const;
 
-  /// std::nullopt for a frame shorter than three entries or with a
+  /// std::nullopt for a frame that is not three entries long or has a
   /// negative round or count.
   static std::optional<RoundReport> Decode(std::span<const std::int64_t> meta);
 };

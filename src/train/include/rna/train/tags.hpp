@@ -19,16 +19,6 @@ inline constexpr int kGoodbye = 108;   ///< worker → controller: fail-stop far
 inline constexpr int kBarrier = 300;   ///< Horovod negotiation barrier (+1 used)
 inline constexpr int kAvgReq = 400;    ///< AD-PSGD pairwise average request
 inline constexpr int kAvgRep = 401;    ///< AD-PSGD pairwise average reply
-inline constexpr int kGroupRing = 500; ///< hierarchical intra-group broadcast
-
-// Round-indexed joiner state sync (elastic membership): the round leader
-// ships params + optimizer state to each rank joining that round. One tag
-// per round, in a dedicated range below the group-cast ranges.
-inline constexpr int kJoinStateBase = 1 << 20;
-
-inline constexpr int JoinStateTag(std::size_t round) {
-  return kJoinStateBase + static_cast<int>(round);
-}
 
 // Round-indexed hierarchical group broadcast: one tag per round, in a
 // dedicated range below the ring ranges.

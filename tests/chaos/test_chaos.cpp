@@ -106,8 +106,8 @@ TEST(Chaos, CrashBetweenRoundsContributorOracle) {
 // sent the request once and blocked in an untimed Recv for the reply: the
 // first dropped message (either direction) hung that worker forever. The
 // at-least-once retry loop (exponential backoff, bounded budget) rides
-// through a 10% loss rate essentially always. rna-h capped at two ranks
-// per group has two groups, so every group leader's sync crosses the PS.
+// through a 10% loss rate essentially always. Two speed tiers give rna-h
+// two groups, so every group leader's sync crosses the PS.
 // Budget 1 is a regression lock: the PS client once read a budget of 1 as
 // "wait until the fabric shuts down", so one dropped PS message stalled a
 // group leader and the run never returned. It now makes one timed attempt,
@@ -120,7 +120,8 @@ TEST(Chaos, DropTenPercentOfPsTraffic) {
     TrainerConfig c = ChaosConfig(Protocol::kRnaHierarchical, kWorld, 12);
     c.lockstep = true;
     c.calibration_iters = 2;
-    c.max_group_size = 2;
+    c.delay_model = std::make_shared<sim::DeterministicSkewModel>(
+        0.0005, std::vector<common::Seconds>{0.0, 0.0, 0.002, 0.002});
     c.fault.ps_drop_prob = 0.10;
     c.fault.retry_budget = budget;
 

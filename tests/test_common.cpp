@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "rna/common/clock.hpp"
+#include "rna/common/flags.hpp"
 #include "rna/common/log.hpp"
 #include "rna/common/queue.hpp"
 #include "rna/common/rng.hpp"
@@ -425,6 +426,21 @@ TEST(Clock, StopwatchMeasuresSleep) {
 
 TEST(Clock, SecondsRoundTrip) {
   EXPECT_NEAR(ToSeconds(FromSeconds(1.5)), 1.5, 1e-9);
+}
+
+TEST(Flags, UnknownNamesTheFirstUnlistedFlag) {
+  const char* argv[] = {"prog", "--world", "4", "--zeta", "--join=4@2",
+                        "pos", "--lockstep"};
+  const Flags flags(static_cast<int>(std::size(argv)), argv);
+  using Name = std::optional<std::string>;
+  EXPECT_EQ(flags.Unknown({"world", "zeta", "join", "lockstep"}), Name());
+  // Name order, not command-line order.
+  EXPECT_EQ(flags.Unknown({"world", "zeta"}), Name("join"));
+  EXPECT_EQ(flags.Unknown({"world", "join", "lockstep"}), Name("zeta"));
+  // Positional arguments and flag values are not flags.
+  EXPECT_EQ(flags.Unknown({"world", "zeta", "join", "lockstep", "4", "pos"}),
+            Name());
+  EXPECT_EQ(Flags(1, argv).Unknown({}), Name());
 }
 
 }  // namespace

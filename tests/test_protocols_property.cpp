@@ -72,8 +72,7 @@ TEST_P(ProtocolSweep, LearnsAndReportsConsistently) {
     if (row.kind != "counter") continue;
     const std::string_view name = row.name;
     if (name.starts_with("fault.") || name == "ps.retries" ||
-        name == "ps.call_failures" || name == "ps.parent_sync_skipped" ||
-        name == "collectives.rejected_frames") {
+        name == "ps.call_failures" || name == "collectives.rejected_frames") {
       EXPECT_EQ(row.value, 0.0) << name;
     }
   }

@@ -135,8 +135,7 @@ def _numeric_findings(model):
             barrier_occupied.update((v, v + 1))
 
     static = {n: v for n, v in c.items()
-              if n not in ("kRingBase", "kRingStride", "kGroupCastBase",
-                           "kJoinStateBase")}
+              if n not in ("kRingBase", "kRingStride", "kGroupCastBase")}
     names = sorted(static)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
@@ -155,14 +154,6 @@ def _numeric_findings(model):
         if max(barrier_occupied) >= cast_base:
             fail("kBarrier", "barrier family overflows into the "
                              "round-indexed ranges")
-
-    if "JoinStateTag" in f and cast_base is not None:
-        top = f["JoinStateTag"](config.TAG_MIN_ROUNDS - 1)
-        if top >= cast_base:
-            fail("kJoinStateBase",
-                 f"JoinStateTag({config.TAG_MIN_ROUNDS - 1})={top} "
-                 f"reaches the group-cast range (kGroupCastBase="
-                 f"{cast_base}); join-state rounds must stay below it")
 
     if "GroupCastTag" in f and ring_base is not None:
         top = f["GroupCastTag"](config.TAG_MIN_ROUNDS - 1)

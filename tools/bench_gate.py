@@ -42,15 +42,9 @@ ABSOLUTE_FLOORS = {
     **{f"train_{proto}_{comp}": {"reached_target": 1.0}
        for proto in ("horovod", "rna")
        for comp in ("none", "fp16", "int8", "topk")},
-    # The 1000-worker lockstep run and the elastic churn run (bench_scale)
-    # must actually finish every scheduled round, and the elastic run must
-    # complete its scheduled joins and leave.
+    # The 1000-worker lockstep run (bench_scale) must actually finish every
+    # scheduled round.
     "scale_w1000": {"completed": 1.0},
-    "scale_elastic_w100": {
-        "completed": 1.0,
-        "workers_joined": 2.0,
-        "workers_left": 1.0,
-    },
     # Streaming data plane (bench_data): length-bucketed batching must keep
     # widening the per-batch total-length spread vs uniform sampling — the
     # Figure 2(b) load imbalance the paper's whole mitigation targets. The
@@ -91,7 +85,7 @@ ABSOLUTE_CEILINGS = {
     # round at world=1000 relative to world=10. The count is a property of
     # the dispatch protocol (not of the machine), so growth past 2x means a
     # controller started doing per-world work per worker — the O(1) claim
-    # the sharded controller exists for.
+    # the per-group controllers and their ready tallies exist for.
     "scale_w1000": {"controller_msgs_flatness_vs_w10": 2.0},
 }
 
@@ -176,8 +170,6 @@ BASE_SAMPLE = {
          "reached_target": 1.0},
         {"label": "scale_w1000", "completed": 1.0,
          "controller_msgs_flatness_vs_w10": 1.2},
-        {"label": "scale_elastic_w100", "completed": 1.0,
-         "workers_joined": 2.0, "workers_left": 1.0},
         {"label": "shard_view_w1000", "sample_bytes_copied": 0.0,
          "index_bytes": 32000.0},
         {"label": "fig2_bucketing", "batch_len_cv_uniform": 0.14,
@@ -259,26 +251,23 @@ def self_test():
     # A 1000-worker run that stops short of its scheduled rounds fails.
     run(lambda c: c["rows"][5].__setitem__("completed", 0.0),
         expect_problems=True)
-    # An elastic run that loses a scheduled join fails its floor.
-    run(lambda c: c["rows"][6].__setitem__("workers_joined", 1.0),
-        expect_problems=True)
     # A single byte of shard-sample copying at world=1000 breaks the
     # zero-copy ceiling (one copied view replicates the dataset ×world).
-    run(lambda c: c["rows"][7].__setitem__("sample_bytes_copied", 768.0),
+    run(lambda c: c["rows"][6].__setitem__("sample_bytes_copied", 768.0),
         expect_problems=True)
     # Index bytes are informational: per-worker bookkeeping may grow
     # without tripping any gate.
-    run(lambda c: c["rows"][7].__setitem__("index_bytes", 64000.0),
+    run(lambda c: c["rows"][6].__setitem__("index_bytes", 64000.0),
         expect_problems=False)
     # Bucketed batching collapsing toward uniform's spread (ratio < 2)
     # means batches stopped tracking the length distribution — the Fig. 2
     # imbalance the data plane must reproduce.
-    run(lambda c: c["rows"][8].__setitem__(
+    run(lambda c: c["rows"][7].__setitem__(
             "cv_ratio_bucketed_vs_uniform", 1.3),
         expect_problems=True)
     # The ratio floor is absolute, not baseline-relative: 2.5 passes even
     # though it is >20% below the 3.6 baseline.
-    run(lambda c: c["rows"][8].__setitem__(
+    run(lambda c: c["rows"][7].__setitem__(
             "cv_ratio_bucketed_vs_uniform", 2.5),
         expect_problems=False)
 
@@ -287,7 +276,7 @@ def self_test():
         for f in failures:
             print(f"  - {f}")
         return 1
-    print("bench_gate self-test OK (20 cases)")
+    print("bench_gate self-test OK (19 cases)")
     return 0
 
 
