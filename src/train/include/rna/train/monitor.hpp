@@ -23,9 +23,28 @@
 
 namespace rna::train {
 
-/// Evaluates `params` on a dataset in bounded slices. `max_samples` > 0
-/// caps the evaluation to the first that many samples.
-nn::BatchResult EvaluateDataset(nn::Network& net, std::span<const float> params,
+/// Samples per slice of the end-of-run evaluation. A replica's arena grows
+/// to one slice's scratch and no further; 96 is also the monitor's
+/// subsample on the benchmark's workloads, and per-sample cost is no
+/// higher than in larger slices.
+inline constexpr std::size_t kEvalSliceSamples = 96;
+
+/// The final train loss is measured on this many leading training samples.
+inline constexpr std::size_t kFinalTrainSamples = 2048;
+
+/// Evaluates `params` on the first `max_samples` samples of `dataset` (all
+/// of them when 0), cut into kEvalSliceSamples-sample slices. The calling
+/// thread runs replicas[0]; one helper thread per further replica runs
+/// that replica, with at most std::thread::hardware_concurrency() threads
+/// in all and no more threads than slices. Each thread takes slices from a
+/// shared counter. A replica is touched only once its thread has claimed a
+/// slice: the thread then leaves the replica's arena exact mode and loads
+/// `params`, once. The result adds up the slices in slice order, so it is
+/// the same bit for bit whichever replica ran which slice and however many
+/// ran. The replicas must be idle copies of one model. A replica's
+/// exception is rethrown after every helper thread has been joined.
+nn::BatchResult EvaluateDataset(std::span<nn::Network* const> replicas,
+                                std::span<const float> params,
                                 const data::Dataset& dataset,
                                 std::size_t max_samples = 0);
 
@@ -51,8 +70,10 @@ class EvalMonitor {
   bool ReachedTarget() const { return reached_target_; }
   bool EarlyStopped() const { return early_stopped_; }
 
-  /// Full-validation-set evaluation of the given parameters.
-  nn::BatchResult FullEval(std::span<const float> params);
+  /// The monitor's replica and its validation view. The replica is idle
+  /// once Finish() has joined the thread; FinishRun evaluates on it.
+  nn::Network& Net() { return *net_; }
+  const data::ShardView& Validation() const { return val_; }
 
  private:
   void Loop();
@@ -86,13 +107,17 @@ class EvalMonitor {
 
 class WorkerContext;
 
-/// The tail every runner shares, called after monitor.Finish(): stamps the
-/// wall time and the monitor's target/early-stop verdicts and curve,
-/// merges each worker's compute account with the runner's own wait/comm
-/// accounts (`wait_comm[w]`), stores `final_params`, and evaluates them on
-/// the full validation set (final loss and accuracy) and on the first 2048
-/// training samples (final train loss). Runner-specific counters are the
-/// caller's.
+/// The tail every runner shares, called after monitor.Finish() and after
+/// every worker thread has been joined: stamps the wall time and the
+/// monitor's target/early-stop verdicts and curve, merges each worker's
+/// compute account with the runner's own wait/comm accounts
+/// (`wait_comm[w]`), stores `final_params`, and evaluates them on the full
+/// validation set (final loss and accuracy) and on the first
+/// kFinalTrainSamples training samples (final train loss). Both jobs run
+/// as one slice queue over the now idle replicas, the monitor's first and
+/// then each worker's, with the rules of EvaluateDataset; the pass is one
+/// `final_eval` span on the `main` track (args: `replicas` given a thread,
+/// `slices`). Runner-specific counters are the caller's.
 void FinishRun(TrainResult& result, common::Seconds wall_seconds,
                EvalMonitor& monitor,
                std::span<const std::unique_ptr<WorkerContext>> workers,

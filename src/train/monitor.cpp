@@ -1,6 +1,10 @@
 #include "rna/train/monitor.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <limits>
+#include <thread>
 
 #include "rna/common/check.hpp"
 #include "rna/obs/metrics.hpp"
@@ -61,39 +65,108 @@ nn::BatchResult EvalMonitor::EvalSubsample(std::span<const float> params) {
   return net_->Evaluate(val_.MakeBatch(indices));
 }
 
-nn::BatchResult EvaluateDataset(nn::Network& net, std::span<const float> params,
-                                const data::Dataset& dataset,
-                                std::size_t max_samples) {
-  // A training replica arrives here with its arena pinned to the training
-  // batch's high-water; eval slices are far larger, so let the short
-  // region grow again for this terminal pass.
-  if (net.ArenaEnabled() && net.ComputeArena().ExactMode()) {
-    net.ComputeArena().Relax();
+namespace {
+
+// The first `max_samples` samples of one view (all of them when 0).
+struct EvalJob {
+  const data::ShardView* view;
+  std::size_t max_samples;
+};
+
+struct EvalPass {
+  std::vector<nn::BatchResult> results;  // one per job, in job order
+  std::size_t threads = 0;
+  std::size_t slices = 0;
+};
+
+// The one end-of-run evaluator, behind EvaluateDataset and FinishRun: every
+// job is cut into kEvalSliceSamples-sample slices, and the threads (see
+// EvaluateDataset) drain one queue of them.
+EvalPass EvaluateJobs(std::span<nn::Network* const> replicas,
+                      std::span<const float> params,
+                      std::span<const EvalJob> jobs) {
+  RNA_CHECK_MSG(!replicas.empty(), "evaluation needs a replica");
+  struct Slice {
+    std::size_t job, start, count;
+  };
+  std::vector<Slice> slices;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const std::size_t size = jobs[j].view->Size();
+    const std::size_t limit =
+        jobs[j].max_samples > 0 ? std::min(jobs[j].max_samples, size) : size;
+    for (std::size_t start = 0; start < limit; start += kEvalSliceSamples) {
+      slices.push_back({j, start, std::min(kEvalSliceSamples, limit - start)});
+    }
   }
-  net.SetParamsFrom(params);
-  // Evaluate in slices to bound per-batch memory for sequence datasets;
-  // slicing goes through a zero-copy view, no scratch index vector.
-  const data::ShardView view = data::ShardView::All(dataset);
-  nn::BatchResult total;
-  const std::size_t limit = max_samples > 0
-                                ? std::min(max_samples, dataset.Size())
-                                : dataset.Size();
-  const std::size_t slice = 512;
-  double loss_weighted = 0.0;
-  for (std::size_t start = 0; start < limit; start += slice) {
-    const std::size_t end = std::min(start + slice, limit);
-    nn::BatchResult r = net.Evaluate(view.MakeBatchRange(start, end - start));
-    total.correct += r.correct;
-    total.total += r.total;
-    loss_weighted += r.loss * static_cast<double>(r.total);
+  const std::size_t hardware =
+      std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t threads =
+      std::min({replicas.size(), hardware, slices.size()});
+
+  std::vector<nn::BatchResult> per_slice(slices.size());
+  std::vector<std::exception_ptr> failures(threads);
+  std::atomic<std::size_t> next{0};
+  auto drain = [&](std::size_t t) {
+    try {
+      nn::Network& net = *replicas[t];
+      bool loaded = false;
+      for (std::size_t s; (s = next.fetch_add(1)) < slices.size();) {
+        if (!loaded) {
+          // A training replica's arena is pinned to a training batch; a
+          // slice may need more, and at most one slice's worth.
+          net.ComputeArena().Relax();
+          net.SetParamsFrom(params);
+          loaded = true;
+        }
+        const Slice& slice = slices[s];
+        per_slice[s] = net.Evaluate(
+            jobs[slice.job].view->MakeBatchRange(slice.start, slice.count));
+      }
+    } catch (...) {
+      failures[t] = std::current_exception();
+      next.store(slices.size());  // the others stop claiming slices
+    }
+  };
+  std::vector<std::thread> helpers;
+  helpers.reserve(threads);
+  for (std::size_t t = 1; t < threads; ++t) {
+    try {
+      helpers.emplace_back(drain, t);
+    } catch (...) {
+      break;  // a helper that cannot start leaves its slices to the others
+    }
   }
-  total.loss = total.total ? loss_weighted / static_cast<double>(total.total)
-                           : 0.0;
-  return total;
+  if (threads > 0) drain(0);
+  for (std::thread& helper : helpers) helper.join();
+  for (const std::exception_ptr& failure : failures) {
+    if (failure) std::rethrow_exception(failure);
+  }
+
+  // Slice order, whichever thread ran each slice: the sums below are the
+  // same bit for bit for any thread count.
+  EvalPass pass{std::vector<nn::BatchResult>(jobs.size()),
+                threads > 0 ? 1 + helpers.size() : 0, slices.size()};
+  for (std::size_t s = 0; s < slices.size(); ++s) {
+    nn::BatchResult& total = pass.results[slices[s].job];
+    total.correct += per_slice[s].correct;
+    total.total += per_slice[s].total;
+    total.loss += per_slice[s].loss * static_cast<double>(per_slice[s].total);
+  }
+  for (nn::BatchResult& total : pass.results) {
+    if (total.total > 0) total.loss /= static_cast<double>(total.total);
+  }
+  return pass;
 }
 
-nn::BatchResult EvalMonitor::FullEval(std::span<const float> params) {
-  return EvaluateDataset(*net_, params, val_.Owner());
+}  // namespace
+
+nn::BatchResult EvaluateDataset(std::span<nn::Network* const> replicas,
+                                std::span<const float> params,
+                                const data::Dataset& dataset,
+                                std::size_t max_samples) {
+  const data::ShardView view = data::ShardView::All(dataset);
+  const EvalJob job{&view, max_samples};
+  return EvaluateJobs(replicas, params, {&job, 1}).results[0];
 }
 
 void EvalMonitor::Loop() {
@@ -156,13 +229,20 @@ void FinishRun(TrainResult& result, common::Seconds wall_seconds,
     result.breakdown[w].comm = wait_comm[w].comm;
   }
   result.final_params = std::move(final_params);
-  const nn::BatchResult final_eval = monitor.FullEval(result.final_params);
-  result.final_loss = final_eval.loss;
-  result.final_accuracy = final_eval.Accuracy();
-  result.final_train_loss = EvaluateDataset(workers[0]->Net(),
-                                            result.final_params, train_data,
-                                            2048)
-                                .loss;
+
+  obs::ScopedTimer span(obs::RegisterTrack("main"), obs::Category::kOther,
+                        "final_eval");
+  std::vector<nn::Network*> replicas{&monitor.Net()};
+  for (const auto& worker : workers) replicas.push_back(&worker->Net());
+  const data::ShardView train = data::ShardView::All(train_data);
+  const EvalJob jobs[] = {{&monitor.Validation(), 0},
+                          {&train, kFinalTrainSamples}};
+  const EvalPass pass = EvaluateJobs(replicas, result.final_params, jobs);
+  span.SetArg("replicas", static_cast<double>(pass.threads));
+  span.SetArg("slices", static_cast<double>(pass.slices));
+  result.final_loss = pass.results[0].loss;
+  result.final_accuracy = pass.results[0].Accuracy();
+  result.final_train_loss = pass.results[1].loss;
 }
 
 }  // namespace rna::train

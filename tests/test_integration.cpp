@@ -10,6 +10,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "rna/baselines/baselines.hpp"
 #include "rna/common/clock.hpp"
@@ -376,16 +377,116 @@ TEST(Integration, LrDecayScheduleOnHorovod) {
 
 TEST(Integration, FinalParamsMatchReportedAccuracy) {
   // The returned final_params must be the model the final metrics describe.
+  // The run evaluated them on several replicas and this check on one; the
+  // slice-order combine makes the two agree bit for bit.
   Scenario s = MakeMlpScenario();
   TrainerConfig c = BaseConfig(Protocol::kRna, 100);
   const TrainResult r = RunTraining(c, s.factory, s.train, s.val);
   ASSERT_FALSE(r.final_params.empty());
   auto net = s.factory(c.model_seed);
   ASSERT_EQ(r.final_params.size(), net->ParamCount());
+  nn::Network* const replica = net.get();
   const nn::BatchResult eval =
-      train::EvaluateDataset(*net, r.final_params, s.val);
-  EXPECT_NEAR(eval.loss, r.final_loss, 1e-6);
-  EXPECT_NEAR(eval.Accuracy(), r.final_accuracy, 1e-9);
+      train::EvaluateDataset({&replica, 1}, r.final_params, s.val);
+  EXPECT_EQ(eval.loss, r.final_loss);
+  EXPECT_EQ(eval.Accuracy(), r.final_accuracy);
+}
+
+TEST(Integration, FinalTrainLossCoversTheLeadingTrainingSamples) {
+  // final_train_loss is the loss of final_params on the first
+  // kFinalTrainSamples training samples, not on the whole set.
+  Scenario s = MakeMlpScenario();
+  data::Dataset all = data::MakeGaussianClusters(3000, 8, 4, 0.35, 1);
+  std::tie(s.train, s.val) = all.SplitHoldout(0.2);
+  ASSERT_GT(s.train.Size(), train::kFinalTrainSamples);
+  TrainerConfig c = BaseConfig(Protocol::kHorovod, 40);
+  const TrainResult r = RunTraining(c, s.factory, s.train, s.val);
+  auto net = s.factory(c.model_seed);
+  nn::Network* const replica = net.get();
+  const nn::BatchResult leading = train::EvaluateDataset(
+      {&replica, 1}, r.final_params, s.train, train::kFinalTrainSamples);
+  EXPECT_EQ(leading.total, train::kFinalTrainSamples);
+  EXPECT_EQ(r.final_train_loss, leading.loss);
+  EXPECT_NE(r.final_train_loss,
+            train::EvaluateDataset({&replica, 1}, r.final_params, s.train)
+                .loss);
+}
+
+TEST(Integration, FinalEvaluationIsOneSpanAfterTraining) {
+  // The end-of-run pass is one `final_eval` span on the main track, after
+  // the training clock, carrying the replicas it ran on and its slices.
+  Scenario s = MakeMlpScenario();
+  const TrainerConfig c = BaseConfig(Protocol::kRna, 30);
+  obs::Session session;
+  RunTraining(c, s.factory, s.train, s.val);
+
+  // 240 validation samples and 960 training samples, in 96-sample slices.
+  const double slices = 3 + 10;
+  const double replicas = static_cast<double>(std::min<std::size_t>(
+      {c.world + 1, std::max(1u, std::thread::hardware_concurrency()), 13}));
+  const auto tracks = session.Trace().Snapshot();
+  const auto main_track =
+      std::find_if(tracks.begin(), tracks.end(),
+                   [](const auto& track) { return track.name == "main"; });
+  ASSERT_NE(main_track, tracks.end());
+  const obs::Span* final_eval = nullptr;
+  const obs::Span* train_total = nullptr;
+  for (const obs::Span& span : main_track->spans) {
+    if (std::strcmp(span.name, "final_eval") == 0) final_eval = &span;
+    if (std::strcmp(span.name, "train_total") == 0) train_total = &span;
+  }
+  ASSERT_NE(final_eval, nullptr);
+  ASSERT_NE(train_total, nullptr);
+  EXPECT_STREQ(final_eval->arg_keys[0], "replicas");
+  EXPECT_EQ(final_eval->arg_vals[0], replicas);
+  EXPECT_STREQ(final_eval->arg_keys[1], "slices");
+  EXPECT_EQ(final_eval->arg_vals[1], slices);
+  EXPECT_GE(final_eval->start, train_total->start + train_total->duration);
+  EXPECT_GT(final_eval->duration, 0.0);
+
+  std::stringstream io;
+  obs::ExportChromeTrace(session.Trace(), io);
+  const obs::ParsedTrace parsed = obs::ParseChromeTrace(io);
+  const auto exported = std::find_if(
+      parsed.events.begin(), parsed.events.end(),
+      [](const obs::TraceEvent& ev) { return ev.name == "final_eval"; });
+  ASSERT_NE(exported, parsed.events.end());
+  EXPECT_EQ(exported->args.at("replicas"), replicas);
+  EXPECT_EQ(exported->args.at("slices"), slices);
+}
+
+TEST(Integration, FinalEvaluationFailureReachesTheCaller) {
+  // A replica that throws in the end-of-run pass, on the calling thread or
+  // on a helper, must surface as an exception from RunTraining once every
+  // helper is joined, not end the process. Only batches larger than the
+  // monitor's subsample throw, so training and its periodic evals finish.
+  constexpr std::size_t kSubsample = 32;
+  class FailingMlp final : public nn::MlpClassifier {
+   public:
+    explicit FailingMlp(std::uint64_t seed)
+        : nn::MlpClassifier(std::vector<std::size_t>{8, 24, 4}, seed) {}
+    nn::BatchResult Evaluate(const nn::Batch& batch) override {
+      if (batch.Size() > kSubsample) {
+        throw std::runtime_error("final evaluation failed");
+      }
+      return nn::MlpClassifier::Evaluate(batch);
+    }
+  };
+  Scenario s = MakeMlpScenario();
+  s.factory = [](std::uint64_t seed) {
+    return std::make_unique<FailingMlp>(seed);
+  };
+  for (const Protocol protocol : {Protocol::kRna, Protocol::kHorovod}) {
+    SCOPED_TRACE(train::ProtocolName(protocol));
+    TrainerConfig c = BaseConfig(protocol, 20);
+    c.eval_samples = kSubsample;
+    try {
+      RunTraining(c, s.factory, s.train, s.val);
+      ADD_FAILURE() << "RunTraining returned";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "final evaluation failed");
+    }
+  }
 }
 
 TEST(Integration, LstmSequenceWorkloadLearns) {

@@ -211,12 +211,71 @@ TEST(EvalMonitor, EarlyStopsAfterPatience) {
 TEST(EvaluateDataset, CapsSampleCount) {
   data::Dataset ds = data::MakeGaussianClusters(100, 4, 2, 0.4, 8);
   auto net = MlpFactory()(1);
+  nn::Network* const replica = net.get();
   std::vector<float> params(net->ParamCount());
   net->CopyParamsTo(params);
-  const nn::BatchResult capped = EvaluateDataset(*net, params, ds, 10);
+  const nn::BatchResult capped =
+      EvaluateDataset({&replica, 1}, params, ds, 10);
   EXPECT_EQ(capped.total, 10u);
-  const nn::BatchResult full = EvaluateDataset(*net, params, ds);
+  const nn::BatchResult full = EvaluateDataset({&replica, 1}, params, ds);
   EXPECT_EQ(full.total, 100u);
+}
+
+// EvaluateDataset with 1, 2 and 4 replicas of `factory`'s model must agree
+// bit for bit, and with one Evaluate of the whole evaluated range.
+void ExpectReplicaCountInvariant(const ModelFactory& factory,
+                                 const data::Dataset& ds,
+                                 std::size_t max_samples) {
+  std::vector<std::unique_ptr<nn::Network>> nets;
+  std::vector<nn::Network*> replicas;
+  for (int i = 0; i < 4; ++i) {
+    nets.push_back(factory(3));
+    replicas.push_back(nets.back().get());
+  }
+  // Nudged off the initial parameters, so the logits are far from uniform.
+  std::vector<float> params(nets[0]->ParamCount());
+  nets[0]->CopyParamsTo(params);
+  common::Rng rng(17);
+  for (float& p : params) p += 0.3f * static_cast<float>(rng.Normal());
+
+  const std::size_t limit = max_samples > 0 ? max_samples : ds.Size();
+  const nn::BatchResult one =
+      EvaluateDataset({replicas.data(), 1}, params, ds, max_samples);
+  EXPECT_EQ(one.total, limit);
+  for (const std::size_t n : {2u, 4u}) {
+    SCOPED_TRACE(n);
+    const nn::BatchResult many =
+        EvaluateDataset({replicas.data(), n}, params, ds, max_samples);
+    EXPECT_EQ(many.loss, one.loss);  // bitwise
+    EXPECT_EQ(many.correct, one.correct);
+    EXPECT_EQ(many.total, one.total);
+  }
+
+  auto whole_net = factory(3);
+  whole_net->SetParamsFrom(params);
+  const nn::BatchResult whole =
+      whole_net->Evaluate(data::ShardView::All(ds).MakeBatchRange(0, limit));
+  EXPECT_EQ(one.correct, whole.correct);
+  EXPECT_NEAR(one.loss, whole.loss, 1e-12 * whole.loss);
+}
+
+TEST(EvaluateDataset, ReplicaCountDoesNotChangeTheResult) {
+  {
+    SCOPED_TRACE("250 sequences, not a multiple of the slice");
+    data::LengthModel lengths{.mean = 10, .stddev = 5, .min_len = 2,
+                              .max_len = 30};
+    const data::Dataset ds =
+        data::MakeSequenceDataset(250, 3, 3, lengths, 0.5, 21);
+    const ModelFactory lstm = [](std::uint64_t seed) {
+      return std::make_unique<nn::LstmClassifier>(3, 8, 3, seed, 0.0);
+    };
+    ExpectReplicaCountInvariant(lstm, ds, 0);
+  }
+  {
+    SCOPED_TRACE("1000 dense samples capped at 333");
+    const data::Dataset ds = data::MakeGaussianClusters(1000, 4, 2, 1.5, 22);
+    ExpectReplicaCountInvariant(MlpFactory(), ds, 333);
+  }
 }
 
 TEST(WorkerContext, ArenaPinnedAfterWarmupWithZeroChunkGrowth) {
@@ -278,9 +337,39 @@ TEST(EvaluateDataset, RelaxesPinnedTrainingReplica) {
   std::vector<float> grad(worker.Dim());
   worker.ComputeGradient(params, grad);
   ASSERT_TRUE(worker.Net().ComputeArena().ExactMode());
-  const nn::BatchResult r = EvaluateDataset(worker.Net(), params, ds);
+  nn::Network* const replica = &worker.Net();
+  const nn::BatchResult r = EvaluateDataset({&replica, 1}, params, ds);
   EXPECT_EQ(r.total, 64u);
   EXPECT_FALSE(worker.Net().ComputeArena().ExactMode());
+}
+
+TEST(EvaluateDataset, PinnedReplicaGrowsToOneSliceAtMost) {
+  // The end-of-run pass must not grow a training replica's arena past one
+  // kEvalSliceSamples-sample evaluation, however large the dataset. With
+  // every sequence the same length, each full slice needs the same scratch
+  // as a fresh replica's one 96-sample batch.
+  data::LengthModel lengths{.mean = 20, .stddev = 0, .min_len = 20,
+                            .max_len = 20};
+  data::Dataset ds = data::MakeSequenceDataset(640, 3, 2, lengths, 0.1, 23);
+  TrainerConfig config = SmallConfig(1);
+  config.batch_size = 4;
+  ModelFactory lstm = [](std::uint64_t seed) {
+    return std::make_unique<nn::LstmClassifier>(3, 16, 2, seed, 0.0);
+  };
+  WorkerContext worker(0, config, lstm, ds);
+  std::vector<float> params = InitialParams(config, lstm);
+  std::vector<float> grad(worker.Dim());
+  worker.ComputeGradient(params, grad);
+  ASSERT_TRUE(worker.Net().ComputeArena().ExactMode());
+  nn::Network* const replica = &worker.Net();
+  EXPECT_EQ(EvaluateDataset({&replica, 1}, params, ds).total, 640u);
+
+  auto fresh = lstm(config.model_seed);
+  fresh->SetParamsFrom(params);
+  fresh->Evaluate(
+      data::ShardView::All(ds).MakeBatchRange(0, kEvalSliceSamples));
+  EXPECT_LE(worker.Net().ComputeArena().Stats().short_high_water,
+            fresh->ComputeArena().Stats().short_high_water);
 }
 
 TEST(WorkerContext, SteadyStateConsumesPrefetchedBatches) {
