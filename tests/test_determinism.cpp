@@ -274,6 +274,20 @@ TEST(GoldenPins, LockstepRnaHierarchicalTwoGroups) {
       {0x7156140eda9d0ac8ull, 8, 32, {2, 2, 2, 2, 2, 2, 2, 2}, 4});
 }
 
+// Identical to flat RNA's pin too: with every worker in every round, BSP's
+// average and RNA's re-weighted partial sum are the same arithmetic.
+TEST(GoldenPins, LockstepHorovod) {
+  ExpectPinned(LockstepConfig(Protocol::kHorovod), 11,
+               {0xb92691e8fbd7e7fdull, 6, 18, {3, 3, 3, 3, 3, 3}, 3});
+}
+
+// The gate serializes the gossip into rank order; AD-PSGD records no
+// per-round contributors.
+TEST(GoldenPins, LockstepAdPsgd) {
+  ExpectPinned(LockstepConfig(Protocol::kAdPsgd), 11,
+               {0x6ca037e945ada66cull, 6, 18, {}, 3});
+}
+
 TEST(GoldenPins, RnaStragglarInt8) {
   TrainerConfig c = LockstepConfig(Protocol::kRna);
   c.schedule = collectives::Schedule::kStragglar;
