@@ -26,8 +26,6 @@ class ProbePolicy final : public train::TriggerPolicy {
     return false;
   }
 
-  const char* Name() const override { return "probe"; }
-
  private:
   std::size_t choices_;
   std::vector<std::size_t> probes_;

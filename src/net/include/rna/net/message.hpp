@@ -13,11 +13,13 @@ namespace rna::net {
 
 using Rank = std::size_t;
 
+// Every field has an initializer, so `{.tag = t, .meta = m}` may omit the
+// rest.
 struct Message {
   Rank src = 0;
   int tag = 0;
-  std::vector<std::int64_t> meta;
-  std::vector<float> data;
+  std::vector<std::int64_t> meta = {};
+  std::vector<float> data = {};
 
   std::size_t ByteSize() const {
     return meta.size() * sizeof(std::int64_t) + data.size() * sizeof(float);

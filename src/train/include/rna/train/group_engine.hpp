@@ -46,15 +46,13 @@ class TriggerPolicy {
 
   /// Called once at the start of each round (e.g., to sample fresh probes)
   /// with the size of the controller's group.
-  virtual void BeginRound(std::size_t world, common::Rng& rng) = 0;
+  virtual void BeginRound(std::size_t /*world*/, common::Rng& /*rng*/) {}
 
   /// `ready.Count(i)` = buffered-gradient count of the group's i-th member
   /// (as known from notifications); `ready.ReadyRanks()` is the O(1)
   /// ready tally, so a policy decision never scans the group.
   /// Return true to trigger the collective now.
   virtual bool ShouldTrigger(const ReadinessBoard& ready) = 0;
-
-  virtual const char* Name() const = 0;
 };
 
 using TriggerPolicyFactory = std::function<std::unique_ptr<TriggerPolicy>()>;

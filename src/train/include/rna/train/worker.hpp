@@ -32,6 +32,8 @@ class WorkerContext {
   std::size_t Dim() const { return dim_; }
   nn::Network& Net() { return *net_; }
   nn::SgdMomentum& Optimizer() { return optimizer_; }
+  /// The worker's time accounts. ComputeGradient keeps compute and
+  /// iterations; the runner's threads time wait and comm into the others.
   WorkerTimeBreakdown& Times() { return times_; }
   /// The worker's batch stream (tests assert steady-state steps consume
   /// prefetched batches and that shard storage is shared, not copied).
@@ -89,15 +91,5 @@ class WorkerContext {
   bool record_spans_ = true;
   bool arena_pinned_ = false;
 };
-
-/// Builds one context per rank; all replicas share config.model_seed so
-/// they start from identical parameters.
-std::vector<std::unique_ptr<WorkerContext>> MakeWorkers(
-    const TrainerConfig& config, const ModelFactory& factory,
-    const data::Dataset& train_data);
-
-/// Initial flat parameter vector of a fresh replica.
-std::vector<float> InitialParams(const TrainerConfig& config,
-                                 const ModelFactory& factory);
 
 }  // namespace rna::train

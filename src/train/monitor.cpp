@@ -9,7 +9,6 @@
 #include "rna/common/check.hpp"
 #include "rna/obs/metrics.hpp"
 #include "rna/obs/trace.hpp"
-#include "rna/train/worker.hpp"
 
 namespace rna::train {
 
@@ -65,23 +64,7 @@ nn::BatchResult EvalMonitor::EvalSubsample(std::span<const float> params) {
   return net_->Evaluate(val_.MakeBatch(indices));
 }
 
-namespace {
-
-// The first `max_samples` samples of one view (all of them when 0).
-struct EvalJob {
-  const data::ShardView* view;
-  std::size_t max_samples;
-};
-
-struct EvalPass {
-  std::vector<nn::BatchResult> results;  // one per job, in job order
-  std::size_t threads = 0;
-  std::size_t slices = 0;
-};
-
-// The one end-of-run evaluator, behind EvaluateDataset and FinishRun: every
-// job is cut into kEvalSliceSamples-sample slices, and the threads (see
-// EvaluateDataset) drain one queue of them.
+// Every job is cut into slices, and the threads drain one queue of them.
 EvalPass EvaluateJobs(std::span<nn::Network* const> replicas,
                       std::span<const float> params,
                       std::span<const EvalJob> jobs) {
@@ -158,8 +141,6 @@ EvalPass EvaluateJobs(std::span<nn::Network* const> replicas,
   return pass;
 }
 
-}  // namespace
-
 nn::BatchResult EvaluateDataset(std::span<nn::Network* const> replicas,
                                 std::span<const float> params,
                                 const data::Dataset& dataset,
@@ -210,39 +191,6 @@ void EvalMonitor::Loop() {
       return;
     }
   }
-}
-
-void FinishRun(TrainResult& result, common::Seconds wall_seconds,
-               EvalMonitor& monitor,
-               std::span<const std::unique_ptr<WorkerContext>> workers,
-               std::span<const WorkerTimeBreakdown> wait_comm,
-               std::vector<float> final_params,
-               const data::Dataset& train_data) {
-  result.wall_seconds = wall_seconds;
-  result.reached_target = monitor.ReachedTarget();
-  result.early_stopped = monitor.EarlyStopped();
-  result.curve = monitor.Curve();
-  result.breakdown.resize(workers.size());
-  for (std::size_t w = 0; w < workers.size(); ++w) {
-    result.breakdown[w] = workers[w]->Times();
-    result.breakdown[w].wait = wait_comm[w].wait;
-    result.breakdown[w].comm = wait_comm[w].comm;
-  }
-  result.final_params = std::move(final_params);
-
-  obs::ScopedTimer span(obs::RegisterTrack("main"), obs::Category::kOther,
-                        "final_eval");
-  std::vector<nn::Network*> replicas{&monitor.Net()};
-  for (const auto& worker : workers) replicas.push_back(&worker->Net());
-  const data::ShardView train = data::ShardView::All(train_data);
-  const EvalJob jobs[] = {{&monitor.Validation(), 0},
-                          {&train, kFinalTrainSamples}};
-  const EvalPass pass = EvaluateJobs(replicas, result.final_params, jobs);
-  span.SetArg("replicas", static_cast<double>(pass.threads));
-  span.SetArg("slices", static_cast<double>(pass.slices));
-  result.final_loss = pass.results[0].loss;
-  result.final_accuracy = pass.results[0].Accuracy();
-  result.final_train_loss = pass.results[1].loss;
 }
 
 }  // namespace rna::train

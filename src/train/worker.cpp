@@ -117,25 +117,4 @@ common::Seconds WorkerContext::MeasureIterationTime(
   return elapsed / static_cast<double>(iters);
 }
 
-std::vector<std::unique_ptr<WorkerContext>> MakeWorkers(
-    const TrainerConfig& config, const ModelFactory& factory,
-    const data::Dataset& train_data) {
-  RNA_CHECK_MSG(config.world >= 1, "world must be >= 1");
-  std::vector<std::unique_ptr<WorkerContext>> workers;
-  workers.reserve(config.world);
-  for (std::size_t r = 0; r < config.world; ++r) {
-    workers.push_back(
-        std::make_unique<WorkerContext>(r, config, factory, train_data));
-  }
-  return workers;
-}
-
-std::vector<float> InitialParams(const TrainerConfig& config,
-                                 const ModelFactory& factory) {
-  auto net = factory(config.model_seed);
-  std::vector<float> params(net->ParamCount());
-  net->CopyParamsTo(params);
-  return params;
-}
-
 }  // namespace rna::train

@@ -16,7 +16,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "chaos_util.hpp"
@@ -204,6 +206,36 @@ TEST(Chaos, KillWholeHierarchicalGroup) {
   for (float p : r.final_params) ASSERT_TRUE(std::isfinite(p));
 }
 
+// Free-running, a speed group whose members all fail-stop on the compute
+// side must not end the surviving group's session. The dead members' comm
+// threads still read their controller's exit plan, and that exit used to
+// raise the run-wide stop: the survivors then quit with rounds to go.
+TEST(Chaos, WholeGroupCrashLeavesTheSurvivorsTheirRounds) {
+  constexpr std::size_t kWorld = 4;
+  constexpr std::size_t kRounds = 200;
+  Scenario s = SmallScenario(20);
+  TrainerConfig c = ChaosConfig(Protocol::kRnaHierarchical, kWorld, kRounds);
+  c.calibration_iters = 2;
+  c.ps_sync_every = 2;
+  // Two clean speed tiers -> two groups: {0, 1} fast, {2, 3} slow.
+  c.delay_model = std::make_shared<sim::DeterministicSkewModel>(
+      0.0005, std::vector<common::Seconds>{0.0, 0.0, 0.02, 0.02});
+  c.delay_scale = 1.0;
+  for (const std::size_t rank : {std::size_t{2}, std::size_t{3}}) {
+    WorkerFaultSchedule w;
+    w.rank = rank;
+    w.crash_at_iteration = 1;
+    c.fault.workers.push_back(w);
+  }
+
+  const TrainResult r = core::RunTraining(c, s.factory, s.train, s.val);
+
+  EXPECT_EQ(r.live_workers, kWorld - 2);
+  // Rank 0's group records the rounds; it ran its whole schedule.
+  EXPECT_EQ(r.rounds, kRounds);
+  for (float p : r.final_params) ASSERT_TRUE(std::isfinite(p));
+}
+
 // The replay guarantee the suite is named for: a chaos run (lockstep +
 // scripted crash) is byte-for-byte reproducible from its seed — same final
 // parameters, same contributor trace, same death toll.
@@ -273,6 +305,47 @@ TEST(Chaos, AdPsgdSurvivesPeerCrash) {
   EXPECT_LT(r.final_loss, kChanceLoss);
   for (float p : r.final_params) ASSERT_TRUE(std::isfinite(p));
 }
+
+// Every rank fail-stops at its fourth batch, a schedule Validate() accepts.
+// Each runner must still return a model: with no live rank left, the result
+// comes from every rank. AD-PSGD used to abort on a survivors check here.
+class EveryRankCrashes
+    : public ::testing::TestWithParam<std::tuple<Protocol, bool>> {};
+
+TEST_P(EveryRankCrashes, StillReturnsAFiniteModel) {
+  const auto [protocol, lockstep] = GetParam();
+  Scenario s = SmallScenario(19);
+  TrainerConfig c = ChaosConfig(protocol, 2, 12);
+  c.lockstep = lockstep;
+  for (const std::size_t rank : {std::size_t{0}, std::size_t{1}}) {
+    WorkerFaultSchedule w;
+    w.rank = rank;
+    w.crash_at_iteration = 3;
+    c.fault.workers.push_back(w);
+  }
+  ASSERT_EQ(c.Validate(), "");
+
+  const TrainResult r = core::RunTraining(c, s.factory, s.train, s.val);
+
+  EXPECT_EQ(r.live_workers, 0u);
+  ASSERT_FALSE(r.final_params.empty());
+  for (float p : r.final_params) ASSERT_TRUE(std::isfinite(p));
+  EXPECT_TRUE(std::isfinite(r.final_loss));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Chaos, EveryRankCrashes,
+    ::testing::Combine(::testing::Values(Protocol::kRna, Protocol::kEagerSgd,
+                                         Protocol::kRnaHierarchical,
+                                         Protocol::kAdPsgd),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<Protocol, bool>>& info) {
+      std::string name = train::ProtocolName(std::get<0>(info.param));
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name + (std::get<1>(info.param) ? "_lockstep" : "_free");
+    });
 
 // The data plane under fire: 10% of all fabric traffic dropped while every
 // rank drives the timed AllreduceFor. An aborted attempt leaves a ring

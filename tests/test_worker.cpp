@@ -10,6 +10,7 @@
 
 #include "rna/data/generators.hpp"
 #include "rna/train/monitor.hpp"
+#include "rna/train/run.hpp"
 #include "rna/train/worker.hpp"
 
 namespace rna::train {
@@ -28,6 +29,15 @@ TrainerConfig SmallConfig(std::size_t world = 2) {
   c.batch_size = 4;
   c.seed = 5;
   return c;
+}
+
+// The parameters of a fresh replica, which every run starts from.
+std::vector<float> InitialParams(const TrainerConfig& config,
+                                 const ModelFactory& factory) {
+  auto net = factory(config.model_seed);
+  std::vector<float> params(net->ParamCount());
+  net->CopyParamsTo(params);
+  return params;
 }
 
 TEST(WorkerContext, ProducesGradientsAndCountsIterations) {
@@ -147,12 +157,20 @@ TEST(WorkerContext, CalibrationExcludesArenaPinWarmup) {
   EXPECT_TRUE(worker.Net().ComputeArena().ExactMode());
 }
 
-TEST(InitialParams, MatchesFactorySeed) {
-  const TrainerConfig config = SmallConfig();
-  const std::vector<float> a = InitialParams(config, MlpFactory());
-  const std::vector<float> b = InitialParams(config, MlpFactory());
-  EXPECT_EQ(a, b);
-  EXPECT_FALSE(a.empty());
+// A run's initial parameters are rank 0's untouched replica, which equals
+// a fresh replica built from config.model_seed; every worker starts there.
+TEST(RunScaffold, InitialParamsAreAFreshReplica) {
+  data::Dataset ds = data::MakeGaussianClusters(64, 4, 2, 0.4, 1);
+  const TrainerConfig config = SmallConfig(3);
+  train::Run run(config, MlpFactory(), ds, ds);
+  const std::vector<float> fresh = InitialParams(config, MlpFactory());
+  EXPECT_FALSE(fresh.empty());
+  EXPECT_EQ(run.Init(), fresh);
+  for (const auto& worker : run.Workers()) {
+    std::vector<float> params(worker->Dim());
+    worker->Net().CopyParamsTo(params);
+    EXPECT_EQ(params, fresh) << "rank " << worker->Rank();
+  }
 }
 
 TEST(EvalMonitor, RaisesStopOnTargetLoss) {
