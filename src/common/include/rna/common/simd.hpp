@@ -10,12 +10,13 @@
 //
 // The matmul family (MatMulNN/NT/TN, implemented in simd.cpp) extends the
 // same contract to the compute plane: each variant has a scalar reference
-// and a cache-blocked vectorized path whose per-element accumulation order
+// and a register-tiled vectorized path whose per-element accumulation order
 // is *identical* to the reference, so vectorized and scalar dispatch are
 // bitwise equal (tests/test_tensor.cpp sweeps awkward shapes to pin this):
 //   * NN and TN accumulate each C element over ascending k with one add per
-//     k and skip alpha·a == 0 contributions in both paths — blocking only
-//     reorders whole (i, k) row passes, never the per-element k order.
+//     k and skip alpha·a == 0 contributions in both paths — the wide path
+//     holds a chunk of up to 32 floats of one C row in registers across
+//     the whole k loop, which changes no element's k order.
 //   * NT splits the k reduction into 8 independent lanes combined by a
 //     fixed pairwise tree; the scalar reference simulates the same lanes.
 //
@@ -28,8 +29,9 @@
 // (tests/test_dataplane.cpp pins every tail length, the special values and
 // a ≤ 2 ulp bound against a double reference).
 //
-// The wide path uses GCC/Clang vector extensions (8 × f32, compiled to
-// AVX/NEON/whatever the target offers) with memcpy-based unaligned
+// The wide path uses GCC/Clang vector extensions (8 × f32 for the
+// elementwise family, 4 × f32 for the matmuls and activations; compiled to
+// SSE/AVX/NEON/whatever the target offers) with memcpy-based unaligned
 // load/store, so it needs no intrinsics header and works on any target the
 // repo builds on. `SetDispatch(Dispatch::kScalar)` forces the scalar
 // reference at runtime — the hook the equivalence suite and the kernel

@@ -27,49 +27,105 @@ inline float ReduceLanes(const float* lanes) {
          ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7]));
 }
 
-// Cache-blocking tile sizes for the wide kernels: a kBlockK × kBlockN tile
-// of B (32 KiB) stays L1-resident while it is streamed against rows of A.
-constexpr std::size_t kBlockK = 64;
-constexpr std::size_t kBlockN = 128;
-
 #if RNA_SIMD_VECTOR_EXT
 
-using detail::kLanes;
-using detail::Load;
-using detail::Store;
-using detail::V8f;
+// The matmul and activation wide paths run 4 × f32 vectors: on the
+// baseline x86-64 target one is an SSE register, while an 8-lane vector is
+// split into halves that round-trip through the stack.
+using V4f = float __attribute__((vector_size(16)));
+constexpr std::size_t kV4Lanes = 4;
 
-// C += av · brow over [0, n) — the j-inner body of the NN/TN kernels.
-inline void AccumulateRow(float* crow, const float* brow, float av,
-                          std::size_t n) {
-  std::size_t j = 0;
-  for (; j + kLanes <= n; j += kLanes) {
-    Store(crow + j, Load(crow + j) + Load(brow + j) * av);
+inline V4f Load4(const float* p) {
+  V4f v;
+  std::memcpy(&v, p, sizeof(V4f));
+  return v;
+}
+
+inline void Store4(float* p, V4f v) { std::memcpy(p, &v, sizeof(V4f)); }
+
+// NN/TN register tile: one C row's chunk of up to kTileRegs vectors stays in
+// registers while k runs 0..k ascending, so each C element gets exactly the
+// scalar reference's sequence — one add of av·b per k, av = alpha·A[i][k],
+// skipped when av == 0. A's row is read with stride `a_step` (1 for NN, m
+// for TN, whose A is stored k×m). The unroll pragmas fully unroll the
+// register loops; without them GCC keeps `acc` on the stack.
+constexpr std::size_t kTileRegs = 8;
+constexpr std::size_t kTileCols = kTileRegs * kV4Lanes;
+
+template <std::size_t kRegs>
+inline void RowTile(const float* a, std::size_t a_step, const float* b,
+                    std::size_t n, float* c, std::size_t k, float alpha) {
+  V4f acc[kRegs];
+#pragma GCC unroll 8
+  for (std::size_t v = 0; v < kRegs; ++v) acc[v] = Load4(c + v * kV4Lanes);
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float av = alpha * a[kk * a_step];
+    if (av == 0.0f) continue;
+    const float* brow = b + kk * n;
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < kRegs; ++v) {
+      acc[v] += Load4(brow + v * kV4Lanes) * av;
+    }
   }
-  for (; j < n; ++j) crow[j] += av * brow[j];
+#pragma GCC unroll 8
+  for (std::size_t v = 0; v < kRegs; ++v) Store4(c + v * kV4Lanes, acc[v]);
+}
+
+// C[0, cols) of one row for cols ≤ kTileCols: whole vectors through the
+// register tile, the last cols % 4 columns as scalars in the same order.
+inline void RowChunk(const float* a, std::size_t a_step, const float* b,
+                     std::size_t n, float* c, std::size_t k, float alpha,
+                     std::size_t cols) {
+  switch (cols / kV4Lanes) {
+    case 8: RowTile<8>(a, a_step, b, n, c, k, alpha); break;
+    case 7: RowTile<7>(a, a_step, b, n, c, k, alpha); break;
+    case 6: RowTile<6>(a, a_step, b, n, c, k, alpha); break;
+    case 5: RowTile<5>(a, a_step, b, n, c, k, alpha); break;
+    case 4: RowTile<4>(a, a_step, b, n, c, k, alpha); break;
+    case 3: RowTile<3>(a, a_step, b, n, c, k, alpha); break;
+    case 2: RowTile<2>(a, a_step, b, n, c, k, alpha); break;
+    case 1: RowTile<1>(a, a_step, b, n, c, k, alpha); break;
+    default: break;
+  }
+  for (std::size_t j = cols - cols % kV4Lanes; j < cols; ++j) {
+    float acc = c[j];
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float av = alpha * a[kk * a_step];
+      if (av == 0.0f) continue;
+      acc += av * b[kk * n + j];
+    }
+    c[j] = acc;
+  }
 }
 
 void WideMatMulNN(const float* a, const float* b, float* c, std::size_t m,
                   std::size_t k, std::size_t n, float alpha, float beta) {
   ApplyBeta(c, m * n, beta);
-  // Per C element the k loop still runs 0..k ascending (jb tiles are
-  // disjoint columns, kb tiles are visited in order), matching the scalar
-  // reference exactly.
-  for (std::size_t jb = 0; jb < n; jb += kBlockN) {
-    const std::size_t jn = std::min(kBlockN, n - jb);
-    for (std::size_t kb = 0; kb < k; kb += kBlockK) {
-      const std::size_t kn = std::min(kBlockK, k - kb);
-      for (std::size_t i = 0; i < m; ++i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * n + jb;
-        for (std::size_t kk = kb; kk < kb + kn; ++kk) {
-          const float av = alpha * arow[kk];
-          if (av == 0.0f) continue;
-          AccumulateRow(crow, b + kk * n + jb, av, jn);
-        }
-      }
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; j += kTileCols) {
+      RowChunk(a + i * k, 1, b + j, n, c + i * n + j, k, alpha,
+               std::min(kTileCols, n - j));
     }
   }
+}
+
+void WideMatMulTN(const float* a, const float* b, float* c, std::size_t m,
+                  std::size_t k, std::size_t n, float alpha, float beta) {
+  ApplyBeta(c, m * n, beta);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; j += kTileCols) {
+      RowChunk(a + i, m, b + j, n, c + i * n + j, k, alpha,
+               std::min(kTileCols, n - j));
+    }
+  }
+}
+
+// The NT kernel's 8 lanes as two 4-lane halves, lo = lanes 0–3 and hi =
+// lanes 4–7, folded by ReduceLanes' tree: (lo + hi) pairs lane l with
+// lane l + 4.
+inline float FoldLanes(V4f lo, V4f hi) {
+  const V4f s = lo + hi;
+  return (s[0] + s[1]) + (s[2] + s[3]);
 }
 
 void WideMatMulNT(const float* a, const float* b, float* c, std::size_t m,
@@ -89,27 +145,27 @@ void WideMatMulNT(const float* a, const float* b, float* c, std::size_t m,
       const float* b1 = b0 + k;
       const float* b2 = b1 + k;
       const float* b3 = b2 + k;
-      V8f acc0 = {0, 0, 0, 0, 0, 0, 0, 0};
-      V8f acc1 = {0, 0, 0, 0, 0, 0, 0, 0};
-      V8f acc2 = {0, 0, 0, 0, 0, 0, 0, 0};
-      V8f acc3 = {0, 0, 0, 0, 0, 0, 0, 0};
+      V4f lo0 = {0, 0, 0, 0}, hi0 = {0, 0, 0, 0};
+      V4f lo1 = {0, 0, 0, 0}, hi1 = {0, 0, 0, 0};
+      V4f lo2 = {0, 0, 0, 0}, hi2 = {0, 0, 0, 0};
+      V4f lo3 = {0, 0, 0, 0}, hi3 = {0, 0, 0, 0};
       std::size_t kk = 0;
-      for (; kk + kLanes <= k; kk += kLanes) {
-        const V8f av = Load(arow + kk);
-        acc0 += av * Load(b0 + kk);
-        acc1 += av * Load(b1 + kk);
-        acc2 += av * Load(b2 + kk);
-        acc3 += av * Load(b3 + kk);
+      for (; kk + 2 * kV4Lanes <= k; kk += 2 * kV4Lanes) {
+        const V4f alo = Load4(arow + kk);
+        const V4f ahi = Load4(arow + kk + kV4Lanes);
+        lo0 += alo * Load4(b0 + kk);
+        hi0 += ahi * Load4(b0 + kk + kV4Lanes);
+        lo1 += alo * Load4(b1 + kk);
+        hi1 += ahi * Load4(b1 + kk + kV4Lanes);
+        lo2 += alo * Load4(b2 + kk);
+        hi2 += ahi * Load4(b2 + kk + kV4Lanes);
+        lo3 += alo * Load4(b3 + kk);
+        hi3 += ahi * Load4(b3 + kk + kV4Lanes);
       }
-      float lanes[kLanes];
-      Store(lanes, acc0);
-      float s0 = ReduceLanes(lanes);
-      Store(lanes, acc1);
-      float s1 = ReduceLanes(lanes);
-      Store(lanes, acc2);
-      float s2 = ReduceLanes(lanes);
-      Store(lanes, acc3);
-      float s3 = ReduceLanes(lanes);
+      float s0 = FoldLanes(lo0, hi0);
+      float s1 = FoldLanes(lo1, hi1);
+      float s2 = FoldLanes(lo2, hi2);
+      float s3 = FoldLanes(lo3, hi3);
       for (; kk < k; ++kk) {
         const float av = arow[kk];
         s0 += av * b0[kk];
@@ -124,35 +180,15 @@ void WideMatMulNT(const float* a, const float* b, float* c, std::size_t m,
     }
     for (; j < n; ++j) {
       const float* brow = b + j * k;
-      V8f acc = {0, 0, 0, 0, 0, 0, 0, 0};
+      V4f lo = {0, 0, 0, 0}, hi = {0, 0, 0, 0};
       std::size_t kk = 0;
-      for (; kk + kLanes <= k; kk += kLanes) {
-        acc += Load(arow + kk) * Load(brow + kk);
+      for (; kk + 2 * kV4Lanes <= k; kk += 2 * kV4Lanes) {
+        lo += Load4(arow + kk) * Load4(brow + kk);
+        hi += Load4(arow + kk + kV4Lanes) * Load4(brow + kk + kV4Lanes);
       }
-      float lanes[kLanes];
-      Store(lanes, acc);
-      float s = ReduceLanes(lanes);
+      float s = FoldLanes(lo, hi);
       for (; kk < k; ++kk) s += arow[kk] * brow[kk];
       crow[j] += alpha * s;
-    }
-  }
-}
-
-void WideMatMulTN(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n, float alpha, float beta) {
-  ApplyBeta(c, m * n, beta);
-  // A is stored k×m, so the k loop is outermost; jb tiling keeps the C slab
-  // and the B row slice hot without touching the per-element k order.
-  for (std::size_t jb = 0; jb < n; jb += kBlockN) {
-    const std::size_t jn = std::min(kBlockN, n - jb);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float* arow = a + kk * m;
-      const float* brow = b + kk * n + jb;
-      for (std::size_t i = 0; i < m; ++i) {
-        const float av = alpha * arow[i];
-        if (av == 0.0f) continue;
-        AccumulateRow(c + i * n + jb, brow, av, jn);
-      }
     }
   }
 }
@@ -164,15 +200,12 @@ void WideMatMulTN(const float* a, const float* b, float* c, std::size_t m,
 // Each activation is one lane-generic body instantiated twice: at float
 // (the scalar reference) and at V4f (the wide path). Both instantiations
 // spell out the same operations in the same order, so each wide lane rounds
-// exactly like the reference. The wide path runs 4 lanes, not V8f's 8: on
-// the baseline x86-64 target 4 × f32 is one SSE register, while 8-lane
-// compares, selects and bit casts get split or scalarized (slower than
-// libm).
+// exactly like the reference. Like the matmuls, they run 4 lanes: 8-lane
+// compares, selects and bit casts get split or scalarized on the baseline
+// x86-64 target (slower than libm).
 
 #if RNA_SIMD_VECTOR_EXT
-using V4f = float __attribute__((vector_size(16)));
 using V4u = std::uint32_t __attribute__((vector_size(16)));
-constexpr std::size_t kActLanes = 4;
 #endif
 
 template <class F>
@@ -267,12 +300,7 @@ template <class Body>
 inline void WideActivation(const float* x, float* y, std::size_t n,
                            Body body) {
   std::size_t i = 0;
-  for (; i + kActLanes <= n; i += kActLanes) {
-    V4f v;
-    std::memcpy(&v, x + i, sizeof(V4f));
-    v = body(v);
-    std::memcpy(y + i, &v, sizeof(V4f));
-  }
+  for (; i + kV4Lanes <= n; i += kV4Lanes) Store4(y + i, body(Load4(x + i)));
   for (; i < n; ++i) y[i] = body(x[i]);
 }
 #endif

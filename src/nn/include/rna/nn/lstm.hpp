@@ -5,11 +5,12 @@
 // All sequences of a batch advance one time step together. A SequencePack
 // ranks them longest first and lays their rows out time-major, so the
 // sequences still running at step t are a prefix of those running at t−1.
-// Each step is then one (n_t×H)·(H×4H) recurrent matmul plus one gate pass
-// over an n_t×4H block, and BPTT walks the same blocks backwards. Per-batch
-// compute stays *genuinely* proportional to the batch's total sequence
-// length, reproducing the "inherent load imbalance" of LSTM-on-video
-// training (Figure 2) physically rather than by simulation.
+// Each step is then one input and one recurrent matmul over its n_t rows
+// plus one gate pass over an n_t×4H block, and BPTT walks the same blocks
+// backwards. Per-batch compute stays *genuinely* proportional to the
+// batch's total sequence length, reproducing the "inherent load imbalance"
+// of LSTM-on-video training (Figure 2) physically rather than by
+// simulation.
 
 #include <span>
 #include <vector>
@@ -51,12 +52,12 @@ class SequencePack {
   /// The adjoint of GatherLast: B×H → Rows()×H, zero off the last steps.
   Tensor ScatterLast(const Tensor& last) const;
 
- private:
   /// Batch index of the sequence at `rank`.
   std::size_t SequenceAt(std::size_t rank) const {
     return static_cast<std::size_t>(rank_[rank]);
   }
 
+ private:
   /// Calls fn(batch index, packed row) for each sequence's last step.
   template <class Fn>
   void ForEachLast(Fn fn) const;
@@ -81,6 +82,13 @@ class LstmLayer {
   /// for Backward.
   Tensor Forward(const SequencePack& pack, const Tensor& x);
 
+  /// The forward pass for evaluation: each sequence's last hidden state,
+  /// B×H in batch order, bitwise equal to pack.GatherLast(Forward(pack, x)).
+  /// Keeps one step's gates, cells and hidden states instead of every
+  /// step's, so its scratch does not grow with the sequence lengths, and
+  /// leaves Backward's caches as they are.
+  Tensor ForwardLast(const SequencePack& pack, const Tensor& x) const;
+
   /// dh: the gradient on every hidden state (pack.Rows()×H), for the pack
   /// of the last Forward. Accumulates parameter gradients. Returns dL/dx
   /// (pack.Rows()×D) when `input_grad` — only a stacked layer's consumer
@@ -95,6 +103,14 @@ class LstmLayer {
   std::size_t HiddenDim() const { return hidden_dim_; }
 
  private:
+  /// One step over its n rows: z = x·Wx + b + h_prev·Wh (no recurrent term
+  /// when h_prev is null), the gates activated in place, c = f·c_prev + i·g
+  /// (c_prev = 0 when null), tc = tanh(c) and h = o·tc. It writes tc and h
+  /// only after reading h_prev, so they may alias it; c may alias c_prev.
+  void Step(const float* x, std::size_t n, const float* h_prev,
+            const float* c_prev, float* z, float* c, float* tc,
+            float* h) const;
+
   std::size_t input_dim_;
   std::size_t hidden_dim_;
   Tensor wx_, wh_, b_;

@@ -117,6 +117,43 @@ void LstmLayer::ZeroGrads() {
   db_.Zero();
 }
 
+void LstmLayer::Step(const float* x, std::size_t n, const float* h_prev,
+                     const float* c_prev, float* z, float* c, float* tc,
+                     float* h) const {
+  const std::size_t h_dim = hidden_dim_;
+  const std::size_t g_dim = 4 * h_dim;
+  // z = x_t·Wx + b + h_{t−1}·Wh, then the gates are activated in place.
+  common::simd::MatMulNN(x, wx_.Data(), z, n, input_dim_, g_dim, 1.0f, 0.0f);
+  for (std::size_t r = 0; r < n; ++r) {
+    common::simd::AddInto({z + r * g_dim, g_dim}, b_.Flat());
+  }
+  if (h_prev != nullptr) {
+    common::simd::MatMulNN(h_prev, wh_.Data(), z, n, h_dim, g_dim, 1.0f,
+                           1.0f);
+  }
+  for (std::size_t r = 0; r < n; ++r) {
+    float* zr = z + r * g_dim;
+    common::simd::Sigmoid(zr, zr, 2 * h_dim);  // i, f
+    common::simd::Tanh(zr + 2 * h_dim, zr + 2 * h_dim, h_dim);
+    common::simd::Sigmoid(zr + 3 * h_dim, zr + 3 * h_dim, h_dim);
+    const float* gi = zr;
+    const float* gf = zr + h_dim;
+    const float* gg = zr + 2 * h_dim;
+    float* cr = c + r * h_dim;
+    for (std::size_t hh = 0; hh < h_dim; ++hh) {
+      const float cp = c_prev != nullptr ? c_prev[r * h_dim + hh] : 0.0f;
+      cr[hh] = gf[hh] * cp + gi[hh] * gg[hh];
+    }
+  }
+  common::simd::Tanh(c, tc, n * h_dim);
+  for (std::size_t r = 0; r < n; ++r) {
+    const float* go = z + r * g_dim + 3 * h_dim;
+    for (std::size_t hh = 0; hh < h_dim; ++hh) {
+      h[r * h_dim + hh] = go[hh] * tc[r * h_dim + hh];
+    }
+  }
+}
+
 Tensor LstmLayer::Forward(const SequencePack& pack, const Tensor& x) {
   const std::size_t rows = pack.Rows();
   const std::size_t h_dim = hidden_dim_;
@@ -125,55 +162,52 @@ Tensor LstmLayer::Forward(const SequencePack& pack, const Tensor& x) {
                 "LSTM input shape mismatch");
 
   input_ = x;
-  // Pre-activations of every row at once: z = x·Wx + b. The recurrent term
-  // is added per step below, then the gates are activated in place.
   gates_ = Tensor({rows, g_dim});
-  tensor::MatMul(x, wx_, gates_);
-  tensor::AddRowBroadcast(gates_, b_.Flat());
   cell_ = Tensor({rows, h_dim});
   tanh_cell_ = Tensor({rows, h_dim});
   hidden_ = Tensor({rows, h_dim});
-
   std::size_t prev = 0;    // first row of step t − 1
   std::size_t offset = 0;  // first row of step t
   for (std::size_t t = 0; t < pack.Steps(); ++t) {
-    const std::size_t n = pack.Active(t);
-    float* z = gates_.Data() + offset * g_dim;
-    if (t > 0) {
-      // z_t += h_{t−1}·Wh; step t's n rows are the first n of step t − 1.
-      common::simd::MatMulNN(hidden_.Data() + prev * h_dim, wh_.Data(), z, n,
-                             h_dim, g_dim, 1.0f, 1.0f);
-    }
-    float* c = cell_.Data() + offset * h_dim;
-    for (std::size_t r = 0; r < n; ++r) {
-      float* zr = z + r * g_dim;
-      common::simd::Sigmoid(zr, zr, 2 * h_dim);  // i, f
-      common::simd::Tanh(zr + 2 * h_dim, zr + 2 * h_dim, h_dim);
-      common::simd::Sigmoid(zr + 3 * h_dim, zr + 3 * h_dim, h_dim);
-      const float* gi = zr;
-      const float* gf = zr + h_dim;
-      const float* gg = zr + 2 * h_dim;
-      const float* c_prev =
-          t > 0 ? cell_.Data() + (prev + r) * h_dim : nullptr;
-      float* cr = c + r * h_dim;
-      for (std::size_t hh = 0; hh < h_dim; ++hh) {
-        const float cp = c_prev != nullptr ? c_prev[hh] : 0.0f;
-        cr[hh] = gf[hh] * cp + gi[hh] * gg[hh];
-      }
-    }
-    float* tc = tanh_cell_.Data() + offset * h_dim;
-    common::simd::Tanh(c, tc, n * h_dim);
-    float* h = hidden_.Data() + offset * h_dim;
-    for (std::size_t r = 0; r < n; ++r) {
-      const float* go = z + r * g_dim + 3 * h_dim;
-      for (std::size_t hh = 0; hh < h_dim; ++hh) {
-        h[r * h_dim + hh] = go[hh] * tc[r * h_dim + hh];
-      }
-    }
+    // Step t's n rows continue the first n of step t − 1.
+    Step(x.Data() + offset * input_dim_, pack.Active(t),
+         t > 0 ? hidden_.Data() + prev * h_dim : nullptr,
+         t > 0 ? cell_.Data() + prev * h_dim : nullptr,
+         gates_.Data() + offset * g_dim, cell_.Data() + offset * h_dim,
+         tanh_cell_.Data() + offset * h_dim, hidden_.Data() + offset * h_dim);
     prev = offset;
-    offset += n;
+    offset += pack.Active(t);
   }
   return hidden_;
+}
+
+Tensor LstmLayer::ForwardLast(const SequencePack& pack,
+                              const Tensor& x) const {
+  const std::size_t batch = pack.BatchSize();
+  const std::size_t h_dim = hidden_dim_;
+  RNA_CHECK_MSG(x.Rows() == pack.Rows() && x.Cols() == input_dim_,
+                "LSTM input shape mismatch");
+
+  // One row per rank. Step t's n rows are the first n of step t − 1, so
+  // each step updates its prefix in place (tanh(c) goes through the hidden
+  // rows), and a rank's row keeps its last step's state once it stops.
+  Tensor gates({batch, 4 * h_dim});
+  Tensor cell({batch, h_dim});
+  Tensor hidden({batch, h_dim});
+  std::size_t offset = 0;  // first row of step t in x
+  for (std::size_t t = 0; t < pack.Steps(); ++t) {
+    Step(x.Data() + offset * input_dim_, pack.Active(t),
+         t > 0 ? hidden.Data() : nullptr, t > 0 ? cell.Data() : nullptr,
+         gates.Data(), cell.Data(), hidden.Data(), hidden.Data());
+    offset += pack.Active(t);
+  }
+
+  Tensor last({batch, h_dim});
+  for (std::size_t r = 0; r < batch; ++r) {
+    const float* src = hidden.Data() + r * h_dim;
+    std::copy(src, src + h_dim, last.Data() + pack.SequenceAt(r) * h_dim);
+  }
+  return last;
 }
 
 Tensor LstmLayer::Backward(const SequencePack& pack, const Tensor& dh,

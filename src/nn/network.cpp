@@ -137,9 +137,13 @@ BatchResult LstmClassifier::Run(const Batch& batch, bool train) {
   dropout_.SetTraining(train);
 
   const SequencePack pack(batch.sequences);
-  const tensor::Tensor h = lstm_.Forward(pack, pack.Inputs());
+  // Evaluation reads only the last states, so it skips the unrolled
+  // caches that BPTT needs.
+  const tensor::Tensor last =
+      train ? pack.GatherLast(lstm_.Forward(pack, pack.Inputs()))
+            : lstm_.ForwardLast(pack, pack.Inputs());
   // Dropout draws its B×H mask in batch order, row by row.
-  const tensor::Tensor hd = dropout_.Forward(pack.GatherLast(h));
+  const tensor::Tensor hd = dropout_.Forward(last);
   const tensor::Tensor logits = head_.Forward(hd);
   LossResult lr = SoftmaxCrossEntropy(logits, batch.labels);
   if (train) {

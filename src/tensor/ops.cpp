@@ -76,13 +76,14 @@ double Dot(std::span<const float> a, std::span<const float> b) {
   return acc;
 }
 
+// Both row loops add elementwise (dst + src per element), so the wide
+// AddInto is bitwise the scalar loop.
 void AddRowBroadcast(Tensor& matrix, std::span<const float> row) {
   RNA_CHECK(matrix.Cols() == row.size());
   const std::size_t rows = matrix.Rows(), cols = matrix.Cols();
   float* p = matrix.Data();
   for (std::size_t i = 0; i < rows; ++i) {
-    float* mrow = p + i * cols;
-    for (std::size_t j = 0; j < cols; ++j) mrow[j] += row[j];
+    common::simd::AddInto({p + i * cols, cols}, row);
   }
 }
 
@@ -92,8 +93,7 @@ void SumRows(const Tensor& matrix, std::span<float> out) {
   const std::size_t rows = matrix.Rows(), cols = matrix.Cols();
   const float* p = matrix.Data();
   for (std::size_t i = 0; i < rows; ++i) {
-    const float* mrow = p + i * cols;
-    for (std::size_t j = 0; j < cols; ++j) out[j] += mrow[j];
+    common::simd::AddInto(out, {p + i * cols, cols});
   }
 }
 

@@ -143,7 +143,9 @@ TEST(WireCodec, TopKKeepsExactValuesAndZeroesTheRest) {
     // Every selected slot carries a value; zeros of the input may collide
     // with dropped slots, so kept ≤ k with equality for nonzero inputs.
     EXPECT_LE(kept, k);
-    if (n > 0) EXPECT_GT(k, 0u);
+    if (n > 0) {
+      EXPECT_GT(k, 0u);
+    }
     pool.Recycle(std::move(payload));
   }
 }

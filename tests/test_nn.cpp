@@ -10,6 +10,7 @@
 #include <cstring>
 #include <iterator>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
@@ -618,6 +619,114 @@ INSTANTIATE_TEST_SUITE_P(Models, ArenaEquivalence,
                            }
                            return name;
                          });
+
+// ---------------------------------------------------------------------------
+// Forward-only evaluation: LstmLayer::ForwardLast keeps one step of state
+// and must return bit for bit the last states of the training forward,
+// under both dispatches.
+
+std::vector<Tensor> RandomSequences(std::span<const std::size_t> lengths,
+                                    std::size_t dim, common::Rng& rng) {
+  std::vector<Tensor> seqs;
+  for (const std::size_t len : lengths) {
+    Tensor x({len, dim});
+    for (auto& v : x.Flat()) v = static_cast<float>(rng.Normal(0, 1));
+    seqs.push_back(std::move(x));
+  }
+  return seqs;
+}
+
+/// 96 validation sequences of the lstm-imbalance task (6-dim Figure 2(a)
+/// lengths, VideoLengths(16)): one end-of-run evaluation slice.
+Batch LstmImbalanceSlice() {
+  const auto [train, val] =
+      data::MakeSequenceDataset(960, 6, 6, data::VideoLengths(16.0), 1.2, 5)
+          .SplitHoldout(0.2);
+  std::vector<std::size_t> indices(96);
+  std::iota(indices.begin(), indices.end(), 0);
+  return val.MakeBatch(indices);
+}
+
+void ExpectForwardLastMatches(std::span<const Tensor> seqs,
+                              std::size_t hidden) {
+  common::Rng rng(8);
+  LstmLayer lstm(seqs.front().Cols(), hidden, rng);
+  for (const auto dispatch :
+       {common::simd::Dispatch::kAuto, common::simd::Dispatch::kScalar}) {
+    SCOPED_TRACE(dispatch == common::simd::Dispatch::kAuto ? "auto"
+                                                            : "scalar");
+    ScopedDispatch guard(dispatch);
+    const SequencePack pack(seqs);
+    const Tensor expected = pack.GatherLast(lstm.Forward(pack, pack.Inputs()));
+    const Tensor last = lstm.ForwardLast(pack, pack.Inputs());
+    ASSERT_TRUE(last.SameShape(expected)) << last.ShapeString();
+    ExpectBitwiseEqual(last.Flat(), expected.Flat(), "last hidden states");
+  }
+}
+
+struct LengthMix {
+  const char* name;
+  std::vector<std::size_t> lengths;
+};
+
+class LstmForwardLast : public ::testing::TestWithParam<LengthMix> {};
+
+TEST_P(LstmForwardLast, EqualsGatherLastOfForward) {
+  common::Rng rng(31);
+  ExpectForwardLastMatches(RandomSequences(GetParam().lengths, 5, rng), 7);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Lengths, LstmForwardLast,
+    ::testing::Values(LengthMix{"all_length_one", {1, 1, 1, 1}},
+                      LengthMix{"one_sequence", {6}},
+                      LengthMix{"equal_lengths", {4, 4, 4}},
+                      LengthMix{"mixed", {1, 5, 2, 5, 9, 3}}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST(LstmForwardLastSlice, EqualsGatherLastOfForward) {
+  const Batch batch = LstmImbalanceSlice();
+  ASSERT_EQ(batch.sequences.size(), 96u);
+  ExpectForwardLastMatches(batch.sequences, 16);
+}
+
+// With dropout 0 the training pass and evaluation see the same logits.
+TEST(LstmForwardLastSlice, EvaluateMatchesForwardBackward) {
+  const Batch batch = LstmImbalanceSlice();
+  LstmClassifier net(6, 16, 6, 7, 0.0);
+  const BatchResult eval = net.Evaluate(batch);
+  const BatchResult train = net.ForwardBackward(batch);
+  EXPECT_EQ(eval.loss, train.loss);
+  EXPECT_EQ(eval.correct, train.correct);
+  EXPECT_EQ(eval.total, train.total);
+  EXPECT_GT(eval.correct, 0u);
+}
+
+// Evaluation no longer holds the unrolled gate, cell and hidden caches: a
+// whole 96-sequence Evaluate (pack, head and loss included) takes under a
+// quarter of the arena that the training forward of its LSTM layer alone
+// takes.
+TEST(LstmForwardLastSlice, EvaluateScratchIsUnderAQuarterOfTheForward) {
+  const Batch batch = LstmImbalanceSlice();
+  LstmClassifier net(6, 16, 6, 7, 0.0);
+  net.Evaluate(batch);
+  const std::size_t eval_bytes =
+      net.ComputeArena().Stats().short_high_water;
+
+  common::Rng rng(7);
+  LstmLayer lstm(6, 16, rng);
+  tensor::Arena arena;
+  {
+    tensor::Arena::StepScope scope(arena);
+    const SequencePack pack(batch.sequences);
+    lstm.Forward(pack, pack.Inputs());
+  }
+  const std::size_t forward_bytes = arena.Stats().short_high_water;
+  EXPECT_GT(eval_bytes, 0u);
+  EXPECT_LT(4 * eval_bytes, forward_bytes)
+      << "Evaluate " << eval_bytes << " B, training forward "
+      << forward_bytes << " B";
+}
 
 }  // namespace
 }  // namespace rna::nn

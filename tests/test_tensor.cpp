@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 
 #include "rna/common/rng.hpp"
 #include "rna/common/simd.hpp"
@@ -232,9 +233,10 @@ INSTANTIATE_TEST_SUITE_P(Grid, MatMulShapes,
 // Blocked/vectorized kernel contract: for every transpose variant, dispatch
 // kAuto must be BITWISE identical to the scalar reference — not merely close.
 // The sweep leans on awkward shapes: 1×1, primes (never a multiple of the
-// vector width or block size), k=0 (empty reduction), tall/skinny and
-// short/fat extremes, and dims straddling the kBlockK=64 / kBlockN=128
-// blocking boundaries.
+// vector width or tile size), k=0 (empty reduction), tall/skinny and
+// short/fat extremes, n on the edges of the NN/TN register tile (whole
+// 4-float vectors up to 32 columns, then a scalar tail), and the shapes
+// the lstm-imbalance and MLP workloads run.
 
 class ScopedScalarDispatch {
  public:
@@ -323,7 +325,27 @@ INSTANTIATE_TEST_SUITE_P(
         MatMulCase{2, 3, 97, 1.0f, 0.0f},      // short and fat
         MatMulCase{5, 8, 8, 1.0f, -1.0f},      // vector-width aligned, β<0
         MatMulCase{16, 67, 31, 2.0f, 0.25f},   // k past one block, odd n
-        MatMulCase{1, 200, 1, 1.0f, 0.0f}));   // dot-product shaped
+        MatMulCase{1, 200, 1, 1.0f, 0.0f},     // dot-product shaped
+        // n on the register tile's column edges: one vector, two, half a
+        // tile, a whole tile, a tile plus a scalar column, two tiles, two
+        // tiles plus one.
+        MatMulCase{3, 5, 4, 1.0f, 0.0f},
+        MatMulCase{3, 5, 8, 0.5f, 1.0f},
+        MatMulCase{3, 9, 16, 1.0f, 0.0f},
+        MatMulCase{3, 9, 32, -1.5f, 0.25f},
+        MatMulCase{3, 9, 33, 1.0f, 1.0f},
+        MatMulCase{4, 17, 64, 1.0f, 0.0f},
+        MatMulCase{4, 17, 65, 2.0f, -0.5f}));
+
+// The shapes the workloads run: the LSTM's recurrent NN (8×16×64), its dWh
+// TN (16×8×64) and its dh NT (8×64×16), and an MLP hidden layer's NN
+// (16×48×48). Every case runs all three variants.
+INSTANTIATE_TEST_SUITE_P(
+    WorkloadShapes, MatMulBitwise,
+    ::testing::Values(MatMulCase{8, 16, 64, 1.0f, 1.0f},
+                      MatMulCase{16, 8, 64, 1.0f, 1.0f},
+                      MatMulCase{8, 64, 16, 1.0f, 0.0f},
+                      MatMulCase{16, 48, 48, 1.0f, 0.0f}));
 
 // Zeros must take the same skip path in both dispatches (the wide NN/TN
 // kernels skip av==0 rows; the scalar references must skip identically).
@@ -332,6 +354,7 @@ TEST(MatMulBitwiseZeros, SparseInputsMatchBitwise) {
   Tensor a = RandomTensor(9, 33, rng);
   for (std::size_t i = 0; i < a.Size(); i += 3) a.Flat()[i] = 0.0f;
   Tensor b = RandomTensor(33, 21, rng);
+  const Tensor at = Transpose(a);
   Tensor c_auto({9, 21});
   Tensor c_scalar({9, 21});
   MatMul(a, b, c_auto);
@@ -340,6 +363,59 @@ TEST(MatMulBitwiseZeros, SparseInputsMatchBitwise) {
     MatMul(a, b, c_scalar);
   }
   ExpectBitwise(c_auto, c_scalar);
+  SCOPED_TRACE("TN");
+  MatMulTN(at, b, c_auto);
+  {
+    ScopedScalarDispatch scalar;
+    MatMulTN(at, b, c_scalar);
+  }
+  ExpectBitwise(c_auto, c_scalar);
+}
+
+// A skipped term adds nothing, not +0: under beta = 1 a C element whose
+// every alpha·a is zero keeps its −0.0 in both dispatches. Rows 1 and 4 of
+// A are zero; alpha = 0 zeroes every term. n = 37 covers a whole register
+// tile, one more vector and a scalar column.
+TEST(MatMulBitwiseZeros, SkippedTermsKeepNegativeZero) {
+  common::Rng rng(5);
+  Tensor a = RandomTensor(6, 9, rng);
+  for (std::size_t kk = 0; kk < 9; ++kk) {
+    a.At(1, kk) = 0.0f;
+    a.At(4, kk) = 0.0f;
+  }
+  const Tensor at = Transpose(a);
+  const Tensor b = RandomTensor(9, 37, rng);
+  Tensor c_init({6, 37});
+  c_init.Fill(-0.0f);
+  for (const float alpha : {1.0f, 0.0f}) {
+    for (const bool tn : {false, true}) {
+      SCOPED_TRACE(std::string(tn ? "TN" : "NN") + " alpha " +
+                   std::to_string(alpha));
+      Tensor c_auto = c_init;
+      Tensor c_scalar = c_init;
+      auto run = [&](Tensor& c) {
+        if (tn) {
+          MatMulTN(at, b, c, alpha, 1.0f);
+        } else {
+          MatMul(a, b, c, alpha, 1.0f);
+        }
+      };
+      run(c_auto);
+      {
+        ScopedScalarDispatch scalar;
+        run(c_scalar);
+      }
+      ExpectBitwise(c_auto, c_scalar);
+      for (std::size_t i = 0; i < 6; ++i) {
+        if (alpha != 0.0f && i != 1 && i != 4) continue;
+        for (std::size_t j = 0; j < 37; ++j) {
+          const float v = c_auto.At(i, j);
+          EXPECT_TRUE(v == 0.0f && std::signbit(v))
+              << "C(" << i << ", " << j << ") = " << v;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -67,6 +67,12 @@ ABSOLUTE_CEILINGS = {
     **{f"train_step_{kind}": {"steady_heap_allocs": 0.0}
        for kind in ("mlp", "lstm", "deep-lstm", "transformer", "attention",
                     "lstm_imbalance")},
+    # LSTM evaluation runs forward-only and keeps one step of state, so a
+    # 96-sample lstm-imbalance slice needs 88 KiB of arena scratch. The
+    # unrolled training forward needs 640 KiB for the same slice; a ceiling
+    # between the two catches evaluation falling back to it. The figure is a
+    # pure function of the slice's shapes, so it holds on any host.
+    "eval_lstm_96": {"arena_high_water_kb": 128.0},
     # Wire bytes per round are a deterministic function of the codec (world
     # 8, 256k floats, 2*(w-1)*w chunks per round), so these hold each
     # compression level to its exact frame budget: raw adds zero framing
@@ -175,6 +181,8 @@ BASE_SAMPLE = {
         {"label": "fig2_bucketing", "batch_len_cv_uniform": 0.14,
          "batch_len_cv_bucketed": 0.49,
          "cv_ratio_bucketed_vs_uniform": 3.6},
+        {"label": "eval_lstm_96", "evals_per_s": 1000.0,
+         "arena_high_water_kb": 100.0, "steady_heap_allocs": 0.0},
     ],
 }
 
@@ -270,13 +278,20 @@ def self_test():
     run(lambda c: c["rows"][7].__setitem__(
             "cv_ratio_bucketed_vs_uniform", 2.5),
         expect_problems=False)
+    # An LSTM evaluation slice back at the unrolled forward's scratch
+    # (640 KiB) breaks the eval ceiling, even with throughput unchanged.
+    run(lambda c: c["rows"][8].__setitem__("arena_high_water_kb", 640.0),
+        expect_problems=True)
+    # Exactly at the ceiling passes: the bound is inclusive.
+    run(lambda c: c["rows"][8].__setitem__("arena_high_water_kb", 128.0),
+        expect_problems=False)
 
     if failures:
         print("bench_gate self-test FAILED:")
         for f in failures:
             print(f"  - {f}")
         return 1
-    print("bench_gate self-test OK (19 cases)")
+    print("bench_gate self-test OK (21 cases)")
     return 0
 
 
