@@ -1,9 +1,10 @@
 // Microbenchmarks for the arena-allocated compute plane: blocked matmul
 // kernels (vectorized vs scalar dispatch), whole train-step throughput for
-// every model family plus the perfbench lstm-imbalance shape, and that
-// shape's 96-sample evaluation, with the steady-state heap-allocation count
-// measured directly (this binary replaces global operator new/delete with
-// counting versions, the same technique as tests/test_arena.cpp).
+// every model family plus the perfbench lstm-imbalance shape, and the
+// 96-sample evaluation of the lstm-imbalance and mixed-hetero models, with
+// the steady-state heap-allocation count measured directly (this binary
+// replaces global operator new/delete with counting versions, the same
+// technique as tests/test_arena.cpp).
 //
 // Two modes (same contract as bench_micro_kernels):
 //   (default)            google-benchmark sweep.
@@ -278,25 +279,24 @@ benchutil::BenchRow TrainStepRow(const std::string& kind) {
   return row;
 }
 
-/// Evaluate on the monitor's 96-sample validation subsample of the
-/// lstm-imbalance task (the forward-only path of every eval tick).
-benchutil::BenchRow EvalLstmRow() {
+/// Arena high water, evals/s and steady-state heap allocations of
+/// `net`'s Evaluate on one 96-sample validation slice.
+benchutil::BenchRow EvalRow(const std::string& label, nn::Network& net,
+                            const data::Dataset& val) {
   constexpr int kWarmup = 3;
   constexpr int kIters = 30;
   benchutil::BenchRow row;
-  row.label = "eval_lstm_96";
-  const data::Dataset val = LstmImbalanceData().second;
+  row.label = label;
   common::Rng rng(3);
   std::vector<std::size_t> indices(96);
   for (auto& i : indices) i = rng.UniformInt(val.Size());
   const nn::Batch batch = val.MakeBatch(indices);
-  auto net = MakeModel("lstm_imbalance");
-  for (int i = 0; i < kWarmup; ++i) net->Evaluate(batch);
+  for (int i = 0; i < kWarmup; ++i) net.Evaluate(batch);
 
   const std::size_t heap_before =
       g_heap_allocs.load(std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kIters; ++i) net->Evaluate(batch);
+  for (int i = 0; i < kIters; ++i) net.Evaluate(batch);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -306,9 +306,25 @@ benchutil::BenchRow EvalLstmRow() {
   row.values["evals_per_s"] = kIters / secs;
   row.values["steady_heap_allocs"] = static_cast<double>(heap_delta);
   row.values["arena_high_water_kb"] =
-      static_cast<double>(net->ComputeArena().Stats().short_high_water) /
+      static_cast<double>(net.ComputeArena().Stats().short_high_water) /
       1024.0;
   return row;
+}
+
+/// The lstm-imbalance task's evaluation (the forward-only path of every
+/// monitor tick and end-of-run slice).
+benchutil::BenchRow EvalLstmRow() {
+  auto net = MakeModel("lstm_imbalance");
+  return EvalRow("eval_lstm_96", *net, LstmImbalanceData().second);
+}
+
+/// The perfbench mixed-hetero task's evaluation: its MLP {16, 48, 48, 32, 8}
+/// on 16-dim Gaussian clusters.
+benchutil::BenchRow EvalMlpRow() {
+  nn::MlpClassifier net({16, 48, 48, 32, 8}, 7);
+  const data::Dataset val =
+      data::MakeGaussianClusters(4000, 16, 8, 0.7, 5).SplitHoldout(0.2).second;
+  return EvalRow("eval_mlp_96", net, val);
 }
 
 int JsonMain(const std::string& path) {
@@ -336,6 +352,7 @@ int JsonMain(const std::string& path) {
     rows.push_back(TrainStepRow(kind));
   }
   rows.push_back(EvalLstmRow());
+  rows.push_back(EvalMlpRow());
   benchutil::WriteBenchJson(path, "micro_nn", rows);
   for (const auto& row : rows) {
     std::printf("%-24s", row.label.c_str());

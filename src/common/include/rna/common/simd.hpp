@@ -29,11 +29,10 @@
 // (tests/test_dataplane.cpp pins every tail length, the special values and
 // a ≤ 2 ulp bound against a double reference).
 //
-// The wide path uses GCC/Clang vector extensions (8 × f32 for the
-// elementwise family, 4 × f32 for the matmuls and activations; compiled to
-// SSE/AVX/NEON/whatever the target offers) with memcpy-based unaligned
-// load/store, so it needs no intrinsics header and works on any target the
-// repo builds on. `SetDispatch(Dispatch::kScalar)` forces the scalar
+// The wide path uses GCC/Clang vector extensions (4 × f32 for every family,
+// compiled to SSE/NEON/whatever the target offers) with memcpy-based
+// unaligned load/store, so it needs no intrinsics header and works on any
+// target the repo builds on. `SetDispatch(Dispatch::kScalar)` forces the scalar
 // reference at runtime — the hook the equivalence suite and the kernel
 // microbench both use.
 
@@ -91,16 +90,19 @@ namespace detail {
 
 #if defined(__GNUC__) || defined(__clang__)
 #define RNA_SIMD_VECTOR_EXT 1
-using V8f = float __attribute__((vector_size(32)));
-constexpr std::size_t kLanes = 8;
+// Every wide path runs 4 × f32 vectors: on the baseline x86-64 target one
+// is an SSE register, while an 8-lane vector is split into halves that
+// round-trip through the stack.
+using V4f = float __attribute__((vector_size(16)));
+constexpr std::size_t kLanes = 4;
 
-inline V8f Load(const float* p) {
-  V8f v;
-  std::memcpy(&v, p, sizeof(V8f));
+inline V4f Load4(const float* p) {
+  V4f v;
+  std::memcpy(&v, p, sizeof(V4f));
   return v;
 }
 
-inline void Store(float* p, V8f v) { std::memcpy(p, &v, sizeof(V8f)); }
+inline void Store4(float* p, V4f v) { std::memcpy(p, &v, sizeof(V4f)); }
 #else
 #define RNA_SIMD_VECTOR_EXT 0
 #endif
@@ -109,7 +111,7 @@ inline void Store(float* p, V8f v) { std::memcpy(p, &v, sizeof(V8f)); }
 inline void AddInto(float* dst, const float* src, std::size_t n) {
   std::size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
-    Store(dst + i, Load(dst + i) + Load(src + i));
+    Store4(dst + i, Load4(dst + i) + Load4(src + i));
   }
   for (; i < n; ++i) dst[i] += src[i];
 }
@@ -117,7 +119,7 @@ inline void AddInto(float* dst, const float* src, std::size_t n) {
 inline void ScaleInto(float* dst, float s, std::size_t n) {
   std::size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
-    Store(dst + i, Load(dst + i) * s);
+    Store4(dst + i, Load4(dst + i) * s);
   }
   for (; i < n; ++i) dst[i] *= s;
 }
@@ -126,7 +128,7 @@ inline void WeightedAccumulate(float* dst, const float* src, float w,
                                std::size_t n) {
   std::size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
-    Store(dst + i, Load(dst + i) + Load(src + i) * w);
+    Store4(dst + i, Load4(dst + i) + Load4(src + i) * w);
   }
   for (; i < n; ++i) dst[i] += w * src[i];
 }
@@ -134,7 +136,7 @@ inline void WeightedAccumulate(float* dst, const float* src, float w,
 inline void ScaledCopy(float* dst, const float* src, float s, std::size_t n) {
   std::size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
-    Store(dst + i, Load(src + i) * s);
+    Store4(dst + i, Load4(src + i) * s);
   }
   for (; i < n; ++i) dst[i] = s * src[i];
 }
@@ -142,7 +144,7 @@ inline void ScaledCopy(float* dst, const float* src, float s, std::size_t n) {
 inline void AverageInto(float* dst, const float* src, std::size_t n) {
   std::size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
-    Store(dst + i, (Load(dst + i) + Load(src + i)) * 0.5f);
+    Store4(dst + i, (Load4(dst + i) + Load4(src + i)) * 0.5f);
   }
   for (; i < n; ++i) dst[i] = 0.5f * (dst[i] + src[i]);
 }

@@ -29,19 +29,10 @@ inline float ReduceLanes(const float* lanes) {
 
 #if RNA_SIMD_VECTOR_EXT
 
-// The matmul and activation wide paths run 4 × f32 vectors: on the
-// baseline x86-64 target one is an SSE register, while an 8-lane vector is
-// split into halves that round-trip through the stack.
-using V4f = float __attribute__((vector_size(16)));
-constexpr std::size_t kV4Lanes = 4;
-
-inline V4f Load4(const float* p) {
-  V4f v;
-  std::memcpy(&v, p, sizeof(V4f));
-  return v;
-}
-
-inline void Store4(float* p, V4f v) { std::memcpy(p, &v, sizeof(V4f)); }
+using detail::kLanes;
+using detail::Load4;
+using detail::Store4;
+using detail::V4f;
 
 // NN/TN register tile: one C row's chunk of up to kTileRegs vectors stays in
 // registers while k runs 0..k ascending, so each C element gets exactly the
@@ -50,25 +41,25 @@ inline void Store4(float* p, V4f v) { std::memcpy(p, &v, sizeof(V4f)); }
 // for TN, whose A is stored k×m). The unroll pragmas fully unroll the
 // register loops; without them GCC keeps `acc` on the stack.
 constexpr std::size_t kTileRegs = 8;
-constexpr std::size_t kTileCols = kTileRegs * kV4Lanes;
+constexpr std::size_t kTileCols = kTileRegs * kLanes;
 
 template <std::size_t kRegs>
 inline void RowTile(const float* a, std::size_t a_step, const float* b,
                     std::size_t n, float* c, std::size_t k, float alpha) {
   V4f acc[kRegs];
 #pragma GCC unroll 8
-  for (std::size_t v = 0; v < kRegs; ++v) acc[v] = Load4(c + v * kV4Lanes);
+  for (std::size_t v = 0; v < kRegs; ++v) acc[v] = Load4(c + v * kLanes);
   for (std::size_t kk = 0; kk < k; ++kk) {
     const float av = alpha * a[kk * a_step];
     if (av == 0.0f) continue;
     const float* brow = b + kk * n;
 #pragma GCC unroll 8
     for (std::size_t v = 0; v < kRegs; ++v) {
-      acc[v] += Load4(brow + v * kV4Lanes) * av;
+      acc[v] += Load4(brow + v * kLanes) * av;
     }
   }
 #pragma GCC unroll 8
-  for (std::size_t v = 0; v < kRegs; ++v) Store4(c + v * kV4Lanes, acc[v]);
+  for (std::size_t v = 0; v < kRegs; ++v) Store4(c + v * kLanes, acc[v]);
 }
 
 // C[0, cols) of one row for cols ≤ kTileCols: whole vectors through the
@@ -76,7 +67,7 @@ inline void RowTile(const float* a, std::size_t a_step, const float* b,
 inline void RowChunk(const float* a, std::size_t a_step, const float* b,
                      std::size_t n, float* c, std::size_t k, float alpha,
                      std::size_t cols) {
-  switch (cols / kV4Lanes) {
+  switch (cols / kLanes) {
     case 8: RowTile<8>(a, a_step, b, n, c, k, alpha); break;
     case 7: RowTile<7>(a, a_step, b, n, c, k, alpha); break;
     case 6: RowTile<6>(a, a_step, b, n, c, k, alpha); break;
@@ -87,7 +78,7 @@ inline void RowChunk(const float* a, std::size_t a_step, const float* b,
     case 1: RowTile<1>(a, a_step, b, n, c, k, alpha); break;
     default: break;
   }
-  for (std::size_t j = cols - cols % kV4Lanes; j < cols; ++j) {
+  for (std::size_t j = cols - cols % kLanes; j < cols; ++j) {
     float acc = c[j];
     for (std::size_t kk = 0; kk < k; ++kk) {
       const float av = alpha * a[kk * a_step];
@@ -150,17 +141,17 @@ void WideMatMulNT(const float* a, const float* b, float* c, std::size_t m,
       V4f lo2 = {0, 0, 0, 0}, hi2 = {0, 0, 0, 0};
       V4f lo3 = {0, 0, 0, 0}, hi3 = {0, 0, 0, 0};
       std::size_t kk = 0;
-      for (; kk + 2 * kV4Lanes <= k; kk += 2 * kV4Lanes) {
+      for (; kk + 2 * kLanes <= k; kk += 2 * kLanes) {
         const V4f alo = Load4(arow + kk);
-        const V4f ahi = Load4(arow + kk + kV4Lanes);
+        const V4f ahi = Load4(arow + kk + kLanes);
         lo0 += alo * Load4(b0 + kk);
-        hi0 += ahi * Load4(b0 + kk + kV4Lanes);
+        hi0 += ahi * Load4(b0 + kk + kLanes);
         lo1 += alo * Load4(b1 + kk);
-        hi1 += ahi * Load4(b1 + kk + kV4Lanes);
+        hi1 += ahi * Load4(b1 + kk + kLanes);
         lo2 += alo * Load4(b2 + kk);
-        hi2 += ahi * Load4(b2 + kk + kV4Lanes);
+        hi2 += ahi * Load4(b2 + kk + kLanes);
         lo3 += alo * Load4(b3 + kk);
-        hi3 += ahi * Load4(b3 + kk + kV4Lanes);
+        hi3 += ahi * Load4(b3 + kk + kLanes);
       }
       float s0 = FoldLanes(lo0, hi0);
       float s1 = FoldLanes(lo1, hi1);
@@ -182,9 +173,9 @@ void WideMatMulNT(const float* a, const float* b, float* c, std::size_t m,
       const float* brow = b + j * k;
       V4f lo = {0, 0, 0, 0}, hi = {0, 0, 0, 0};
       std::size_t kk = 0;
-      for (; kk + 2 * kV4Lanes <= k; kk += 2 * kV4Lanes) {
+      for (; kk + 2 * kLanes <= k; kk += 2 * kLanes) {
         lo += Load4(arow + kk) * Load4(brow + kk);
-        hi += Load4(arow + kk + kV4Lanes) * Load4(brow + kk + kV4Lanes);
+        hi += Load4(arow + kk + kLanes) * Load4(brow + kk + kLanes);
       }
       float s = FoldLanes(lo, hi);
       for (; kk < k; ++kk) s += arow[kk] * brow[kk];
@@ -300,7 +291,7 @@ template <class Body>
 inline void WideActivation(const float* x, float* y, std::size_t n,
                            Body body) {
   std::size_t i = 0;
-  for (; i + kV4Lanes <= n; i += kV4Lanes) Store4(y + i, body(Load4(x + i)));
+  for (; i + kLanes <= n; i += kLanes) Store4(y + i, body(Load4(x + i)));
   for (; i < n; ++i) y[i] = body(x[i]);
 }
 #endif

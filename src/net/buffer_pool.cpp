@@ -1,8 +1,24 @@
 #include "rna/net/buffer_pool.hpp"
 
+#include <cstddef>
+
 #include "rna/obs/metrics.hpp"
 
 namespace rna::net {
+
+namespace {
+
+// Whether a pooled buffer of capacity `cap` serves an n-float request
+// better than one of capacity `best`: any fitting buffer beats one that
+// does not, a smaller fitting one beats a larger, and among buffers that do
+// not fit the larger wins.
+bool BetterFit(std::size_t cap, std::size_t best, std::size_t n) {
+  const bool fits = cap >= n;
+  if (fits != (best >= n)) return fits;
+  return fits ? cap < best : cap > best;
+}
+
+}  // namespace
 
 BufferPool::BufferPool(std::size_t max_buffers)
     : max_buffers_(max_buffers == 0 ? 1 : max_buffers) {}
@@ -15,15 +31,27 @@ std::vector<float> BufferPool::Acquire(std::size_t n) {
   std::vector<float> buffer;
   {
     common::MutexLock lock(mu_);
-    if (!free_.empty()) {
-      buffer = std::move(free_.back());
-      free_.pop_back();
+    // Best fit: the smallest pooled buffer that holds n floats, else the
+    // largest one, which grows the least. Taking whatever was recycled last
+    // would let a small ring chunk answer a model-sized request and
+    // reallocate while a fitting buffer sits idle. The scan runs newest
+    // first, so equal capacities go last-in, first-out.
+    std::size_t pick = free_.size();
+    for (std::size_t i = free_.size(); i-- > 0;) {
+      if (pick == free_.size() || BetterFit(free_[i].capacity(),
+                                            free_[pick].capacity(), n)) {
+        pick = i;
+      }
+    }
+    if (pick < free_.size()) {
+      buffer = std::move(free_[pick]);
+      free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(pick));
     }
   }
-  const bool hit = buffer.capacity() >= n && n > 0;
-  // resize() never reallocates when capacity suffices; a recycled buffer
-  // smaller than the request grows in place of a fresh allocation, which
-  // still saves the copy-out but counts as a miss.
+  const bool hit = buffer.capacity() >= n;
+  // resize() never reallocates when capacity suffices; a pooled buffer
+  // smaller than the request grows in place of a fresh allocation and
+  // counts as a miss.
   buffer.resize(n);
   if (hit) {
     hits_.fetch_add(1, std::memory_order_relaxed);

@@ -15,6 +15,10 @@
 //     buffer that is still referenced anywhere is a use-after-recycle bug.
 //   - The pool never blocks: an empty freelist falls back to allocation
 //     (counted as a miss), and a full freelist frees the recycled buffer.
+//   - A site that adopts a received payload as its own storage (a PS reply
+//     swapped into the leader's model) recycles the storage it replaces,
+//     so every acquire is matched by one recycle and the pool stays
+//     balanced.
 //
 // Counters are lock-free atomics (the pool sits on the per-hop hot path);
 // PublishMetrics() flushes the deltas into the obs metrics registry as
@@ -38,8 +42,10 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// A buffer of exactly `n` elements with unspecified contents. Reuses
-  /// pooled storage when available (a hit iff no reallocation was needed).
+  /// A buffer of exactly `n` elements with unspecified contents, cut from
+  /// the smallest pooled buffer that holds `n` (a hit: no reallocation).
+  /// When none does, the largest pooled buffer grows (a miss), and with an
+  /// empty freelist a fresh one is allocated (a miss too).
   std::vector<float> Acquire(std::size_t n);
 
   /// Returns a spent payload's storage to the pool.

@@ -6,6 +6,7 @@
 // gradients.
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "rna/common/rng.hpp"
@@ -45,6 +46,9 @@ class Dense : public Layer {
 
   Tensor Forward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
+  /// Y = X·W + b for `rows` rows of x (rows × in) into y (rows × out),
+  /// with Forward's operations and no cache: evaluation's forward.
+  void ForwardInto(const float* x, std::size_t rows, float* y) const;
   std::vector<Tensor*> Params() override { return {&w_, &b_}; }
   std::vector<Tensor*> Grads() override { return {&dw_, &db_}; }
 
@@ -62,6 +66,8 @@ class Relu : public Layer {
  public:
   Tensor Forward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
+  /// Forward's activation in place, with no cache.
+  static void Apply(std::span<float> x);
 
  private:
   Tensor cached_input_;

@@ -125,6 +125,7 @@ class MlpClassifier : public Network {
 
   std::string name_;
   std::vector<std::unique_ptr<Layer>> layers_;
+  std::vector<Dense*> dense_;  ///< the Dense layers of layers_, in order
 };
 
 /// LSTM sequence classifier: LSTM → Dropout → Dense head; the stand-in for

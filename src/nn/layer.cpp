@@ -25,9 +25,15 @@ Tensor Dense::Forward(const Tensor& x) {
   RNA_CHECK_MSG(x.Cols() == in_, "Dense input width mismatch");
   cached_input_ = x;
   Tensor y({x.Rows(), out_});
-  tensor::MatMul(x, w_, y);
-  tensor::AddRowBroadcast(y, b_.Flat());
+  ForwardInto(x.Data(), x.Rows(), y.Data());
   return y;
+}
+
+void Dense::ForwardInto(const float* x, std::size_t rows, float* y) const {
+  common::simd::MatMulNN(x, w_.Data(), y, rows, in_, out_, 1.0f, 0.0f);
+  for (std::size_t i = 0; i < rows; ++i) {
+    common::simd::AddInto({y + i * out_, out_}, b_.Flat());
+  }
 }
 
 Tensor Dense::Backward(const Tensor& dy) {
@@ -46,8 +52,12 @@ Tensor Dense::Backward(const Tensor& dy) {
 Tensor Relu::Forward(const Tensor& x) {
   cached_input_ = x;
   Tensor y = x;
-  for (auto& v : y.Flat()) v = v > 0.0f ? v : 0.0f;
+  Apply(y.Flat());
   return y;
+}
+
+void Relu::Apply(std::span<float> x) {
+  for (auto& v : x) v = v > 0.0f ? v : 0.0f;
 }
 
 Tensor Relu::Backward(const Tensor& dy) {

@@ -67,7 +67,9 @@ MlpClassifier::MlpClassifier(std::vector<std::size_t> dims, std::uint64_t seed,
   RNA_CHECK_MSG(dims.size() >= 2, "MLP needs at least input and output dims");
   common::Rng rng(seed);
   for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
-    layers_.push_back(std::make_unique<Dense>(dims[i], dims[i + 1], rng));
+    auto dense = std::make_unique<Dense>(dims[i], dims[i + 1], rng);
+    dense_.push_back(dense.get());
+    layers_.push_back(std::move(dense));
     if (i + 2 < dims.size()) layers_.push_back(std::make_unique<Relu>());
   }
 }
@@ -91,9 +93,31 @@ BatchResult MlpClassifier::ForwardBackward(const Batch& batch) {
   return {lr.loss, lr.correct, batch.labels.size()};
 }
 
+// Evaluation keeps no layer caches: each hidden Dense writes into one of
+// two buffers of rows × widest hidden layer, ReLU runs in place, and the
+// last Dense writes the logits. Every operation and its order are the
+// training forward's, so the loss and correct count match it bit for bit.
 BatchResult MlpClassifier::Evaluate(const Batch& batch) {
+  RNA_CHECK_MSG(batch.sequences.empty(), "MLP takes dense inputs");
+  RNA_CHECK_MSG(batch.inputs.Cols() == dense_.front()->InDim(),
+                "Dense input width mismatch");
   ComputeScope scope(*this);
-  tensor::Tensor logits = ForwardLogits(batch);
+  const std::size_t rows = batch.inputs.Rows();
+  std::size_t widest = 0;
+  for (std::size_t l = 0; l + 1 < dense_.size(); ++l) {
+    widest = std::max(widest, dense_[l]->OutDim());
+  }
+  tensor::Tensor hidden[2] = {tensor::Tensor({rows, widest}),
+                              tensor::Tensor({rows, widest})};
+  tensor::Tensor logits({rows, dense_.back()->OutDim()});
+  const float* x = batch.inputs.Data();
+  for (std::size_t l = 0; l + 1 < dense_.size(); ++l) {
+    float* y = hidden[l % 2].Data();
+    dense_[l]->ForwardInto(x, rows, y);
+    Relu::Apply({y, rows * dense_[l]->OutDim()});
+    x = y;
+  }
+  dense_.back()->ForwardInto(x, rows, logits.Data());
   LossResult lr = SoftmaxCrossEntropy(logits, batch.labels);
   return {lr.loss, lr.correct, batch.labels.size()};
 }

@@ -89,7 +89,10 @@ class PsLayer {
     ps::PsClient client(fabric_, self, server_.ServerRank(), params.size());
     client.ConfigureRetry(run_.Waits().ps_attempts, run_.Waits().ps_retry_s);
     if (auto avg = client.TryPushPull(params, ps::ApplyMode::kAverage)) {
-      params = std::move(*avg);
+      // The reply's pooled storage becomes the model, and the storage it
+      // replaces goes back to the pool in its place.
+      params.swap(*avg);
+      fabric_.Pool().Recycle(std::move(*avg));
     } else {
       obs::CountMetric("fault.ps_sync_skipped");
     }

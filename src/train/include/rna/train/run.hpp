@@ -76,8 +76,9 @@ class Run {
   void StepLrSchedule(std::size_t rank, std::size_t round);
 
   /// The config's schedule, compression and hop deadline, with `feedback`
-  /// sized for a gradient plus one exact tail element. The caller sets the
-  /// tags and anything specific to its collective.
+  /// sized for a gradient plus one exact tail element under a lossy codec
+  /// (and left as it is under Compression::kNone, which never reads it).
+  /// The caller sets the tags and anything specific to its collective.
   collectives::CollectiveOptions CollectiveOptionsFor(
       collectives::ErrorFeedback& feedback) const;
 

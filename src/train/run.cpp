@@ -51,8 +51,11 @@ void Run::StepLrSchedule(std::size_t rank, std::size_t round) {
 
 collectives::CollectiveOptions Run::CollectiveOptionsFor(
     collectives::ErrorFeedback& feedback) const {
-  // Sized once, so the hot loop never reallocates the residual.
-  feedback.EnsureSize(Dim() + 1);
+  // Only a lossy codec reads the residual. Sized once, so the hot loop
+  // never reallocates it.
+  if (config_.compression != collectives::Compression::kNone) {
+    feedback.EnsureSize(Dim() + 1);
+  }
   return {.schedule = config_.schedule,
           .compression = config_.compression,
           .topk_fraction = config_.topk_fraction,

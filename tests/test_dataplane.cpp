@@ -541,6 +541,49 @@ TEST(BufferPool, ReusesRecycledCapacity) {
   EXPECT_EQ(stats.bytes_reused, 32u * sizeof(float));
 }
 
+// A model-sized request must find the model-sized buffer even when a ring
+// chunk was recycled after it.
+TEST(BufferPool, LargeRequestSkipsASmallerBufferRecycledLater) {
+  net::BufferPool pool;
+  pool.Recycle(std::vector<float>(5120, 0.0f));
+  pool.Recycle(std::vector<float>(1700, 0.0f));
+  const auto large = pool.Acquire(5120);
+  EXPECT_GE(large.capacity(), 5120u);
+  const auto stats = pool.GetStats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 0u);
+}
+
+// When both fit, a small request takes the small buffer and leaves the
+// large one for the next large request.
+TEST(BufferPool, SmallRequestTakesTheSmallestFittingBuffer) {
+  net::BufferPool pool;
+  pool.Recycle(std::vector<float>(1700, 0.0f));
+  pool.Recycle(std::vector<float>(5120, 0.0f));
+  const auto small = pool.Acquire(1600);
+  EXPECT_EQ(small.capacity(), 1700u);
+  const auto large = pool.Acquire(5120);
+  EXPECT_EQ(large.capacity(), 5120u);
+  const auto stats = pool.GetStats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 0u);
+}
+
+// When no pooled buffer fits, the largest one grows (a miss) and the
+// smaller ones stay pooled for requests they fit.
+TEST(BufferPool, GrowsTheLargestBufferWhenNoneFits) {
+  net::BufferPool pool;
+  pool.Recycle(std::vector<float>(16, 0.0f));
+  pool.Recycle(std::vector<float>(64, 0.0f));
+  pool.Recycle(std::vector<float>(32, 0.0f));
+  EXPECT_EQ(pool.Acquire(128).size(), 128u);
+  EXPECT_EQ(pool.Acquire(32).capacity(), 32u);
+  EXPECT_EQ(pool.Acquire(16).capacity(), 16u);
+  const auto stats = pool.GetStats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
 TEST(BufferPool, PublishesMetricsOnShutdown) {
   obs::MetricsRegistry registry;
   obs::SetActiveMetrics(&registry);

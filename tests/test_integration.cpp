@@ -243,6 +243,42 @@ TEST(Integration, HierarchicalRnaIssuesStragglerVerdicts) {
   }
 }
 
+TEST(Integration, HierarchicalRnaKeepsThePayloadPoolBalanced) {
+  // Two speed groups, each leader syncing through the PS every round. A
+  // leader adopts the PS reply's pooled storage as its model and recycles
+  // the storage it replaces, and an acquire takes the smallest pooled
+  // buffer that fits. So the pool stops allocating once it is warm, and
+  // every buffer acquired comes back to it.
+  struct PoolCounts {
+    std::int64_t hits, misses, recycled;
+  };
+  Scenario s = MakeMlpScenario();
+  auto run = [&](std::size_t rounds) {
+    TrainerConfig c = BaseConfig(Protocol::kRnaHierarchical, rounds);
+    c.lockstep = true;
+    c.calibration_iters = 2;
+    c.delay_model = std::make_shared<sim::DeterministicSkewModel>(
+        0.0005, std::vector<common::Seconds>{0.0, 0.0, 0.002, 0.002});
+    obs::Session session;
+    const TrainResult r = RunTraining(c, s.factory, s.train, s.val);
+    EXPECT_EQ(r.rounds, rounds);
+    EXPECT_EQ(session.Metrics().GaugeValue("hier.groups"), 2.0);
+    const obs::MetricsRegistry& m = session.Metrics();
+    return PoolCounts{m.CounterValue("fabric.pool.hits"),
+                      m.CounterValue("fabric.pool.misses"),
+                      m.CounterValue("fabric.pool.recycled")};
+  };
+  const PoolCounts warm = run(50);
+  const PoolCounts long_run = run(200);
+  EXPECT_LT(long_run.misses, 32);
+  // 150 more rounds add no misses beyond thread-timing noise in which
+  // buffer is pooled when (a leaking pool adds several per round).
+  EXPECT_LE(long_run.misses, warm.misses + 8)
+      << "50 rounds: " << warm.misses << ", 200 rounds: " << long_run.misses;
+  EXPECT_GT(long_run.hits, warm.hits);
+  EXPECT_EQ(long_run.recycled, long_run.hits + long_run.misses);
+}
+
 TEST(Integration, RnaStopsAtTargetLoss) {
   Scenario s = MakeMlpScenario();
   TrainerConfig c = BaseConfig(Protocol::kRna, 100000);

@@ -728,5 +728,73 @@ TEST(LstmForwardLastSlice, EvaluateScratchIsUnderAQuarterOfTheForward) {
       << forward_bytes << " B";
 }
 
+// ---------------------------------------------------------------------------
+// Forward-only MLP evaluation: Evaluate runs the Dense/ReLU stack through two
+// buffers without layer caches and must give ForwardBackward's loss and
+// correct count bit for bit.
+
+/// perfbench's mixed-hetero model.
+std::unique_ptr<MlpClassifier> PerfbenchMlp() {
+  return std::make_unique<MlpClassifier>(
+      std::vector<std::size_t>{16, 48, 48, 32, 8}, 7);
+}
+
+/// Gaussian inputs with exact zeros, negative zeros and large magnitudes
+/// mixed in: zeros take the matmuls' skip branch, −0.0 must stay on the
+/// ReLU's zero side, and large values saturate the softmax.
+Batch MixedMlpBatch(std::size_t rows, std::uint64_t seed) {
+  Batch b = DenseBatch(rows, 16, 8, seed);
+  auto x = b.inputs.Flat();
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (i % 7 == 1) x[i] = 0.0f;
+    if (i % 7 == 3) x[i] = -0.0f;
+    if (i % 7 == 5) x[i] *= 1e4f;
+  }
+  return b;
+}
+
+class MlpEvaluate : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MlpEvaluate, MatchesForwardBackwardBitwise) {
+  const Batch batch = MixedMlpBatch(GetParam(), 40 + GetParam());
+  for (const auto dispatch :
+       {common::simd::Dispatch::kAuto, common::simd::Dispatch::kScalar}) {
+    SCOPED_TRACE(dispatch == common::simd::Dispatch::kAuto ? "auto"
+                                                            : "scalar");
+    ScopedDispatch guard(dispatch);
+    auto net = PerfbenchMlp();
+    const BatchResult eval = net->Evaluate(batch);
+    const BatchResult train = net->ForwardBackward(batch);
+    EXPECT_EQ(std::memcmp(&eval.loss, &train.loss, sizeof(double)), 0)
+        << eval.loss << " vs " << train.loss;
+    EXPECT_EQ(eval.correct, train.correct);
+    EXPECT_EQ(eval.total, train.total);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchSizes, MlpEvaluate,
+                         ::testing::Values(1, 16, 96, 333));
+
+// A training replica pins its arena at a batch-16 step's high water, as
+// WorkerContext::PinArenaCapacity does. The end-of-run evaluation relaxes
+// the pin and runs 96-sample slices: forward-only, a slice fits the pinned
+// chunk, where the training forward's caches would grow a 1 MiB one.
+TEST(MlpEvaluateArena, SliceFitsTheBatch16PinnedChunk) {
+  auto net = PerfbenchMlp();
+  Batch warmup;
+  warmup.inputs = Tensor({16, 16});
+  warmup.labels.assign(16, 0);
+  net->ForwardBackward(warmup);
+  net->ComputeArena().ReserveExact();
+  const tensor::ArenaStats pinned = net->ComputeArena().Stats();
+
+  net->ComputeArena().Relax();
+  EXPECT_EQ(net->Evaluate(MixedMlpBatch(96, 5)).total, 96u);
+  const tensor::ArenaStats& after = net->ComputeArena().Stats();
+  EXPECT_EQ(after.chunk_allocs, pinned.chunk_allocs);
+  EXPECT_EQ(after.reserved_bytes, pinned.reserved_bytes)
+      << "slice high water " << after.short_high_water << " B";
+}
+
 }  // namespace
 }  // namespace rna::nn

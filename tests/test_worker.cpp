@@ -173,6 +173,31 @@ TEST(RunScaffold, InitialParamsAreAFreshReplica) {
   }
 }
 
+// Only a lossy codec reads the error-feedback residual, so the options
+// leave it empty under kNone; under kInt8 it is sized once, for a gradient
+// plus the partial collective's contributor tail.
+TEST(RunScaffold, SizesErrorFeedbackOnlyForALossyCodec) {
+  data::Dataset ds = data::MakeGaussianClusters(64, 4, 2, 0.4, 1);
+  TrainerConfig config = SmallConfig(2);
+  {
+    const train::Run run(config, MlpFactory(), ds, ds);
+    collectives::ErrorFeedback feedback;
+    const collectives::CollectiveOptions opts =
+        run.CollectiveOptionsFor(feedback);
+    EXPECT_EQ(opts.feedback, &feedback);
+    EXPECT_EQ(feedback.Size(), 0u);
+  }
+  config.compression = collectives::Compression::kInt8;
+  const train::Run run(config, MlpFactory(), ds, ds);
+  collectives::ErrorFeedback feedback;
+  run.CollectiveOptionsFor(feedback);
+  ASSERT_EQ(feedback.Size(), run.Dim() + 1);
+  const float* storage = feedback.All().data();
+  run.CollectiveOptionsFor(feedback);
+  EXPECT_EQ(feedback.Size(), run.Dim() + 1);
+  EXPECT_EQ(feedback.All().data(), storage);
+}
+
 TEST(EvalMonitor, RaisesStopOnTargetLoss) {
   data::Dataset val = data::MakeGaussianClusters(64, 4, 2, 0.4, 6);
   TrainerConfig config = SmallConfig(1);

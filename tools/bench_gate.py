@@ -73,6 +73,11 @@ ABSOLUTE_CEILINGS = {
     # between the two catches evaluation falling back to it. The figure is a
     # pure function of the slice's shapes, so it holds on any host.
     "eval_lstm_96": {"arena_high_water_kb": 128.0},
+    # MLP evaluation runs forward-only through two buffers of rows × widest
+    # hidden layer: a 96-sample mixed-hetero slice needs 45 KiB, inside the
+    # 53 KiB a batch-16 training step pins. The training forward's caches
+    # need 213 KiB for the same slice.
+    "eval_mlp_96": {"arena_high_water_kb": 64.0},
     # Wire bytes per round are a deterministic function of the codec (world
     # 8, 256k floats, 2*(w-1)*w chunks per round), so these hold each
     # compression level to its exact frame budget: raw adds zero framing
@@ -183,6 +188,8 @@ BASE_SAMPLE = {
          "cv_ratio_bucketed_vs_uniform": 3.6},
         {"label": "eval_lstm_96", "evals_per_s": 1000.0,
          "arena_high_water_kb": 100.0, "steady_heap_allocs": 0.0},
+        {"label": "eval_mlp_96", "evals_per_s": 6000.0,
+         "arena_high_water_kb": 45.0, "steady_heap_allocs": 0.0},
     ],
 }
 
@@ -285,13 +292,17 @@ def self_test():
     # Exactly at the ceiling passes: the bound is inclusive.
     run(lambda c: c["rows"][8].__setitem__("arena_high_water_kb", 128.0),
         expect_problems=False)
+    # An MLP evaluation slice back on the training forward (213 KiB of
+    # layer caches) breaks its ceiling.
+    run(lambda c: c["rows"][9].__setitem__("arena_high_water_kb", 213.0),
+        expect_problems=True)
 
     if failures:
         print("bench_gate self-test FAILED:")
         for f in failures:
             print(f"  - {f}")
         return 1
-    print("bench_gate self-test OK (21 cases)")
+    print("bench_gate self-test OK (22 cases)")
     return 0
 
 
