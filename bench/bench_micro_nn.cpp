@@ -100,12 +100,6 @@ std::unique_ptr<nn::Network> MakeModel(const std::string& kind) {
         std::vector<std::size_t>{64, 128, 10}, 7);
   }
   if (kind == "lstm") return std::make_unique<nn::LstmClassifier>(16, 32, 8, 7);
-  if (kind == "deep-lstm") {
-    return std::make_unique<nn::DeepLstmClassifier>(16, 24, 2, 8, 7);
-  }
-  if (kind == "transformer") {
-    return std::make_unique<nn::TransformerClassifier>(16, 32, 4, 8, 7);
-  }
   return std::make_unique<nn::AttentionClassifier>(16, 24, 8, 7);
 }
 
@@ -173,8 +167,7 @@ struct TrainLoop {
   std::unique_ptr<nn::SgdMomentum> opt;
 };
 
-const char* kModelKinds[] = {"mlp",         "lstm",      "deep-lstm",
-                             "transformer", "attention", "lstm_imbalance"};
+const char* kModelKinds[] = {"mlp", "lstm", "attention", "lstm_imbalance"};
 
 // ------------------------------------------- google-benchmark sweep mode
 
@@ -187,7 +180,7 @@ void BM_TrainStep(benchmark::State& state) {
   }
   state.SetLabel(kModelKinds[state.range(0)]);
 }
-BENCHMARK(BM_TrainStep)->DenseRange(0, 5);
+BENCHMARK(BM_TrainStep)->DenseRange(0, 3);
 
 void BM_BlockedMatMul(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -290,7 +283,7 @@ benchutil::BenchRow EvalRow(const std::string& label, nn::Network& net,
   common::Rng rng(3);
   std::vector<std::size_t> indices(96);
   for (auto& i : indices) i = rng.UniformInt(val.Size());
-  const nn::Batch batch = val.MakeBatch(indices);
+  const nn::Batch batch = data::ShardView::All(val).MakeBatch(indices);
   for (int i = 0; i < kWarmup; ++i) net.Evaluate(batch);
 
   const std::size_t heap_before =

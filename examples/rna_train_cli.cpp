@@ -8,7 +8,7 @@
 //                 --trace-out /tmp/run.trace.json
 //
 // Protocols: horovod | eager | adpsgd | rna | rna-h
-// Workloads: mlp | lstm | deep-lstm | attention | transformer
+// Workloads: mlp | lstm | attention
 //
 // --trace-out writes a Chrome trace-event JSON (load it at
 // https://ui.perfetto.dev); --metrics-out writes one JSON object per
@@ -96,24 +96,6 @@ int main(int argc, char** argv) {
                                     flags.GetInt("data-seed", 1));
     factory = [](std::uint64_t seed) {
       return std::make_unique<nn::AttentionClassifier>(6, 16, 6, seed);
-    };
-    config.sampling = data::SamplingMode::kLengthBucketed;
-    config.sleep_per_step = 30e-6;
-    config.batch_size = 8;
-  } else if (workload == "deep-lstm") {
-    all = data::MakeSequenceDataset(960, 6, 6, data::VideoLengths(16.0), 1.2,
-                                    flags.GetInt("data-seed", 1));
-    factory = [](std::uint64_t seed) {
-      return std::make_unique<nn::DeepLstmClassifier>(6, 16, 2, 6, seed);
-    };
-    config.sampling = data::SamplingMode::kLengthBucketed;
-    config.sleep_per_step = 80e-6;  // two stacked recurrent layers
-    config.batch_size = 8;
-  } else if (workload == "transformer") {
-    all = data::MakeSequenceDataset(960, 6, 6, data::SentenceLengths(), 1.2,
-                                    flags.GetInt("data-seed", 1));
-    factory = [](std::uint64_t seed) {
-      return std::make_unique<nn::TransformerClassifier>(6, 16, 2, 6, seed);
     };
     config.sampling = data::SamplingMode::kLengthBucketed;
     config.sleep_per_step = 30e-6;

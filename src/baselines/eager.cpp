@@ -17,11 +17,12 @@ train::TrainResult RunEagerSgd(const train::TrainerConfig& config,
   train::TrainerConfig eager = config;
   // eager-SGD semantics: a worker whose gradient is not ready re-sends its
   // previous (stale) gradient; the collective is a plain average over all N
-  // with no re-weighting, and there is no cross-iteration accumulation —
-  // only the newest gradient is kept.
+  // with no re-weighting (kLinear's m/N scale turns the m contributors' mean
+  // into exactly that), and there is no cross-iteration accumulation — only
+  // the newest gradient is kept.
   eager.contribution = train::ContributionMode::kStaleReuse;
   eager.combine = train::LocalCombine::kLatest;
-  eager.lr_policy = train::LrScalePolicy::kConstant;
+  eager.lr_policy = train::LrScalePolicy::kLinear;
   return train::RunPartialCollective(eager, factory, train_data, val_data,
                                      [] { return train::MakeMajorityPolicy(); });
 }

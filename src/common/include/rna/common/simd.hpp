@@ -21,13 +21,13 @@
 //     fixed pairwise tree; the scalar reference simulates the same lanes.
 //
 // The activation family (Sigmoid/Tanh, also in simd.cpp) is the compute
-// plane's only sigmoid and tanh: the LSTM gate pass and the nn::Sigmoid /
-// nn::Tanh layers all call it. Both are built on a Cephes-style exp
-// polynomial written once, lane-generically: the scalar reference is that
-// body instantiated at float and the wide path the same body at 4 × f32, so
-// every lane runs the reference's operation sequence and rounds identically
-// (tests/test_dataplane.cpp pins every tail length, the special values and
-// a ≤ 2 ulp bound against a double reference).
+// plane's only sigmoid and tanh: the LSTM gate pass calls it. Both are
+// built on a Cephes-style exp polynomial written once, lane-generically:
+// the scalar reference is that body instantiated at float and the wide
+// path the same body at 4 × f32, so every lane runs the reference's
+// operation sequence and rounds identically (tests/test_dataplane.cpp pins
+// every tail length, the special values and a ≤ 2 ulp bound against a
+// double reference).
 //
 // The wide path uses GCC/Clang vector extensions (4 × f32 for every family,
 // compiled to SSE/NEON/whatever the target offers) with memcpy-based

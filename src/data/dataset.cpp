@@ -6,30 +6,6 @@
 
 namespace rna::data {
 
-nn::Batch Dataset::MakeBatch(std::span<const std::size_t> indices) const {
-  nn::Batch batch;
-  batch.labels.reserve(indices.size());
-  if (IsSequence()) {
-    batch.sequences.reserve(indices.size());
-    for (std::size_t idx : indices) {
-      RNA_CHECK(idx < Size());
-      batch.sequences.push_back(sequences[idx]);
-      batch.labels.push_back(labels[idx]);
-    }
-  } else {
-    const std::size_t dim = inputs.Cols();
-    batch.inputs = tensor::Tensor({indices.size(), dim});
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      const std::size_t idx = indices[i];
-      RNA_CHECK(idx < Size());
-      const float* src = inputs.Data() + idx * dim;
-      std::copy(src, src + dim, batch.inputs.Data() + i * dim);
-      batch.labels.push_back(labels[idx]);
-    }
-  }
-  return batch;
-}
-
 Dataset Dataset::Select(std::span<const std::size_t> indices) const {
   Dataset out;
   out.labels.reserve(indices.size());

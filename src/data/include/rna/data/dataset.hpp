@@ -6,9 +6,9 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "rna/nn/network.hpp"
 #include "rna/tensor/tensor.hpp"
 
 namespace rna::data {
@@ -22,9 +22,6 @@ struct Dataset {
 
   bool IsSequence() const { return !sequences.empty(); }
   std::size_t Size() const { return labels.size(); }
-
-  /// Assembles a batch from sample indices.
-  nn::Batch MakeBatch(std::span<const std::size_t> indices) const;
 
   /// Splits off the last `fraction` of samples as a validation set.
   std::pair<Dataset, Dataset> SplitHoldout(double fraction) const;

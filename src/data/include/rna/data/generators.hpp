@@ -11,6 +11,7 @@
 
 #include <cstdint>
 
+#include "rna/common/rng.hpp"
 #include "rna/data/dataset.hpp"
 
 namespace rna::data {

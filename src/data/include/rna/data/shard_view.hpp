@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "rna/data/dataset.hpp"
+#include "rna/nn/network.hpp"
 
 namespace rna::data {
 

@@ -1,6 +1,5 @@
 #include "rna/nn/attention.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "rna/common/check.hpp"
@@ -22,12 +21,6 @@ AttentionBlock::AttentionBlock(std::size_t input_dim, std::size_t attn_dim,
   XavierUniform(wq_, input_dim, attn_dim, rng);
   XavierUniform(wk_, input_dim, attn_dim, rng);
   XavierUniform(wv_, input_dim, attn_dim, rng);
-}
-
-void AttentionBlock::ZeroGrads() {
-  dwq_.Zero();
-  dwk_.Zero();
-  dwv_.Zero();
 }
 
 Tensor AttentionBlock::Forward(const Tensor& x) {
@@ -52,7 +45,7 @@ Tensor AttentionBlock::Forward(const Tensor& x) {
   return y;
 }
 
-Tensor AttentionBlock::Backward(const Tensor& dy) {
+void AttentionBlock::Backward(const Tensor& dy) {
   const std::size_t steps = input_.Rows();
   RNA_CHECK_MSG(dy.Rows() == steps && dy.Cols() == attn_dim_,
                 "attention backward shape mismatch");
@@ -84,77 +77,10 @@ Tensor AttentionBlock::Backward(const Tensor& dy) {
   Tensor dk({steps, attn_dim_});
   tensor::MatMulTN(ds, q_, dk, inv_sqrt);
 
-  // Projection gradients and the input gradient.
+  // Projection gradients.
   tensor::MatMulTN(input_, dq, dwq_, 1.0f, 1.0f);
   tensor::MatMulTN(input_, dk, dwk_, 1.0f, 1.0f);
   tensor::MatMulTN(input_, dv, dwv_, 1.0f, 1.0f);
-
-  Tensor dx({steps, input_dim_});
-  tensor::MatMulNT(dq, wq_, dx);
-  tensor::MatMulNT(dk, wk_, dx, 1.0f, 1.0f);
-  tensor::MatMulNT(dv, wv_, dx, 1.0f, 1.0f);
-  return dx;
-}
-
-MultiHeadAttention::MultiHeadAttention(std::size_t input_dim,
-                                       std::size_t head_dim,
-                                       std::size_t heads, common::Rng& rng)
-    : input_dim_(input_dim), head_dim_(head_dim) {
-  RNA_CHECK_MSG(heads >= 1, "need at least one attention head");
-  heads_.reserve(heads);
-  for (std::size_t h = 0; h < heads; ++h) {
-    heads_.emplace_back(input_dim, head_dim, rng);
-  }
-}
-
-Tensor MultiHeadAttention::Forward(const Tensor& x) {
-  const std::size_t steps = x.Rows();
-  Tensor out({steps, OutDim()});
-  for (std::size_t h = 0; h < heads_.size(); ++h) {
-    const Tensor head_out = heads_[h].Forward(x);
-    for (std::size_t t = 0; t < steps; ++t) {
-      const float* src = head_out.Data() + t * head_dim_;
-      float* dst = out.Data() + t * OutDim() + h * head_dim_;
-      std::copy(src, src + head_dim_, dst);
-    }
-  }
-  return out;
-}
-
-Tensor MultiHeadAttention::Backward(const Tensor& dy) {
-  const std::size_t steps = dy.Rows();
-  RNA_CHECK_MSG(dy.Cols() == OutDim(), "multi-head backward width mismatch");
-  Tensor dx({steps, input_dim_});
-  Tensor head_dy({steps, head_dim_});
-  for (std::size_t h = 0; h < heads_.size(); ++h) {
-    for (std::size_t t = 0; t < steps; ++t) {
-      const float* src = dy.Data() + t * OutDim() + h * head_dim_;
-      std::copy(src, src + head_dim_, head_dy.Data() + t * head_dim_);
-    }
-    const Tensor head_dx = heads_[h].Backward(head_dy);
-    tensor::Axpy(1.0f, head_dx.Flat(), dx.Flat());
-  }
-  return dx;
-}
-
-std::vector<Tensor*> MultiHeadAttention::Params() {
-  std::vector<Tensor*> out;
-  for (auto& head : heads_) {
-    for (auto* p : head.Params()) out.push_back(p);
-  }
-  return out;
-}
-
-std::vector<Tensor*> MultiHeadAttention::Grads() {
-  std::vector<Tensor*> out;
-  for (auto& head : heads_) {
-    for (auto* g : head.Grads()) out.push_back(g);
-  }
-  return out;
-}
-
-void MultiHeadAttention::ZeroGrads() {
-  for (auto& head : heads_) head.ZeroGrads();
 }
 
 }  // namespace rna::nn

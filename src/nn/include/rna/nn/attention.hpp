@@ -23,14 +23,14 @@ class AttentionBlock {
   /// x: T×D → output T×A, where row t attends over the whole sequence.
   Tensor Forward(const Tensor& x);
 
-  /// dy: T×A → returns dL/dX (T×D); accumulates projection gradients.
-  Tensor Backward(const Tensor& dy);
+  /// dy: T×A, for the sequence of the last Forward. Accumulates the
+  /// projection gradients; the block's inputs are the data, so no input
+  /// gradient is formed.
+  void Backward(const Tensor& dy);
 
   std::vector<Tensor*> Params() { return {&wq_, &wk_, &wv_}; }
   std::vector<Tensor*> Grads() { return {&dwq_, &dwk_, &dwv_}; }
-  void ZeroGrads();
 
-  std::size_t InputDim() const { return input_dim_; }
   std::size_t AttnDim() const { return attn_dim_; }
 
  private:
@@ -43,32 +43,6 @@ class AttentionBlock {
   Tensor input_;              // T×D
   Tensor q_, k_, v_;          // T×A
   Tensor attn_;               // T×T row-softmax weights
-};
-
-/// Multi-head self-attention: `heads` independent AttentionBlocks whose
-/// outputs are concatenated along the feature axis (T×(heads·head_dim)).
-class MultiHeadAttention {
- public:
-  MultiHeadAttention(std::size_t input_dim, std::size_t head_dim,
-                     std::size_t heads, common::Rng& rng);
-
-  /// x: T×D → T×(heads·head_dim).
-  Tensor Forward(const Tensor& x);
-
-  /// dy: T×(heads·head_dim) → dL/dX (T×D); accumulates head gradients.
-  Tensor Backward(const Tensor& dy);
-
-  std::vector<Tensor*> Params();
-  std::vector<Tensor*> Grads();
-  void ZeroGrads();
-
-  std::size_t InputDim() const { return input_dim_; }
-  std::size_t OutDim() const { return heads_.size() * head_dim_; }
-
- private:
-  std::size_t input_dim_;
-  std::size_t head_dim_;
-  std::vector<AttentionBlock> heads_;
 };
 
 }  // namespace rna::nn

@@ -11,7 +11,4 @@ namespace rna::nn {
 void XavierUniform(tensor::Tensor& w, std::size_t fan_in, std::size_t fan_out,
                    common::Rng& rng);
 
-/// He normal: N(0, sqrt(2 / fan_in)); suited to ReLU stacks.
-void HeNormal(tensor::Tensor& w, std::size_t fan_in, common::Rng& rng);
-
 }  // namespace rna::nn

@@ -1,9 +1,9 @@
 #pragma once
 
 // Feed-forward layer primitives with exact backpropagation. Gradients
-// *accumulate* across Backward calls until ZeroGrads() — the attention
-// models process one sample at a time and rely on this to form batch
-// gradients.
+// *accumulate* across Backward calls until Network::ZeroGrads() — the
+// attention model processes one sample at a time and relies on this to
+// form batch gradients.
 
 #include <memory>
 #include <span>
@@ -29,8 +29,6 @@ class Layer {
 
   virtual std::vector<Tensor*> Params() { return {}; }
   virtual std::vector<Tensor*> Grads() { return {}; }
-
-  void ZeroGrads();
 
   /// Toggles training-only behaviour (dropout). Default is training mode.
   virtual void SetTraining(bool training) { training_ = training; }
@@ -71,24 +69,6 @@ class Relu : public Layer {
 
  private:
   Tensor cached_input_;
-};
-
-class Tanh : public Layer {
- public:
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& dy) override;
-
- private:
-  Tensor cached_output_;
-};
-
-class Sigmoid : public Layer {
- public:
-  Tensor Forward(const Tensor& x) override;
-  Tensor Backward(const Tensor& dy) override;
-
- private:
-  Tensor cached_output_;
 };
 
 /// Inverted dropout; identity in evaluation mode.

@@ -1,10 +1,11 @@
 #pragma once
 
-// Softmax + cross-entropy head. Combined so the gradient is the numerically
-// stable (softmax − one-hot) / batch form.
+// Softmax + cross-entropy head, in two in-place steps: the loss turns the
+// logits into probabilities, and training alone goes on to turn those into
+// the numerically stable (softmax − one-hot) / batch gradient. Evaluation
+// reads only the loss and the hits, so it makes no gradient copy.
 
 #include <cstdint>
-#include <initializer_list>
 #include <span>
 
 #include "rna/tensor/tensor.hpp"
@@ -12,20 +13,19 @@
 namespace rna::nn {
 
 struct LossResult {
-  double loss = 0.0;              ///< mean cross-entropy over the batch
-  std::size_t correct = 0;        ///< argmax hits
-  tensor::Tensor dlogits;         ///< dL/dlogits, already divided by batch
+  double loss = 0.0;        ///< mean cross-entropy over the batch
+  std::size_t correct = 0;  ///< argmax hits
 };
 
-/// logits: B×C; labels: B class indices in [0, C). Takes a span (not a
-/// vector) so the per-sample `{label}` call sites in the classifiers stay
-/// allocation-free on the training hot path.
-LossResult SoftmaxCrossEntropy(const tensor::Tensor& logits,
+/// logits: B×C, replaced by their row softmax; labels: B class indices in
+/// [0, C). Takes a span (not a vector) so the per-sample one-label call
+/// sites in the attention model stay allocation-free.
+LossResult SoftmaxCrossEntropy(tensor::Tensor& logits,
                                std::span<const std::int32_t> labels);
-inline LossResult SoftmaxCrossEntropy(
-    const tensor::Tensor& logits, std::initializer_list<std::int32_t> labels) {
-  return SoftmaxCrossEntropy(
-      logits, std::span<const std::int32_t>(labels.begin(), labels.size()));
-}
+
+/// probs: the softmax SoftmaxCrossEntropy left, replaced by dL/dlogits
+/// (probs − one-hot, divided by the batch).
+void SoftmaxCrossEntropyGrad(tensor::Tensor& probs,
+                             std::span<const std::int32_t> labels);
 
 }  // namespace rna::nn

@@ -76,31 +76,25 @@ class LstmLayer {
   /// The forget-gate bias is initialized to 1.
   LstmLayer(std::size_t input_dim, std::size_t hidden_dim, common::Rng& rng);
 
-  /// x: pack.Rows()×D in the pack's row order (the pack's own inputs, or
-  /// the hidden states of the layer below). Returns every step's hidden
-  /// state, pack.Rows()×H in the same order, and caches the unrolled state
-  /// for Backward.
-  Tensor Forward(const SequencePack& pack, const Tensor& x);
+  /// Runs the pack's inputs (pack.Rows()×D). Returns every step's hidden
+  /// state, pack.Rows()×H in the pack's row order, and caches the unrolled
+  /// state for Backward.
+  Tensor Forward(const SequencePack& pack);
 
   /// The forward pass for evaluation: each sequence's last hidden state,
-  /// B×H in batch order, bitwise equal to pack.GatherLast(Forward(pack, x)).
+  /// B×H in batch order, bitwise equal to pack.GatherLast(Forward(pack)).
   /// Keeps one step's gates, cells and hidden states instead of every
   /// step's, so its scratch does not grow with the sequence lengths, and
   /// leaves Backward's caches as they are.
-  Tensor ForwardLast(const SequencePack& pack, const Tensor& x) const;
+  Tensor ForwardLast(const SequencePack& pack) const;
 
   /// dh: the gradient on every hidden state (pack.Rows()×H), for the pack
-  /// of the last Forward. Accumulates parameter gradients. Returns dL/dx
-  /// (pack.Rows()×D) when `input_grad` — only a stacked layer's consumer
-  /// needs it — and an empty tensor otherwise.
-  Tensor Backward(const SequencePack& pack, const Tensor& dh, bool input_grad);
+  /// of the last Forward. Accumulates parameter gradients; the layer's
+  /// inputs are the data, so no input gradient is formed.
+  void Backward(const SequencePack& pack, const Tensor& dh);
 
   std::vector<Tensor*> Params() { return {&wx_, &wh_, &b_}; }
   std::vector<Tensor*> Grads() { return {&dwx_, &dwh_, &db_}; }
-  void ZeroGrads();
-
-  std::size_t InputDim() const { return input_dim_; }
-  std::size_t HiddenDim() const { return hidden_dim_; }
 
  private:
   /// One step over its n rows: z = x·Wx + b + h_prev·Wh (no recurrent term
@@ -117,7 +111,6 @@ class LstmLayer {
   Tensor dwx_, dwh_, db_;
 
   // Caches from the last Forward, all in the pack's row order.
-  Tensor input_;      // Rows×D
   Tensor gates_;      // Rows×4H activated gates [i, f, g, o]
   Tensor cell_;       // Rows×H c_t
   Tensor tanh_cell_;  // Rows×H tanh(c_t)

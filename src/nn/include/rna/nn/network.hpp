@@ -18,7 +18,6 @@
 #include "rna/nn/layer.hpp"
 #include "rna/nn/loss.hpp"
 #include "rna/nn/lstm.hpp"
-#include "rna/nn/norm.hpp"
 #include "rna/tensor/arena.hpp"
 #include "rna/tensor/tensor.hpp"
 
@@ -147,52 +146,6 @@ class LstmClassifier : public Network {
 
   LstmLayer lstm_;
   Dropout dropout_;
-  Dense head_;
-};
-
-/// Stacked LSTM classifier: `layers` LSTM layers feeding full hidden
-/// sequences upward, final hidden state → Dense head.
-class DeepLstmClassifier : public Network {
- public:
-  DeepLstmClassifier(std::size_t input_dim, std::size_t hidden_dim,
-                     std::size_t layers, std::size_t classes,
-                     std::uint64_t seed);
-
-  BatchResult ForwardBackward(const Batch& batch) override;
-  BatchResult Evaluate(const Batch& batch) override;
-  std::vector<tensor::Tensor*> Params() override;
-  std::vector<tensor::Tensor*> Grads() override;
-  std::string Name() const override { return "deep-lstm"; }
-
- private:
-  BatchResult Run(const Batch& batch, bool train);
-
-  std::vector<LstmLayer> layers_;
-  Dense head_;
-};
-
-/// A real (single-block) Transformer classifier: input projection →
-/// multi-head self-attention with a residual connection → LayerNorm →
-/// mean-pool → Dense head.
-class TransformerClassifier : public Network {
- public:
-  /// model_dim must be divisible by heads.
-  TransformerClassifier(std::size_t input_dim, std::size_t model_dim,
-                        std::size_t heads, std::size_t classes,
-                        std::uint64_t seed);
-
-  BatchResult ForwardBackward(const Batch& batch) override;
-  BatchResult Evaluate(const Batch& batch) override;
-  std::vector<tensor::Tensor*> Params() override;
-  std::vector<tensor::Tensor*> Grads() override;
-  std::string Name() const override { return "transformer"; }
-
- private:
-  BatchResult Run(const Batch& batch, bool train);
-
-  Dense proj_;
-  MultiHeadAttention mha_;
-  LayerNorm norm_;
   Dense head_;
 };
 

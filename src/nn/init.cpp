@@ -11,9 +11,4 @@ void XavierUniform(tensor::Tensor& w, std::size_t fan_in, std::size_t fan_out,
   for (auto& x : w.Flat()) x = static_cast<float>(rng.Uniform(-limit, limit));
 }
 
-void HeNormal(tensor::Tensor& w, std::size_t fan_in, common::Rng& rng) {
-  const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
-  for (auto& x : w.Flat()) x = static_cast<float>(rng.Normal(0.0, stddev));
-}
-
 }  // namespace rna::nn

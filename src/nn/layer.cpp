@@ -7,10 +7,6 @@
 
 namespace rna::nn {
 
-void Layer::ZeroGrads() {
-  for (Tensor* g : Grads()) g->Zero();
-}
-
 Dense::Dense(std::size_t in, std::size_t out, common::Rng& rng)
     : in_(in),
       out_(out),
@@ -68,38 +64,6 @@ Tensor Relu::Backward(const Tensor& dy) {
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (in[i] <= 0.0f) out[i] = 0.0f;
   }
-  return dx;
-}
-
-Tensor Tanh::Forward(const Tensor& x) {
-  Tensor y(x.Shape());
-  common::simd::Tanh(x.Data(), y.Data(), x.Size());
-  cached_output_ = y;
-  return y;
-}
-
-Tensor Tanh::Backward(const Tensor& dy) {
-  RNA_CHECK(dy.SameShape(cached_output_));
-  Tensor dx = dy;
-  auto out = cached_output_.Flat();
-  auto d = dx.Flat();
-  for (std::size_t i = 0; i < d.size(); ++i) d[i] *= 1.0f - out[i] * out[i];
-  return dx;
-}
-
-Tensor Sigmoid::Forward(const Tensor& x) {
-  Tensor y(x.Shape());
-  common::simd::Sigmoid(x.Data(), y.Data(), x.Size());
-  cached_output_ = y;
-  return y;
-}
-
-Tensor Sigmoid::Backward(const Tensor& dy) {
-  RNA_CHECK(dy.SameShape(cached_output_));
-  Tensor dx = dy;
-  auto out = cached_output_.Flat();
-  auto d = dx.Flat();
-  for (std::size_t i = 0; i < d.size(); ++i) d[i] *= out[i] * (1.0f - out[i]);
   return dx;
 }
 

@@ -111,12 +111,6 @@ LstmLayer::LstmLayer(std::size_t input_dim, std::size_t hidden_dim,
   for (std::size_t h = 0; h < hidden_dim_; ++h) b_[hidden_dim_ + h] = 1.0f;
 }
 
-void LstmLayer::ZeroGrads() {
-  dwx_.Zero();
-  dwh_.Zero();
-  db_.Zero();
-}
-
 void LstmLayer::Step(const float* x, std::size_t n, const float* h_prev,
                      const float* c_prev, float* z, float* c, float* tc,
                      float* h) const {
@@ -154,14 +148,13 @@ void LstmLayer::Step(const float* x, std::size_t n, const float* h_prev,
   }
 }
 
-Tensor LstmLayer::Forward(const SequencePack& pack, const Tensor& x) {
+Tensor LstmLayer::Forward(const SequencePack& pack) {
+  const Tensor& x = pack.Inputs();
   const std::size_t rows = pack.Rows();
   const std::size_t h_dim = hidden_dim_;
   const std::size_t g_dim = 4 * h_dim;
-  RNA_CHECK_MSG(x.Rows() == rows && x.Cols() == input_dim_,
-                "LSTM input shape mismatch");
+  RNA_CHECK_MSG(x.Cols() == input_dim_, "LSTM input shape mismatch");
 
-  input_ = x;
   gates_ = Tensor({rows, g_dim});
   cell_ = Tensor({rows, h_dim});
   tanh_cell_ = Tensor({rows, h_dim});
@@ -181,12 +174,11 @@ Tensor LstmLayer::Forward(const SequencePack& pack, const Tensor& x) {
   return hidden_;
 }
 
-Tensor LstmLayer::ForwardLast(const SequencePack& pack,
-                              const Tensor& x) const {
+Tensor LstmLayer::ForwardLast(const SequencePack& pack) const {
+  const Tensor& x = pack.Inputs();
   const std::size_t batch = pack.BatchSize();
   const std::size_t h_dim = hidden_dim_;
-  RNA_CHECK_MSG(x.Rows() == pack.Rows() && x.Cols() == input_dim_,
-                "LSTM input shape mismatch");
+  RNA_CHECK_MSG(x.Cols() == input_dim_, "LSTM input shape mismatch");
 
   // One row per rank. Step t's n rows are the first n of step t − 1, so
   // each step updates its prefix in place (tanh(c) goes through the hidden
@@ -210,12 +202,11 @@ Tensor LstmLayer::ForwardLast(const SequencePack& pack,
   return last;
 }
 
-Tensor LstmLayer::Backward(const SequencePack& pack, const Tensor& dh,
-                           bool input_grad) {
+void LstmLayer::Backward(const SequencePack& pack, const Tensor& dh) {
   const std::size_t rows = pack.Rows();
   const std::size_t h_dim = hidden_dim_;
   const std::size_t g_dim = 4 * h_dim;
-  RNA_CHECK_MSG(input_.Rows() == rows, "LSTM backward without its forward");
+  RNA_CHECK_MSG(hidden_.Rows() == rows, "LSTM backward without its forward");
   RNA_CHECK_MSG(dh.Rows() == rows && dh.Cols() == h_dim,
                 "LSTM dh shape mismatch");
 
@@ -271,7 +262,7 @@ Tensor LstmLayer::Backward(const SequencePack& pack, const Tensor& dh,
   // Parameter gradients over every (sequence, step) row: dWx += xᵀ·dz,
   // db += Σ dz, and dWh += h_{t−1}ᵀ·dz_t step by step (step t's rows pair
   // with the first n_t rows of step t − 1).
-  tensor::MatMulTN(input_, dz, dwx_, 1.0f, 1.0f);
+  tensor::MatMulTN(pack.Inputs(), dz, dwx_, 1.0f, 1.0f);
   Tensor dz_sum({g_dim});
   tensor::SumRows(dz, dz_sum.Flat());
   tensor::Axpy(1.0f, dz_sum.Flat(), db_.Flat());
@@ -285,11 +276,6 @@ Tensor LstmLayer::Backward(const SequencePack& pack, const Tensor& dh,
     prev = offset;
     offset += n;
   }
-
-  if (!input_grad) return Tensor();
-  Tensor dx({rows, input_dim_});
-  tensor::MatMulNT(dz, wx_, dx);
-  return dx;
 }
 
 }  // namespace rna::nn

@@ -85,8 +85,9 @@ BatchResult MlpClassifier::ForwardBackward(const Batch& batch) {
   ComputeScope scope(*this);
   ZeroGrads();
   tensor::Tensor logits = ForwardLogits(batch);
-  LossResult lr = SoftmaxCrossEntropy(logits, batch.labels);
-  tensor::Tensor grad = std::move(lr.dlogits);
+  const LossResult lr = SoftmaxCrossEntropy(logits, batch.labels);
+  SoftmaxCrossEntropyGrad(logits, batch.labels);
+  tensor::Tensor grad = std::move(logits);
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
     grad = (*it)->Backward(grad);
   }
@@ -118,7 +119,7 @@ BatchResult MlpClassifier::Evaluate(const Batch& batch) {
     x = y;
   }
   dense_.back()->ForwardInto(x, rows, logits.Data());
-  LossResult lr = SoftmaxCrossEntropy(logits, batch.labels);
+  const LossResult lr = SoftmaxCrossEntropy(logits, batch.labels);
   return {lr.loss, lr.correct, batch.labels.size()};
 }
 
@@ -163,16 +164,16 @@ BatchResult LstmClassifier::Run(const Batch& batch, bool train) {
   const SequencePack pack(batch.sequences);
   // Evaluation reads only the last states, so it skips the unrolled
   // caches that BPTT needs.
-  const tensor::Tensor last =
-      train ? pack.GatherLast(lstm_.Forward(pack, pack.Inputs()))
-            : lstm_.ForwardLast(pack, pack.Inputs());
+  const tensor::Tensor last = train ? pack.GatherLast(lstm_.Forward(pack))
+                                    : lstm_.ForwardLast(pack);
   // Dropout draws its B×H mask in batch order, row by row.
   const tensor::Tensor hd = dropout_.Forward(last);
-  const tensor::Tensor logits = head_.Forward(hd);
-  LossResult lr = SoftmaxCrossEntropy(logits, batch.labels);
+  tensor::Tensor logits = head_.Forward(hd);
+  const LossResult lr = SoftmaxCrossEntropy(logits, batch.labels);
   if (train) {
-    const tensor::Tensor dh = dropout_.Backward(head_.Backward(lr.dlogits));
-    lstm_.Backward(pack, pack.ScatterLast(dh), /*input_grad=*/false);
+    SoftmaxCrossEntropyGrad(logits, batch.labels);
+    const tensor::Tensor dh = dropout_.Backward(head_.Backward(logits));
+    lstm_.Backward(pack, pack.ScatterLast(dh));
   }
   return {lr.loss, lr.correct, batch.labels.size()};
 }
@@ -193,175 +194,6 @@ std::vector<tensor::Tensor*> LstmClassifier::Params() {
 
 std::vector<tensor::Tensor*> LstmClassifier::Grads() {
   std::vector<tensor::Tensor*> out = lstm_.Grads();
-  for (auto* g : head_.Grads()) out.push_back(g);
-  return out;
-}
-
-// ---------------------------------------------------------------- Deep LSTM
-
-DeepLstmClassifier::DeepLstmClassifier(std::size_t input_dim,
-                                       std::size_t hidden_dim,
-                                       std::size_t layers,
-                                       std::size_t classes,
-                                       std::uint64_t seed)
-    : head_([&] {
-        common::Rng rng(seed + 999);
-        return Dense(hidden_dim, classes, rng);
-      }()) {
-  RNA_CHECK_MSG(layers >= 1, "need at least one LSTM layer");
-  common::Rng rng(seed);
-  layers_.reserve(layers);
-  for (std::size_t l = 0; l < layers; ++l) {
-    layers_.emplace_back(l == 0 ? input_dim : hidden_dim, hidden_dim, rng);
-  }
-}
-
-BatchResult DeepLstmClassifier::Run(const Batch& batch, bool train) {
-  RNA_CHECK_MSG(!batch.sequences.empty(), "deep LSTM takes sequence inputs");
-  RNA_CHECK(batch.sequences.size() == batch.labels.size());
-  ComputeScope scope(*this);
-  if (train) ZeroGrads();
-
-  // Each layer consumes the full hidden sequence of the one below, in the
-  // same packed row order; the head reads the top layer's last states.
-  const SequencePack pack(batch.sequences);
-  tensor::Tensor h = pack.Inputs();
-  for (auto& layer : layers_) h = layer.Forward(pack, h);
-  const tensor::Tensor logits = head_.Forward(pack.GatherLast(h));
-  LossResult lr = SoftmaxCrossEntropy(logits, batch.labels);
-  if (train) {
-    // BPTT downward layer by layer; the bottom layer's input gradient has
-    // no consumer.
-    tensor::Tensor dh = pack.ScatterLast(head_.Backward(lr.dlogits));
-    for (std::size_t l = layers_.size(); l-- > 0;) {
-      dh = layers_[l].Backward(pack, dh, /*input_grad=*/l > 0);
-    }
-  }
-  return {lr.loss, lr.correct, batch.labels.size()};
-}
-
-BatchResult DeepLstmClassifier::ForwardBackward(const Batch& batch) {
-  return Run(batch, /*train=*/true);
-}
-
-BatchResult DeepLstmClassifier::Evaluate(const Batch& batch) {
-  return Run(batch, /*train=*/false);
-}
-
-std::vector<tensor::Tensor*> DeepLstmClassifier::Params() {
-  std::vector<tensor::Tensor*> out;
-  for (auto& layer : layers_) {
-    for (auto* p : layer.Params()) out.push_back(p);
-  }
-  for (auto* p : head_.Params()) out.push_back(p);
-  return out;
-}
-
-std::vector<tensor::Tensor*> DeepLstmClassifier::Grads() {
-  std::vector<tensor::Tensor*> out;
-  for (auto& layer : layers_) {
-    for (auto* g : layer.Grads()) out.push_back(g);
-  }
-  for (auto* g : head_.Grads()) out.push_back(g);
-  return out;
-}
-
-// ------------------------------------------------------------- Transformer
-
-TransformerClassifier::TransformerClassifier(std::size_t input_dim,
-                                             std::size_t model_dim,
-                                             std::size_t heads,
-                                             std::size_t classes,
-                                             std::uint64_t seed)
-    : proj_([&] {
-        common::Rng rng(seed);
-        return Dense(input_dim, model_dim, rng);
-      }()),
-      mha_([&] {
-        RNA_CHECK_MSG(model_dim % heads == 0,
-                      "model_dim must be divisible by heads");
-        common::Rng rng(seed + 1);
-        return MultiHeadAttention(model_dim, model_dim / heads, heads, rng);
-      }()),
-      norm_(model_dim),
-      head_([&] {
-        common::Rng rng(seed + 2);
-        return Dense(model_dim, classes, rng);
-      }()) {}
-
-BatchResult TransformerClassifier::Run(const Batch& batch, bool train) {
-  RNA_CHECK_MSG(!batch.sequences.empty(),
-                "transformer takes sequence inputs");
-  ComputeScope scope(*this);
-  if (train) ZeroGrads();
-  BatchResult result;
-  result.total = batch.labels.size();
-  const std::size_t model_dim = norm_.Dim();
-  const auto inv_batch =
-      static_cast<float>(1.0 / static_cast<double>(batch.labels.size()));
-
-  for (std::size_t s = 0; s < batch.sequences.size(); ++s) {
-    const tensor::Tensor& x = batch.sequences[s];
-    const std::size_t steps = x.Rows();
-
-    tensor::Tensor h0 = proj_.Forward(x);          // T×M
-    tensor::Tensor attn = mha_.Forward(h0);        // T×M
-    tensor::Tensor residual({steps, model_dim});
-    tensor::Add(h0.Flat(), attn.Flat(), residual.Flat());
-    tensor::Tensor normed = norm_.Forward(residual);
-
-    tensor::Tensor pooled({1, model_dim});
-    tensor::SumRows(normed, pooled.Flat());
-    tensor::Scale(pooled.Flat(), 1.0f / static_cast<float>(steps));
-    tensor::Tensor logits = head_.Forward(pooled);
-
-    LossResult lr = SoftmaxCrossEntropy(logits, {batch.labels[s]});
-    result.loss += lr.loss;
-    result.correct += lr.correct;
-
-    if (train) {
-      tensor::Scale(lr.dlogits.Flat(), inv_batch);
-      tensor::Tensor dpooled = head_.Backward(lr.dlogits);
-      tensor::Tensor dnormed({steps, model_dim});
-      const float scale = 1.0f / static_cast<float>(steps);
-      for (std::size_t t = 0; t < steps; ++t) {
-        for (std::size_t i = 0; i < model_dim; ++i) {
-          dnormed.At(t, i) = dpooled[i] * scale;
-        }
-      }
-      tensor::Tensor dresidual = norm_.Backward(dnormed);
-      // Residual split: dL/dh0 = dresidual (skip path) + MHA backward.
-      tensor::Tensor dh0 = mha_.Backward(dresidual);
-      tensor::Axpy(1.0f, dresidual.Flat(), dh0.Flat());
-      proj_.Backward(dh0);
-    }
-  }
-  result.loss /= static_cast<double>(batch.labels.size());
-  return result;
-}
-
-BatchResult TransformerClassifier::ForwardBackward(const Batch& batch) {
-  return Run(batch, /*train=*/true);
-}
-
-BatchResult TransformerClassifier::Evaluate(const Batch& batch) {
-  return Run(batch, /*train=*/false);
-}
-
-std::vector<tensor::Tensor*> TransformerClassifier::Params() {
-  std::vector<tensor::Tensor*> out;
-  for (auto* p : proj_.Params()) out.push_back(p);
-  for (auto* p : mha_.Params()) out.push_back(p);
-  for (auto* p : norm_.Params()) out.push_back(p);
-  for (auto* p : head_.Params()) out.push_back(p);
-  return out;
-}
-
-std::vector<tensor::Tensor*> TransformerClassifier::Grads() {
-  std::vector<tensor::Tensor*> out;
-  for (auto* g : proj_.Grads()) out.push_back(g);
-  for (auto* g : mha_.Grads()) out.push_back(g);
-  for (auto* g : norm_.Grads()) out.push_back(g);
   for (auto* g : head_.Grads()) out.push_back(g);
   return out;
 }
@@ -403,13 +235,15 @@ BatchResult AttentionClassifier::Run(const Batch& batch, bool train) {
     tensor::Scale(pooled.Flat(), 1.0f / static_cast<float>(steps));
 
     tensor::Tensor logits = head_.Forward(pooled);
-    LossResult lr = SoftmaxCrossEntropy(logits, {batch.labels[s]});
+    const std::span<const std::int32_t> label(&batch.labels[s], 1);
+    const LossResult lr = SoftmaxCrossEntropy(logits, label);
     result.loss += lr.loss;
     result.correct += lr.correct;
 
     if (train) {
-      tensor::Scale(lr.dlogits.Flat(), inv_batch);
-      tensor::Tensor dpooled = head_.Backward(lr.dlogits);  // 1×A
+      SoftmaxCrossEntropyGrad(logits, label);
+      tensor::Scale(logits.Flat(), inv_batch);
+      tensor::Tensor dpooled = head_.Backward(logits);  // 1×A
       // Un-pool: every timestep row receives dpooled / T.
       tensor::Tensor dy({steps, attention_.AttnDim()});
       const float scale = 1.0f / static_cast<float>(steps);

@@ -22,12 +22,6 @@ Arena::Scope::Scope(Arena& arena) : previous_(t_current_arena) {
 
 Arena::Scope::~Scope() { t_current_arena = previous_; }
 
-Arena::Arena(std::size_t initial_bytes) {
-  if (initial_bytes > 0) {
-    chunks_.push_back(NewChunk(RoundUp(initial_bytes)));
-  }
-}
-
 Arena::Chunk Arena::NewChunk(std::size_t capacity) {
   Chunk chunk;
   chunk.data.reset(static_cast<std::byte*>(

@@ -38,9 +38,6 @@ class Arena {
   static constexpr std::size_t kMinChunkBytes = 1 << 20;
 
   Arena() = default;
-  /// Pre-reserves one chunk of at least `initial_bytes`
-  /// (rounded up to kAlignment); the arena stays in grow-on-demand mode.
-  explicit Arena(std::size_t initial_bytes);
   ~Arena() = default;
 
   Arena(const Arena&) = delete;

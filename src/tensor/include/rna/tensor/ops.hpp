@@ -33,18 +33,9 @@ void Axpy(float alpha, std::span<const float> x, std::span<float> y);
 /// x *= alpha
 void Scale(std::span<float> x, float alpha);
 
-/// out = a + b
-void Add(std::span<const float> a, std::span<const float> b,
-         std::span<float> out);
-
 /// out = a ⊙ b (elementwise product)
 void Hadamard(std::span<const float> a, std::span<const float> b,
               std::span<float> out);
-
-double Dot(std::span<const float> a, std::span<const float> b);
-
-/// Adds `row` (length = cols) to every row of the 2-D tensor.
-void AddRowBroadcast(Tensor& matrix, std::span<const float> row);
 
 /// Column-wise sum of a 2-D tensor into `out` (length = cols).
 void SumRows(const Tensor& matrix, std::span<float> out);

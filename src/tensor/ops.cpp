@@ -56,35 +56,10 @@ void Scale(std::span<float> x, float alpha) {
   common::simd::ScaleInto(x, alpha);
 }
 
-void Add(std::span<const float> a, std::span<const float> b,
-         std::span<float> out) {
-  RNA_CHECK(a.size() == b.size() && a.size() == out.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-}
-
 void Hadamard(std::span<const float> a, std::span<const float> b,
               std::span<float> out) {
   RNA_CHECK(a.size() == b.size() && a.size() == out.size());
   for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] * b[i];
-}
-
-double Dot(std::span<const float> a, std::span<const float> b) {
-  RNA_CHECK(a.size() == b.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    acc += static_cast<double>(a[i]) * b[i];
-  return acc;
-}
-
-// Both row loops add elementwise (dst + src per element), so the wide
-// AddInto is bitwise the scalar loop.
-void AddRowBroadcast(Tensor& matrix, std::span<const float> row) {
-  RNA_CHECK(matrix.Cols() == row.size());
-  const std::size_t rows = matrix.Rows(), cols = matrix.Cols();
-  float* p = matrix.Data();
-  for (std::size_t i = 0; i < rows; ++i) {
-    common::simd::AddInto({p + i * cols, cols}, row);
-  }
 }
 
 void SumRows(const Tensor& matrix, std::span<float> out) {

@@ -307,10 +307,11 @@ void CommLoop(Engine& e, std::size_t w) {
     if (reduced.ok && reduced.contributors > 0) {
       // RNA's Linear Scaling Rule: γ_k ∝ participating batch size, over the
       // group's original size (a dead worker is a permanent null contributor
-      // under the paper's gradient rule). eager-SGD averages over that fixed
-      // size too: absent workers dilute the update instead of re-weighting it.
+      // under the paper's gradient rule). eager-SGD pins kLinear, its plain
+      // average over that fixed size: absent workers dilute the update
+      // instead of re-weighting it.
       double scale = 1.0;
-      if (stale_reuse || config.lr_policy == LrScalePolicy::kLinear) {
+      if (config.lr_policy == LrScalePolicy::kLinear) {
         scale = static_cast<double>(reduced.contributors) / group_size;
       }
       // The paper's W = 1/Σw re-weight, folded into the LR scale; the

@@ -336,12 +336,6 @@ std::unique_ptr<Network> MakeModel(const std::string& kind) {
         std::vector<std::size_t>{16, 32, 4}, 7);
   }
   if (kind == "lstm") return std::make_unique<nn::LstmClassifier>(8, 16, 4, 7);
-  if (kind == "deep-lstm") {
-    return std::make_unique<nn::DeepLstmClassifier>(8, 12, 2, 4, 7);
-  }
-  if (kind == "transformer") {
-    return std::make_unique<nn::TransformerClassifier>(8, 16, 2, 4, 7);
-  }
   return std::make_unique<nn::AttentionClassifier>(8, 12, 4, 7);
 }
 
@@ -435,14 +429,9 @@ TEST_P(SteadyState, DisabledArenaFallsBackToHeap) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, SteadyState,
-                         ::testing::Values("mlp", "lstm", "deep-lstm",
-                                           "transformer", "attention"),
+                         ::testing::Values("mlp", "lstm", "attention"),
                          [](const auto& info) {
-                           std::string name = info.param;
-                           for (auto& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
+                           return std::string(info.param);
                          });
 
 }  // namespace

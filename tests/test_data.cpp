@@ -93,10 +93,10 @@ TEST(Dataset, SplitHoldout) {
   EXPECT_EQ(val.labels[0], ds.labels[80]);
 }
 
-TEST(Dataset, MakeBatchDense) {
+TEST(ShardView, MakeBatchDense) {
   Dataset ds = MakeGaussianClusters(10, 3, 2, 0.5, 10);
   const std::size_t idx[] = {2, 7};
-  nn::Batch b = ds.MakeBatch(idx);
+  nn::Batch b = ShardView::All(ds).MakeBatch(idx);
   EXPECT_EQ(b.Size(), 2u);
   EXPECT_EQ(b.inputs.At(0, 0), ds.inputs.At(2, 0));
   EXPECT_EQ(b.inputs.At(1, 2), ds.inputs.At(7, 2));
