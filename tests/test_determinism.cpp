@@ -288,6 +288,16 @@ TEST(GoldenPins, LockstepAdPsgd) {
                {0x6ca037e945ada66cull, 6, 18, {}, 3});
 }
 
+// Identical to flat RNA's pin: in lockstep every worker contributes every
+// round, so no straggler verdict fires and kStragglar runs the identity ring.
+// That identity is what this pin holds.
+TEST(GoldenPins, RnaStragglar) {
+  TrainerConfig c = LockstepConfig(Protocol::kRna);
+  c.schedule = collectives::Schedule::kStragglar;
+  ExpectPinned(c, 11,
+               {0xb92691e8fbd7e7fdull, 6, 18, {3, 3, 3, 3, 3, 3}, 3});
+}
+
 TEST(GoldenPins, RnaStragglarInt8) {
   TrainerConfig c = LockstepConfig(Protocol::kRna);
   c.schedule = collectives::Schedule::kStragglar;
