@@ -1,23 +1,21 @@
-// Collective-policy sweep: protocol × compression × schedule. Three row
-// families, all emitted to BENCH_collective_policy.json by --json-out (the
-// bench-smoke job gates them via tools/bench_gate.py):
+// Collective-policy sweep: schedule × protocol. Three row families, all
+// emitted to BENCH_collective_policy.json by --json-out (the bench-smoke job
+// gates them via tools/bench_gate.py):
 //
-//   comp_<level>_w8_256k   ring allreduce, world 8, 256k floats, one row
-//                          per compression level. wire_bytes_per_round is
-//                          a deterministic function of the codec (gated by
-//                          absolute ceilings — the measured wire-byte
-//                          reduction is a correctness claim, not a speed
-//                          claim). time_per_round_s is informational:
-//                          small-message rounds on the thread fabric are
-//                          too scheduler-noisy to baseline-gate.
+//   comp_none_w8_256k      ring allreduce, world 8, 256k floats.
+//                          wire_bytes_per_round comes from the fabric's
+//                          TotalStats, a deterministic function of the hop
+//                          graph (2(w−1)·w raw fp32 chunks per round), so it
+//                          is gated by an exact ceiling. time_per_round_s is
+//                          informational: small-message rounds on the thread
+//                          fabric are too scheduler-noisy to baseline-gate.
 //   sched_<name>_w8_64k    one row per reduction schedule (ring, tree,
-//                          stragglar), uncompressed.
-//   train_<proto>_<level>  small lockstep training runs (horovod + rna ×
-//                          every compression level): final_loss must beat
-//                          the chance-level ceiling and reached_target
-//                          (final_loss <= target) must hold — compression
-//                          may trade wire bytes for noise, but it must not
-//                          break convergence.
+//                          stragglar).
+//   train_<proto>_none     small lockstep training runs (horovod + rna):
+//                          final_loss must beat the chance-level ceiling and
+//                          reached_target (final_loss <= target) must hold.
+//
+// Every payload is raw fp32, which the labels' `none` records.
 
 #include <chrono>
 #include <cstdio>
@@ -44,32 +42,25 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 
 struct SweepResult {
   double time_per_round_s = 0.0;
-  double raw_bytes_per_round = 0.0;
   double wire_bytes_per_round = 0.0;
 };
 
 /// Runs `iters` timed allreduce rounds (after `warmup`) and reports
-/// throughput plus the per-round wire accounting from the fabric.
+/// throughput plus the per-round bytes the fabric sent.
 SweepResult RunPolicyRounds(std::size_t world, std::size_t elems,
-                            collectives::Schedule schedule,
-                            collectives::Compression compression,
-                            double topk_fraction) {
+                            collectives::Schedule schedule) {
   constexpr int kWarmup = 2;
   constexpr int kIters = 8;
   net::Fabric fabric(world);
   const auto group = collectives::Group::Full(world);
   std::vector<std::vector<float>> bufs(world,
                                        std::vector<float>(elems, 1.0f));
-  std::vector<collectives::ErrorFeedback> feedback(world);
   auto run_round = [&](int round) {
     std::vector<std::thread> threads;
     for (std::size_t r = 0; r < world; ++r) {
       threads.emplace_back([&, r] {
         collectives::CollectiveOptions opts;
         opts.schedule = schedule;
-        opts.compression = compression;
-        opts.topk_fraction = topk_fraction;
-        opts.feedback = &feedback[r];
         opts.tag_base = round * 1000;
         if (schedule == collectives::Schedule::kStragglar) {
           opts.straggler = world - 1;
@@ -86,42 +77,24 @@ SweepResult RunPolicyRounds(std::size_t world, std::size_t elems,
   for (int i = 0; i < kIters; ++i) run_round(kWarmup + i);
   const double secs = SecondsSince(t0);
 
-  std::uint64_t raw = 0, wired = 0;
-  for (const auto f : {net::wire::Format::kRaw, net::wire::Format::kFp16,
-                       net::wire::Format::kInt8, net::wire::Format::kTopK}) {
-    const auto stats = fabric.WireStatsFor(f);
-    raw += stats.raw_bytes;
-    wired += stats.wire_bytes;
-  }
   const double rounds = kWarmup + kIters;
   SweepResult out;
   out.time_per_round_s = secs / kIters;
-  out.raw_bytes_per_round = static_cast<double>(raw) / rounds;
-  out.wire_bytes_per_round = static_cast<double>(wired) / rounds;
+  out.wire_bytes_per_round =
+      static_cast<double>(fabric.TotalStats().bytes_sent) / rounds;
   return out;
 }
 
-const std::pair<collectives::Compression, const char*> kCompressions[] = {
-    {collectives::Compression::kNone, "none"},
-    {collectives::Compression::kFp16, "fp16"},
-    {collectives::Compression::kInt8, "int8"},
-    {collectives::Compression::kTopK, "topk"},
-};
-
-void CompressionRows(std::vector<benchutil::BenchRow>& rows) {
+void RingRow(std::vector<benchutil::BenchRow>& rows) {
   constexpr std::size_t kWorld = 8;
   constexpr std::size_t kElems = 1u << 18;
-  for (const auto& [compression, name] : kCompressions) {
-    const SweepResult r =
-        RunPolicyRounds(kWorld, kElems, collectives::Schedule::kRing,
-                        compression, /*topk_fraction=*/0.05);
-    benchutil::BenchRow row;
-    row.label = std::string("comp_") + name + "_w8_256k";
-    row.values["time_per_round_s"] = r.time_per_round_s;
-    row.values["raw_bytes_per_round"] = r.raw_bytes_per_round;
-    row.values["wire_bytes_per_round"] = r.wire_bytes_per_round;
-    rows.push_back(row);
-  }
+  const SweepResult r =
+      RunPolicyRounds(kWorld, kElems, collectives::Schedule::kRing);
+  benchutil::BenchRow row;
+  row.label = "comp_none_w8_256k";
+  row.values["time_per_round_s"] = r.time_per_round_s;
+  row.values["wire_bytes_per_round"] = r.wire_bytes_per_round;
+  rows.push_back(row);
 }
 
 void ScheduleRows(std::vector<benchutil::BenchRow>& rows) {
@@ -133,9 +106,7 @@ void ScheduleRows(std::vector<benchutil::BenchRow>& rows) {
       {collectives::Schedule::kStragglar, "stragglar"},
   };
   for (const auto& [schedule, name] : schedules) {
-    const SweepResult r =
-        RunPolicyRounds(kWorld, kElems, schedule,
-                        collectives::Compression::kNone, 0.05);
+    const SweepResult r = RunPolicyRounds(kWorld, kElems, schedule);
     benchutil::BenchRow row;
     row.label = std::string("sched_") + name + "_w8_64k";
     row.values["time_per_round_s"] = r.time_per_round_s;
@@ -159,36 +130,31 @@ void TrainingRows(std::vector<benchutil::BenchRow>& rows) {
       {train::Protocol::kRna, "rna"},
   };
   for (const auto& [protocol, proto_name] : protocols) {
-    for (const auto& [compression, comp_name] : kCompressions) {
-      train::TrainerConfig config;
-      config.protocol = protocol;
-      config.world = 3;
-      config.batch_size = 8;
-      config.max_rounds = 30;
-      config.lockstep = true;
-      config.target_loss = -1.0;  // run the full 30 rounds, no early stop
-      config.patience = 1000000;
-      config.compression = compression;
-      config.topk_fraction = 0.25;
-      const auto t0 = std::chrono::steady_clock::now();
-      const train::TrainResult result =
-          core::RunTraining(config, factory, train_data, val_data);
-      benchutil::BenchRow row;
-      row.label =
-          std::string("train_") + proto_name + "_" + comp_name;
-      row.values["final_loss"] = result.final_loss;
-      row.values["reached_target"] =
-          result.final_loss <= kTargetLoss ? 1.0 : 0.0;
-      row.values["rounds"] = static_cast<double>(result.rounds);
-      row.values["wall_s"] = SecondsSince(t0);
-      rows.push_back(row);
-    }
+    train::TrainerConfig config;
+    config.protocol = protocol;
+    config.world = 3;
+    config.batch_size = 8;
+    config.max_rounds = 30;
+    config.lockstep = true;
+    config.target_loss = -1.0;  // run the full 30 rounds, no early stop
+    config.patience = 1000000;
+    const auto t0 = std::chrono::steady_clock::now();
+    const train::TrainResult result =
+        core::RunTraining(config, factory, train_data, val_data);
+    benchutil::BenchRow row;
+    row.label = std::string("train_") + proto_name + "_none";
+    row.values["final_loss"] = result.final_loss;
+    row.values["reached_target"] =
+        result.final_loss <= kTargetLoss ? 1.0 : 0.0;
+    row.values["rounds"] = static_cast<double>(result.rounds);
+    row.values["wall_s"] = SecondsSince(t0);
+    rows.push_back(row);
   }
 }
 
 int Run(const std::string& json_out) {
   std::vector<benchutil::BenchRow> rows;
-  CompressionRows(rows);
+  RingRow(rows);
   ScheduleRows(rows);
   TrainingRows(rows);
   if (!json_out.empty()) {

@@ -113,13 +113,11 @@ int main() {
       } else if (row.kind == "counter") {
         // Counter values double as op counts: every hot-path counter
         // increments by 1 except fabric.bytes, whose ops are paired 1:1
-        // with fabric.messages, and the fabric.pool.* / fabric.wire.*
-        // counters, which the fabric tracks with raw atomics and flushes as
-        // one delta per counter at Fabric::Shutdown (so a bytes-sized value
-        // is one CountMetric).
+        // with fabric.messages, and the fabric.pool.* counters, which the
+        // pool tracks with raw atomics and flushes as one delta per counter
+        // at Fabric::Shutdown (so a bytes-sized value is one CountMetric).
         if (row.name == "fabric.bytes") continue;
-        if (row.name.rfind("fabric.pool.", 0) == 0 ||
-            row.name.rfind("fabric.wire.", 0) == 0) {
+        if (row.name.rfind("fabric.pool.", 0) == 0) {
           metric_ops += 1.0;
           continue;
         }

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
           {"help", "protocol", "workload", "world", "data-seed", "rounds",
            "target-loss", "batch", "lr", "momentum", "probes", "staleness",
            "seed", "tiers", "jitter-ms", "checkpoint", "schedule",
-           "compression", "topk-fraction", "trace-out", "metrics-out"})) {
+           "trace-out", "metrics-out"})) {
     std::fprintf(stderr, "unknown flag: --%s\n", unknown->c_str());
     return 1;
   }
@@ -61,10 +61,8 @@ int main(int argc, char** argv) {
         "  [--rounds K] [--target-loss L] [--batch B] [--lr R]\n"
         "  [--momentum M] [--probes Q] [--staleness H] [--seed S]\n"
         "  [--tiers 1,2,3] [--jitter-ms J] [--checkpoint PATH]\n"
-        "  [--schedule ring|tree|stragglar] [--compression "
-        "none|fp16|int8|topk]\n"
-        "  [--topk-fraction F] [--trace-out TRACE.json] "
-        "[--metrics-out METRICS.jsonl] [--data-seed D]\n");
+        "  [--schedule ring|tree|stragglar] [--trace-out TRACE.json]\n"
+        "  [--metrics-out METRICS.jsonl] [--data-seed D]\n");
     return 0;
   }
 
@@ -129,7 +127,7 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   config.eval_period_s = 0.02;
 
-  // Collective policy: reduction schedule and wire compression.
+  // Collective policy: the reduction schedule.
   const std::string schedule_name = flags.GetString("schedule", "ring");
   const std::optional<collectives::Schedule> schedule =
       collectives::ParseSchedule(schedule_name);
@@ -138,18 +136,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   config.schedule = *schedule;
-  const std::string compression_name =
-      flags.GetString("compression", "none");
-  const std::optional<collectives::Compression> compression =
-      collectives::ParseCompression(compression_name);
-  if (!compression.has_value()) {
-    std::fprintf(stderr, "unknown compression: %s\n",
-                 compression_name.c_str());
-    return 1;
-  }
-  config.compression = *compression;
-  config.topk_fraction =
-      flags.GetDouble("topk-fraction", config.topk_fraction);
 
   const double jitter_ms = flags.GetDouble("jitter-ms", 1.0);
   if (flags.Has("tiers") || jitter_ms > 0.0) {

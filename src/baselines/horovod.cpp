@@ -43,14 +43,11 @@ TrainResult RunHorovod(const TrainerConfig& config, const ModelFactory& factory,
         obs::RegisterTrack(obs::WorkerTrack(w, "sync"));
     WorkerContext& worker = run.Worker(w);
     std::vector<float> params = run.Init();
-    std::vector<float> buffer(dim + 1);  // gradient ‖ stop vote
-    // Per-worker error-feedback residual for lossy compression. The stop
-    // vote rides in the exact tail, so it is never quantized: the vote
-    // sum stays bitwise-identical on every worker and the collective
-    // exit stays unanimous.
-    collectives::ErrorFeedback feedback;
-    collectives::CollectiveOptions opts = run.CollectiveOptionsFor(feedback);
-    opts.exact_tail = 1;
+    // Gradient ‖ stop vote: the votes sum to a small integer, exact in
+    // fp32 and identical on every worker, so the collective exit is
+    // unanimous.
+    std::vector<float> buffer(dim + 1);
+    collectives::CollectiveOptions opts = run.CollectiveOptionsFor();
 
     for (std::size_t round = 0; round < config.max_rounds; ++round) {
       run.StepLrSchedule(w, round);

@@ -1,17 +1,13 @@
 #pragma once
 
-// The single parameter surface for the allreduce family. Historically every
-// collective entry point grew its own positional signature (fabric, group,
-// my_index, data, tag_base, hop_timeout, ...); adding compression and
-// schedules would have doubled them again. Instead a call site now names a
+// The parameter surface for the allreduce family: a call site names a
 // CollectiveContext (who is communicating) plus CollectiveOptions (how:
-// schedule, compression, tags, deadline) and passes them to one
-// AllreduceFor implementation (allreduce.hpp).
+// schedule, tags, deadline) and passes them to AllreduceFor
+// (allreduce.hpp).
 
 #include <cstddef>
 #include <vector>
 
-#include "rna/collectives/compression.hpp"
 #include "rna/collectives/schedule.hpp"
 #include "rna/net/fabric.hpp"
 
@@ -45,15 +41,10 @@ struct CollectiveContext {
 inline constexpr std::size_t kNoStraggler = static_cast<std::size_t>(-1);
 
 /// How a collective runs. Every member of a group must pass *identical*
-/// options for the same logical operation (same schedule, compression,
-/// fraction, tag_base, straggler) — exactly the MPI collective contract the
-/// old positional arguments had, now in one named struct.
+/// options for the same logical operation (same schedule, tag_base,
+/// straggler): the MPI collective contract.
 struct CollectiveOptions {
   Schedule schedule = Schedule::kRing;
-  Compression compression = Compression::kNone;
-
-  /// Fraction of elements kept per chunk under Compression::kTopK.
-  double topk_fraction = 0.05;
 
   /// First tag of the pass's tag range (see RingTagSpan/TreeTagSpan for
   /// the width). Must not collide with other traffic in flight.
@@ -67,18 +58,6 @@ struct CollectiveOptions {
   /// kNoStraggler. Only Schedule::kStragglar consumes it (the straggler is
   /// moved to the ring's tail position); all members must agree on it.
   std::size_t straggler = kNoStraggler;
-
-  /// Number of trailing elements carried bit-exact through lossy
-  /// compression (contributor counts, stop votes).
-  std::size_t exact_tail = 0;
-
-  /// Per-worker error-feedback residual for the lossy policies; may be
-  /// null (residuals are then dropped — fp16/int8 tolerate it, kTopK
-  /// converges much slower). The call uses residual elements
-  /// [0, data.size()) and grows the buffer if it is too small (growth
-  /// zero-fills — pre-size once before the hot loop to keep residuals alive
-  /// and the steady state allocation-free).
-  ErrorFeedback* feedback = nullptr;
 };
 
 }  // namespace rna::collectives

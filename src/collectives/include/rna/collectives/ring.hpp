@@ -26,18 +26,25 @@
 namespace rna::collectives {
 
 namespace detail {
-/// Receives one hop frame at `tag` and decodes it into `dst` (see
-/// wire::Decode). Returns the payload for the caller to forward or
-/// recycle. std::nullopt when the hop missed its deadline `timeout`, the
-/// fabric shut down, or the frame was malformed — a rejected frame is
-/// recycled and counted in `collectives.rejected_frames`, and either way
+/// How RecvFrame applies a hop frame to its destination.
+enum class Fold {
+  kCopy,  ///< dst = frame (all-gather, broadcast)
+  kAdd,   ///< dst += frame (reduce), through simd::AddInto
+};
+
+/// A pool-acquired copy of `values`: the payload of one hop.
+std::vector<float> PooledCopy(net::Fabric& fabric,
+                              std::span<const float> values);
+
+/// Receives one hop frame at `tag` and applies it to `dst`. Returns the
+/// frame for the caller to forward or recycle. std::nullopt when the hop
+/// missed its deadline `timeout`, the fabric shut down, or the frame was
+/// not dst.size() floats long — a wrong-size frame is recycled and counted
+/// in `collectives.rejected_frames` with `dst` untouched — and either way
 /// the pass must abort.
 std::optional<std::vector<float>> RecvFrame(net::Fabric& fabric, Rank self,
                                             int tag, common::Seconds timeout,
-                                            net::wire::Format format,
-                                            std::span<float> dst,
-                                            net::wire::Fold fold,
-                                            std::size_t exact_tail);
+                                            std::span<float> dst, Fold fold);
 }  // namespace detail
 
 /// Star broadcast from `root_index` to all other members; terminates

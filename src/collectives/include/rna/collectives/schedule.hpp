@@ -21,7 +21,7 @@
 namespace rna::collectives {
 
 enum class Schedule {
-  kRing = 0,       ///< fixed-neighbor ring (historical path)
+  kRing = 0,       ///< fixed-neighbor ring (the paper's)
   kTree = 1,       ///< binomial reduce + broadcast tree
   kStragglar = 2,  ///< ring with the persistent straggler moved to the tail
 };

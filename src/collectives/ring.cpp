@@ -4,35 +4,43 @@
 
 #include "rna/collectives/allreduce.hpp"
 #include "rna/common/check.hpp"
+#include "rna/common/simd.hpp"
 #include "rna/obs/metrics.hpp"
 
 namespace rna::collectives {
 
 namespace detail {
 
+std::vector<float> PooledCopy(net::Fabric& fabric,
+                              std::span<const float> values) {
+  std::vector<float> payload = fabric.Pool().Acquire(values.size());
+  std::copy(values.begin(), values.end(), payload.begin());
+  return payload;
+}
+
 std::optional<std::vector<float>> RecvFrame(net::Fabric& fabric, Rank self,
                                             int tag, common::Seconds timeout,
-                                            net::wire::Format format,
-                                            std::span<float> dst,
-                                            net::wire::Fold fold,
-                                            std::size_t exact_tail) {
+                                            std::span<float> dst, Fold fold) {
   auto in = fabric.RecvFor(self, tag, timeout);
   if (!in.has_value()) return std::nullopt;
-  if (!net::wire::Decode(format, in->data, dst, fold, exact_tail)) {
+  // A peer's frame is checked before it touches the destination.
+  if (in->data.size() != dst.size()) {
     obs::CountMetric("collectives.rejected_frames");
     fabric.Pool().Recycle(std::move(in->data));
     return std::nullopt;
+  }
+  if (fold == Fold::kAdd) {
+    common::simd::AddInto(dst, in->data);
+  } else {
+    std::copy(in->data.begin(), in->data.end(), dst.begin());
   }
   return std::move(in->data);
 }
 
 bool RingAllreduceFor(const CollectiveContext& ctx,
-                      const CollectiveOptions& options, std::span<float> data,
-                      std::span<float> residual) {
+                      const CollectiveOptions& options, std::span<float> data) {
   net::Fabric& fabric = ctx.fabric;
   const std::size_t world = ctx.group.Size();
-  const net::wire::Format format = ToWireFormat(options.compression);
-  const std::size_t exact_tail = options.exact_tail;
   // The StragglAR-style permutation moves the straggler to the tail
   // *position*; everyone else keeps their relative order. Positions — not
   // member indices — own chunks and define neighbors, so the permutation
@@ -64,33 +72,13 @@ bool RingAllreduceFor(const CollectiveContext& ctx,
   auto chunk = [&](std::size_t c) {
     return data.subspan(offset_of(c), offset_of(c + 1) - offset_of(c));
   };
-  // How many of the buffer's last `exact_tail` elements land in chunk c.
-  auto tail_in = [&](std::size_t c) -> std::size_t {
-    const std::size_t from =
-        std::max(offset_of(c), data.size() - exact_tail);
-    return offset_of(c + 1) > from ? offset_of(c + 1) - from : 0;
-  };
-  auto encode = [&](std::size_t c) {
-    const auto out = chunk(c);
-    const std::size_t tail = tail_in(c);
-    const std::size_t k =
-        format == net::wire::Format::kTopK
-            ? net::wire::TopKCount(out.size() - tail, options.topk_fraction)
-            : 0;
-    return net::wire::Encode(
-        fabric.Pool(), format, out,
-        residual.empty() ? residual
-                         : residual.subspan(offset_of(c), out.size()),
-        k, tail);
-  };
 
-  // Reduce-scatter steps use tag_base + step; all-gather steps keep the
-  // historical tag_base + world + gather_step layout (the tag at
-  // tag_base + world − 1 is unused). See RingTagSpan in schedule.hpp.
+  // Reduce-scatter steps use tag_base + step; all-gather steps use
+  // tag_base + world + gather_step (the tag at tag_base + world − 1 is
+  // unused). See RingTagSpan in schedule.hpp.
   const std::size_t reduce_steps = world - 1;
-  // All-gather frames are forwarded verbatim (never re-encoded, so lossy
-  // compression is applied exactly once per chunk and every rank decodes
-  // the same bytes); this holds the frame received last hop.
+  // All-gather frames after the first are forwarded as they arrived; this
+  // holds the frame received last hop.
   std::vector<float> forward;
   for (std::size_t step = 0; step < 2 * reduce_steps; ++step) {
     const bool reducing = step < reduce_steps;
@@ -100,30 +88,14 @@ bool RingAllreduceFor(const CollectiveContext& ctx,
     const std::size_t send_c = (pos + (reducing ? 0 : 1) + world - s) % world;
     net::Message msg;
     msg.tag = tag;
-    if (!reducing && s > 0) {
-      msg.data = std::move(forward);
-    } else {
-      msg.data = encode(send_c);
-      if (!reducing && format != net::wire::Format::kRaw) {
-        // First gather hop: the chunk owner broadcasts its reduced chunk.
-        // Self-apply the lossy round-trip so the owner's copy is bitwise
-        // what every other rank will decode.
-        RNA_CHECK(net::wire::Decode(format, msg.data, chunk(send_c),
-                                    net::wire::Fold::kAssign,
-                                    tail_in(send_c)));
-      }
-    }
-    fabric.CountWire(format, chunk(send_c).size() * sizeof(float),
-                     msg.data.size() * sizeof(float));
+    msg.data = !reducing && s > 0 ? std::move(forward)
+                                  : PooledCopy(fabric, chunk(send_c));
     fabric.Send(self, right, std::move(msg));
 
     const std::size_t recv_c =
         (pos + 2 * world - s - (reducing ? 1 : 0)) % world;
-    auto in = RecvFrame(fabric, self, tag, options.hop_timeout, format,
-                        chunk(recv_c),
-                        reducing ? net::wire::Fold::kAdd
-                                 : net::wire::Fold::kAssign,
-                        tail_in(recv_c));
+    auto in = RecvFrame(fabric, self, tag, options.hop_timeout,
+                        chunk(recv_c), reducing ? Fold::kAdd : Fold::kCopy);
     if (!in.has_value()) return false;
     if (!reducing && s + 1 < reduce_steps) {
       forward = std::move(*in);  // this rank's next gather send
@@ -162,16 +134,13 @@ bool BroadcastFor(net::Fabric& fabric, const Group& group,
       if (i == root_index) continue;
       net::Message msg;
       msg.tag = tag_base;
-      msg.data = fabric.Pool().Acquire(data.size());
-      std::copy(data.begin(), data.end(), msg.data.begin());
+      msg.data = detail::PooledCopy(fabric, data);
       fabric.Send(self, group.At(i), std::move(msg));
     }
     return true;
   }
-  // A raw frame decodes as a size-checked copy.
-  auto in = detail::RecvFrame(fabric, self, tag_base, timeout,
-                              net::wire::Format::kRaw, data,
-                              net::wire::Fold::kAssign, /*exact_tail=*/0);
+  auto in = detail::RecvFrame(fabric, self, tag_base, timeout, data,
+                              detail::Fold::kCopy);
   if (!in.has_value()) return false;
   fabric.Pool().Recycle(std::move(*in));
   return true;

@@ -252,54 +252,6 @@ void Fabric::Shutdown() {
   // Counter deltas flush idempotently, so the dtor's second Shutdown only
   // publishes whatever accrued since this one.
   pool_.PublishMetrics();
-  PublishWireMetrics();
-}
-
-void Fabric::CountWire(wire::Format format, std::size_t raw_bytes,
-                       std::size_t wire_bytes) {
-  auto& c = wire_counters_[static_cast<std::size_t>(format)];
-  c.chunks.fetch_add(1, std::memory_order_relaxed);
-  c.raw_bytes.fetch_add(raw_bytes, std::memory_order_relaxed);
-  c.wire_bytes.fetch_add(wire_bytes, std::memory_order_relaxed);
-}
-
-WireTraffic Fabric::WireStatsFor(wire::Format format) const {
-  const auto& c = wire_counters_[static_cast<std::size_t>(format)];
-  WireTraffic t;
-  t.chunks = c.chunks.load(std::memory_order_relaxed);
-  t.raw_bytes = c.raw_bytes.load(std::memory_order_relaxed);
-  t.wire_bytes = c.wire_bytes.load(std::memory_order_relaxed);
-  return t;
-}
-
-void Fabric::PublishWireMetrics() {
-  // Metric names must outlive the registry; build them per format from
-  // static storage.
-  static const char* const kNames[wire::kFormatCount][3] = {
-      {"fabric.wire.raw.chunks", "fabric.wire.raw.raw_bytes",
-       "fabric.wire.raw.wire_bytes"},
-      {"fabric.wire.fp16.chunks", "fabric.wire.fp16.raw_bytes",
-       "fabric.wire.fp16.wire_bytes"},
-      {"fabric.wire.int8.chunks", "fabric.wire.int8.raw_bytes",
-       "fabric.wire.int8.wire_bytes"},
-      {"fabric.wire.topk.chunks", "fabric.wire.topk.raw_bytes",
-       "fabric.wire.topk.wire_bytes"},
-  };
-  auto flush = [](std::atomic<std::uint64_t>& current,
-                  std::atomic<std::uint64_t>& published, const char* name) {
-    const std::uint64_t now = current.load(std::memory_order_relaxed);
-    const std::uint64_t prev =
-        published.exchange(now, std::memory_order_relaxed);
-    if (now > prev) {
-      obs::CountMetric(name, static_cast<std::int64_t>(now - prev));
-    }
-  };
-  for (std::size_t f = 0; f < wire::kFormatCount; ++f) {
-    auto& c = wire_counters_[f];
-    flush(c.chunks, c.published_chunks, kNames[f][0]);
-    flush(c.raw_bytes, c.published_raw, kNames[f][1]);
-    flush(c.wire_bytes, c.published_wire, kNames[f][2]);
-  }
 }
 
 TrafficStats Fabric::StatsFor(Rank rank) const {

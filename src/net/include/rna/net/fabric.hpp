@@ -26,7 +26,6 @@
 #include "rna/common/thread_annotations.hpp"
 #include "rna/net/buffer_pool.hpp"
 #include "rna/net/message.hpp"
-#include "rna/net/wire.hpp"
 
 namespace rna::net {
 
@@ -83,20 +82,12 @@ class Mailbox {
   bool closed_ RNA_GUARDED_BY(mu_) = false;
 };
 
-/// Cumulative per-endpoint traffic counters.
+/// Cumulative per-endpoint traffic counters: every message sent and every
+/// byte of its payload and meta (Message::ByteSize), as `fabric.messages`
+/// and `fabric.bytes` count them.
 struct TrafficStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t bytes_sent = 0;
-};
-
-/// Cumulative per-wire-format traffic: how many chunk payloads a policy
-/// produced, the bytes they represent uncompressed (`raw_bytes`), and the
-/// bytes that actually crossed the fabric (`wire_bytes`). raw == wire for
-/// wire::Format::kRaw; the gap is the compression saving.
-struct WireTraffic {
-  std::uint64_t chunks = 0;
-  std::uint64_t raw_bytes = 0;
-  std::uint64_t wire_bytes = 0;
 };
 
 class Fabric {
@@ -145,20 +136,6 @@ class Fabric {
   TrafficStats StatsFor(Rank rank) const;
   TrafficStats TotalStats() const;
 
-  /// Attributes one encoded chunk to a wire format: `raw_bytes` is the
-  /// chunk's uncompressed size, `wire_bytes` what was actually sent.
-  /// Lock-free; called by the collectives on every chunk send.
-  void CountWire(wire::Format format, std::size_t raw_bytes,
-                 std::size_t wire_bytes);
-
-  WireTraffic WireStatsFor(wire::Format format) const;
-
-  /// Flushes per-format wire counters into the obs metrics registry as
-  /// `fabric.wire.<format>.{chunks,raw_bytes,wire_bytes}`. Idempotent
-  /// deltas, same contract as BufferPool::PublishMetrics(); called from
-  /// Shutdown().
-  void PublishWireMetrics();
-
  private:
   struct PendingDelivery {
     common::SteadyClock::time_point due;
@@ -189,19 +166,6 @@ class Fabric {
     std::atomic<std::uint64_t> bytes_sent{0};
   };
   std::vector<TrafficCounters> stats_;
-
-  // Per-wire-format counters (index = wire::Format). Hot-path atomics with
-  // shadow `published_` values so PublishWireMetrics() flushes idempotent
-  // deltas, mirroring BufferPool.
-  struct WireCounters {
-    std::atomic<std::uint64_t> chunks{0};
-    std::atomic<std::uint64_t> raw_bytes{0};
-    std::atomic<std::uint64_t> wire_bytes{0};
-    std::atomic<std::uint64_t> published_chunks{0};
-    std::atomic<std::uint64_t> published_raw{0};
-    std::atomic<std::uint64_t> published_wire{0};
-  };
-  WireCounters wire_counters_[wire::kFormatCount];
 
   // Delayed-delivery machinery (only active when a latency model is set).
   common::Mutex timer_mu_;

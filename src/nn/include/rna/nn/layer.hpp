@@ -79,6 +79,10 @@ class Dropout : public Layer {
   Tensor Forward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
 
+  /// False at rate 0 and in evaluation mode, where the layer is the
+  /// identity and a caller can skip it instead of copying through it.
+  bool Active() const { return training_ && rate_ > 0.0; }
+
  private:
   double rate_;
   common::Rng rng_;

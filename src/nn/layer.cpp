@@ -72,7 +72,7 @@ Dropout::Dropout(double rate, std::uint64_t seed) : rate_(rate), rng_(seed) {
 }
 
 Tensor Dropout::Forward(const Tensor& x) {
-  if (!training_ || rate_ == 0.0) {
+  if (!Active()) {
     mask_ = Tensor();
     return x;
   }

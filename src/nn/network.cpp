@@ -166,13 +166,17 @@ BatchResult LstmClassifier::Run(const Batch& batch, bool train) {
   // caches that BPTT needs.
   const tensor::Tensor last = train ? pack.GatherLast(lstm_.Forward(pack))
                                     : lstm_.ForwardLast(pack);
-  // Dropout draws its B×H mask in batch order, row by row.
-  const tensor::Tensor hd = dropout_.Forward(last);
-  tensor::Tensor logits = head_.Forward(hd);
+  // Dropout draws its B×H mask in batch order, row by row. Inactive (rate
+  // 0, or evaluation) it is the identity, and the states skip it uncopied.
+  const bool drop = dropout_.Active();
+  const tensor::Tensor dropped =
+      drop ? dropout_.Forward(last) : tensor::Tensor();
+  tensor::Tensor logits = head_.Forward(drop ? dropped : last);
   const LossResult lr = SoftmaxCrossEntropy(logits, batch.labels);
   if (train) {
     SoftmaxCrossEntropyGrad(logits, batch.labels);
-    const tensor::Tensor dh = dropout_.Backward(head_.Backward(logits));
+    tensor::Tensor dh = head_.Backward(logits);
+    if (drop) dh = dropout_.Backward(dh);
     lstm_.Backward(pack, pack.ScatterLast(dh));
   }
   return {lr.loss, lr.correct, batch.labels.size()};

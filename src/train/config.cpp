@@ -64,19 +64,14 @@ std::string TrainerConfig::Validate() const {
   } else if (protocol == Protocol::kAdPsgd && world < 2) {
     why << ProtocolName(protocol) << " needs at least two workers (got "
         << world << ")";
-  } else if (compression == collectives::Compression::kTopK &&
-             (topk_fraction <= 0.0 || topk_fraction > 1.0)) {
-    why << "topk_fraction must be in (0, 1] (got " << topk_fraction
-        << ") when compression is topk";
   } else if (schedule == collectives::Schedule::kTree && world < 2) {
     why << "the tree schedule needs at least two workers (got " << world
         << "); use ring for a single-worker run";
-  } else if ((schedule != collectives::Schedule::kRing ||
-              compression != collectives::Compression::kNone) &&
+  } else if (schedule != collectives::Schedule::kRing &&
              protocol == Protocol::kAdPsgd) {
     why << ProtocolName(protocol)
-        << " has no allreduce path: --schedule/--compression only apply to "
-           "horovod, eager-sgd, rna, and rna-h";
+        << " has no allreduce path: --schedule only applies to horovod, "
+           "eager-sgd, rna, and rna-h";
   } else if (std::string fault_why = ValidateFault(); !fault_why.empty()) {
     why << fault_why;
   }

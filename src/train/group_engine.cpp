@@ -204,10 +204,7 @@ void CommLoop(Engine& e, std::size_t w) {
   bool last_sent_valid = false;
   const bool stale_reuse =
       config.contribution == ContributionMode::kStaleReuse;
-  // Per-worker error-feedback residual for lossy compression, with room for
-  // the partial collective's contributor-flag tail.
-  collectives::ErrorFeedback feedback;
-  collectives::CollectiveOptions opts = e.run.CollectiveOptionsFor(feedback);
+  collectives::CollectiveOptions opts = e.run.CollectiveOptionsFor();
   for (;;) {
     std::optional<net::Message> go;
     {

@@ -9,7 +9,6 @@
 #include <string>
 #include <string_view>
 
-#include "rna/collectives/compression.hpp"
 #include "rna/collectives/schedule.hpp"
 #include "rna/data/dataset.hpp"
 #include "rna/nn/network.hpp"
@@ -181,14 +180,11 @@ struct TrainerConfig {
   double sleep_per_step = 0.0;
   double sleep_per_step_sq = 0.0;
 
-  // Collective policy: the reduction schedule and wire compression every
-  // allreduce in the run uses (collectives::CollectiveOptions; see
-  // rna/collectives/schedule.hpp and compression.hpp). kStragglar consumes
-  // the controller's per-round straggler verdicts to re-order the ring;
-  // topk_fraction is the per-chunk keep fraction under kTopK.
+  // Collective policy: the reduction schedule every allreduce in the run
+  // uses (collectives::CollectiveOptions; see rna/collectives/schedule.hpp).
+  // kStragglar consumes the controller's per-round straggler verdicts to
+  // re-order the ring.
   collectives::Schedule schedule = collectives::Schedule::kRing;
-  collectives::Compression compression = collectives::Compression::kNone;
-  double topk_fraction = 0.05;
 
   // Partial-collective knobs.
   std::size_t probe_choices = 2;

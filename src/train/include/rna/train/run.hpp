@@ -75,12 +75,9 @@ class Run {
   /// decays at the same round.
   void StepLrSchedule(std::size_t rank, std::size_t round);
 
-  /// The config's schedule, compression and hop deadline, with `feedback`
-  /// sized for a gradient plus one exact tail element under a lossy codec
-  /// (and left as it is under Compression::kNone, which never reads it).
-  /// The caller sets the tags and anything specific to its collective.
-  collectives::CollectiveOptions CollectiveOptionsFor(
-      collectives::ErrorFeedback& feedback) const;
+  /// The config's schedule and hop deadline. The caller sets the tags and
+  /// anything specific to its collective.
+  collectives::CollectiveOptions CollectiveOptionsFor() const;
 
   /// Ends the run once every runner thread has joined, given each rank's
   /// final parameters. Fills the fields every protocol reports; the rest

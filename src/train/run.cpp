@@ -49,18 +49,8 @@ void Run::StepLrSchedule(std::size_t rank, std::size_t round) {
   }
 }
 
-collectives::CollectiveOptions Run::CollectiveOptionsFor(
-    collectives::ErrorFeedback& feedback) const {
-  // Only a lossy codec reads the residual. Sized once, so the hot loop
-  // never reallocates it.
-  if (config_.compression != collectives::Compression::kNone) {
-    feedback.EnsureSize(Dim() + 1);
-  }
-  return {.schedule = config_.schedule,
-          .compression = config_.compression,
-          .topk_fraction = config_.topk_fraction,
-          .hop_timeout = deadlines_.hop,
-          .feedback = &feedback};
+collectives::CollectiveOptions Run::CollectiveOptionsFor() const {
+  return {.schedule = config_.schedule, .hop_timeout = deadlines_.hop};
 }
 
 TrainResult Run::Finish(std::vector<std::vector<float>> params_by_rank,

@@ -1,10 +1,15 @@
-// Tests for the ring collectives: correctness of allreduce across world
-// sizes and buffer sizes (including buffers smaller than the ring), the
-// partial allreduce's contributor weighting, broadcast, and barrier. Every
-// test launches real threads — the collectives are cooperative.
+// Tests for the collectives: correctness of allreduce across world sizes
+// and buffer sizes (including buffers smaller than the ring), every
+// schedule (ring, tree, stragglar) agreeing across ranks on awkward sizes,
+// the partial allreduce's contributor weighting, broadcast, and barrier.
+// Every test launches real threads — the collectives are cooperative.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <string>
 #include <thread>
 
 #include "rna/collectives/allreduce.hpp"
@@ -14,7 +19,7 @@
 namespace rna::collectives {
 namespace {
 
-/// CollectiveOptions with just a tag base — ring schedule, no compression.
+/// CollectiveOptions with just a tag base — ring schedule.
 CollectiveOptions Opts(int tag_base) {
   CollectiveOptions o;
   o.tag_base = tag_base;
@@ -30,6 +35,33 @@ void OnAllRanks(std::size_t world,
     threads.emplace_back([&, r] { body(r); });
   }
   for (auto& t : threads) t.join();
+}
+
+std::vector<float> TestVector(std::size_t n, std::uint32_t salt) {
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto k = static_cast<float>((i * 2654435761u + salt) % 1000);
+    v[i] = (k - 500.0f) * 0.01f + 1e-4f * static_cast<float>(i % 11);
+  }
+  return v;
+}
+
+::testing::AssertionResult BitwiseEqual(std::span<const float> a,
+                                        std::span<const float> b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "size mismatch: " << a.size() << " vs " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    std::uint32_t ba, bb;
+    std::memcpy(&ba, &a[i], sizeof(ba));
+    std::memcpy(&bb, &b[i], sizeof(bb));
+    if (ba != bb) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 TEST(Group, FullAndIndexOf) {
@@ -233,6 +265,113 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, AllreduceSweep,
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 7, 8),
                        ::testing::Values(1, 2, 5, 64, 1001)));
+
+TEST(PolicyEnums, ScheduleParseNameRoundTrip) {
+  for (const auto s : {Schedule::kRing, Schedule::kTree,
+                       Schedule::kStragglar}) {
+    const auto parsed = ParseSchedule(ScheduleName(s));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(*parsed, s);
+  }
+  EXPECT_FALSE(ParseSchedule("butterfly").has_value());
+}
+
+TEST(ScheduleAllreduce, TreeMatchesRingExactlyOnIntegerValues) {
+  // Small-integer sums are exact in float regardless of fold order, so
+  // tree and ring must agree bitwise even though their hop graphs differ.
+  for (const std::size_t world : {std::size_t{2}, std::size_t{3},
+                                  std::size_t{4}, std::size_t{7}}) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{5},
+                                std::size_t{97}}) {
+      std::vector<std::vector<float>> ring_data(world), tree_data(world);
+      for (std::size_t r = 0; r < world; ++r) {
+        ring_data[r].resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ring_data[r][i] =
+              static_cast<float>((r * 7 + i * 3) % 50) - 25.0f;
+        }
+        tree_data[r] = ring_data[r];
+      }
+      net::Fabric ring_fabric(world), tree_fabric(world);
+      const Group group = Group::Full(world);
+      OnAllRanks(world, [&](std::size_t r) {
+        CollectiveOptions ring_opts = Opts(50);
+        Allreduce({ring_fabric, group, r}, ring_opts, ring_data[r]);
+        CollectiveOptions tree_opts = ring_opts;
+        tree_opts.schedule = Schedule::kTree;
+        Allreduce({tree_fabric, group, r}, tree_opts, tree_data[r]);
+      });
+      for (std::size_t r = 0; r < world; ++r) {
+        EXPECT_TRUE(BitwiseEqual(tree_data[r], ring_data[r]))
+            << "world=" << world << " n=" << n << " rank=" << r;
+      }
+    }
+  }
+}
+
+TEST(ScheduleAllreduce, StragglarSumsCorrectlyForEveryStragglerPosition) {
+  const std::size_t world = 4, n = 23;
+  for (std::size_t straggler = 0; straggler < world; ++straggler) {
+    net::Fabric fabric(world);
+    const Group group = Group::Full(world);
+    std::vector<std::vector<float>> data(world);
+    for (std::size_t r = 0; r < world; ++r) {
+      data[r].assign(n, static_cast<float>(r + 1));
+    }
+    OnAllRanks(world, [&](std::size_t r) {
+      CollectiveOptions opts = Opts(80);
+      opts.schedule = Schedule::kStragglar;
+      opts.straggler = straggler;
+      Allreduce({fabric, group, r}, opts, data[r]);
+    });
+    for (std::size_t r = 0; r < world; ++r) {
+      for (const float x : data[r]) {
+        ASSERT_EQ(x, 10.0f) << "straggler=" << straggler << " rank=" << r;
+      }
+    }
+  }
+}
+
+// Every schedule on buffer sizes that do not divide by the world: all
+// ranks end bitwise identical and within rounding of the exact sum.
+class ScheduleAwkwardSizes : public ::testing::TestWithParam<Schedule> {};
+
+TEST_P(ScheduleAwkwardSizes, AllRanksIdenticalAndNearExact) {
+  const Schedule schedule = GetParam();
+  const std::size_t world = 4;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3},
+                              std::size_t{5}, std::size_t{97}}) {
+    net::Fabric fabric(world);
+    const Group group = Group::Full(world);
+    std::vector<std::vector<float>> data(world);
+    std::vector<float> expected(n, 0.0f);
+    for (std::size_t r = 0; r < world; ++r) {
+      data[r] = TestVector(n, static_cast<std::uint32_t>(9 + r));
+      for (std::size_t i = 0; i < n; ++i) expected[i] += data[r][i];
+    }
+    OnAllRanks(world, [&](std::size_t r) {
+      CollectiveOptions opts = Opts(60);
+      opts.schedule = schedule;
+      if (schedule == Schedule::kStragglar) opts.straggler = 2;
+      Allreduce({fabric, group, r}, opts, data[r]);
+    });
+    for (std::size_t r = 0; r < world; ++r) {
+      EXPECT_TRUE(BitwiseEqual(data[r], data[0]))
+          << "ranks disagree, n=" << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_NEAR(data[r][i], expected[i], 1e-5f)
+            << "n=" << n << " rank=" << r << " i=" << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, ScheduleAwkwardSizes,
+    ::testing::Values(Schedule::kRing, Schedule::kTree, Schedule::kStragglar),
+    [](const ::testing::TestParamInfo<Schedule>& info) {
+      return std::string(ScheduleName(info.param));
+    });
 
 }  // namespace
 }  // namespace rna::collectives

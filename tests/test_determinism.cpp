@@ -108,40 +108,25 @@ TEST(LockstepDeterminism, RnaHierarchical) {
   ExpectIdenticalRuns(Protocol::kRnaHierarchical);
 }
 
-// Every reduction schedule × wire compression combo must preserve the
-// lockstep-determinism property: the collective policy changes the wire
-// format and the hop graph, never the schedule-freedom of the run.
-using PolicyParam =
-    std::tuple<collectives::Schedule, collectives::Compression>;
-
-class PolicyDeterminism : public ::testing::TestWithParam<PolicyParam> {};
+// Every reduction schedule must preserve the lockstep-determinism property:
+// the schedule changes the hop graph, never the schedule-freedom of the run.
+class PolicyDeterminism
+    : public ::testing::TestWithParam<collectives::Schedule> {};
 
 TEST_P(PolicyDeterminism, IdenticalRunsUnderRna) {
-  const auto [schedule, compression] = GetParam();
   TrainerConfig config = LockstepConfig(Protocol::kRna);
-  config.schedule = schedule;
-  config.compression = compression;
-  config.topk_fraction = 0.25;
+  config.schedule = GetParam();
   ExpectIdenticalRunsWith(config);
 }
 
-std::string PolicyName(const ::testing::TestParamInfo<PolicyParam>& info) {
-  const auto [schedule, compression] = info.param;
-  return std::string(collectives::ScheduleName(schedule)) + "_" +
-         collectives::CompressionName(compression);
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    ScheduleByCompression, PolicyDeterminism,
-    ::testing::Combine(
-        ::testing::Values(collectives::Schedule::kRing,
-                          collectives::Schedule::kTree,
-                          collectives::Schedule::kStragglar),
-        ::testing::Values(collectives::Compression::kNone,
-                          collectives::Compression::kFp16,
-                          collectives::Compression::kInt8,
-                          collectives::Compression::kTopK)),
-    PolicyName);
+    Schedules, PolicyDeterminism,
+    ::testing::Values(collectives::Schedule::kRing,
+                      collectives::Schedule::kTree,
+                      collectives::Schedule::kStragglar),
+    [](const ::testing::TestParamInfo<collectives::Schedule>& info) {
+      return std::string(collectives::ScheduleName(info.param));
+    });
 
 TEST(LockstepDeterminism, DifferentSeedsActuallyDiverge) {
   // Sanity check that the property above is not vacuous (e.g. a runner
@@ -296,14 +281,6 @@ TEST(GoldenPins, RnaStragglar) {
   c.schedule = collectives::Schedule::kStragglar;
   ExpectPinned(c, 11,
                {0xb92691e8fbd7e7fdull, 6, 18, {3, 3, 3, 3, 3, 3}, 3});
-}
-
-TEST(GoldenPins, RnaStragglarInt8) {
-  TrainerConfig c = LockstepConfig(Protocol::kRna);
-  c.schedule = collectives::Schedule::kStragglar;
-  c.compression = collectives::Compression::kInt8;
-  ExpectPinned(c, 11,
-               {0x47d62e546a8cc21full, 6, 18, {3, 3, 3, 3, 3, 3}, 3});
 }
 
 TEST(GoldenPins, RnaCrashReplay) {

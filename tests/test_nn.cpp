@@ -631,6 +631,37 @@ TEST(LstmForwardLastSlice, EvaluateScratchIsUnderAQuarterOfTheForward) {
       << forward_bytes << " B";
 }
 
+// Inactive dropout (evaluation, or rate 0) is skipped rather than copied
+// through: Evaluate takes exactly the arena of its other stages (pack,
+// forward-only LSTM, head, loss), and a training step at rate 0 takes three
+// B×H buffers (mask, output, input gradient) less than one at rate 0.2.
+TEST(LstmForwardLastSlice, InactiveDropoutTakesNoArena) {
+  const Batch batch = LstmImbalanceSlice();
+  LstmClassifier net(6, 16, 6, 7, 0.0);
+  net.Evaluate(batch);
+  const std::size_t eval_bytes = net.ComputeArena().Stats().short_high_water;
+
+  common::Rng rng(7);
+  LstmLayer lstm(6, 16, rng);
+  Dense head(16, 6, rng);
+  tensor::Arena arena;
+  {
+    tensor::Arena::StepScope scope(arena);
+    const SequencePack pack(batch.sequences);
+    Tensor logits = head.Forward(lstm.ForwardLast(pack));
+    SoftmaxCrossEntropy(logits, batch.labels);
+  }
+  EXPECT_EQ(eval_bytes, arena.Stats().short_high_water);
+
+  const auto train_bytes = [&](double rate) {
+    LstmClassifier classifier(6, 16, 6, 7, rate);
+    classifier.ForwardBackward(batch);
+    return classifier.ComputeArena().Stats().short_high_water;
+  };
+  const std::size_t states_bytes = batch.labels.size() * 16 * sizeof(float);
+  EXPECT_EQ(train_bytes(0.2) - train_bytes(0.0), 3 * states_bytes);
+}
+
 // ---------------------------------------------------------------------------
 // Forward-only MLP evaluation: Evaluate runs the Dense/ReLU stack through two
 // buffers without layer caches and must give ForwardBackward's loss and

@@ -43,11 +43,6 @@ HEAP_BOUNDARY_PATTERNS = (
     # though ZeroGrads reaches them from ForwardBackward.
     "rna::nn::*::Params",
     "rna::nn::*::Grads",
-    # Error-feedback residuals grow once per buffer size on the first pass
-    # and are steady-state stable after warm-up (AllreduceFor only calls
-    # EnsureSize when the buffer is too small); the wire codec itself
-    # stages through BufferPool.
-    "rna::collectives::ErrorFeedback::EnsureSize",
     # Streaming data plane: batch assembly allocates by design (each batch
     # owns fresh label/tensor storage), but it runs on the generator's
     # prefetch thread — off the compute hot path — and the consumer side

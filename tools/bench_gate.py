@@ -35,13 +35,11 @@ ABSOLUTE_FLOORS = {
         # comes from the pool once it is warm.
         "pool_hit_rate": 0.9,
     },
-    # Lossy wire compression must not break convergence: every lockstep
-    # protocol x compression run in bench_collective_policy has to end at or
-    # below its loss target (reached_target is 1.0/0.0 and, being a pure
+    # Every lockstep protocol run in bench_collective_policy has to end at
+    # or below its loss target (reached_target is 1.0/0.0 and, being a pure
     # function of the seeds under lockstep, machine-independent).
-    **{f"train_{proto}_{comp}": {"reached_target": 1.0}
-       for proto in ("horovod", "rna")
-       for comp in ("none", "fp16", "int8", "topk")},
+    **{f"train_{proto}_none": {"reached_target": 1.0}
+       for proto in ("horovod", "rna")},
     # The 1000-worker lockstep run (bench_scale) must actually finish every
     # scheduled round.
     "scale_w1000": {"completed": 1.0},
@@ -67,7 +65,7 @@ ABSOLUTE_CEILINGS = {
     **{f"train_step_{kind}": {"steady_heap_allocs": 0.0}
        for kind in ("mlp", "lstm", "attention", "lstm_imbalance")},
     # LSTM evaluation runs forward-only and keeps one step of state, so a
-    # 96-sample lstm-imbalance slice needs 83.5 KiB of arena scratch. The
+    # 96-sample lstm-imbalance slice needs 77.5 KiB of arena scratch. The
     # unrolled training forward needs 607 KiB for the same slice; a ceiling
     # between the two catches evaluation falling back to it. The figure is a
     # pure function of the slice's shapes, so it holds on any host.
@@ -77,15 +75,11 @@ ABSOLUTE_CEILINGS = {
     # 52 KiB a batch-16 training step pins. The training forward's caches
     # need 207 KiB for the same slice.
     "eval_mlp_96": {"arena_high_water_kb": 64.0},
-    # Wire bytes per round are a deterministic function of the codec (world
-    # 8, 256k floats, 2*(w-1)*w chunks per round), so these hold each
-    # compression level to its exact frame budget: raw adds zero framing
-    # overhead, fp16 halves the payload, int8 quarters it, and top-k at 5%
-    # ships ~1/10th. Any header growth or framing leak trips the gate.
+    # Wire bytes per round are a deterministic function of the hop graph
+    # (world 8, 256k floats, 2*(w-1)*w raw fp32 chunks per round), so the
+    # ring is held to its exact payload: any framing, header or extra hop
+    # trips the gate.
     "comp_none_w8_256k": {"wire_bytes_per_round": 14680064.0},
-    "comp_fp16_w8_256k": {"wire_bytes_per_round": 7341376.0},
-    "comp_int8_w8_256k": {"wire_bytes_per_round": 3671360.0},
-    "comp_topk_w8_256k": {"wire_bytes_per_round": 1469888.0},
     # Zero-copy sharding (bench_data): a shard view must alias the dataset's
     # sample tensors, never copy them — at world=1000 a single copied view
     # would replicate the dataset ×1000 (the bug this ceiling pins out).
@@ -174,9 +168,9 @@ BASE_SAMPLE = {
         {"label": "pingpong", "roundtrips_per_s": 5000.0, "note_count": 3.0},
         {"label": "train_step_mlp", "steps_per_s": 3000.0,
          "steady_heap_allocs": 0.0},
-        {"label": "comp_int8_w8_256k", "time_per_round_s": 0.02,
-         "wire_bytes_per_round": 3671360.0},
-        {"label": "train_rna_int8", "final_loss": 0.03,
+        {"label": "comp_none_w8_256k", "time_per_round_s": 0.003,
+         "wire_bytes_per_round": 14680064.0},
+        {"label": "train_rna_none", "final_loss": 0.03,
          "reached_target": 1.0},
         {"label": "scale_w1000", "completed": 1.0,
          "controller_msgs_flatness_vs_w10": 1.2},
@@ -244,11 +238,12 @@ def self_test():
     # is required, not optional).
     run(lambda c: c["rows"][2].pop("steady_heap_allocs"),
         expect_problems=True)
-    # A single extra wire byte per round breaks the compression ceiling —
-    # the frame budget is exact, not throughput-relative.
-    run(lambda c: c["rows"][3].__setitem__("wire_bytes_per_round", 3671361.0),
+    # A single extra wire byte per round breaks the raw ring's ceiling —
+    # the payload budget is exact, not throughput-relative.
+    run(lambda c: c["rows"][3].__setitem__("wire_bytes_per_round",
+                                           14680065.0),
         expect_problems=True)
-    # A lossy-compression run that misses its loss target fails outright.
+    # A lockstep training run that misses its loss target fails outright.
     run(lambda c: c["rows"][4].__setitem__("reached_target", 0.0),
         expect_problems=True)
     # Controller messages per worker-round growing past 2x of the world=10
