@@ -37,6 +37,7 @@
 #include "rna/nn/network.hpp"
 #include "rna/nn/optimizer.hpp"
 #include "rna/tensor/tensor.hpp"
+#include "rna/train/stage.hpp"
 
 namespace {
 
@@ -140,31 +141,40 @@ std::vector<nn::Batch> MakeBatchesFor(const std::string& kind) {
   return batches;
 }
 
-/// One full training iteration on the flat staging-buffer path — the same
-/// sequence every synchronization protocol drives per step.
+/// One full training iteration as the RNA engine's two threads run it,
+/// in turn on one thread. The compute side reads the newest parameters
+/// into the model (the §6 ReadOp, ParamBoard::ReadIfNewer into
+/// ParamsFlat()), runs forward/backward and stages GradsFlat() (the
+/// WriteOp); the comm side steps its parameters with the staged gradient
+/// and publishes them. The WriteOp copies into one preallocated slot:
+/// GradientStage::Write also heap-allocates its entry, and these rows pin
+/// the step's heap allocations to zero.
 struct TrainLoop {
   explicit TrainLoop(const std::string& kind)
-      : net(MakeModel(kind)), batches(MakeBatchesFor(kind)) {
-    const std::size_t dim = net->ParamCount();
-    params.resize(dim);
-    grad.resize(dim);
-    net->CopyParamsTo(params);
-    opt = std::make_unique<nn::SgdMomentum>(dim, nn::SgdConfig{});
-  }
+      : net(MakeModel(kind)),
+        batches(MakeBatchesFor(kind)),
+        params(net->ParamsFlat().begin(), net->ParamsFlat().end()),
+        staged(params.size()),
+        board(params),
+        opt(params.size(), nn::SgdConfig{}) {}
 
   void Step() {
-    net->SetParamsFrom(params);
+    seen = board.ReadIfNewer(seen, net->ParamsFlat());
     net->ForwardBackward(batches[next]);
     next = (next + 1) % batches.size();
-    net->CopyGradsTo(grad);
-    opt->Step(params, grad);
+    std::copy(net->GradsFlat().begin(), net->GradsFlat().end(),
+              staged.begin());
+    opt.Step(params, staged);
+    board.Publish(params, seen + 1);
   }
 
   std::unique_ptr<nn::Network> net;
   std::vector<nn::Batch> batches;
   std::size_t next = 0;
-  std::vector<float> params, grad;
-  std::unique_ptr<nn::SgdMomentum> opt;
+  std::vector<float> params, staged;  ///< the comm side's model and slot
+  train::ParamBoard board;
+  std::int64_t seen = 0;
+  nn::SgdMomentum opt;
 };
 
 const char* kModelKinds[] = {"mlp", "lstm", "attention", "lstm_imbalance"};

@@ -4,15 +4,18 @@
 //
 // Two views: (1) the calibrated PCIe model at paper magnitudes (full
 // parameter counts); (2) the *measured* cost of the staging copies in this
-// repo's worker pipeline (CopyGradsTo / SetParamsFrom round trip), timed
-// per repetition through rna::obs — each round trip is an
-// ObserveMetric("staging.roundtrip_s/<case>") sample, and the table is read
-// back from the metrics registry (mean/min/max over 2000 reps).
+// repo's worker pipeline, the §6 WriteOp/ReadOp pair a compute step pays:
+// GradientStage::Write of the model's GradsFlat() and
+// ParamBoard::ReadIfNewer into its ParamsFlat(). Each pair is timed
+// through rna::obs as an ObserveMetric("staging.roundtrip_s/<case>")
+// sample, and the table is read back from the metrics registry
+// (mean/min/max over 2000 reps).
 //
 // Flags: --json-out BENCH_table5.json   machine-readable rows for CI
 
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "rna/obs/session.hpp"
 #include "rna/obs/trace.hpp"
 #include "rna/sim/comm_model.hpp"
+#include "rna/train/stage.hpp"
 
 using namespace rna;
 
@@ -58,8 +62,9 @@ void ModelledView(std::vector<benchutil::BenchRow>* rows) {
 void MeasuredView(std::vector<benchutil::BenchRow>* rows) {
   std::printf("\n=== Companion: measured staging-copy cost in this repo's "
               "pipeline ===\n");
-  std::printf("(CopyGradsTo + SetParamsFrom per iteration, each rep sampled "
-              "via rna::obs, 2000 reps)\n");
+  std::printf("(GradientStage::Write of GradsFlat() + "
+              "ParamBoard::ReadIfNewer into ParamsFlat() per iteration,\n"
+              " each rep sampled via rna::obs, 2000 reps)\n");
   struct Case {
     const char* name;
     std::unique_ptr<nn::Network> net;
@@ -75,12 +80,16 @@ void MeasuredView(std::vector<benchutil::BenchRow>* rows) {
   obs::Session session;
   for (auto& c : cases) {
     const std::size_t dim = c.net->ParamCount();
-    std::vector<float> buffer(dim);
+    // Bound 1: each write replaces the one buffered gradient, as in a
+    // stage whose comm thread keeps up.
+    train::GradientStage stage(dim, 1, train::LocalCombine::kWeightedAverage);
+    const std::span<const float> init = c.net->ParamsFlat();
+    const train::ParamBoard board(std::vector<float>(init.begin(), init.end()));
     const std::string metric = std::string("staging.roundtrip_s/") + c.name;
     for (int rep = 0; rep < 2000; ++rep) {
       obs::ScopedTimer timer({}, obs::Category::kOther, "staging_roundtrip");
-      c.net->CopyGradsTo(buffer);
-      c.net->SetParamsFrom(buffer);
+      stage.Write(c.net->GradsFlat(), rep);
+      board.ReadIfNewer(-1, c.net->ParamsFlat());
       obs::ObserveMetric(metric, timer.Stop());
     }
     const common::OnlineStats stats = session.Metrics().StatsFor(metric);

@@ -41,7 +41,6 @@ struct NamedScenario {
   data::SamplingMode sampling = data::SamplingMode::kUniform;
   // GPU-compute emulation (see TrainerConfig): sleep ∝ sequence length.
   double sleep_per_step = 0.0;
-  double sleep_per_step_sq = 0.0;
 };
 
 /// ResNet50 stand-in: a deep-ish MLP on Gaussian clusters (balanced
@@ -159,7 +158,6 @@ inline train::TrainerConfig BaseBenchConfig(train::Protocol protocol,
   c.batch_size = scenario.batch_size;
   c.sampling = scenario.sampling;
   c.sleep_per_step = scenario.sleep_per_step;
-  c.sleep_per_step_sq = scenario.sleep_per_step_sq;
   // The host may be single-core: keep the monitor's evaluation footprint
   // small so it does not steal compute from the worker threads.
   c.eval_samples = 96;

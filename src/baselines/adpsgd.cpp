@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -74,8 +75,6 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
     const obs::TrackHandle track =
         obs::RegisterTrack(obs::WorkerTrack(w, "gossip"));
     common::Rng rng(config.seed + 7000 + 13 * w);
-    std::vector<float> grad(dim);
-    std::vector<float> local(dim);
     // AD-PSGD uses plain SGD on the averaged model; momentum state would
     // not be consistent across gossip exchanges.
     const auto lr = static_cast<float>(config.sgd.learning_rate);
@@ -86,6 +85,8 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
     std::vector<bool> peer_suspect(world, false);
 
     WorkerContext& worker = run.Worker(w);
+    const std::span<float> local = worker.Net().ParamsFlat();
+    const std::span<const float> grad = worker.Net().GradsFlat();
     for (std::size_t iter = 0; iter < config.max_rounds && !run.Stopped();
          ++iter) {
       // A turn covers one peer iteration, hangs included, so no fault
@@ -101,9 +102,9 @@ TrainResult RunAdPsgd(const TrainerConfig& config, const ModelFactory& factory,
       }
       {
         common::MutexLock lock(model_mu[w]);
-        local = models[w];
+        std::copy(models[w].begin(), models[w].end(), local.begin());
       }
-      worker.ComputeGradient(local, grad);
+      worker.ComputeGradient();
 
       // Gossip: send my current model, receive the pairwise average. The
       // peer is always drawn — even when it will be skipped — so the rng

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <thread>
 
 #include "rna/baselines/baselines.hpp"
@@ -42,7 +43,10 @@ TrainResult RunHorovod(const TrainerConfig& config, const ModelFactory& factory,
     const obs::TrackHandle track =
         obs::RegisterTrack(obs::WorkerTrack(w, "sync"));
     WorkerContext& worker = run.Worker(w);
-    std::vector<float> params = run.Init();
+    // The model lives in the replica, which starts at the run's initial
+    // parameters; every step computes at it and the optimizer steps it.
+    const std::span<float> params = worker.Net().ParamsFlat();
+    const std::span<const float> grad = worker.Net().GradsFlat();
     // Gradient ‖ stop vote: the votes sum to a small integer, exact in
     // fp32 and identical on every worker, so the collective exit is
     // unanimous.
@@ -53,7 +57,8 @@ TrainResult RunHorovod(const TrainerConfig& config, const ModelFactory& factory,
       run.StepLrSchedule(w, round);
       // Hang/flaky sleeps only; kCrash is unreachable here (Validate).
       (void)run.Faults().BeforeIteration(w, worker.Iterations());
-      worker.ComputeGradient(params, std::span<float>(buffer.data(), dim));
+      worker.ComputeGradient();
+      std::copy(grad.begin(), grad.end(), buffer.begin());
       buffer[dim] = run.Stopped() ? 1.0f : 0.0f;
 
       // NEGOTIATE_ALLREDUCE: nobody enters the collective until every
@@ -93,7 +98,7 @@ TrainResult RunHorovod(const TrainerConfig& config, const ModelFactory& factory,
       }
       if (buffer[dim] > 0.5f) break;  // unanimous, collective exit
     }
-    final_params[w] = std::move(params);
+    final_params[w].assign(params.begin(), params.end());
   });
   for (auto& t : threads) t.join();
 

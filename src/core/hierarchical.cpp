@@ -18,7 +18,7 @@ namespace {
 std::vector<double> CalibrateIterationTimes(
     const TrainerConfig& config,
     std::span<const std::unique_ptr<WorkerContext>> workers,
-    std::span<const float> init, std::size_t calib) {
+    std::size_t calib) {
   const std::size_t world = workers.size();
   std::vector<double> iter_times(world);
   if (config.lockstep) {
@@ -50,7 +50,7 @@ std::vector<double> CalibrateIterationTimes(
   for (std::size_t w = 0; w < world; ++w) {
     calibrators.emplace_back([&, w] {
       try {
-        iter_times[w] = workers[w]->MeasureIterationTime(init, calib);
+        iter_times[w] = workers[w]->MeasureIterationTime(calib);
       } catch (...) {
         failures[w] = std::current_exception();
       }
@@ -78,14 +78,13 @@ TrainResult RunHierarchicalRna(const TrainerConfig& config,
                                const data::Dataset& train_data,
                                const data::Dataset& val_data) {
   auto grouping = [&config](
-                      std::span<const std::unique_ptr<WorkerContext>> workers,
-                      std::span<const float> init) {
+                      std::span<const std::unique_ptr<WorkerContext>> workers) {
     obs::ScopedTimer calibration_span(obs::RegisterTrack("main"),
                                       obs::Category::kOther, "calibration");
     const std::size_t calib =
         std::max<std::size_t>(1, config.calibration_iters);
     const std::vector<std::size_t> group_of = ComputeSpeedGroups(
-        CalibrateIterationTimes(config, workers, init, calib));
+        CalibrateIterationTimes(config, workers, calib));
     const std::size_t num_groups =
         1 + *std::max_element(group_of.begin(), group_of.end());
     obs::SetGauge("hier.groups", static_cast<double>(num_groups));

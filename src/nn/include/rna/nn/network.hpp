@@ -1,10 +1,13 @@
 #pragma once
 
 // Trainable models exposed behind one interface so the distributed training
-// harness and all synchronization protocols are model-agnostic. Parameters
-// and gradients can be flattened into contiguous float vectors — the staging
-// format the collectives, parameter server and RNA all operate on (the
-// analogue of the paper's CPU-side gradient buffers).
+// harness and all synchronization protocols are model-agnostic. A network
+// keeps its parameters in one contiguous block and its gradients in
+// another, and every layer tensor is a view of its slice (marian's
+// Parameters idiom). The two blocks are the flat vectors the stage, the
+// collectives, the parameter server and RNA exchange (the analogue of the
+// paper's CPU-side gradient buffers), so a step reads parameters into the
+// model and stages gradients out of it with no layout change between.
 
 #include <cstdint>
 #include <memory>
@@ -57,17 +60,18 @@ class Network {
   /// Forward only (evaluation mode, dropout disabled).
   virtual BatchResult Evaluate(const Batch& batch) = 0;
 
+  /// The layer tensors, each a view of its slice of ParamsFlat() /
+  /// GradsFlat(), in block order.
   virtual std::vector<tensor::Tensor*> Params() = 0;
   virtual std::vector<tensor::Tensor*> Grads() = 0;
   virtual std::string Name() const = 0;
 
-  std::size_t ParamCount();
-  void ZeroGrads();
-
-  // Flat staging-buffer interface.
-  void CopyParamsTo(std::span<float> out);
-  void SetParamsFrom(std::span<const float> in);
-  void CopyGradsTo(std::span<float> out);
+  std::size_t ParamCount() const { return params_.size(); }
+  /// The parameter and gradient blocks, ParamCount() floats each. Writing
+  /// ParamsFlat() sets the parameters the next step computes at;
+  /// GradsFlat() holds the last ForwardBackward's gradient.
+  std::span<float> ParamsFlat() { return params_; }
+  std::span<float> GradsFlat() { return grads_; }
 
   /// Every Network owns a per-worker compute arena; ForwardBackward and
   /// Evaluate run under a step scope so all per-op temporaries are arena
@@ -91,18 +95,20 @@ class Network {
     std::optional<tensor::Arena::StepScope> scope_;
   };
 
-  /// Params()/Grads() build fresh pointer vectors — fine at setup, not per
-  /// step. The flat-copy interface uses these memoized lists instead (model
-  /// structure is immutable after construction).
-  const std::vector<tensor::Tensor*>& CachedParams();
-  const std::vector<tensor::Tensor*>& CachedGrads();
+  /// Moves every Params() and Grads() tensor into its slice of the two
+  /// blocks. Each classifier calls it at the end of its own constructor,
+  /// where Params() and Grads() already dispatch to its overrides.
+  void Flatten();
+
+  /// Zeroes the gradient block: one fill, at the start of every training
+  /// step.
+  void ZeroGrads();
 
  private:
   tensor::Arena arena_;
   bool arena_enabled_ = true;
-  std::size_t cached_param_count_ = 0;
-  std::vector<tensor::Tensor*> param_cache_;
-  std::vector<tensor::Tensor*> grad_cache_;
+  std::vector<float> params_;
+  std::vector<float> grads_;
 };
 
 /// MLP classifier: Dense/ReLU stack + softmax cross-entropy. The repo's

@@ -7,57 +7,32 @@
 
 namespace rna::nn {
 
-const std::vector<tensor::Tensor*>& Network::CachedParams() {
-  if (param_cache_.empty()) param_cache_ = Params();
-  return param_cache_;
-}
+namespace {
 
-const std::vector<tensor::Tensor*>& Network::CachedGrads() {
-  if (grad_cache_.empty()) grad_cache_ = Grads();
-  return grad_cache_;
-}
-
-std::size_t Network::ParamCount() {
-  if (cached_param_count_ == 0) {
-    for (tensor::Tensor* p : CachedParams()) cached_param_count_ += p->Size();
-  }
-  return cached_param_count_;
-}
-
-void Network::ZeroGrads() {
-  for (tensor::Tensor* g : CachedGrads()) g->Zero();
-}
-
-void Network::CopyParamsTo(std::span<float> out) {
-  RNA_CHECK_MSG(out.size() == ParamCount(), "param buffer size mismatch");
+// Sizes `block` to the tensors' total and moves each into its slice, in
+// order.
+void MoveIntoBlock(const std::vector<tensor::Tensor*>& tensors,
+                   std::vector<float>& block) {
+  std::size_t size = 0;
+  for (const tensor::Tensor* t : tensors) size += t->Size();
+  block.resize(size);
   std::size_t offset = 0;
-  for (tensor::Tensor* p : CachedParams()) {
-    auto flat = p->Flat();
-    std::copy(flat.begin(), flat.end(), out.begin() + offset);
-    offset += flat.size();
+  for (tensor::Tensor* t : tensors) {
+    t->MoveInto(std::span<float>(block).subspan(offset, t->Size()));
+    offset += t->Size();
   }
 }
 
-void Network::SetParamsFrom(std::span<const float> in) {
-  RNA_CHECK_MSG(in.size() == ParamCount(), "param buffer size mismatch");
-  std::size_t offset = 0;
-  for (tensor::Tensor* p : CachedParams()) {
-    auto flat = p->Flat();
-    std::copy(in.begin() + offset, in.begin() + offset + flat.size(),
-              flat.begin());
-    offset += flat.size();
-  }
+}  // namespace
+
+void Network::Flatten() {
+  MoveIntoBlock(Params(), params_);
+  MoveIntoBlock(Grads(), grads_);
+  RNA_CHECK_MSG(params_.size() == grads_.size(),
+                "every parameter needs a gradient of its size");
 }
 
-void Network::CopyGradsTo(std::span<float> out) {
-  RNA_CHECK_MSG(out.size() == ParamCount(), "grad buffer size mismatch");
-  std::size_t offset = 0;
-  for (tensor::Tensor* g : CachedGrads()) {
-    auto flat = g->Flat();
-    std::copy(flat.begin(), flat.end(), out.begin() + offset);
-    offset += flat.size();
-  }
-}
+void Network::ZeroGrads() { std::fill(grads_.begin(), grads_.end(), 0.0f); }
 
 // ---------------------------------------------------------------- MLP
 
@@ -72,6 +47,7 @@ MlpClassifier::MlpClassifier(std::vector<std::size_t> dims, std::uint64_t seed,
     layers_.push_back(std::move(dense));
     if (i + 2 < dims.size()) layers_.push_back(std::make_unique<Relu>());
   }
+  Flatten();
 }
 
 tensor::Tensor MlpClassifier::ForwardLogits(const Batch& batch) {
@@ -152,7 +128,9 @@ LstmClassifier::LstmClassifier(std::size_t input_dim, std::size_t hidden_dim,
       head_([&] {
         common::Rng rng(seed + 1);
         return Dense(hidden_dim, classes, rng);
-      }()) {}
+      }()) {
+  Flatten();
+}
 
 BatchResult LstmClassifier::Run(const Batch& batch, bool train) {
   RNA_CHECK_MSG(!batch.sequences.empty(), "LSTM takes sequence inputs");
@@ -163,7 +141,7 @@ BatchResult LstmClassifier::Run(const Batch& batch, bool train) {
 
   const SequencePack pack(batch.sequences);
   // Evaluation reads only the last states, so it skips the unrolled
-  // caches that BPTT needs.
+  // caches that BPTT needs, and the head's input cache.
   const tensor::Tensor last = train ? pack.GatherLast(lstm_.Forward(pack))
                                     : lstm_.ForwardLast(pack);
   // Dropout draws its B×H mask in batch order, row by row. Inactive (rate
@@ -171,7 +149,13 @@ BatchResult LstmClassifier::Run(const Batch& batch, bool train) {
   const bool drop = dropout_.Active();
   const tensor::Tensor dropped =
       drop ? dropout_.Forward(last) : tensor::Tensor();
-  tensor::Tensor logits = head_.Forward(drop ? dropped : last);
+  tensor::Tensor logits;
+  if (train) {
+    logits = head_.Forward(drop ? dropped : last);
+  } else {
+    logits = tensor::Tensor({last.Rows(), head_.OutDim()});
+    head_.ForwardInto(last.Data(), last.Rows(), logits.Data());
+  }
   const LossResult lr = SoftmaxCrossEntropy(logits, batch.labels);
   if (train) {
     SoftmaxCrossEntropyGrad(logits, batch.labels);
@@ -215,7 +199,9 @@ AttentionClassifier::AttentionClassifier(std::size_t input_dim,
       head_([&] {
         common::Rng rng(seed + 1);
         return Dense(attn_dim, classes, rng);
-      }()) {}
+      }()) {
+  Flatten();
+}
 
 BatchResult AttentionClassifier::Run(const Batch& batch, bool train) {
   RNA_CHECK_MSG(!batch.sequences.empty(), "attention takes sequence inputs");

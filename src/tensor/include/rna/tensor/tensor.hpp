@@ -6,9 +6,11 @@
 // flattened, through the collectives.
 //
 // Storage comes from the thread's active Arena when one is in scope (see
-// arena.hpp) and from the heap otherwise. The shape itself never heap-
-// allocates, so constructing a Tensor under an arena scope performs zero
-// heap allocations — the property the steady-state training test enforces.
+// arena.hpp) and from the heap otherwise; MoveInto hands a built tensor's
+// values to storage its caller owns (a network's parameter block). The
+// shape itself never heap-allocates, so constructing a Tensor under an
+// arena scope performs zero heap allocations — the property the
+// steady-state training test enforces.
 //
 // Lifetime rules for arena-backed tensors:
 //   * A tensor allocated under a StepScope must not be read after the
@@ -116,6 +118,12 @@ class Tensor {
 
   /// Reshape preserving the element count.
   void Reshape(tensor::Shape shape);
+
+  /// Copies the values into `storage` (Size() floats) and makes the tensor
+  /// a view of it, releasing its own storage. The caller keeps `storage`
+  /// alive for the tensor's lifetime; assigning another tensor to the view
+  /// detaches it onto fresh storage.
+  void MoveInto(std::span<float> storage);
 
   /// Sum of all elements / squared L2 norm — used by tests and invariants.
   double Sum() const;

@@ -121,6 +121,14 @@ void Tensor::Reshape(tensor::Shape shape) {
   shape_ = shape;
 }
 
+void Tensor::MoveInto(std::span<float> storage) {
+  RNA_CHECK_MSG(storage.size() == size_, "storage size does not match tensor");
+  if (size_ > 0) std::memcpy(storage.data(), data_, size_ * sizeof(float));
+  owned_.reset();
+  arena_backed_ = false;
+  data_ = storage.data();
+}
+
 double Tensor::Sum() const {
   double s = 0.0;
   for (std::size_t i = 0; i < size_; ++i) s += data_[i];

@@ -55,8 +55,8 @@ std::string TrainerConfig::Validate() const {
         << ")";
   } else if (delay_scale < 0.0) {
     why << "delay_scale must be non-negative (got " << delay_scale << ")";
-  } else if (sleep_per_step < 0.0 || sleep_per_step_sq < 0.0) {
-    why << "sleep_per_step / sleep_per_step_sq must be non-negative";
+  } else if (sleep_per_step < 0.0) {
+    why << "sleep_per_step must be non-negative";
   } else if (calibration_iters == 0 &&
              protocol == Protocol::kRnaHierarchical) {
     why << "calibration_iters must be >= 1 for rna-h (grouping needs "

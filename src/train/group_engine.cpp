@@ -384,11 +384,12 @@ void ComputeLoop(Engine& e, std::size_t w) {
   net::Fabric& fabric = e.fabric;
   FaultRuntime& faults = e.run.Faults();
   WorkerContext& worker = e.run.Worker(w);
+  nn::Network& replica = worker.Net();
   GradientStage& stage = *e.stages[w];
   const ParamBoard& board = e.groups[e.group_of[w]]->board;
   const net::Rank controller = e.ControllerOf(w);
-  std::vector<float> params = e.run.Init();
-  std::vector<float> grad(e.run.Dim());
+  // The replica starts at the run's initial parameters, the board's
+  // version 0.
   std::int64_t seen = 0;
   for (;;) {
     std::int64_t round = -1;  // the token's round; free-running has none
@@ -409,10 +410,10 @@ void ComputeLoop(Engine& e, std::size_t w) {
       fabric.Send(w, controller, {.tag = tags::kGoodbye, .meta = {round}});
       return;
     }
-    seen = board.ReadIfNewer(seen, &params);
-    worker.ComputeGradient(params, grad);
+    seen = board.ReadIfNewer(seen, replica.ParamsFlat());
+    worker.ComputeGradient();
     const bool grew = stage.Write(
-        grad, static_cast<std::int64_t>(worker.Iterations()));
+        replica.GradsFlat(), static_cast<std::int64_t>(worker.Iterations()));
     // A lockstep token is always answered, so the controller can account
     // for every token; free-running notifies only on backlog growth, so the
     // controller's readiness counts track the true buffered-gradient count.
@@ -737,7 +738,7 @@ TrainResult RunPartialCollective(const TrainerConfig& config,
                                  const SpeedGrouping& grouping) {
   Run run(config, factory, train_data, val_data);
   std::vector<std::size_t> group_of =
-      grouping ? grouping(run.Workers(), run.Init())
+      grouping ? grouping(run.Workers())
                : std::vector<std::size_t>(config.world, 0);
   RNA_CHECK_MSG(group_of.size() == config.world,
                 "grouping must cover every rank");

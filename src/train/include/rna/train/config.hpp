@@ -172,13 +172,12 @@ struct TrainerConfig {
 
   // GPU-compute emulation for sequence workloads: after the (cheap, real)
   // gradient computation the worker additionally sleeps
-  //   Σ_sequences (sleep_per_step·L + sleep_per_step_sq·L²)
-  // so per-batch "compute" time is genuinely proportional to the input
-  // lengths in the batch (linear for RNNs, quadratic for attention) at
-  // GPU-realistic magnitudes. Sleeps overlap across workers regardless of
-  // host core count, unlike raw CPU compute.
+  //   sleep_per_step · Σ_sequences L
+  // so per-batch "compute" time is genuinely proportional to the batch's
+  // total input length (as an RNN's is) at GPU-realistic magnitudes. Sleeps
+  // overlap across workers regardless of host core count, unlike raw CPU
+  // compute.
   double sleep_per_step = 0.0;
-  double sleep_per_step_sq = 0.0;
 
   // Collective policy: the reduction schedule every allreduce in the run
   // uses (collectives::CollectiveOptions; see rna/collectives/schedule.hpp).

@@ -69,11 +69,10 @@ std::unique_ptr<TriggerPolicy> MakeSoloPolicy();
 std::unique_ptr<TriggerPolicy> MakeFullPolicy();
 
 /// Assigns every rank a speed group (dense ids from 0), given the freshly
-/// built workers and the initial parameters; hierarchical RNA calibrates
-/// iteration times on them.
+/// built workers, whose replicas hold the initial parameters; hierarchical
+/// RNA calibrates iteration times on them.
 using SpeedGrouping = std::function<std::vector<std::size_t>(
-    std::span<const std::unique_ptr<WorkerContext>> workers,
-    std::span<const float> init)>;
+    std::span<const std::unique_ptr<WorkerContext>> workers)>;
 
 /// Runs a full training job under the RNA engine. Without `grouping` the
 /// world is one group with no parameter-server layer; with it, every group

@@ -1,11 +1,12 @@
 #pragma once
 
-// The evaluation monitor: runs on its own thread during training, samples
-// worker 0's published parameters, evaluates them on a validation
-// subsample, records the convergence curve, and raises the stop signal on
-// target-loss or early-stopping (Keras-style patience, as in the paper's
-// §8.1 EarlyStopping setup). Protocol implementations observe the stop
-// signal at safe points (see each protocol's stop protocol).
+// The evaluation monitor: runs on its own thread during training, reads
+// worker 0's published parameters into its own replica, evaluates them on
+// a validation subsample, records the convergence curve, and raises the
+// stop signal on target-loss or early-stopping (Keras-style patience, as
+// in the paper's §8.1 EarlyStopping setup). Protocol implementations
+// observe the stop signal at safe points (see each protocol's stop
+// protocol).
 
 #include <atomic>
 #include <memory>
@@ -52,11 +53,12 @@ struct EvalPass {
 /// std::thread::hardware_concurrency() threads in all and no more threads
 /// than slices. Each thread takes slices from a shared counter. A replica
 /// is touched only once its thread has claimed a slice: the thread then
-/// leaves the replica's arena exact mode and loads `params`, once. Each
-/// result adds up its job's slices in slice order, so it is the same bit for
-/// bit whichever replica ran which slice and however many ran. The replicas
-/// must be idle copies of one model. A replica's exception is rethrown after
-/// every helper thread has been joined.
+/// leaves the replica's arena exact mode and copies `params` into its
+/// ParamsFlat(), once. Each result adds up its job's slices in slice order,
+/// so it is the same bit for bit whichever replica ran which slice and
+/// however many ran. The replicas must be idle copies of one model. A
+/// replica's exception is rethrown after every helper thread has been
+/// joined.
 EvalPass EvaluateJobs(std::span<nn::Network* const> replicas,
                       std::span<const float> params,
                       std::span<const EvalJob> jobs);
@@ -98,7 +100,8 @@ class EvalMonitor {
  private:
   void Loop();
   bool WaitPeriod();
-  nn::BatchResult EvalSubsample(std::span<const float> params);
+  /// Evaluates the replica's parameters on a fresh validation subsample.
+  nn::BatchResult EvalSubsample();
 
   TrainerConfig config_;
   std::unique_ptr<nn::Network> net_;

@@ -2,15 +2,16 @@
 
 // Cross-iteration gradient staging — the in-memory analogue of the paper's
 // WriteOp/ReadOp TensorFlow kernels (§6). The compute thread writes freshly
-// computed gradients tagged with their iteration; the communication thread
-// drains the buffer when a collective triggers, combining multiple buffered
-// gradients with the staleness-weighted average of §3.3. When the buffer
-// holds `staleness_bound` gradients the oldest is overwritten (bounded
+// computed gradients (its replica's GradsFlat()) tagged with their
+// iteration; the communication thread drains the buffer when a collective
+// triggers, combining multiple buffered gradients with the
+// staleness-weighted average of §3.3. When the buffer holds
+// `staleness_bound` gradients the oldest is overwritten (bounded
 // staleness). The ParamBoard is the reverse path: the communication thread
-// publishes freshly reduced parameters, the compute thread picks up the
-// newest version before each batch (ReadOp), falling back to what it has if
-// nothing new arrived — this is what lets computation run ahead without
-// blocking on communication.
+// publishes freshly reduced parameters, the compute thread reads the
+// newest version into its replica's ParamsFlat() before each batch
+// (ReadOp), keeping what it has if nothing new arrived — this is what lets
+// computation run ahead without blocking on communication.
 
 #include <cstdint>
 #include <deque>
@@ -76,13 +77,10 @@ class ParamBoard {
   /// Publishes a new version (monotonic by construction).
   void Publish(std::span<const float> params, std::int64_t version);
 
-  /// Copies the parameters into `out` if the board holds a version newer
-  /// than `last_seen`. Returns the board's current version either way.
-  std::int64_t ReadIfNewer(std::int64_t last_seen,
-                           std::vector<float>* out) const;
-
-  /// Unconditional copy.
-  std::vector<float> Snapshot(std::int64_t* version = nullptr) const;
+  /// Copies the parameters into `out` (the board's size, e.g. a replica's
+  /// ParamsFlat()) if the board holds a version newer than `last_seen`.
+  /// Returns the board's current version either way.
+  std::int64_t ReadIfNewer(std::int64_t last_seen, std::span<float> out) const;
 
  private:
   mutable common::Mutex mu_;

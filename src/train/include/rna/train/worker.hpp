@@ -8,8 +8,6 @@
 // cluster).
 
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "rna/common/clock.hpp"
 #include "rna/common/rng.hpp"
@@ -29,7 +27,7 @@ class WorkerContext {
                 const ModelFactory& factory, const data::Dataset& train_data);
 
   std::size_t Rank() const { return rank_; }
-  std::size_t Dim() const { return dim_; }
+  std::size_t Dim() const { return net_->ParamCount(); }
   nn::Network& Net() { return *net_; }
   nn::SgdMomentum& Optimizer() { return optimizer_; }
   /// The worker's time accounts. ComputeGradient keeps compute and
@@ -40,24 +38,24 @@ class WorkerContext {
   const data::BatchGenerator& Generator() const { return generator_; }
   const data::ShardView& Shard() const { return shard_; }
 
-  /// Runs one mini-batch at `params`: sets the replica's parameters,
-  /// computes loss/gradient, sleeps the injected per-iteration delay, and
-  /// writes the flat gradient into `grad_out`. Updates the compute-time
-  /// account and the per-worker iteration counter. When a trace recorder
-  /// is active, each batch is one kCompute span on "worker<rank>/compute"
-  /// (args: iteration index, injected delay) — the same measurement that
-  /// feeds the compute account, so breakdown and trace always agree.
-  nn::BatchResult ComputeGradient(std::span<const float> params,
-                                  std::span<float> grad_out);
+  /// Runs one mini-batch at the replica's current parameters
+  /// (Net().ParamsFlat()): computes loss and gradient, leaving the gradient
+  /// in Net().GradsFlat(), and sleeps the injected per-iteration delay.
+  /// Updates the compute-time account and the per-worker iteration counter.
+  /// When a trace recorder is active, each batch is one kCompute span on
+  /// "worker<rank>/compute" (args: iteration index, injected delay) — the
+  /// same measurement that feeds the compute account, so breakdown and
+  /// trace always agree.
+  nn::BatchResult ComputeGradient();
 
   /// Mini-batches computed so far.
   std::size_t Iterations() const { return times_.iterations; }
 
-  /// Measures the mean iteration time over `iters` batches without
-  /// touching persistent state beyond the rng (used by the hierarchical
-  /// grouping calibration, §4). The arena pin runs before the timed window.
-  common::Seconds MeasureIterationTime(std::span<const float> params,
-                                       std::size_t iters);
+  /// Measures the mean iteration time over `iters` batches at the
+  /// replica's current parameters without touching persistent state beyond
+  /// the rng and the gradient block (used by the hierarchical grouping
+  /// calibration, §4). The arena pin runs before the timed window.
+  common::Seconds MeasureIterationTime(std::size_t iters);
 
  private:
   common::Seconds SampleDelay();
@@ -67,11 +65,10 @@ class WorkerContext {
   /// Runs once, lazily, before the first real or calibration batch; later
   /// calls, and every call when the model does not use an arena, are
   /// no-ops.
-  void PinArenaCapacity(std::span<const float> params);
+  void PinArenaCapacity();
 
   std::size_t rank_;
   std::unique_ptr<nn::Network> net_;
-  std::size_t dim_;
   // Zero-copy view into the run's shared dataset (no per-worker replica)
   // and the streaming generator that pre-assembles its batches.
   data::ShardView shard_;
@@ -80,7 +77,6 @@ class WorkerContext {
   const sim::IterationTimeModel* delay_model_;
   double delay_scale_;
   double sleep_per_step_;
-  double sleep_per_step_sq_;
   common::Rng delay_rng_;
   WorkerTimeBreakdown times_;
   // Lazily registered on the first traced batch (the compute thread owns

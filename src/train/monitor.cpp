@@ -56,8 +56,7 @@ bool EvalMonitor::WaitPeriod() {
   return !finished_;
 }
 
-nn::BatchResult EvalMonitor::EvalSubsample(std::span<const float> params) {
-  net_->SetParamsFrom(params);
+nn::BatchResult EvalMonitor::EvalSubsample() {
   const std::size_t n = std::min(config_.eval_samples, val_.Size());
   std::vector<std::size_t> indices(n);
   for (auto& i : indices) i = rng_.UniformInt(val_.Size());
@@ -98,7 +97,9 @@ EvalPass EvaluateJobs(std::span<nn::Network* const> replicas,
           // A training replica's arena is pinned to a training batch; a
           // slice may need more, and at most one slice's worth.
           net.ComputeArena().Relax();
-          net.SetParamsFrom(params);
+          RNA_CHECK_MSG(params.size() == net.ParamCount(),
+                        "param buffer size mismatch");
+          std::copy(params.begin(), params.end(), net.ParamsFlat().begin());
           loaded = true;
         }
         const Slice& slice = slices[s];
@@ -158,13 +159,13 @@ void EvalMonitor::Loop() {
   std::int64_t last_version = -1;
 
   while (WaitPeriod()) {
-    std::vector<float> params;
-    const std::int64_t version = board_->ReadIfNewer(last_version, &params);
+    const std::int64_t version =
+        board_->ReadIfNewer(last_version, net_->ParamsFlat());
     if (version <= last_version) continue;  // nothing new published yet
     last_version = version;
 
     obs::ScopedTimer eval_timer(track, obs::Category::kEval, "eval");
-    const nn::BatchResult eval = EvalSubsample(params);
+    const nn::BatchResult eval = EvalSubsample();
     CurvePoint point;
     point.time = curve_clock.Elapsed();
     point.round = rounds_->load();

@@ -22,8 +22,8 @@ Run::Run(const TrainerConfig& config, const ModelFactory& factory,
   }
   // Every replica starts from config.model_seed, so rank 0's untouched
   // replica holds everyone's initial parameters.
-  init_.resize(workers_[0]->Dim());
-  workers_[0]->Net().CopyParamsTo(init_);
+  const std::span<const float> init = workers_[0]->Net().ParamsFlat();
+  init_.assign(init.begin(), init.end());
 }
 
 net::Fabric& Run::OpenFabric(std::size_t endpoints) {

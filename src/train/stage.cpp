@@ -94,16 +94,13 @@ void ParamBoard::Publish(std::span<const float> params, std::int64_t version) {
 }
 
 std::int64_t ParamBoard::ReadIfNewer(std::int64_t last_seen,
-                                     std::vector<float>* out) const {
+                                     std::span<float> out) const {
   common::MutexLock lock(mu_);
-  if (version_ > last_seen && out != nullptr) *out = params_;
+  RNA_CHECK_MSG(out.size() == params_.size(), "param dimension mismatch");
+  if (version_ > last_seen) {
+    std::copy(params_.begin(), params_.end(), out.begin());
+  }
   return version_;
-}
-
-std::vector<float> ParamBoard::Snapshot(std::int64_t* version) const {
-  common::MutexLock lock(mu_);
-  if (version != nullptr) *version = version_;
-  return params_;
 }
 
 }  // namespace rna::train

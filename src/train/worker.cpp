@@ -11,7 +11,6 @@ WorkerContext::WorkerContext(std::size_t rank, const TrainerConfig& config,
                              const data::Dataset& train_data)
     : rank_(rank),
       net_(factory(config.model_seed)),
-      dim_(net_->ParamCount()),
       shard_(data::ShardView::Strided(train_data, rank, config.world)),
       generator_(shard_,
                  data::BatchGeneratorOptions{
@@ -19,11 +18,10 @@ WorkerContext::WorkerContext(std::size_t rank, const TrainerConfig& config,
                      .seed = config.seed + 1000 + 31 * rank,
                      .mode = config.sampling,
                  }),
-      optimizer_(dim_, config.sgd),
+      optimizer_(net_->ParamCount(), config.sgd),
       delay_model_(config.delay_model.get()),
       delay_scale_(config.delay_scale),
       sleep_per_step_(config.sleep_per_step),
-      sleep_per_step_sq_(config.sleep_per_step_sq),
       delay_rng_(config.seed + 2000 + 97 * rank) {}
 
 common::Seconds WorkerContext::SampleDelay() {
@@ -32,7 +30,7 @@ common::Seconds WorkerContext::SampleDelay() {
          delay_scale_;
 }
 
-void WorkerContext::PinArenaCapacity(std::span<const float> params) {
+void WorkerContext::PinArenaCapacity() {
   if (arena_pinned_) return;
   arena_pinned_ = true;
   if (!net_->ArenaEnabled()) return;
@@ -54,17 +52,14 @@ void WorkerContext::PinArenaCapacity(std::span<const float> params) {
     batch.inputs.Zero();
   }
   batch.labels.assign(b, 0);
-  net_->SetParamsFrom(params);
   net_->ForwardBackward(batch);
   net_->ComputeArena().ReserveExact();
 }
 
-nn::BatchResult WorkerContext::ComputeGradient(std::span<const float> params,
-                                               std::span<float> grad_out) {
-  RNA_CHECK(params.size() == dim_ && grad_out.size() == dim_);
+nn::BatchResult WorkerContext::ComputeGradient() {
   // The warm-up happens before the first batch of whichever protocol runs;
   // the pin must not count toward compute stats or the trace.
-  PinArenaCapacity(params);
+  PinArenaCapacity();
   if (record_spans_ && !track_registered_ && obs::ActiveTrace() != nullptr) {
     track_ = obs::RegisterTrack(obs::WorkerTrack(rank_, "compute"));
     track_registered_ = true;
@@ -76,15 +71,12 @@ nn::BatchResult WorkerContext::ComputeGradient(std::span<const float> params,
   obs::ScopedTimer timer(record_spans_ ? track_ : obs::TrackHandle{},
                          obs::Category::kCompute, "batch", &times_.compute);
   timer.SetArg("iter", static_cast<double>(times_.iterations));
-  net_->SetParamsFrom(params);
   nn::BatchResult result = net_->ForwardBackward(batch);
-  net_->CopyGradsTo(grad_out);
 
   common::Seconds delay = SampleDelay();
-  if (sleep_per_step_ > 0.0 || sleep_per_step_sq_ > 0.0) {
+  if (sleep_per_step_ > 0.0) {
     for (const auto& seq : batch.sequences) {
-      const auto steps = static_cast<double>(seq.Rows());
-      delay += sleep_per_step_ * steps + sleep_per_step_sq_ * steps * steps;
+      delay += sleep_per_step_ * static_cast<double>(seq.Rows());
     }
   }
   timer.SetArg("delay_s", delay);
@@ -93,23 +85,19 @@ nn::BatchResult WorkerContext::ComputeGradient(std::span<const float> params,
   return result;
 }
 
-common::Seconds WorkerContext::MeasureIterationTime(
-    std::span<const float> params, std::size_t iters) {
+common::Seconds WorkerContext::MeasureIterationTime(std::size_t iters) {
   RNA_CHECK(iters > 0);
-  std::vector<float> scratch(dim_);
   // Pin outside the timed window: the warm-up batch is each rank's own
   // worst case (batch_size copies of its longest sequence), so timing it
   // would bias ranks unequally and could move the ζ>v grouping.
-  PinArenaCapacity(params);
+  PinArenaCapacity();
   obs::ScopedTimer watch({}, obs::Category::kOther, "calibration");
   const std::size_t before = times_.iterations;
   common::Seconds compute_before = times_.compute;
   // Calibration batches should not count toward training statistics —
   // neither the breakdown accounts (restored below) nor the trace.
   record_spans_ = false;
-  for (std::size_t i = 0; i < iters; ++i) {
-    ComputeGradient(params, scratch);
-  }
+  for (std::size_t i = 0; i < iters; ++i) ComputeGradient();
   record_spans_ = true;
   const common::Seconds elapsed = watch.Stop();
   times_.iterations = before;

@@ -7,12 +7,13 @@
 //   TensorArena — Tensor storage routing and move/copy semantics against
 //     arena-backed storage (fresh-copy rule, stale-destination reuse,
 //     double-release safety) — run under ASan via the asan-ubsan preset.
-//   SteadyState — the PR's headline gate: after warm-up, a full training
-//     iteration (SetParamsFrom → ForwardBackward → CopyGradsTo → optimizer
-//     step) performs ZERO heap allocations for every model family. This
-//     binary replaces global operator new/delete with counting versions
-//     (stronger than the pool-stats counters test_dataplane.cpp uses: it
-//     sees every allocation in the process, not just pooled ones).
+//   SteadyState — the headline gate: after warm-up, a full training
+//     iteration (ForwardBackward → optimizer step on the network's own
+//     ParamsFlat()/GradsFlat() blocks) performs ZERO heap allocations for
+//     every model family. This binary replaces global operator new/delete
+//     with counting versions (stronger than the pool-stats counters
+//     test_dataplane.cpp uses: it sees every allocation in the process,
+//     not just pooled ones).
 
 #include <gtest/gtest.h>
 
@@ -352,19 +353,14 @@ TEST_P(SteadyState, TrainingIterationIsAllocationFree) {
   const Batch batch = MakeBatchFor(GetParam());
   ASSERT_TRUE(net->ArenaEnabled());
 
-  const std::size_t dim = net->ParamCount();
-  std::vector<float> params(dim), grad(dim);
-  net->CopyParamsTo(params);
-  nn::SgdMomentum opt(dim, {});
+  nn::SgdMomentum opt(net->ParamCount(), {});
 
   auto iteration = [&] {
-    net->SetParamsFrom(params);
     net->ForwardBackward(batch);
-    net->CopyGradsTo(grad);
-    opt.Step(params, grad);
+    opt.Step(net->ParamsFlat(), net->GradsFlat());
   };
-  // Warm-up: first iteration grows arena chunks and builds the memoized
-  // param/grad lists; the second proves the pattern is stable.
+  // Warm-up: first iteration grows arena chunks; the second proves the
+  // pattern is stable.
   iteration();
   iteration();
 

@@ -59,11 +59,10 @@ Batch SequenceBatch(std::size_t n, std::size_t dim, std::size_t classes,
 void CheckGradients(Network& net, const Batch& batch, std::size_t probes,
                     std::uint64_t seed) {
   const std::size_t dim = net.ParamCount();
-  std::vector<float> params(dim), grad(dim);
-  net.CopyParamsTo(params);
-  net.SetParamsFrom(params);
   net.ForwardBackward(batch);
-  net.CopyGradsTo(grad);
+  const std::vector<float> grad(net.GradsFlat().begin(),
+                                net.GradsFlat().end());
+  const std::span<float> params = net.ParamsFlat();
 
   common::Rng rng(seed);
   const float eps = 5e-3f;
@@ -72,10 +71,8 @@ void CheckGradients(Network& net, const Batch& batch, std::size_t probes,
     const std::size_t i = rng.UniformInt(dim);
     const float saved = params[i];
     params[i] = saved + eps;
-    net.SetParamsFrom(params);
     const double lp = net.Evaluate(batch).loss;
     params[i] = saved - eps;
-    net.SetParamsFrom(params);
     const double lm = net.Evaluate(batch).loss;
     params[i] = saved;
     const double numeric = (lp - lm) / (2.0 * eps);
@@ -255,12 +252,10 @@ TEST_P(LstmBatchEquivalence, MatchesOneSequenceBatches) {
   auto whole = BatchEquivModel(GetParam());
   const BatchResult result = whole->ForwardBackward(batch);
   const std::size_t dim = whole->ParamCount();
-  std::vector<float> grad(dim);
-  whole->CopyGradsTo(grad);
+  const std::span<const float> grad = whole->GradsFlat();
 
   auto single = BatchEquivModel(GetParam());
   std::vector<double> expected(dim, 0.0);
-  std::vector<float> one_grad(dim);
   double loss = 0.0;
   std::size_t correct = 0;
   for (std::size_t s = 0; s < batch_size; ++s) {
@@ -270,7 +265,7 @@ TEST_P(LstmBatchEquivalence, MatchesOneSequenceBatches) {
     const BatchResult r = single->ForwardBackward(one);
     loss += r.loss;
     correct += r.correct;
-    single->CopyGradsTo(one_grad);
+    const std::span<const float> one_grad = single->GradsFlat();
     for (std::size_t i = 0; i < dim; ++i) {
       expected[i] += static_cast<double>(one_grad[i]) / batch_size;
     }
@@ -297,17 +292,18 @@ TEST_P(LstmBatchEquivalence, MatchesOneSequenceBatches) {
 INSTANTIATE_TEST_SUITE_P(Models, LstmBatchEquivalence,
                          ::testing::Values("lstm", "lstm_dropout"));
 
+std::vector<float> ToVector(std::span<const float> values) {
+  return {values.begin(), values.end()};
+}
+
 TEST(Network, ParamRoundTrip) {
   MlpClassifier net({4, 8, 2}, 5);
   const std::size_t dim = net.ParamCount();
   EXPECT_EQ(dim, 4u * 8 + 8 + 8 * 2 + 2);
-  std::vector<float> params(dim);
-  net.CopyParamsTo(params);
-  std::vector<float> modified = params;
-  for (auto& p : modified) p += 1.0f;
-  net.SetParamsFrom(modified);
-  std::vector<float> readback(dim);
-  net.CopyParamsTo(readback);
+  ASSERT_EQ(net.ParamsFlat().size(), dim);
+  const std::vector<float> params = ToVector(net.ParamsFlat());
+  for (auto& p : net.ParamsFlat()) p += 1.0f;
+  const std::span<const float> readback = net.ParamsFlat();
   for (std::size_t i = 0; i < dim; ++i) {
     EXPECT_FLOAT_EQ(readback[i], params[i] + 1.0f);
   }
@@ -315,10 +311,7 @@ TEST(Network, ParamRoundTrip) {
 
 TEST(Network, SameSeedSameParams) {
   MlpClassifier a({5, 7, 2}, 99), b({5, 7, 2}, 99);
-  std::vector<float> pa(a.ParamCount()), pb(b.ParamCount());
-  a.CopyParamsTo(pa);
-  b.CopyParamsTo(pb);
-  EXPECT_EQ(pa, pb);
+  EXPECT_EQ(ToVector(a.ParamsFlat()), ToVector(b.ParamsFlat()));
 }
 
 TEST(Network, LstmParamCount) {
@@ -331,24 +324,17 @@ TEST(Network, TrainingReducesLoss) {
   // A few plain-SGD steps on a separable problem must reduce the loss.
   data::Dataset ds = data::MakeGaussianClusters(256, 8, 3, 0.3, 77);
   MlpClassifier net({8, 32, 3}, 7);
-  const std::size_t dim = net.ParamCount();
-  std::vector<float> params(dim), grad(dim);
-  net.CopyParamsTo(params);
-  SgdMomentum opt(dim, {.learning_rate = 0.2, .momentum = 0.9});
+  SgdMomentum opt(net.ParamCount(), {.learning_rate = 0.2, .momentum = 0.9});
 
   std::vector<std::size_t> all(ds.Size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
   Batch batch = data::ShardView::All(ds).MakeBatch(all);
 
-  net.SetParamsFrom(params);
   const double initial = net.Evaluate(batch).loss;
   for (int step = 0; step < 60; ++step) {
-    net.SetParamsFrom(params);
     net.ForwardBackward(batch);
-    net.CopyGradsTo(grad);
-    opt.Step(params, grad);
+    opt.Step(net.ParamsFlat(), net.GradsFlat());
   }
-  net.SetParamsFrom(params);
   const auto after = net.Evaluate(batch);
   EXPECT_LT(after.loss, initial * 0.5);
   EXPECT_GT(after.Accuracy(), 0.8);
@@ -450,18 +436,14 @@ TrainTrace RunTrainTrace(const std::string& kind, bool arena,
   net->EnableArena(arena);
   const Batch batch = EquivBatch(kind);
 
-  const std::size_t dim = net->ParamCount();
   TrainTrace trace;
-  trace.params.resize(dim);
-  trace.grads.resize(dim);
-  net->CopyParamsTo(trace.params);
-  SgdMomentum opt(dim, {.learning_rate = 0.05, .momentum = 0.9});
+  SgdMomentum opt(net->ParamCount(), {.learning_rate = 0.05, .momentum = 0.9});
   for (int i = 0; i < iters; ++i) {
-    net->SetParamsFrom(trace.params);
     trace.losses.push_back(net->ForwardBackward(batch).loss);
-    net->CopyGradsTo(trace.grads);
-    opt.Step(trace.params, trace.grads);
+    opt.Step(net->ParamsFlat(), net->GradsFlat());
   }
+  trace.grads = ToVector(net->GradsFlat());
+  trace.params = ToVector(net->ParamsFlat());
   return trace;
 }
 
@@ -518,6 +500,62 @@ TEST_P(ArenaEquivalence, VectorizedKernelsAloneAreExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, ArenaEquivalence,
+                         ::testing::Values("mlp", "lstm", "attention"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+// ---------------------------------------------------------------------------
+// One parameter layout: ParamsFlat() and GradsFlat() are the layers' own
+// storage. Every Params()/Grads() tensor is a view of its slice, in Params()
+// order, and stays one through training and evaluation steps.
+
+class NetworkBlocks : public ::testing::TestWithParam<const char*> {};
+
+void ExpectSlicesOf(const std::vector<Tensor*>& tensors,
+                    std::span<const float> block, const char* what) {
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < tensors.size(); ++i) {
+    EXPECT_EQ(tensors[i]->Data(), block.data() + offset)
+        << what << " tensor " << i << " is not at offset " << offset;
+    offset += tensors[i]->Size();
+  }
+  EXPECT_EQ(offset, block.size()) << what;
+}
+
+TEST_P(NetworkBlocks, TensorsViewTheirSlicesAfterEveryStep) {
+  auto net = EquivModel(GetParam());
+  const Batch batch = EquivBatch(GetParam());
+  net->ForwardBackward(batch);
+  ExpectSlicesOf(net->Params(), net->ParamsFlat(), "param");
+  ExpectSlicesOf(net->Grads(), net->GradsFlat(), "grad");
+  net->Evaluate(batch);
+  ExpectSlicesOf(net->Params(), net->ParamsFlat(), "param");
+  ExpectSlicesOf(net->Grads(), net->GradsFlat(), "grad");
+}
+
+TEST_P(NetworkBlocks, WriteThroughParamsFlatChangesTheLoss) {
+  auto net = EquivModel(GetParam());
+  const Batch batch = EquivBatch(GetParam());
+  const double before = net->Evaluate(batch).loss;
+  for (float& p : net->ParamsFlat()) p += 0.25f;
+  EXPECT_NE(net->Evaluate(batch).loss, before);
+}
+
+TEST_P(NetworkBlocks, GradsFlatIsThePerTensorConcatenation) {
+  auto net = EquivModel(GetParam());
+  net->ForwardBackward(EquivBatch(GetParam()));
+  std::vector<float> concatenated;
+  for (const Tensor* g : net->Grads()) {
+    concatenated.insert(concatenated.end(), g->Flat().begin(),
+                        g->Flat().end());
+  }
+  ExpectBitwiseEqual(net->GradsFlat(), concatenated, "gradients");
+  EXPECT_TRUE(std::any_of(concatenated.begin(), concatenated.end(),
+                          [](float g) { return g != 0.0f; }));
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, NetworkBlocks,
                          ::testing::Values("mlp", "lstm", "attention"),
                          [](const auto& info) {
                            return std::string(info.param);
@@ -633,8 +671,9 @@ TEST(LstmForwardLastSlice, EvaluateScratchIsUnderAQuarterOfTheForward) {
 
 // Inactive dropout (evaluation, or rate 0) is skipped rather than copied
 // through: Evaluate takes exactly the arena of its other stages (pack,
-// forward-only LSTM, head, loss), and a training step at rate 0 takes three
-// B×H buffers (mask, output, input gradient) less than one at rate 0.2.
+// forward-only LSTM, the head's logits without an input cache, loss), and a
+// training step at rate 0 takes three B×H buffers (mask, output, input
+// gradient) less than one at rate 0.2.
 TEST(LstmForwardLastSlice, InactiveDropoutTakesNoArena) {
   const Batch batch = LstmImbalanceSlice();
   LstmClassifier net(6, 16, 6, 7, 0.0);
@@ -648,7 +687,9 @@ TEST(LstmForwardLastSlice, InactiveDropoutTakesNoArena) {
   {
     tensor::Arena::StepScope scope(arena);
     const SequencePack pack(batch.sequences);
-    Tensor logits = head.Forward(lstm.ForwardLast(pack));
+    const Tensor last = lstm.ForwardLast(pack);
+    Tensor logits({last.Rows(), 6});
+    head.ForwardInto(last.Data(), last.Rows(), logits.Data());
     SoftmaxCrossEntropy(logits, batch.labels);
   }
   EXPECT_EQ(eval_bytes, arena.Stats().short_high_water);

@@ -362,10 +362,10 @@ TEST(RaceStress, StageWriteDrainAndBoardPublishRead) {
   std::atomic<bool> reading{true};
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
-      std::vector<float> snap;
+      std::vector<float> snap(kDim);
       std::int64_t seen = 0;
       while (reading.load()) {
-        seen = board.ReadIfNewer(seen, &snap);
+        seen = board.ReadIfNewer(seen, snap);
         (void)stage.HasGradient();
         (void)stage.BufferedCount();
       }
@@ -563,15 +563,11 @@ TEST(RaceStress, ConcurrentArenaTrainingIsIsolated) {
       // Same-seed replica per thread; dropout off so loss streams depend
       // only on params + batch, not per-net Rng draw interleaving.
       nn::LstmClassifier net(6, 12, 3, kSeed, /*dropout_rate=*/0.0);
-      const std::size_t dim = net.ParamCount();
-      std::vector<float> params(dim), grad(dim);
-      net.CopyParamsTo(params);
-      nn::SgdMomentum opt(dim, {.learning_rate = 0.05, .momentum = 0.9});
+      nn::SgdMomentum opt(net.ParamCount(),
+                          {.learning_rate = 0.05, .momentum = 0.9});
       for (int i = 0; i < kIters; ++i) {
-        net.SetParamsFrom(params);
         losses[t].push_back(net.ForwardBackward(batch).loss);
-        net.CopyGradsTo(grad);
-        opt.Step(params, grad);
+        opt.Step(net.ParamsFlat(), net.GradsFlat());
       }
     });
   }

@@ -163,12 +163,12 @@ TEST(GradientStage, FuzzAgainstReferenceModel) {
 
 TEST(ParamBoard, PublishAndRead) {
   ParamBoard board(Vec({1.0f, 2.0f}));
-  std::vector<float> out;
-  EXPECT_EQ(board.ReadIfNewer(-1, &out), 0);
+  std::vector<float> out(2);
+  EXPECT_EQ(board.ReadIfNewer(-1, out), 0);
   EXPECT_EQ(out, Vec({1.0f, 2.0f}));
 
   board.Publish(Vec({3.0f, 4.0f}), 5);
-  EXPECT_EQ(board.ReadIfNewer(0, &out), 5);
+  EXPECT_EQ(board.ReadIfNewer(0, out), 5);
   EXPECT_EQ(out, Vec({3.0f, 4.0f}));
 }
 
@@ -176,7 +176,7 @@ TEST(ParamBoard, ReadIfNewerSkipsStale) {
   ParamBoard board(Vec({1.0f}));
   board.Publish(Vec({2.0f}), 3);
   std::vector<float> out = Vec({99.0f});
-  EXPECT_EQ(board.ReadIfNewer(3, &out), 3);
+  EXPECT_EQ(board.ReadIfNewer(3, out), 3);
   EXPECT_EQ(out[0], 99.0f);  // untouched: nothing newer than version 3
 }
 
@@ -184,14 +184,16 @@ TEST(ParamBoard, StalePublishIgnored) {
   ParamBoard board(Vec({1.0f}));
   board.Publish(Vec({5.0f}), 10);
   board.Publish(Vec({2.0f}), 4);  // older version, must not regress
-  std::int64_t version = 0;
-  EXPECT_EQ(board.Snapshot(&version), Vec({5.0f}));
-  EXPECT_EQ(version, 10);
+  std::vector<float> out(1);
+  EXPECT_EQ(board.ReadIfNewer(-1, out), 10);
+  EXPECT_EQ(out, Vec({5.0f}));
 }
 
 TEST(ParamBoard, DimensionMismatchThrows) {
   ParamBoard board(Vec({1.0f, 2.0f}));
   EXPECT_THROW(board.Publish(Vec({1.0f}), 1), std::logic_error);
+  std::vector<float> out(1);
+  EXPECT_THROW(board.ReadIfNewer(-1, out), std::logic_error);
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "rna/data/generators.hpp"
 #include "rna/train/monitor.hpp"
@@ -31,26 +34,25 @@ TrainerConfig SmallConfig(std::size_t world = 2) {
   return c;
 }
 
+std::vector<float> Copy(std::span<const float> values) {
+  return {values.begin(), values.end()};
+}
+
 // The parameters of a fresh replica, which every run starts from.
 std::vector<float> InitialParams(const TrainerConfig& config,
                                  const ModelFactory& factory) {
-  auto net = factory(config.model_seed);
-  std::vector<float> params(net->ParamCount());
-  net->CopyParamsTo(params);
-  return params;
+  return Copy(factory(config.model_seed)->ParamsFlat());
 }
 
 TEST(WorkerContext, ProducesGradientsAndCountsIterations) {
   data::Dataset ds = data::MakeGaussianClusters(64, 4, 2, 0.4, 1);
   const TrainerConfig config = SmallConfig();
   WorkerContext worker(0, config, MlpFactory(), ds);
-  std::vector<float> params = InitialParams(config, MlpFactory());
-  std::vector<float> grad(worker.Dim());
-  const nn::BatchResult r = worker.ComputeGradient(params, grad);
+  const nn::BatchResult r = worker.ComputeGradient();
   EXPECT_EQ(r.total, 4u);
   EXPECT_EQ(worker.Iterations(), 1u);
   double norm = 0;
-  for (float g : grad) norm += static_cast<double>(g) * g;
+  for (float g : worker.Net().GradsFlat()) norm += static_cast<double>(g) * g;
   EXPECT_GT(norm, 0.0);
   EXPECT_GT(worker.Times().compute, 0.0);
 }
@@ -60,11 +62,10 @@ TEST(WorkerContext, ShardsDifferAcrossRanks) {
   const TrainerConfig config = SmallConfig(2);
   WorkerContext w0(0, config, MlpFactory(), ds);
   WorkerContext w1(1, config, MlpFactory(), ds);
-  std::vector<float> params = InitialParams(config, MlpFactory());
-  std::vector<float> g0(w0.Dim()), g1(w1.Dim());
-  w0.ComputeGradient(params, g0);
-  w1.ComputeGradient(params, g1);
-  EXPECT_NE(g0, g1);  // different shards + different sampler seeds
+  w0.ComputeGradient();
+  w1.ComputeGradient();
+  // Different shards + different sampler seeds.
+  EXPECT_NE(Copy(w0.Net().GradsFlat()), Copy(w1.Net().GradsFlat()));
 }
 
 TEST(WorkerContext, DelayInjectionAddsComputeTime) {
@@ -73,10 +74,8 @@ TEST(WorkerContext, DelayInjectionAddsComputeTime) {
   config.delay_model =
       std::make_shared<sim::DeterministicSkewModel>(0.02, std::vector<double>{0.0});
   WorkerContext worker(0, config, MlpFactory(), ds);
-  std::vector<float> params = InitialParams(config, MlpFactory());
-  std::vector<float> grad(worker.Dim());
   const common::Stopwatch watch;
-  worker.ComputeGradient(params, grad);
+  worker.ComputeGradient();
   EXPECT_GE(watch.Elapsed(), 0.018);
 }
 
@@ -87,10 +86,8 @@ TEST(WorkerContext, DelayScaleCompresses) {
       std::make_shared<sim::DeterministicSkewModel>(0.1, std::vector<double>{0.0});
   config.delay_scale = 0.05;  // 100 ms → 5 ms
   WorkerContext worker(0, config, MlpFactory(), ds);
-  std::vector<float> params = InitialParams(config, MlpFactory());
-  std::vector<float> grad(worker.Dim());
   const common::Stopwatch watch;
-  worker.ComputeGradient(params, grad);
+  worker.ComputeGradient();
   const double t = watch.Elapsed();
   EXPECT_GE(t, 0.004);
   EXPECT_LT(t, 0.06);
@@ -107,10 +104,8 @@ TEST(WorkerContext, SequenceSleepScalesWithLength) {
     return std::make_unique<nn::LstmClassifier>(3, 4, 2, seed, 0.0);
   };
   WorkerContext worker(0, config, lstm, ds);
-  std::vector<float> params = InitialParams(config, lstm);
-  std::vector<float> grad(worker.Dim());
   const common::Stopwatch watch;
-  worker.ComputeGradient(params, grad);
+  worker.ComputeGradient();
   EXPECT_GE(watch.Elapsed(), 0.015);
 }
 
@@ -118,8 +113,7 @@ TEST(WorkerContext, CalibrationDoesNotPolluteCounters) {
   data::Dataset ds = data::MakeGaussianClusters(64, 4, 2, 0.4, 5);
   const TrainerConfig config = SmallConfig(1);
   WorkerContext worker(0, config, MlpFactory(), ds);
-  std::vector<float> params = InitialParams(config, MlpFactory());
-  const common::Seconds t = worker.MeasureIterationTime(params, 4);
+  const common::Seconds t = worker.MeasureIterationTime(4);
   EXPECT_GT(t, 0.0);
   EXPECT_EQ(worker.Iterations(), 0u);
   EXPECT_EQ(worker.Times().compute, 0.0);
@@ -152,8 +146,7 @@ TEST(WorkerContext, CalibrationExcludesArenaPinWarmup) {
   };
   WorkerContext worker(0, config, slow, ds);
   ASSERT_TRUE(worker.Net().ArenaEnabled());
-  std::vector<float> params = InitialParams(config, MlpFactory());
-  EXPECT_LT(worker.MeasureIterationTime(params, 2), 0.010);
+  EXPECT_LT(worker.MeasureIterationTime(2), 0.010);
   EXPECT_TRUE(worker.Net().ComputeArena().ExactMode());
 }
 
@@ -167,9 +160,8 @@ TEST(RunScaffold, InitialParamsAreAFreshReplica) {
   EXPECT_FALSE(fresh.empty());
   EXPECT_EQ(run.Init(), fresh);
   for (const auto& worker : run.Workers()) {
-    std::vector<float> params(worker->Dim());
-    worker->Net().CopyParamsTo(params);
-    EXPECT_EQ(params, fresh) << "rank " << worker->Rank();
+    EXPECT_EQ(Copy(worker->Net().ParamsFlat()), fresh)
+        << "rank " << worker->Rank();
   }
 }
 
@@ -179,9 +171,7 @@ TEST(EvalMonitor, RaisesStopOnTargetLoss) {
   config.target_loss = 100.0;  // any model beats this
   config.eval_period_s = 0.005;
 
-  auto net = MlpFactory()(config.model_seed);
-  std::vector<float> params(net->ParamCount());
-  net->CopyParamsTo(params);
+  const std::vector<float> params = InitialParams(config, MlpFactory());
 
   ParamBoard board(params);
   std::atomic<bool> stop{false};
@@ -206,9 +196,7 @@ TEST(EvalMonitor, EarlyStopsAfterPatience) {
   config.patience = 3;
   config.eval_period_s = 0.003;
 
-  auto net = MlpFactory()(config.model_seed);
-  std::vector<float> params(net->ParamCount());
-  net->CopyParamsTo(params);
+  const std::vector<float> params = InitialParams(config, MlpFactory());
 
   ParamBoard board(params);
   std::atomic<bool> stop{false};
@@ -230,8 +218,7 @@ TEST(EvaluateDataset, CapsSampleCount) {
   data::Dataset ds = data::MakeGaussianClusters(100, 4, 2, 0.4, 8);
   auto net = MlpFactory()(1);
   nn::Network* const replica = net.get();
-  std::vector<float> params(net->ParamCount());
-  net->CopyParamsTo(params);
+  const std::vector<float> params = Copy(net->ParamsFlat());
   const nn::BatchResult capped =
       EvaluateDataset({&replica, 1}, params, ds, 10);
   EXPECT_EQ(capped.total, 10u);
@@ -251,8 +238,7 @@ void ExpectReplicaCountInvariant(const ModelFactory& factory,
     replicas.push_back(nets.back().get());
   }
   // Nudged off the initial parameters, so the logits are far from uniform.
-  std::vector<float> params(nets[0]->ParamCount());
-  nets[0]->CopyParamsTo(params);
+  std::vector<float> params = Copy(nets[0]->ParamsFlat());
   common::Rng rng(17);
   for (float& p : params) p += 0.3f * static_cast<float>(rng.Normal());
 
@@ -270,7 +256,7 @@ void ExpectReplicaCountInvariant(const ModelFactory& factory,
   }
 
   auto whole_net = factory(3);
-  whole_net->SetParamsFrom(params);
+  std::copy(params.begin(), params.end(), whole_net->ParamsFlat().begin());
   const nn::BatchResult whole =
       whole_net->Evaluate(data::ShardView::All(ds).MakeBatchRange(0, limit));
   EXPECT_EQ(one.correct, whole.correct);
@@ -309,15 +295,13 @@ TEST(WorkerContext, ArenaPinnedAfterWarmupWithZeroChunkGrowth) {
     return std::make_unique<nn::LstmClassifier>(3, 4, 2, seed, 0.0);
   };
   WorkerContext worker(0, config, lstm, ds);
-  std::vector<float> params = InitialParams(config, lstm);
-  std::vector<float> grad(worker.Dim());
 
-  worker.ComputeGradient(params, grad);
+  worker.ComputeGradient();
   const tensor::Arena& arena = worker.Net().ComputeArena();
   EXPECT_TRUE(arena.ExactMode());
   const std::size_t chunks_after_warmup = arena.Stats().chunk_allocs;
 
-  for (int i = 0; i < 8; ++i) worker.ComputeGradient(params, grad);
+  for (int i = 0; i < 8; ++i) worker.ComputeGradient();
   EXPECT_EQ(arena.Stats().chunk_allocs, chunks_after_warmup);
   EXPECT_TRUE(arena.ExactMode());
 }
@@ -332,9 +316,7 @@ TEST(WorkerContext, ArenaPinSkippedWhenArenaDisabled) {
     return net;
   };
   WorkerContext worker(0, config, no_arena, ds);
-  std::vector<float> params = InitialParams(config, no_arena);
-  std::vector<float> grad(worker.Dim());
-  worker.ComputeGradient(params, grad);
+  worker.ComputeGradient();
   EXPECT_FALSE(worker.Net().ComputeArena().ExactMode());
 }
 
@@ -352,8 +334,7 @@ TEST(EvaluateDataset, RelaxesPinnedTrainingReplica) {
   };
   WorkerContext worker(0, config, lstm, ds);
   std::vector<float> params = InitialParams(config, lstm);
-  std::vector<float> grad(worker.Dim());
-  worker.ComputeGradient(params, grad);
+  worker.ComputeGradient();
   ASSERT_TRUE(worker.Net().ComputeArena().ExactMode());
   nn::Network* const replica = &worker.Net();
   const nn::BatchResult r = EvaluateDataset({&replica, 1}, params, ds);
@@ -365,7 +346,8 @@ TEST(EvaluateDataset, PinnedReplicaGrowsToOneSliceAtMost) {
   // The end-of-run pass must not grow a training replica's arena past one
   // kEvalSliceSamples-sample evaluation, however large the dataset. With
   // every sequence the same length, each full slice needs the same scratch
-  // as a fresh replica's one 96-sample batch.
+  // as a fresh replica's one 96-sample batch; a replica whose training pin
+  // already covers that must not grow at all.
   data::LengthModel lengths{.mean = 20, .stddev = 0, .min_len = 20,
                             .max_len = 20};
   data::Dataset ds = data::MakeSequenceDataset(640, 3, 2, lengths, 0.1, 23);
@@ -376,18 +358,19 @@ TEST(EvaluateDataset, PinnedReplicaGrowsToOneSliceAtMost) {
   };
   WorkerContext worker(0, config, lstm, ds);
   std::vector<float> params = InitialParams(config, lstm);
-  std::vector<float> grad(worker.Dim());
-  worker.ComputeGradient(params, grad);
+  worker.ComputeGradient();
   ASSERT_TRUE(worker.Net().ComputeArena().ExactMode());
+  const std::size_t pinned =
+      worker.Net().ComputeArena().Stats().short_high_water;
   nn::Network* const replica = &worker.Net();
   EXPECT_EQ(EvaluateDataset({&replica, 1}, params, ds).total, 640u);
 
   auto fresh = lstm(config.model_seed);
-  fresh->SetParamsFrom(params);
+  std::copy(params.begin(), params.end(), fresh->ParamsFlat().begin());
   fresh->Evaluate(
       data::ShardView::All(ds).MakeBatchRange(0, kEvalSliceSamples));
   EXPECT_LE(worker.Net().ComputeArena().Stats().short_high_water,
-            fresh->ComputeArena().Stats().short_high_water);
+            std::max(pinned, fresh->ComputeArena().Stats().short_high_water));
 }
 
 TEST(WorkerContext, SteadyStateConsumesPrefetchedBatches) {
@@ -397,9 +380,7 @@ TEST(WorkerContext, SteadyStateConsumesPrefetchedBatches) {
   data::Dataset ds = data::MakeGaussianClusters(64, 4, 2, 0.4, 12);
   TrainerConfig config = SmallConfig(1);
   WorkerContext worker(0, config, MlpFactory(), ds);
-  std::vector<float> params = InitialParams(config, MlpFactory());
-  std::vector<float> grad(worker.Dim());
-  for (int i = 0; i < 6; ++i) worker.ComputeGradient(params, grad);
+  for (int i = 0; i < 6; ++i) worker.ComputeGradient();
   EXPECT_EQ(worker.Generator().PrefetchedPops(), 6u);
   EXPECT_EQ(worker.Generator().SynchronousAssemblies(), 0u);
 }
@@ -412,9 +393,7 @@ TEST(WorkerContext, OverflowRankTrainsOnSharedShard) {
   WorkerContext worker(25, config, MlpFactory(), ds);
   EXPECT_TRUE(worker.Shard().SharedFallback());
   EXPECT_EQ(worker.Shard().Size(), 10u);
-  std::vector<float> params = InitialParams(config, MlpFactory());
-  std::vector<float> grad(worker.Dim());
-  const nn::BatchResult r = worker.ComputeGradient(params, grad);
+  const nn::BatchResult r = worker.ComputeGradient();
   EXPECT_EQ(r.total, config.batch_size);
 }
 

@@ -37,18 +37,11 @@ HEAP_BOUNDARY_PATTERNS = (
     "rna::obs::*",
     "rna::common::Log*",
     "rna::common::CheckFail*",
-    # One-shot cache builders: Network::CachedParams/CachedGrads call these
-    # exactly once per network (the cache is rebuilt only when empty), so
-    # the pointer-list construction inside them is cold by contract even
-    # though ZeroGrads reaches them from ForwardBackward.
-    "rna::nn::*::Params",
-    "rna::nn::*::Grads",
     # Streaming data plane: batch assembly allocates by design (each batch
     # owns fresh label/tensor storage), but it runs on the generator's
     # prefetch thread — off the compute hot path — and the consumer side
     # only moves the pre-built batch out of the queue. The worker's
-    # one-shot arena warm-up batch is cold by the same pin-once contract
-    # as the Params/Grads caches above.
+    # one-shot arena warm-up batch is cold by its pin-once contract.
     "rna::data::BatchGenerator::*",
     "rna::data::ShardView::MakeBatch*",
     "rna::train::WorkerContext::PinArenaCapacity",

@@ -65,7 +65,7 @@ ABSOLUTE_CEILINGS = {
     **{f"train_step_{kind}": {"steady_heap_allocs": 0.0}
        for kind in ("mlp", "lstm", "attention", "lstm_imbalance")},
     # LSTM evaluation runs forward-only and keeps one step of state, so a
-    # 96-sample lstm-imbalance slice needs 77.5 KiB of arena scratch. The
+    # 96-sample lstm-imbalance slice needs 71.5 KiB of arena scratch. The
     # unrolled training forward needs 607 KiB for the same slice; a ceiling
     # between the two catches evaluation falling back to it. The figure is a
     # pure function of the slice's shapes, so it holds on any host.
