@@ -23,8 +23,8 @@ std::vector<double> CalibrateIterationTimes(
   std::vector<double> iter_times(world);
   if (config.lockstep) {
     // Deterministic calibration: average the injected-delay model's nominal
-    // samples (same seed stream the workers will use) instead of racing
-    // wall clocks, so the grouping replays bit-identically.
+    // samples (same seed stream the workers will use) without measuring
+    // any clock, so the grouping replays bit-identically.
     for (std::size_t w = 0; w < world; ++w) {
       double sum = 0.0;
       if (config.delay_model) {
@@ -38,8 +38,8 @@ std::vector<double> CalibrateIterationTimes(
     return iter_times;
   }
   // Every rank measures itself at once, as on the paper's cluster: the
-  // phase costs calib × the slowest rank instead of calib × Σ ranks, and it
-  // sees the CPU contention concurrent training will. Each thread touches
+  // phase costs the slowest rank's calib model steps, not the sum over
+  // ranks (the drawn delays are charged, not slept). Each thread touches
   // only its own context and slots; the joins hand the contexts (delay rng,
   // pinned arena, started prefetch producer) back before the compute
   // threads take them over. A rank's failure (a throwing model or check)

@@ -8,6 +8,7 @@
 // cluster).
 
 #include <memory>
+#include <optional>
 
 #include "rna/common/clock.hpp"
 #include "rna/common/rng.hpp"
@@ -51,14 +52,26 @@ class WorkerContext {
   /// Mini-batches computed so far.
   std::size_t Iterations() const { return times_.iterations; }
 
-  /// Measures the mean iteration time over `iters` batches at the
-  /// replica's current parameters without touching persistent state beyond
-  /// the rng and the gradient block (used by the hierarchical grouping
-  /// calibration, §4). The arena pin runs before the timed window.
+  /// The mean iteration time over `iters` batches at the replica's current
+  /// parameters, for the hierarchical grouping calibration (§4): each batch
+  /// is charged its thread CPU time plus the injected delay it draws, which
+  /// is not slept. Only the batch stream, the delay rng and the gradient
+  /// block advance; no account, iteration or span is recorded. The arena
+  /// pin runs before the first measured batch.
   common::Seconds MeasureIterationTime(std::size_t iters);
 
  private:
-  common::Seconds SampleDelay();
+  struct DrawnBatch {
+    nn::BatchResult result;
+    common::Seconds delay;  ///< the batch's injected delay, not yet slept
+  };
+
+  /// The part of a batch that training and calibration share: the batch
+  /// hand-off, ForwardBackward, and the draw of iteration `iteration`'s
+  /// injected delay. When `span` is given, it is opened as the batch's
+  /// kCompute span right after the hand-off; the caller closes it.
+  DrawnBatch RunBatch(std::size_t iteration,
+                      std::optional<obs::ScopedTimer>* span);
 
   /// Runs one worst-case batch through the replica and pins the compute
   /// arena's short region at the observed high-water (Arena::ReserveExact).
@@ -80,11 +93,10 @@ class WorkerContext {
   common::Rng delay_rng_;
   WorkerTimeBreakdown times_;
   // Lazily registered on the first traced batch (the compute thread owns
-  // the track); calibration batches suppress spans so figures only see
+  // the track); calibration batches record no span, so figures only see
   // training compute.
   obs::TrackHandle track_;
   bool track_registered_ = false;
-  bool record_spans_ = true;
   bool arena_pinned_ = false;
 };
 

@@ -1,6 +1,6 @@
 #include "rna/train/worker.hpp"
 
-#include <thread>
+#include <utility>
 
 #include "rna/common/check.hpp"
 
@@ -23,12 +23,6 @@ WorkerContext::WorkerContext(std::size_t rank, const TrainerConfig& config,
       delay_scale_(config.delay_scale),
       sleep_per_step_(config.sleep_per_step),
       delay_rng_(config.seed + 2000 + 97 * rank) {}
-
-common::Seconds WorkerContext::SampleDelay() {
-  if (delay_model_ == nullptr) return 0.0;
-  return delay_model_->Sample(rank_, times_.iterations, delay_rng_) *
-         delay_scale_;
-}
 
 void WorkerContext::PinArenaCapacity() {
   if (arena_pinned_) return;
@@ -56,53 +50,61 @@ void WorkerContext::PinArenaCapacity() {
   net_->ComputeArena().ReserveExact();
 }
 
-nn::BatchResult WorkerContext::ComputeGradient() {
-  // The warm-up happens before the first batch of whichever protocol runs;
-  // the pin must not count toward compute stats or the trace.
-  PinArenaCapacity();
-  if (record_spans_ && !track_registered_ && obs::ActiveTrace() != nullptr) {
-    track_ = obs::RegisterTrack(obs::WorkerTrack(rank_, "compute"));
-    track_registered_ = true;
-  }
+WorkerContext::DrawnBatch WorkerContext::RunBatch(
+    std::size_t iteration, std::optional<obs::ScopedTimer>* span) {
   // Take the batch *before* opening the compute span: steady-state batch
   // assembly happens on the generator's prefetch thread, and whatever pop
   // latency remains is hand-off, not compute.
   nn::Batch batch = generator_.Next();
-  obs::ScopedTimer timer(record_spans_ ? track_ : obs::TrackHandle{},
-                         obs::Category::kCompute, "batch", &times_.compute);
-  timer.SetArg("iter", static_cast<double>(times_.iterations));
-  nn::BatchResult result = net_->ForwardBackward(batch);
-
-  common::Seconds delay = SampleDelay();
+  if (span != nullptr) {
+    span->emplace(track_, obs::Category::kCompute, "batch", &times_.compute);
+    (*span)->SetArg("iter", static_cast<double>(iteration));
+  }
+  DrawnBatch drawn{.result = net_->ForwardBackward(batch), .delay = 0.0};
+  if (delay_model_ != nullptr) {
+    drawn.delay =
+        delay_model_->Sample(rank_, iteration, delay_rng_) * delay_scale_;
+  }
   if (sleep_per_step_ > 0.0) {
     for (const auto& seq : batch.sequences) {
-      delay += sleep_per_step_ * static_cast<double>(seq.Rows());
+      drawn.delay += sleep_per_step_ * static_cast<double>(seq.Rows());
     }
   }
-  timer.SetArg("delay_s", delay);
-  common::SleepFor(delay);  // straggler injection models real time passing
+  return drawn;
+}
+
+nn::BatchResult WorkerContext::ComputeGradient() {
+  // The warm-up happens before the first batch of whichever protocol runs;
+  // the pin must not count toward compute stats or the trace.
+  PinArenaCapacity();
+  if (!track_registered_ && obs::ActiveTrace() != nullptr) {
+    track_ = obs::RegisterTrack(obs::WorkerTrack(rank_, "compute"));
+    track_registered_ = true;
+  }
+  std::optional<obs::ScopedTimer> span;
+  DrawnBatch drawn = RunBatch(times_.iterations, &span);
+  span->SetArg("delay_s", drawn.delay);
+  common::SleepFor(drawn.delay);  // straggler injection models real time
   ++times_.iterations;
-  return result;
+  return std::move(drawn.result);
 }
 
 common::Seconds WorkerContext::MeasureIterationTime(std::size_t iters) {
   RNA_CHECK(iters > 0);
-  // Pin outside the timed window: the warm-up batch is each rank's own
-  // worst case (batch_size copies of its longest sequence), so timing it
+  // Pin outside the measured batches: the warm-up batch is each rank's own
+  // worst case (batch_size copies of its longest sequence), so charging it
   // would bias ranks unequally and could move the ζ>v grouping.
   PinArenaCapacity();
-  obs::ScopedTimer watch({}, obs::Category::kOther, "calibration");
-  const std::size_t before = times_.iterations;
-  common::Seconds compute_before = times_.compute;
-  // Calibration batches should not count toward training statistics —
-  // neither the breakdown accounts (restored below) nor the trace.
-  record_spans_ = false;
-  for (std::size_t i = 0; i < iters; ++i) ComputeGradient();
-  record_spans_ = true;
-  const common::Seconds elapsed = watch.Stop();
-  times_.iterations = before;
-  times_.compute = compute_before;
-  return elapsed / static_cast<double>(iters);
+  // Thread CPU time does not grow while the thread is preempted, and the
+  // drawn delay is known without sleeping it, so host load cannot split
+  // equal ranks. Training starts again from these iterations, with the
+  // delay rng past these draws.
+  common::Seconds cpu = 0.0, delays = 0.0;
+  for (std::size_t i = 0; i < iters; ++i) {
+    const common::ScopedCpuAccumulator charge(&cpu);
+    delays += RunBatch(times_.iterations + i, nullptr).delay;
+  }
+  return (cpu + delays) / static_cast<double>(iters);
 }
 
 }  // namespace rna::train

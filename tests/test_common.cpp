@@ -19,6 +19,10 @@
 #include "rna/common/rng.hpp"
 #include "rna/common/stats.hpp"
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 namespace rna::common {
 namespace {
 
@@ -427,6 +431,29 @@ TEST(Clock, StopwatchMeasuresSleep) {
 TEST(Clock, SecondsRoundTrip) {
   EXPECT_NEAR(ToSeconds(FromSeconds(1.5)), 1.5, 1e-9);
 }
+
+TEST(Clock, SleepForNeverReturnsEarly) {
+  Rng rng(7);
+  for (int i = 0; i < 200; ++i) {
+    const Seconds want = rng.Uniform(50e-6, 500e-6);
+    const SteadyClock::time_point start = SteadyClock::now();
+    SleepFor(want);
+    EXPECT_GE(ToSeconds(SteadyClock::now() - start), want) << "sleep " << i;
+  }
+}
+
+#if defined(__linux__)
+TEST(Clock, SleepForSetsOneNanosecondTimerSlack) {
+  // The slack is per thread: a fresh thread's first sleep sets its own.
+  long slack = 0;
+  std::thread sleeper([&slack] {
+    SleepFor(1e-6);
+    slack = prctl(PR_GET_TIMERSLACK, 0UL, 0UL, 0UL, 0UL);
+  });
+  sleeper.join();
+  EXPECT_EQ(slack, 1);
+}
+#endif
 
 TEST(Flags, UnknownNamesTheFirstUnlistedFlag) {
   const char* argv[] = {"prog", "--world", "4", "--zeta", "--join=4@2",

@@ -131,10 +131,13 @@ constexpr bool kUnderTsan = false;
 
 TEST(Integration, HierarchicalRnaCalibratesRanksConcurrently) {
   // Three 1 ms ranks and three 10 ms ranks, four calibration batches each.
-  // Calibrated one rank after another, the injected sleeps alone would keep
-  // RunTraining busy outside its training clock for Σ_w 4 × delay_w =
-  // 132 ms; calibrated concurrently, the slowest rank's 4 × 10 ms.
+  // Calibrated one rank after another with the injected delays slept,
+  // RunTraining would spend Σ_w 4 × delay_w = 132 ms outside its training
+  // clock; calibrated concurrently, the slowest rank's 4 × 10 ms. The
+  // calibration charges each delay without sleeping it, so the phase takes
+  // less than even that.
   constexpr double kSerialSleepFloor = 4 * (3 * 0.001 + 3 * 0.010);
+  constexpr double kSlowRankDelays = 4 * 0.010;
   Scenario s = MakeMlpScenario();
   TrainerConfig c = BaseConfig(Protocol::kRnaHierarchical, 30);
   c.world = 6;
@@ -175,6 +178,10 @@ TEST(Integration, HierarchicalRnaCalibratesRanksConcurrently) {
   EXPECT_STREQ(calibration->arg_keys[1], "iters");
   EXPECT_EQ(calibration->arg_vals[1], 4.0);
   EXPECT_LT(calibration->duration, kSerialSleepFloor);
+  if (!kUnderTsan) {
+    EXPECT_LT(calibration->duration, kSlowRankDelays)
+        << "calibration slept its drawn delays";
+  }
   EXPECT_LE(calibration->start + calibration->duration, train_total->start);
 
   // It survives the Chrome export and the strict parser.

@@ -119,16 +119,62 @@ TEST(WorkerContext, CalibrationDoesNotPolluteCounters) {
   EXPECT_EQ(worker.Times().compute, 0.0);
 }
 
-// MLP whose first ForwardBackward (the arena-pinning warm-up) is slow.
+// A fixed delay that logs the iteration of every draw.
+class LoggingDelayModel final : public sim::IterationTimeModel {
+ public:
+  explicit LoggingDelayModel(common::Seconds delay) : delay_(delay) {}
+
+  common::Seconds Sample(std::size_t, std::size_t iteration,
+                         common::Rng&) const override {
+    iterations_.push_back(iteration);
+    return delay_;
+  }
+
+  const std::vector<std::size_t>& Iterations() const { return iterations_; }
+
+ private:
+  common::Seconds delay_;
+  mutable std::vector<std::size_t> iterations_;
+};
+
+TEST(WorkerContext, CalibrationChargesTheDrawnDelayWithoutSleeping) {
+  data::Dataset ds = data::MakeGaussianClusters(64, 4, 2, 0.4, 16);
+  TrainerConfig config = SmallConfig(1);
+  auto delays = std::make_shared<LoggingDelayModel>(0.020);
+  config.delay_model = delays;
+  WorkerContext worker(0, config, MlpFactory(), ds);
+
+  const common::Stopwatch watch;
+  const common::Seconds t = worker.MeasureIterationTime(4);
+  const common::Seconds wall = watch.Elapsed();
+  EXPECT_GE(t, 0.020);
+  EXPECT_LT(wall, 0.020) << "calibration slept its drawn delays";
+  EXPECT_EQ(delays->Iterations(), (std::vector<std::size_t>{0, 1, 2, 3}));
+
+  // Training starts from the iteration calibration started from.
+  worker.ComputeGradient();
+  EXPECT_EQ(delays->Iterations(),
+            (std::vector<std::size_t>{0, 1, 2, 3, 0}));
+}
+
+// Spins until the calling thread has used `s` seconds of CPU time.
+void BurnCpu(common::Seconds s) {
+  const common::Seconds until = common::ThreadCpuSeconds() + s;
+  while (common::ThreadCpuSeconds() < until) {
+  }
+}
+
+// MLP whose first ForwardBackward (the arena-pinning warm-up) is slow. It
+// burns CPU time rather than sleeping: calibration charges a batch its
+// thread CPU time, so a sleeping warm-up would not fail the test below
+// even if the pin moved into the measured batches.
 class SlowWarmupMlp final : public nn::MlpClassifier {
  public:
   explicit SlowWarmupMlp(std::uint64_t seed)
       : nn::MlpClassifier(std::vector<std::size_t>{4, 8, 2}, seed) {}
 
   nn::BatchResult ForwardBackward(const nn::Batch& batch) override {
-    if (calls_++ == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
+    if (calls_++ == 0) BurnCpu(0.050);
     return nn::MlpClassifier::ForwardBackward(batch);
   }
 
@@ -137,8 +183,9 @@ class SlowWarmupMlp final : public nn::MlpClassifier {
 };
 
 TEST(WorkerContext, CalibrationExcludesArenaPinWarmup) {
-  // The pin runs before the timed window: with it inside, two calibration
-  // batches would average in the 50 ms warm-up (≥ 25 ms per batch).
+  // The pin runs before the measured batches: with it inside, two
+  // calibration batches would average in the 50 ms warm-up (≥ 25 ms per
+  // batch).
   data::Dataset ds = data::MakeGaussianClusters(64, 4, 2, 0.4, 15);
   const TrainerConfig config = SmallConfig(1);
   ModelFactory slow = [](std::uint64_t seed) {

@@ -15,8 +15,9 @@ test). Enforces the repo's threading discipline, which Clang's
   raw-sleep         sleeping in library code hides latent races and makes
                     shutdown unresponsive; wait on a CondVar. The single
                     sanctioned sleep is common::SleepFor (clock.hpp), used
-                    to model real time (straggler injection). Tests and
-                    benches may sleep.
+                    to model real time (straggler injection); this covers
+                    std::this_thread sleeps, usleep, nanosleep and
+                    clock_nanosleep. Tests and benches may sleep.
   raw-mutex         std::mutex and friends are invisible to Clang's
                     capability analysis; library code must use
                     rna::common::Mutex / MutexLock / CondVar (mutex.hpp).
@@ -171,7 +172,8 @@ RULES = [
     ),
     Rule(
         "raw-sleep",
-        r"this_thread::sleep_for|this_thread::sleep_until|\busleep\s*\(",
+        r"this_thread::sleep_for|this_thread::sleep_until|\busleep\s*\("
+        r"|\b(?:clock_)?nanosleep\s*\(",
         "no sleeping in library code; wait on rna::common::CondVar, or use "
         "common::SleepFor for modelled delays",
         lambda p: in_library(p) and p != CLOCK_HEADER,
@@ -307,6 +309,9 @@ SELFTEST_CASES = [
     ("volatile-sync", "src/x.cpp", "volatile bool done = false;\n"),
     ("raw-sleep", "src/x.cpp",
      "std::this_thread::sleep_for(std::chrono::seconds(1));\n"),
+    ("raw-sleep", "src/x.cpp", "nanosleep(&req, nullptr);\n"),
+    ("raw-sleep", "src/train/x.cpp",
+     "clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &t, nullptr);\n"),
     ("raw-mutex", "src/x.cpp", "std::mutex mu_;\n"),
     ("raw-mutex", "src/x.cpp", "std::scoped_lock lock(mu_);\n"),
     ("unguarded-mutex", "src/x.hpp",
@@ -344,7 +349,9 @@ SELFTEST_CLEAN = [
     # Explicit suppression.
     ("src/x.cpp", "std::mutex legacy_mu;  // lint:allow(raw-mutex)\n"),
     # The sanctioned sleep location.
-    (CLOCK_HEADER, "std::this_thread::sleep_for(FromSeconds(s));\n"),
+    (CLOCK_HEADER,
+     "while (clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &deadline,\n"
+     "                       nullptr) == EINTR) {\n}\n"),
     # The Rng header may reference std engines (e.g. in docs comparisons).
     (RNG_HEADER, "// unlike std::mt19937 ...\nstd::mt19937 compat;\n"),
     # Stopwatch stays legal outside runner code: benches, tests, and the
